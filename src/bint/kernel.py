@@ -589,8 +589,11 @@ _RIGHT_BY_SHAPE = {
     (Coimp, MINUS): (R.CoimpRMinus,),
 }
 
-_LEFT_A_BY_SHAPE = {And: R.AndLa, Or: R.OrLa, Imp: R.ImpLa, Coimp: R.CoimpLa}
-_LEFT_C_BY_SHAPE = {And: R.AndLc, Or: R.OrLc, Imp: R.ImpLc, Coimp: R.CoimpLc}
+#: the left rule that decomposes a compound of each shape, per context side
+LEFT_RULE_BY_SHAPE = {
+    Side.A: {And: R.AndLa, Or: R.OrLa, Imp: R.ImpLa, Coimp: R.CoimpLa},
+    Side.C: {And: R.AndLc, Or: R.OrLc, Imp: R.ImpLc, Coimp: R.CoimpLc},
+}
 
 
 def backward_expansions(s: Sequent) -> list[Expansion]:
@@ -606,18 +609,14 @@ def backward_expansions(s: Sequent) -> list[Expansion]:
         prem = premises_for(s, rule)
         if prem is not None:
             out.append(Expansion(rule, None, prem))
-    for f in s.gamma.distinct():
-        rule = _LEFT_A_BY_SHAPE.get(type(f))
-        if rule is not None:
-            prem = premises_for(s, rule, f)
-            if prem is not None:
-                out.append(Expansion(rule, Annotation(principal=f), prem))
-    for f in s.delta.distinct():
-        rule = _LEFT_C_BY_SHAPE.get(type(f))
-        if rule is not None:
-            prem = premises_for(s, rule, f)
-            if prem is not None:
-                out.append(Expansion(rule, Annotation(principal=f), prem))
+    for side, ctx in ((Side.A, s.gamma), (Side.C, s.delta)):
+        table = LEFT_RULE_BY_SHAPE[side]
+        for f in ctx.distinct():
+            rule = table.get(type(f))
+            if rule is not None:
+                prem = premises_for(s, rule, f)
+                if prem is not None:
+                    out.append(Expansion(rule, Annotation(principal=f), prem))
     return out
 
 

@@ -17,15 +17,13 @@ from .kernel import (
     MINUS, PLUS, Context, Derivation, Expansion, RuleId as R, Sequent, Side,
     backward_expansions, check_derivation, node,
 )
-from .transform import derive_identity, weaken, _weaken
+from .transform import derive_identity, _weaken
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     max_depth: int = 50
     loop_check: bool = True
-    exhaustive: bool = False   # scan the whole bounded space instead of stopping early
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_depth < 1:
@@ -125,11 +123,8 @@ class _Searcher:
         sub_path = path | {s}
         for e in expansions:
             if not e.premises:
-                if found is None:
-                    found = node(e.rule, s, (), annotation=e.annotation)
-                if not self.cfg.exhaustive:
-                    break
-                continue
+                found = node(e.rule, s, (), annotation=e.annotation)
+                break
             if depth == 0:
                 bounded = True
                 continue
@@ -143,10 +138,8 @@ class _Searcher:
                     break
                 children.append(_lift(r, premise))
             if children:
-                if found is None:
-                    found = node(e.rule, s, children, annotation=e.annotation)
-                if not self.cfg.exhaustive:
-                    break
+                found = node(e.rule, s, children, annotation=e.annotation)
+                break
         if found is not None:
             self.proved[s] = found
             return found
@@ -233,7 +226,7 @@ def _extend_once(d: Derivation, rng: random.Random) -> Optional[Derivation]:
     move = rng.randrange(12)
 
     if move == 0:  # weakening keeps the corpus contexts varied
-        return weaken(d, _random_formula(rng), rng.choice((Side.A, Side.C)))
+        return _weaken(d, _random_formula(rng), rng.choice((Side.A, Side.C)))
     if move == 1 and len(g) >= 2:  # AndLa on two assumption occurrences
         a = _pick(rng, g)
         b = _pick(rng, g.remove(a))

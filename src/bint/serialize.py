@@ -51,35 +51,54 @@ def _context_to_data(ctx: Context) -> list[str]:
     return [format_formula(f) for f in ctx.expand()]
 
 
-def _context_from_data(data: list[str]) -> Context:
-    return Context.from_iter(parse_formula(t) for t in data)
+_JSON_TYPE_NAMES = {dict: "object", list: "list", str: "string"}
 
 
-def derivation_from_data(data: dict[str, Any]) -> Derivation:
+def _expect(value: Any, kind: type, what: str) -> Any:
+    if not isinstance(value, kind):
+        raise DerivationFormatError(
+            f"{what} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _context_from_data(data: Any, what: str) -> Context:
+    return Context.from_iter(parse_formula(_expect(t, str, f"{what} entry"))
+                             for t in _expect(data, list, what))
+
+
+def _formula_from_data(ann: dict[str, Any], key: str):
+    return parse_formula(_expect(ann[key], str, key)) if key in ann else None
+
+
+_SPLIT_KEYS = ("gamma", "delta", "gamma_prime", "delta_prime")
+
+
+def derivation_from_data(data: Any) -> Derivation:
+    """Rebuild a derivation from parsed JSON; any shape other than the
+    documented one raises ``DerivationFormatError``."""
+    _expect(data, dict, "a derivation")
     try:
         rule = RuleId(data["rule"])
     except (KeyError, ValueError) as e:
         raise DerivationFormatError(f"bad or missing rule id: {e}") from e
-    try:
-        conclusion = parse_sequent(data["conclusion"])
-    except KeyError as e:
-        raise DerivationFormatError("missing conclusion") from e
-    premises = tuple(derivation_from_data(p) for p in data.get("premises", []))
+    if "conclusion" not in data:
+        raise DerivationFormatError("missing conclusion")
+    conclusion = parse_sequent(_expect(data["conclusion"], str, "conclusion"))
+    premises = tuple(derivation_from_data(p)
+                     for p in _expect(data.get("premises", []), list, "premises"))
     ann_data = data.get("annotation")
     annotation = None
-    if ann_data:
+    if ann_data is not None and _expect(ann_data, dict, "annotation"):
         split = None
         if "context_split" in ann_data:
-            spd = ann_data["context_split"]
-            split = ContextSplit(
-                gamma=_context_from_data(spd["gamma"]),
-                delta=_context_from_data(spd["delta"]),
-                gamma_prime=_context_from_data(spd["gamma_prime"]),
-                delta_prime=_context_from_data(spd["delta_prime"]),
-            )
+            spd = _expect(ann_data["context_split"], dict, "context_split")
+            missing = [k for k in _SPLIT_KEYS if k not in spd]
+            if missing:
+                raise DerivationFormatError(f"context_split lacks {', '.join(missing)}")
+            split = ContextSplit(**{k: _context_from_data(spd[k], k) for k in _SPLIT_KEYS})
         annotation = Annotation(
-            principal=parse_formula(ann_data["principal"]) if "principal" in ann_data else None,
-            cut_formula=parse_formula(ann_data["cut_formula"]) if "cut_formula" in ann_data else None,
+            principal=_formula_from_data(ann_data, "principal"),
+            cut_formula=_formula_from_data(ann_data, "cut_formula"),
             context_split=split,
         )
     return Derivation(conclusion, rule, premises, annotation)
@@ -89,11 +108,15 @@ def dumps_derivation(d: Derivation) -> str:
     return json.dumps(derivation_to_data(d), indent=2, sort_keys=True) + "\n"
 
 
+def _parse_json(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DerivationFormatError(f"not JSON: {e}") from e
+
+
 def loads_derivation(text: str) -> Derivation:
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise DerivationFormatError("expected a JSON object")
-    return derivation_from_data(data)
+    return derivation_from_data(_parse_json(text))
 
 
 def save_derivation(d: Derivation, path) -> None:
@@ -101,15 +124,21 @@ def save_derivation(d: Derivation, path) -> None:
         fh.write(dumps_derivation(d))
 
 
-def load_derivation(path) -> Derivation:
+def _read_text(path) -> str:
     with open(path, encoding="utf-8") as fh:
-        return loads_derivation(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise DerivationFormatError(f"not UTF-8 text: {e}") from e
+
+
+def load_derivation(path) -> Derivation:
+    return loads_derivation(_read_text(path))
 
 
 def load_derivations(path) -> list[Derivation]:
     """Load a file holding either one derivation object or a list of them."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _parse_json(_read_text(path))
     if isinstance(data, list):
         return [derivation_from_data(item) for item in data]
     if isinstance(data, dict):

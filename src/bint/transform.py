@@ -10,25 +10,27 @@ checker-valid, cut-free derivation with the advertised endsequent:
 * ``contract`` -- height-preserving contraction,
 * ``eliminate_cut`` -- the full cut-elimination case machine.
 
-Intermediate checker validation is on by default (``set_validation``); a
-failing intermediate tree raises ``InternalCheckError`` rather than being
-passed along silently.
+Public entry points check their input derivations once, at entry.  Every node
+the module builds goes through one checked constructor, which checks that node
+against its rule schema and its premises' conclusions and refuses cuts; by
+induction every output is valid and cut-free, and no tree is re-checked.  A
+node that fails its check raises ``InternalCheckError`` where it is built.
 """
 
 from __future__ import annotations
 
 import enum
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .syntax import (
     BOT, TOP, And, Atom, Bottom, Coimp, Formula, Imp, Or, Top, format_formula, weight,
 )
 from .kernel import (
-    LEFT_RULES, MINUS, PLUS, ZERO_PREMISE,
+    CUT_RULES, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS, ZERO_PREMISE,
     Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side,
-    check_derivation, infer_principal, node, premises_for, _zero_premise_failure,
+    check_derivation, check_rule_instance, infer_principal, node, premises_for,
+    _zero_premise_failure,
 )
 
 
@@ -37,44 +39,31 @@ class TransformError(ValueError):
 
 
 class InternalCheckError(AssertionError):
-    """An intermediate tree failed the checker; indicates a transformation bug."""
+    """A built node failed the checker; indicates a transformation bug."""
 
 
-_VALIDATE = True
-
-
-def set_validation(on: bool) -> bool:
-    """Toggle intermediate checker validation; returns the previous setting."""
-    global _VALIDATE
-    old = _VALIDATE
-    _VALIDATE = on
-    return old
-
-
-@contextmanager
-def validation(on: bool):
-    old = set_validation(on)
-    try:
-        yield
-    finally:
-        set_validation(old)
-
-
-def _checked(d: Derivation, what: str) -> Derivation:
-    if _VALIDATE:
-        report = check_derivation(d)
-        if not report.valid:
-            raise InternalCheckError(f"{what} produced an invalid tree: {report}")
+def _node(rule: R, conclusion: Sequent, premises: Iterable[Derivation] = (),
+          principal: Optional[Formula] = None,
+          annotation: Optional[Annotation] = None) -> Derivation:
+    """The only way this module builds a node.  Its premises are checked
+    already (inputs at entry, built nodes here), so checking the node alone
+    keeps every tree valid."""
+    if rule in CUT_RULES:
+        raise InternalCheckError(f"a transformation built a {rule.value} node")
+    d = node(rule, conclusion, premises, principal, annotation)
+    violation = check_rule_instance(conclusion, rule, [p.conclusion for p in d.premises],
+                                    d.annotation)
+    if violation is not None:
+        raise InternalCheckError(f"built an invalid node {conclusion}: {violation}")
     return d
 
 
 def _require_input(d: Derivation, what: str) -> None:
     if d.cut_count != 0:
         raise TransformError(f"{what}: input contains {d.cut_count} cut(s)")
-    if _VALIDATE:
-        report = check_derivation(d)
-        if not report.valid:
-            raise TransformError(f"{what}: input is not checker-valid: {report}")
+    report = check_derivation(d)
+    if not report.valid:
+        raise TransformError(f"{what}: input is not checker-valid: {report}")
 
 
 # --- identity expansion --------------------------------------------------------
@@ -88,8 +77,7 @@ def derive_identity(gamma: Context, delta: Context, c: Formula,
     formulas recurse through the matching left/right rule pair on strict
     subformulas, so an all-atom compound comes out with height 2.
     """
-    d = _identity(gamma, delta, c, polarity)
-    return _checked(d, "derive_identity")
+    return _identity(gamma, delta, c, polarity)
 
 
 def _identity(gamma: Context, delta: Context, c: Formula, polarity: Polarity) -> Derivation:
@@ -104,11 +92,11 @@ def _identity_base(g: Context, d: Context, c: Formula, pol: Polarity) -> Derivat
 
     match c:
         case Bottom():
-            return node(R.BotLa if plus else R.BotRMinus, conc)
+            return _node(R.BotLa if plus else R.BotRMinus, conc)
         case Top():
-            return node(R.TopRPlus if plus else R.TopLc, conc)
+            return _node(R.TopRPlus if plus else R.TopLc, conc)
         case Atom():
-            return node(R.RfPlus if plus else R.RfMinus, conc)
+            return _node(R.RfPlus if plus else R.RfMinus, conc)
 
     a, b = c.left, c.right  # weight(c) == 1: both operands are F or T
     bot_a, bot_b = isinstance(a, Bottom), isinstance(b, Bottom)
@@ -117,69 +105,69 @@ def _identity_base(g: Context, d: Context, c: Formula, pol: Polarity) -> Derivat
         case And():
             if plus:
                 if bot_a or bot_b:
-                    prem = node(R.BotLa, Sequent(g.add(a).add(b), d, PLUS, c))
-                    return node(R.AndLa, conc, [prem], principal=c)
-                prem = node(R.TopRPlus, Sequent(conc.gamma, d, PLUS, TOP))
-                return node(R.AndRPlus, conc, [prem, prem])
+                    prem = _node(R.BotLa, Sequent(g.add(a).add(b), d, PLUS, c))
+                    return _node(R.AndLa, conc, [prem], principal=c)
+                prem = _node(R.TopRPlus, Sequent(conc.gamma, d, PLUS, TOP))
+                return _node(R.AndRPlus, conc, [prem, prem])
             if bot_a:
-                prem = node(R.BotRMinus, Sequent(g, conc.delta, MINUS, BOT))
-                return node(R.AndRMinus1, conc, [prem])
+                prem = _node(R.BotRMinus, Sequent(g, conc.delta, MINUS, BOT))
+                return _node(R.AndRMinus1, conc, [prem])
             if bot_b:
-                prem = node(R.BotRMinus, Sequent(g, conc.delta, MINUS, BOT))
-                return node(R.AndRMinus2, conc, [prem])
-            prem = node(R.TopLc, Sequent(g, d.add(TOP), MINUS, c))
-            return node(R.AndLc, conc, [prem, prem], principal=c)
+                prem = _node(R.BotRMinus, Sequent(g, conc.delta, MINUS, BOT))
+                return _node(R.AndRMinus2, conc, [prem])
+            prem = _node(R.TopLc, Sequent(g, d.add(TOP), MINUS, c))
+            return _node(R.AndLc, conc, [prem, prem], principal=c)
         case Or():
             if plus:
                 if not bot_a:
-                    prem = node(R.TopRPlus, Sequent(conc.gamma, d, PLUS, TOP))
-                    return node(R.OrRPlus1, conc, [prem])
+                    prem = _node(R.TopRPlus, Sequent(conc.gamma, d, PLUS, TOP))
+                    return _node(R.OrRPlus1, conc, [prem])
                 if not bot_b:
-                    prem = node(R.TopRPlus, Sequent(conc.gamma, d, PLUS, TOP))
-                    return node(R.OrRPlus2, conc, [prem])
-                prem = node(R.BotLa, Sequent(g.add(BOT), d, PLUS, c))
-                return node(R.OrLa, conc, [prem, prem], principal=c)
+                    prem = _node(R.TopRPlus, Sequent(conc.gamma, d, PLUS, TOP))
+                    return _node(R.OrRPlus2, conc, [prem])
+                prem = _node(R.BotLa, Sequent(g.add(BOT), d, PLUS, c))
+                return _node(R.OrLa, conc, [prem, prem], principal=c)
             if bot_a and bot_b:
-                prem = node(R.BotRMinus, Sequent(g, conc.delta, MINUS, BOT))
-                return node(R.OrRMinus, conc, [prem, prem])
-            prem = node(R.TopLc, Sequent(g, d.add(a).add(b), MINUS, c))
-            return node(R.OrLc, conc, [prem], principal=c)
+                prem = _node(R.BotRMinus, Sequent(g, conc.delta, MINUS, BOT))
+                return _node(R.OrRMinus, conc, [prem, prem])
+            prem = _node(R.TopLc, Sequent(g, d.add(a).add(b), MINUS, c))
+            return _node(R.OrLc, conc, [prem], principal=c)
         case Imp():
             if plus:
                 if not bot_a and bot_b:  # T -> F closes through both arms
-                    p1 = node(R.TopRPlus, Sequent(conc.gamma, d, PLUS, TOP))
-                    p2 = node(R.BotLa, Sequent(g.add(BOT), d, PLUS, c))
-                    return node(R.ImpLa, conc, [p1, p2], principal=c)
+                    p1 = _node(R.TopRPlus, Sequent(conc.gamma, d, PLUS, TOP))
+                    p2 = _node(R.BotLa, Sequent(g.add(BOT), d, PLUS, c))
+                    return _node(R.ImpLa, conc, [p1, p2], principal=c)
                 inner_rule = R.BotLa if bot_a and bot_b else R.TopRPlus
                 succ = BOT if bot_a and bot_b else TOP
-                prem = node(inner_rule, Sequent(conc.gamma.add(a), d, PLUS, succ))
-                return node(R.ImpRPlus, conc, [prem])
+                prem = _node(inner_rule, Sequent(conc.gamma.add(a), d, PLUS, succ))
+                return _node(R.ImpRPlus, conc, [prem])
             if not bot_a and bot_b:
-                p1 = node(R.TopRPlus, Sequent(g, conc.delta, PLUS, TOP))
-                p2 = node(R.BotRMinus, Sequent(g, conc.delta, MINUS, BOT))
-                return node(R.ImpRMinus, conc, [p1, p2])
+                p1 = _node(R.TopRPlus, Sequent(g, conc.delta, PLUS, TOP))
+                p2 = _node(R.BotRMinus, Sequent(g, conc.delta, MINUS, BOT))
+                return _node(R.ImpRMinus, conc, [p1, p2])
             inner_rule = R.BotLa if (bot_a and bot_b) else R.TopLc
-            prem = node(inner_rule, Sequent(g.add(a), d.add(b), MINUS, c))
-            return node(R.ImpLc, conc, [prem], principal=c)
+            prem = _node(inner_rule, Sequent(g.add(a), d.add(b), MINUS, c))
+            return _node(R.ImpLc, conc, [prem], principal=c)
         case Coimp():
             if plus:
                 if not bot_a and bot_b:
-                    p1 = node(R.TopRPlus, Sequent(conc.gamma, d, PLUS, TOP))
-                    p2 = node(R.BotRMinus, Sequent(conc.gamma, d, MINUS, BOT))
-                    return node(R.CoimpRPlus, conc, [p1, p2])
+                    p1 = _node(R.TopRPlus, Sequent(conc.gamma, d, PLUS, TOP))
+                    p2 = _node(R.BotRMinus, Sequent(conc.gamma, d, MINUS, BOT))
+                    return _node(R.CoimpRPlus, conc, [p1, p2])
                 inner_rule = R.BotLa if bot_a else R.TopLc
-                prem = node(inner_rule, Sequent(g.add(a), d.add(b), PLUS, c))
-                return node(R.CoimpLa, conc, [prem], principal=c)
+                prem = _node(inner_rule, Sequent(g.add(a), d.add(b), PLUS, c))
+                return _node(R.CoimpLa, conc, [prem], principal=c)
             if bot_a:
                 inner_rule = R.BotRMinus if bot_b else R.TopLc
-                prem = node(inner_rule, Sequent(g, conc.delta.add(b), MINUS, BOT))
-                return node(R.CoimpRMinus, conc, [prem])
+                prem = _node(inner_rule, Sequent(g, conc.delta.add(b), MINUS, BOT))
+                return _node(R.CoimpRMinus, conc, [prem])
             if bot_b:
-                p1 = node(R.BotRMinus, Sequent(g, conc.delta, MINUS, BOT))
-                p2 = node(R.TopLc, Sequent(g, d.add(TOP), MINUS, c))
-                return node(R.CoimpLc, conc, [p1, p2], principal=c)
-            prem = node(R.TopLc, Sequent(g, conc.delta.add(TOP), MINUS, TOP))
-            return node(R.CoimpRMinus, conc, [prem])
+                p1 = _node(R.BotRMinus, Sequent(g, conc.delta, MINUS, BOT))
+                p2 = _node(R.TopLc, Sequent(g, d.add(TOP), MINUS, c))
+                return _node(R.CoimpLc, conc, [p1, p2], principal=c)
+            prem = _node(R.TopLc, Sequent(g, conc.delta.add(TOP), MINUS, TOP))
+            return _node(R.CoimpRMinus, conc, [prem])
     raise TypeError(f"not a formula: {c!r}")
 
 
@@ -190,48 +178,48 @@ def _identity_step(g: Context, d: Context, c: Formula, pol: Polarity) -> Derivat
     match c:
         case And():
             if plus:
-                pa = node(R.AndLa, Sequent(conc.gamma, d, PLUS, a),
-                          [_identity(g.add(b), d, a, PLUS)], principal=c)
-                pb = node(R.AndLa, Sequent(conc.gamma, d, PLUS, b),
-                          [_identity(g.add(a), d, b, PLUS)], principal=c)
-                return node(R.AndRPlus, conc, [pa, pb])
-            pa = node(R.AndRMinus1, Sequent(g, d.add(a), MINUS, c),
-                      [_identity(g, d, a, MINUS)])
-            pb = node(R.AndRMinus2, Sequent(g, d.add(b), MINUS, c),
-                      [_identity(g, d, b, MINUS)])
-            return node(R.AndLc, conc, [pa, pb], principal=c)
+                pa = _node(R.AndLa, Sequent(conc.gamma, d, PLUS, a),
+                           [_identity(g.add(b), d, a, PLUS)], principal=c)
+                pb = _node(R.AndLa, Sequent(conc.gamma, d, PLUS, b),
+                           [_identity(g.add(a), d, b, PLUS)], principal=c)
+                return _node(R.AndRPlus, conc, [pa, pb])
+            pa = _node(R.AndRMinus1, Sequent(g, d.add(a), MINUS, c),
+                       [_identity(g, d, a, MINUS)])
+            pb = _node(R.AndRMinus2, Sequent(g, d.add(b), MINUS, c),
+                       [_identity(g, d, b, MINUS)])
+            return _node(R.AndLc, conc, [pa, pb], principal=c)
         case Or():
             if plus:
-                pa = node(R.OrRPlus1, Sequent(g.add(a), d, PLUS, c),
-                          [_identity(g, d, a, PLUS)])
-                pb = node(R.OrRPlus2, Sequent(g.add(b), d, PLUS, c),
-                          [_identity(g, d, b, PLUS)])
-                return node(R.OrLa, conc, [pa, pb], principal=c)
-            pa = node(R.OrLc, Sequent(g, conc.delta, MINUS, a),
-                      [_identity(g, d.add(b), a, MINUS)], principal=c)
-            pb = node(R.OrLc, Sequent(g, conc.delta, MINUS, b),
-                      [_identity(g, d.add(a), b, MINUS)], principal=c)
-            return node(R.OrRMinus, conc, [pa, pb])
+                pa = _node(R.OrRPlus1, Sequent(g.add(a), d, PLUS, c),
+                           [_identity(g, d, a, PLUS)])
+                pb = _node(R.OrRPlus2, Sequent(g.add(b), d, PLUS, c),
+                           [_identity(g, d, b, PLUS)])
+                return _node(R.OrLa, conc, [pa, pb], principal=c)
+            pa = _node(R.OrLc, Sequent(g, conc.delta, MINUS, a),
+                       [_identity(g, d.add(b), a, MINUS)], principal=c)
+            pb = _node(R.OrLc, Sequent(g, conc.delta, MINUS, b),
+                       [_identity(g, d.add(a), b, MINUS)], principal=c)
+            return _node(R.OrRMinus, conc, [pa, pb])
         case Imp():
             if plus:
-                inner = node(R.ImpLa, Sequent(conc.gamma.add(a), d, PLUS, b),
-                             [_identity(g.add(c), d, a, PLUS),
-                              _identity(g.add(a), d, b, PLUS)], principal=c)
-                return node(R.ImpRPlus, conc, [inner])
-            inner = node(R.ImpRMinus, Sequent(g.add(a), d.add(b), MINUS, c),
-                         [_identity(g, d.add(b), a, PLUS),
-                          _identity(g.add(a), d, b, MINUS)])
-            return node(R.ImpLc, conc, [inner], principal=c)
+                inner = _node(R.ImpLa, Sequent(conc.gamma.add(a), d, PLUS, b),
+                              [_identity(g.add(c), d, a, PLUS),
+                               _identity(g.add(a), d, b, PLUS)], principal=c)
+                return _node(R.ImpRPlus, conc, [inner])
+            inner = _node(R.ImpRMinus, Sequent(g.add(a), d.add(b), MINUS, c),
+                          [_identity(g, d.add(b), a, PLUS),
+                           _identity(g.add(a), d, b, MINUS)])
+            return _node(R.ImpLc, conc, [inner], principal=c)
         case Coimp():
             if plus:
-                inner = node(R.CoimpRPlus, Sequent(g.add(a), d.add(b), PLUS, c),
-                             [_identity(g, d.add(b), a, PLUS),
-                              _identity(g.add(a), d, b, MINUS)])
-                return node(R.CoimpLa, conc, [inner], principal=c)
-            inner = node(R.CoimpLc, Sequent(g, conc.delta.add(b), MINUS, a),
-                         [_identity(g, d.add(c), b, MINUS),
-                          _identity(g, d.add(b), a, MINUS)], principal=c)
-            return node(R.CoimpRMinus, conc, [inner])
+                inner = _node(R.CoimpRPlus, Sequent(g.add(a), d.add(b), PLUS, c),
+                              [_identity(g, d.add(b), a, PLUS),
+                               _identity(g.add(a), d, b, MINUS)])
+                return _node(R.CoimpLa, conc, [inner], principal=c)
+            inner = _node(R.CoimpLc, Sequent(g, conc.delta.add(b), MINUS, a),
+                          [_identity(g, d.add(c), b, MINUS),
+                           _identity(g, d.add(b), a, MINUS)], principal=c)
+            return _node(R.CoimpRMinus, conc, [inner])
     raise TypeError(f"not a compound formula: {c!r}")
 
 
@@ -241,7 +229,7 @@ def weaken(d: Derivation, extra: Formula, side: Side) -> Derivation:
     """Add ``extra`` to the assumptions (side a) or counterassumptions (side c)
     of the endsequent, preserving the tree shape and therefore the height."""
     _require_input(d, "weaken")
-    return _checked(_weaken(d, extra, side), "weaken")
+    return _weaken(d, extra, side)
 
 
 def _weaken(d: Derivation, extra: Formula, side: Side) -> Derivation:
@@ -249,20 +237,23 @@ def _weaken(d: Derivation, extra: Formula, side: Side) -> Derivation:
     conc = (Sequent(s.gamma.add(extra), s.delta, s.polarity, s.succedent)
             if side is Side.A
             else Sequent(s.gamma, s.delta.add(extra), s.polarity, s.succedent))
-    return Derivation(conc, d.rule, tuple(_weaken(p, extra, side) for p in d.premises),
-                      d.annotation)
+    return _node(d.rule, conc, [_weaken(p, extra, side) for p in d.premises],
+                 annotation=d.annotation)
 
 
 def weaken_context(d: Derivation, gamma_extra: Context = Context(),
                    delta_extra: Context = Context()) -> Derivation:
     """Multiset fold of ``weaken`` over both sides (the W^{a/c} steps)."""
     _require_input(d, "weaken_context")
-    out = d
+    return _weaken_context(d, gamma_extra, delta_extra)
+
+
+def _weaken_context(d: Derivation, gamma_extra: Context, delta_extra: Context) -> Derivation:
     for f in gamma_extra.expand():
-        out = _weaken(out, f, Side.A)
+        d = _weaken(d, f, Side.A)
     for f in delta_extra.expand():
-        out = _weaken(out, f, Side.C)
-    return _checked(out, "weaken_context")
+        d = _weaken(d, f, Side.C)
+    return d
 
 
 class SpecialWeakening(enum.Enum):
@@ -277,16 +268,18 @@ def unweaken_special(d: Derivation, which: SpecialWeakening) -> Derivation:
     of the endsequent.  Such an occurrence is never principal, so it can be
     dropped at every node without touching the tree shape or height."""
     _require_input(d, "unweaken_special")
+    return _unweaken_special(d, which)
+
+
+def _unweaken_special(d: Derivation, which: SpecialWeakening) -> Derivation:
     s = d.conclusion
     if which is SpecialWeakening.TOP_IN_GAMMA:
         if TOP not in s.gamma:
             raise TransformError("unweaken_special: no T among the assumptions")
-        out = _unweaken(d, TOP, Side.A)
-    else:
-        if BOT not in s.delta:
-            raise TransformError("unweaken_special: no F among the counterassumptions")
-        out = _unweaken(d, BOT, Side.C)
-    return _checked(out, "unweaken_special")
+        return _unweaken(d, TOP, Side.A)
+    if BOT not in s.delta:
+        raise TransformError("unweaken_special: no F among the counterassumptions")
+    return _unweaken(d, BOT, Side.C)
 
 
 def _unweaken(d: Derivation, f: Formula, side: Side) -> Derivation:
@@ -294,8 +287,8 @@ def _unweaken(d: Derivation, f: Formula, side: Side) -> Derivation:
     conc = (Sequent(s.gamma.remove(f), s.delta, s.polarity, s.succedent)
             if side is Side.A
             else Sequent(s.gamma, s.delta.remove(f), s.polarity, s.succedent))
-    return Derivation(conc, d.rule, tuple(_unweaken(p, f, side) for p in d.premises),
-                      d.annotation)
+    return _node(d.rule, conc, [_unweaken(p, f, side) for p in d.premises],
+                 annotation=d.annotation)
 
 
 # --- inversion -------------------------------------------------------------------
@@ -318,8 +311,7 @@ def invert(d: Derivation, side: Side, target: Formula) -> tuple[Derivation, ...]
     if not present:
         raise TransformError(
             f"invert: {format_formula(target)} does not occur on side {side.value}")
-    outs = _invert(d, side, target)
-    return tuple(_checked(o, "invert") for o in outs)
+    return tuple(_invert(d, side, target))
 
 
 def _invert_transforms(side: Side, target: Formula) -> list[Callable[[Sequent], Sequent]]:
@@ -360,14 +352,9 @@ def _invert_transforms(side: Side, target: Formula) -> list[Callable[[Sequent], 
     raise TransformError("invert: unsupported target")
 
 
-_PRINCIPAL_RULE_A = {And: R.AndLa, Or: R.OrLa, Imp: R.ImpLa, Coimp: R.CoimpLa}
-_PRINCIPAL_RULE_C = {And: R.AndLc, Or: R.OrLc, Imp: R.ImpLc, Coimp: R.CoimpLc}
-
-
 def _principal_here(d: Derivation, side: Side, target: Formula) -> bool:
     """Does the root rule decompose an occurrence of ``target`` on ``side``?"""
-    table = _PRINCIPAL_RULE_A if side is Side.A else _PRINCIPAL_RULE_C
-    if d.rule is not table.get(type(target)):
+    if d.rule is not LEFT_RULE_BY_SHAPE[side].get(type(target)):
         return False
     if d.annotation is not None and d.annotation.principal is not None:
         return d.annotation.principal == target
@@ -378,7 +365,7 @@ def _principal_here(d: Derivation, side: Side, target: Formula) -> bool:
 def _invert(d: Derivation, side: Side, target: Formula) -> list[Derivation]:
     transforms = _invert_transforms(side, target)
     if not d.premises:
-        return [Derivation(tr(d.conclusion), d.rule, (), d.annotation) for tr in transforms]
+        return [_node(d.rule, tr(d.conclusion), annotation=d.annotation) for tr in transforms]
     if _principal_here(d, side, target):
         match (side, target):
             case (Side.A, And()) | (Side.C, Or()) | (Side.C, Imp()) | (Side.A, Coimp()):
@@ -390,8 +377,8 @@ def _invert(d: Derivation, side: Side, target: Formula) -> list[Derivation]:
                 return [d.premises[1]]
     sub = [_invert(p, side, target) for p in d.premises]
     return [
-        Derivation(tr(d.conclusion), d.rule,
-                   tuple(sub[i][k] for i in range(len(sub))), d.annotation)
+        _node(d.rule, tr(d.conclusion), [sub[i][k] for i in range(len(sub))],
+              annotation=d.annotation)
         for k, tr in enumerate(transforms)
     ]
 
@@ -407,7 +394,7 @@ def contract(d: Derivation, dup: Formula, side: Side) -> Derivation:
         raise TransformError(
             f"contract: fewer than two occurrences of {format_formula(dup)} "
             f"on side {side.value}")
-    return _checked(_contract(d, dup, side), "contract")
+    return _contract(d, dup, side)
 
 
 def _drop_one(s: Sequent, f: Formula, side: Side) -> Sequent:
@@ -419,11 +406,11 @@ def _drop_one(s: Sequent, f: Formula, side: Side) -> Sequent:
 def _contract(d: Derivation, dup: Formula, side: Side) -> Derivation:
     conc = _drop_one(d.conclusion, dup, side)
     if not d.premises:
-        return Derivation(conc, d.rule, (), d.annotation)
+        return _node(d.rule, conc, annotation=d.annotation)
     if isinstance(dup, (And, Or, Imp, Coimp)) and _principal_here(d, side, dup):
         return _contract_principal(d, dup, side, conc)
-    return Derivation(conc, d.rule,
-                      tuple(_contract(p, dup, side) for p in d.premises), d.annotation)
+    return _node(d.rule, conc, [_contract(p, dup, side) for p in d.premises],
+                 annotation=d.annotation)
 
 
 def _contract_principal(d: Derivation, dup: Formula, side: Side, conc: Sequent) -> Derivation:
@@ -431,50 +418,41 @@ def _contract_principal(d: Derivation, dup: Formula, side: Side, conc: Sequent) 
     the context: invert the parked copy inside the premise(s), contract the
     doubled operands, and reapply the rule."""
     a, b = dup.left, dup.right  # type: ignore[attr-defined]
-    ann = Annotation(principal=dup)
     match (side, dup):
         case (Side.A, And()):
             p = _invert(d.premises[0], side, dup)[0]
             p = _contract(_contract(p, a, Side.A), b, Side.A)
-            return Derivation(conc, R.AndLa, (p,), ann)
+            return _node(R.AndLa, conc, [p], principal=dup)
         case (Side.A, Or()):
             p1 = _contract(_invert(d.premises[0], side, dup)[0], a, Side.A)
             p2 = _contract(_invert(d.premises[1], side, dup)[1], b, Side.A)
-            return Derivation(conc, R.OrLa, (p1, p2), ann)
+            return _node(R.OrLa, conc, [p1, p2], principal=dup)
         case (Side.A, Imp()):
             # the left premise repeats the principal, so it holds both copies
             p1 = _contract(d.premises[0], dup, Side.A)
             p2 = _contract(_invert(d.premises[1], side, dup)[0], b, Side.A)
-            return Derivation(conc, R.ImpLa, (p1, p2), ann)
+            return _node(R.ImpLa, conc, [p1, p2], principal=dup)
         case (Side.A, Coimp()):
             p = _invert(d.premises[0], side, dup)[0]
             p = _contract(_contract(p, a, Side.A), b, Side.C)
-            return Derivation(conc, R.CoimpLa, (p,), ann)
+            return _node(R.CoimpLa, conc, [p], principal=dup)
         case (Side.C, And()):
             p1 = _contract(_invert(d.premises[0], side, dup)[0], a, Side.C)
             p2 = _contract(_invert(d.premises[1], side, dup)[1], b, Side.C)
-            return Derivation(conc, R.AndLc, (p1, p2), ann)
+            return _node(R.AndLc, conc, [p1, p2], principal=dup)
         case (Side.C, Or()):
             p = _invert(d.premises[0], side, dup)[0]
             p = _contract(_contract(p, a, Side.C), b, Side.C)
-            return Derivation(conc, R.OrLc, (p,), ann)
+            return _node(R.OrLc, conc, [p], principal=dup)
         case (Side.C, Imp()):
             p = _invert(d.premises[0], side, dup)[0]
             p = _contract(_contract(p, a, Side.A), b, Side.C)
-            return Derivation(conc, R.ImpLc, (p,), ann)
+            return _node(R.ImpLc, conc, [p], principal=dup)
         case (Side.C, Coimp()):
             p1 = _contract(d.premises[0], dup, Side.C)
             p2 = _contract(_invert(d.premises[1], side, dup)[0], a, Side.C)
-            return Derivation(conc, R.CoimpLc, (p1, p2), ann)
+            return _node(R.CoimpLc, conc, [p1, p2], principal=dup)
     raise TransformError("contract: unreachable principal case")
-
-
-def contract_context(d: Derivation, dups: Context, side: Side) -> Derivation:
-    """Fold of ``contract`` over a whole multiset (the C^{a/c} closing steps)."""
-    out = d
-    for f in dups.expand():
-        out = _contract(out, f, side)
-    return _checked(out, "contract_context")
 
 
 # --- cut elimination --------------------------------------------------------------
@@ -614,12 +592,7 @@ class _Eliminator:
             self.trace.steps.append(TraceStep(
                 index, parent, case, "a" if variant is R.CutA else "c",
                 measure[0], measure[1]))
-        out = build(index, measure)
-        if _VALIDATE:
-            report = check_derivation(out)
-            if not report.valid or out.cut_count:
-                raise InternalCheckError(f"case {case} produced a bad tree: {report}")
-        return out
+        return build(index, measure)
 
     def _select(self, left: Derivation, right: Derivation, dfm: Formula,
                 variant: R) -> tuple[str, Callable[[int, tuple[int, int]], Derivation]]:
@@ -631,12 +604,12 @@ class _Eliminator:
                 (variant, right.conclusion.polarity)]
             closer = _axiom_for(target)
             if closer is not None:
-                return case, lambda i, m: node(closer, target)
+                return case, lambda i, m: _node(closer, target)
             if target.succedent == dfm and (
                     (variant is R.CutA and target.polarity is PLUS)
                     or (variant is R.CutC and target.polarity is MINUS)):
                 gp, dp = _prime_contexts(right, dfm, variant)
-                return case, lambda i, m: weaken_context(left, gp, dp)
+                return case, lambda i, m: _weaken_context(left, gp, dp)
             # the right axiom closed through the cut occurrence itself
             # (D = F via BotLa under CutA, D = T via TopLc under CutC); the
             # left premise then necessarily ends in a left rule, so the cut
@@ -650,10 +623,10 @@ class _Eliminator:
 
         if left.rule in LEFT_RULES:
             case = _CASE_BY_LEFT_RULE[left.rule]
-            return case, lambda i, m: self._permute_left(i, m, left, right, dfm, variant)
+            return case, lambda i, m: self._permute_left(i, m, left, right, dfm, variant, target)
         if not self._principal_in_right(right, dfm, variant):
             case = _CASE_BY_RIGHT_RULE[right.rule]
-            return case, lambda i, m: self._permute_right(i, m, left, right, dfm, variant)
+            return case, lambda i, m: self._permute_right(i, m, left, right, dfm, variant, target)
         case = _CASE_PRINCIPAL[type(dfm)]
         return case, lambda i, m: self._principal(i, m, left, right, dfm, variant)
 
@@ -669,25 +642,25 @@ class _Eliminator:
         rule = left.rule
         if rule in (R.RfPlus, R.RfMinus):
             if variant is R.CutA:
-                return weaken_context(right, lg.remove(dfm), ld)
-            return weaken_context(right, lg, ld.remove(dfm))
+                return _weaken_context(right, lg.remove(dfm), ld)
+            return _weaken_context(right, lg, ld.remove(dfm))
         if rule is R.BotLa:
-            return node(R.BotLa, target)
+            return _node(R.BotLa, target)
         if rule is R.TopLc:
-            return node(R.TopLc, target)
+            return _node(R.TopLc, target)
         if rule is R.TopRPlus:
-            trimmed = unweaken_special(right, SpecialWeakening.TOP_IN_GAMMA)
-            return weaken_context(trimmed, lg, ld)
+            trimmed = _unweaken_special(right, SpecialWeakening.TOP_IN_GAMMA)
+            return _weaken_context(trimmed, lg, ld)
         if rule is R.BotRMinus:
-            trimmed = unweaken_special(right, SpecialWeakening.BOT_IN_DELTA)
-            return weaken_context(trimmed, lg, ld)
+            trimmed = _unweaken_special(right, SpecialWeakening.BOT_IN_DELTA)
+            return _weaken_context(trimmed, lg, ld)
         raise InternalCheckError(f"unexpected axiom rule {rule} on the left premise")
 
     # -3.x-: the cut formula is not principal on the left; permute the cut
     # above the left rule
     def _permute_left(self, index: int, measure: tuple[int, int], left: Derivation,
-                      right: Derivation, dfm: Formula, variant: R) -> Derivation:
-        target = _cut_target(left, right, dfm, variant)
+                      right: Derivation, dfm: Formula, variant: R,
+                      target: Sequent) -> Derivation:
         gp, dp = _prime_contexts(right, dfm, variant)
         principal = infer_principal(left)
         if principal is None:
@@ -704,19 +677,19 @@ class _Eliminator:
         elif rule in (R.ImpLa, R.CoimpLc):
             # the first premise does not mention the cut formula; it is only
             # weakened by the carried-over context
-            carried = weaken_context(left.premises[0], gp, dp)
+            carried = _weaken_context(left.premises[0], gp, dp)
             new_premises = (carried, rec(left.premises[1]))
         else:
             raise InternalCheckError(f"not a left rule: {rule}")
-        return node(rule, target, new_premises, principal=principal)
+        return _node(rule, target, new_premises, principal=principal)
 
     # -4.x-: principal on the left only; permute the cut above the right rule
     def _permute_right(self, index: int, measure: tuple[int, int], left: Derivation,
-                       right: Derivation, dfm: Formula, variant: R) -> Derivation:
-        target = _cut_target(left, right, dfm, variant)
+                       right: Derivation, dfm: Formula, variant: R,
+                       target: Sequent) -> Derivation:
         new_premises = tuple(
             self.run(left, q, dfm, variant, index, measure) for q in right.premises)
-        return Derivation(target, right.rule, new_premises, right.annotation)
+        return _node(right.rule, target, new_premises, annotation=right.annotation)
 
     # -5.x-: principal on both sides; cut on strict subformulas and close the
     # doubled contexts with contraction
@@ -730,8 +703,12 @@ class _Eliminator:
             return self.run(l, r, f, v, index, measure)
 
         def close(d: Derivation, dup_gamma: Context, dup_delta: Context) -> Derivation:
-            out = contract_context(d, dup_gamma, Side.A)
-            return contract_context(out, dup_delta, Side.C)
+            # the C^{a/c} closing steps: contract each doubled occurrence
+            for f in dup_gamma.expand():
+                d = _contract(d, f, Side.A)
+            for f in dup_delta.expand():
+                d = _contract(d, f, Side.C)
+            return d
 
         if variant is R.CutA:
             if isinstance(dfm, And):                      # -5.1-

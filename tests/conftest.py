@@ -143,7 +143,7 @@ def random_cut_pair(rng: random.Random, variant: R):
     return left, right, dfm
 
 
-def _chain_proof(gamma: Context, chain: list) -> object:
+def chain_proof(gamma: Context, chain: list) -> object:
     """Derivation of (gamma;) |-+ chain[-1] through the implication chain
     a0 -> a1 -> ... (all links in gamma); height is the chain length."""
     d = node(R.RfPlus, Sequent(gamma, Context(), PLUS, chain[0]))
@@ -164,8 +164,8 @@ def _bump_pair():
     p, q = Atom("p"), Atom("q")
     gamma = Context.of(a, Imp(a, b), Imp(b, c), Imp(c, p),
                        e, Imp(e, f), Imp(f, g), Imp(g, q))
-    l1 = _chain_proof(gamma, [a, b, c, p])
-    l2 = _chain_proof(gamma, [e, f, g, q])
+    l1 = chain_proof(gamma, [a, b, c, p])
+    l2 = chain_proof(gamma, [e, f, g, q])
     left = node(R.AndRPlus, Sequent(gamma, Context(), PLUS, And(p, q)), [l1, l2])
     right = node(R.AndLa, Sequent(Context.of(And(p, q)), Context(), PLUS, p),
                  [node(R.RfPlus, Sequent(Context.of(p, q), Context(), PLUS, p))],

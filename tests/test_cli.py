@@ -66,6 +66,31 @@ def test_check_invalid_file(capsys, tmp_path):
     assert "INVALID" in out
 
 
+_RF = {"rule": "RfPlus", "conclusion": "p ; |-+ p", "premises": []}
+
+
+@pytest.mark.parametrize("content", [
+    b"not json at all",
+    b"[1, 2]",
+    json.dumps({"rule": "RfPlus", "conclusion": 5, "premises": []}).encode(),
+    json.dumps({"rule": "RfPlus", "conclusion": "p ; |-+ p",
+                "premises": {"rule": "RfPlus"}}).encode(),
+    json.dumps({"rule": "CutA", "conclusion": "p ; |-+ p", "premises": [_RF, _RF],
+                "annotation": {"cut_formula": "p", "context_split": {}}}).encode(),
+    json.dumps({"rule": "AndLa", "conclusion": "p /\\ q ; |-+ p",
+                "annotation": {"principal": 3},
+                "premises": [{"rule": "RfPlus", "conclusion": "p, q ; |-+ p"}]}).encode(),
+    b"\xff\xfe not UTF-8",
+], ids=["not-json", "list-of-ints", "conclusion-int", "premises-object",
+        "cut-empty-split", "principal-int", "not-utf8"])
+def test_check_malformed_file_is_a_format_error(capsys, tmp_path, content):
+    path = tmp_path / "bad.deriv"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_identity_subcommand(capsys):
     code, out, _ = run(capsys, "--format", "data", "identity", "q ; r", "p", "+")
     assert code == 0

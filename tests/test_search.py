@@ -60,14 +60,6 @@ def test_loop_check_off_only_degrades_to_bound():
     assert isinstance(prove(parse_sequent("; |-+ p -> p"), cfg), Proved)
 
 
-def test_exhaustive_mode_same_verdicts():
-    for text in ["; |-+ p -> p", "F -> F ; |-+ F", "; |-+ p \\/ (p -> F)"]:
-        s = parse_sequent(text)
-        a = outcome_name(prove(s))
-        b = outcome_name(prove(s, SearchConfig(exhaustive=True)))
-        assert a == b
-
-
 def test_is_derivable_raises_on_bound():
     with pytest.raises(RuntimeError):
         is_derivable(parse_sequent("; |-+ p -> (q -> p)"), SearchConfig(max_depth=1))

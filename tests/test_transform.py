@@ -10,9 +10,10 @@ from bint.kernel import (
 )
 from bint.transform import (
     CutTrace, SpecialWeakening, TransformError, contract, derive_identity,
-    eliminate_cut, invert, unweaken_special, validation, weaken, weaken_context,
+    eliminate_cut, invert, unweaken_special, weaken, weaken_context,
 )
-from conftest import SEED, contexts, formulas, polarities
+from bint import transform
+from conftest import SEED, chain_proof, contexts, formulas, polarities
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 EMPTY = Context()
@@ -324,11 +325,55 @@ def test_variant_replacement_events():
     assert any(pa.variant == "a" and ch.variant == "c" for pa, ch in trace.edges())
 
 
-def test_validation_can_be_disabled():
+def test_cut_on_two_axioms_untraced():
     rf = node(R.RfPlus, parse_sequent("p ; |-+ p"))
-    with validation(False):
-        out = eliminate_cut(rf, rf, p, R.CutA)
-    assert out == rf
+    assert eliminate_cut(rf, rf, p, R.CutA) == rf
+
+
+def _tall_chain_pair(length: int):
+    """A Horn chain of the given height as the right premise, with the
+    compound cut formula sitting unused in every one of its sequents."""
+    dfm = And(Atom("x"), Atom("y"))
+    atoms = [Atom(f"a{i}") for i in range(length + 1)]
+    gamma = Context.from_iter(
+        [atoms[0], dfm] + [Imp(lo, hi) for lo, hi in zip(atoms, atoms[1:])])
+    right = chain_proof(gamma, atoms)
+    left = node(R.AndRPlus, parse_sequent("x, y ; |-+ x /\\ y"),
+                [node(R.RfPlus, parse_sequent("x, y ; |-+ x")),
+                 node(R.RfPlus, parse_sequent("x, y ; |-+ y"))])
+    return left, right, dfm
+
+
+def test_cut_elimination_checks_only_its_inputs(monkeypatch):
+    # built nodes are checked once, as they are built; the whole-tree checker
+    # runs only on the two inputs, however tall the right premise
+    left, right, dfm = _tall_chain_pair(50)
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return check_derivation(d)
+
+    monkeypatch.setattr(transform, "check_derivation", counting)
+    out = eliminate_cut(left, right, dfm, R.CutA)
+    assert len(calls) == 2
+    assert calls[0] is left and calls[1] is right
+    assert_cutfree_valid(out)
+    assert out.height == right.height
+
+
+def test_bad_case_builder_is_caught_by_the_constructor(monkeypatch):
+    # a -4.x- builder that forgets to rewrite the endsequent to the cut target
+    def forgetful(self, index, measure, left, right, dfm, variant, target):
+        premises = [self.run(left, q, dfm, variant, index, measure) for q in right.premises]
+        return transform._node(right.rule, right.conclusion, premises,
+                               annotation=right.annotation)
+
+    monkeypatch.setattr(transform._Eliminator, "_permute_right", forgetful)
+    left, right, dfm = _tall_chain_pair(3)
+    with pytest.raises(transform.InternalCheckError) as info:
+        eliminate_cut(left, right, dfm, R.CutA)
+    assert info.traceback[-1].name == "_node"
 
 
 def test_internal_check_error_is_loud():
