@@ -113,7 +113,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("prove", help="backward proof search for a sequent")
     p.add_argument("sequent")
     p.add_argument("--max-depth", type=int, default=50)
-    p.add_argument("--no-loop-check", action="store_true")
 
     p = sub.add_parser("identity", help="reflexivity derivation for a formula")
     p.add_argument("context", help="'Gamma ; Delta' (either side may be empty)")
@@ -173,7 +172,7 @@ def _dispatch(args) -> int:
         return worst
 
     if args.command == "prove":
-        cfg = SearchConfig(max_depth=args.max_depth, loop_check=not args.no_loop_check)
+        cfg = SearchConfig(max_depth=args.max_depth)
         outcome = prove(parse_sequent(args.sequent), cfg)
         if isinstance(outcome, Proved):
             _emit([outcome.derivation], args)

@@ -1,6 +1,11 @@
 """Sequents over multiset contexts, the 24-rule table plus the two cut rules,
 the derivation checker, backward rule enumeration, and the duality mapping.
 
+The 18 logical rules are one data table, ``SCHEMA``: per rule, the connective
+it decomposes, where its principal sits, and one template per premise.
+Checking, backward expansion and the rule sets here, and inversion and
+contraction in ``bint.transform``, all read it.
+
 A sequent ``(gamma; delta) |-* C`` reads: from the verification of everything
 in gamma and the falsification of everything in delta, derive the verification
 (``*`` = ``+``) or falsification (``*`` = ``-``) of C.
@@ -241,31 +246,70 @@ ZERO_PREMISE = frozenset(
     (R.RfPlus, R.RfMinus, R.BotLa, R.TopLc, R.BotRMinus, R.TopRPlus)
 )
 CUT_RULES = frozenset((R.CutA, R.CutC))
-LEFT_RULES_A = frozenset((R.AndLa, R.OrLa, R.ImpLa, R.CoimpLa))
-LEFT_RULES_C = frozenset((R.AndLc, R.OrLc, R.ImpLc, R.CoimpLc))
-LEFT_RULES = LEFT_RULES_A | LEFT_RULES_C
-RIGHT_RULES = frozenset(
-    (R.AndRPlus, R.AndRMinus1, R.AndRMinus2, R.OrRPlus1, R.OrRPlus2, R.OrRMinus,
-     R.ImpRPlus, R.ImpRMinus, R.CoimpRPlus, R.CoimpRMinus)
-)
+
+
+@dataclass(frozen=True)
+class Template:
+    """How one premise of a logical rule is built from the rule's conclusion.
+
+    ``gamma`` and ``delta`` list the principal's operands (0 its left, 1 its
+    right operand) added to that context, in order; ``polarity`` and
+    ``succedent`` (an operand) replace the conclusion's when set.  A left-rule
+    premise drops the principal occurrence from its side unless it ``keeps``
+    it; a right rule's contexts are never reduced."""
+
+    gamma: tuple[int, ...] = ()
+    delta: tuple[int, ...] = ()
+    polarity: Optional[Polarity] = None
+    succedent: Optional[int] = None
+    keeps: bool = False
+
+
+@dataclass(frozen=True)
+class Schema:
+    """One logical rule: the connective it decomposes, where its principal
+    sits (``Side.A``/``Side.C`` for a left rule, the succedent at this polarity
+    for a right rule), and one template per premise, in premise order."""
+
+    connective: type
+    at: Side | Polarity
+    premises: tuple[Template, ...]
+
+
+_A, _B = 0, 1
+_P = Template
+
+#: the 18 logical rules of the calculus; the zero-premise rules and the cuts
+#: are checked by ``_zero_premise_failure`` and ``_check_cut``
+SCHEMA: dict[RuleId, Schema] = {
+    R.AndRPlus: Schema(And, PLUS, (_P(succedent=_A), _P(succedent=_B))),
+    R.AndRMinus1: Schema(And, MINUS, (_P(succedent=_A),)),
+    R.AndRMinus2: Schema(And, MINUS, (_P(succedent=_B),)),
+    R.AndLa: Schema(And, Side.A, (_P(gamma=(_A, _B)),)),
+    R.AndLc: Schema(And, Side.C, (_P(delta=(_A,)), _P(delta=(_B,)))),
+    R.OrRPlus1: Schema(Or, PLUS, (_P(succedent=_A),)),
+    R.OrRPlus2: Schema(Or, PLUS, (_P(succedent=_B),)),
+    R.OrRMinus: Schema(Or, MINUS, (_P(succedent=_A), _P(succedent=_B))),
+    R.OrLa: Schema(Or, Side.A, (_P(gamma=(_A,)), _P(gamma=(_B,)))),
+    R.OrLc: Schema(Or, Side.C, (_P(delta=(_A, _B)),)),
+    R.ImpRPlus: Schema(Imp, PLUS, (_P(gamma=(_A,), succedent=_B),)),
+    R.ImpRMinus: Schema(Imp, MINUS, (_P(polarity=PLUS, succedent=_A), _P(succedent=_B))),
+    R.ImpLa: Schema(Imp, Side.A, (_P(polarity=PLUS, succedent=_A, keeps=True),
+                                  _P(gamma=(_B,)))),
+    R.ImpLc: Schema(Imp, Side.C, (_P(gamma=(_A,), delta=(_B,)),)),
+    R.CoimpRPlus: Schema(Coimp, PLUS, (_P(succedent=_A), _P(polarity=MINUS, succedent=_B))),
+    R.CoimpRMinus: Schema(Coimp, MINUS, (_P(delta=(_B,), succedent=_A),)),
+    R.CoimpLa: Schema(Coimp, Side.A, (_P(gamma=(_A,), delta=(_B,)),)),
+    R.CoimpLc: Schema(Coimp, Side.C, (_P(polarity=MINUS, succedent=_B, keeps=True),
+                                      _P(delta=(_A,)))),
+}
+
+LEFT_RULES = frozenset(r for r, s in SCHEMA.items() if isinstance(s.at, Side))
+RIGHT_RULES = frozenset(SCHEMA) - LEFT_RULES
 PRIMITIVE_RULES = ZERO_PREMISE | LEFT_RULES | RIGHT_RULES
 
-ARITY = {
-    R.RfPlus: 0, R.RfMinus: 0, R.BotLa: 0, R.TopLc: 0, R.BotRMinus: 0, R.TopRPlus: 0,
-    R.AndRPlus: 2, R.AndRMinus1: 1, R.AndRMinus2: 1, R.AndLa: 1, R.AndLc: 2,
-    R.OrRPlus1: 1, R.OrRPlus2: 1, R.OrRMinus: 2, R.OrLa: 2, R.OrLc: 1,
-    R.ImpRPlus: 1, R.ImpRMinus: 2, R.ImpLa: 2, R.ImpLc: 1,
-    R.CoimpRPlus: 2, R.CoimpRMinus: 1, R.CoimpLa: 1, R.CoimpLc: 2,
-    R.CutA: 2, R.CutC: 2,
-}
-
-# connective decomposed by each logical rule
-_CONNECTIVE = {
-    R.AndRPlus: And, R.AndRMinus1: And, R.AndRMinus2: And, R.AndLa: And, R.AndLc: And,
-    R.OrRPlus1: Or, R.OrRPlus2: Or, R.OrRMinus: Or, R.OrLa: Or, R.OrLc: Or,
-    R.ImpRPlus: Imp, R.ImpRMinus: Imp, R.ImpLa: Imp, R.ImpLc: Imp,
-    R.CoimpRPlus: Coimp, R.CoimpRMinus: Coimp, R.CoimpLa: Coimp, R.CoimpLc: Coimp,
-}
+ARITY = {**dict.fromkeys(ZERO_PREMISE, 0), **dict.fromkeys(CUT_RULES, 2),
+         **{r: len(s.premises) for r, s in SCHEMA.items()}}
 
 
 @dataclass(frozen=True)
@@ -310,11 +354,6 @@ def node(rule: RuleId, conclusion: Sequent, premises: Iterable[Derivation] = (),
     if annotation is None and principal is not None:
         annotation = Annotation(principal=principal)
     return Derivation(conclusion, rule, tuple(premises), annotation)
-
-
-def height_of(d: Derivation) -> int:
-    """Greatest number of successive rule applications; 0 at zero-premise nodes."""
-    return d.height
 
 
 def cut_height(d: Derivation) -> int:
@@ -373,75 +412,58 @@ def premises_for(conclusion: Sequent, rule: RuleId,
     """Premise sequents the schema demands of this conclusion, or None when the
     rule does not apply (wrong polarity / shape / missing principal occurrence).
 
-    Right rules ignore ``principal`` (the succedent is the principal); left
-    rules require the principal occurrence on their side.
+    A right rule's principal is the succedent; ``principal``, when given, must
+    equal it.  A left rule requires the principal occurrence on its side.
     """
-    g, d, pol, c = conclusion.gamma, conclusion.delta, conclusion.polarity, conclusion.succedent
-
     if rule in ZERO_PREMISE:
         return () if _zero_premise_failure(conclusion, rule) is None else None
-
-    if rule in RIGHT_RULES:
-        conn = _CONNECTIVE[rule]
-        if not isinstance(c, conn):
+    schema = SCHEMA.get(rule)
+    if schema is None:
+        raise ValueError(f"premises_for does not handle {rule}")
+    g = g0 = conclusion.gamma
+    d = d0 = conclusion.delta
+    pol, c = conclusion.polarity, conclusion.succedent
+    at = schema.at
+    if at is Side.A:
+        if not isinstance(principal, schema.connective) or principal not in g:
             return None
-        a, b = c.left, c.right
-        if rule is R.AndRPlus and pol is PLUS:
-            return (Sequent(g, d, PLUS, a), Sequent(g, d, PLUS, b))
-        if rule is R.AndRMinus1 and pol is MINUS:
-            return (Sequent(g, d, MINUS, a),)
-        if rule is R.AndRMinus2 and pol is MINUS:
-            return (Sequent(g, d, MINUS, b),)
-        if rule is R.OrRPlus1 and pol is PLUS:
-            return (Sequent(g, d, PLUS, a),)
-        if rule is R.OrRPlus2 and pol is PLUS:
-            return (Sequent(g, d, PLUS, b),)
-        if rule is R.OrRMinus and pol is MINUS:
-            return (Sequent(g, d, MINUS, a), Sequent(g, d, MINUS, b))
-        if rule is R.ImpRPlus and pol is PLUS:
-            return (Sequent(g.add(a), d, PLUS, b),)
-        if rule is R.ImpRMinus and pol is MINUS:
-            return (Sequent(g, d, PLUS, a), Sequent(g, d, MINUS, b))
-        if rule is R.CoimpRPlus and pol is PLUS:
-            return (Sequent(g, d, PLUS, a), Sequent(g, d, MINUS, b))
-        if rule is R.CoimpRMinus and pol is MINUS:
-            return (Sequent(g, d.add(b), MINUS, a),)
-        return None
-
-    if rule in LEFT_RULES:
-        conn = _CONNECTIVE[rule]
-        if principal is None or not isinstance(principal, conn):
+        g0 = g.remove(principal)
+    elif at is Side.C:
+        if not isinstance(principal, schema.connective) or principal not in d:
             return None
-        a, b = principal.left, principal.right
-        if rule in LEFT_RULES_A:
-            if principal not in g:
-                return None
-            g0 = g.remove(principal)
-            if rule is R.AndLa:
-                return (Sequent(g0.add(a).add(b), d, pol, c),)
-            if rule is R.OrLa:
-                return (Sequent(g0.add(a), d, pol, c), Sequent(g0.add(b), d, pol, c))
-            if rule is R.ImpLa:
-                # the principal A -> B is repeated in the left premise
-                return (Sequent(g, d, PLUS, a), Sequent(g0.add(b), d, pol, c))
-            if rule is R.CoimpLa:
-                return (Sequent(g0.add(a), d.add(b), pol, c),)
+        d0 = d.remove(principal)
+    else:
+        if pol is not at or not isinstance(c, schema.connective):
+            return None
+        if principal is not None and principal != c:
+            return None
+        principal = c
+    ops = (principal.left, principal.right)  # type: ignore[union-attr]
+    return tuple([_instance(t, g if t.keeps else g0, d if t.keeps else d0, pol, c, ops)
+                  for t in schema.premises])
+
+
+def _instance(t: Template, g: Context, d: Context, pol: Polarity, c: Formula,
+              ops: tuple[Formula, Formula]) -> Sequent:
+    for i in t.gamma:
+        g = g.add(ops[i])
+    for i in t.delta:
+        d = d.add(ops[i])
+    return Sequent(g, d, pol if t.polarity is None else t.polarity,
+                   c if t.succedent is None else ops[t.succedent])
+
+
+def premise_of(s: Sequent, side: Side, principal: Formula, t: Template) -> Sequent:
+    """The premise that template ``t`` of a left rule builds from ``s``, with
+    the rule's principal occurrence on ``side``."""
+    g, d = s.gamma, s.delta
+    if not t.keeps:
+        if side is Side.A:
+            g = g.remove(principal)
         else:
-            if principal not in d:
-                return None
-            d0 = d.remove(principal)
-            if rule is R.AndLc:
-                return (Sequent(g, d0.add(a), pol, c), Sequent(g, d0.add(b), pol, c))
-            if rule is R.OrLc:
-                return (Sequent(g, d0.add(a).add(b), pol, c),)
-            if rule is R.ImpLc:
-                return (Sequent(g.add(a), d0.add(b), pol, c),)
-            if rule is R.CoimpLc:
-                # the principal A -< B is repeated in the left premise
-                return (Sequent(g, d, MINUS, b), Sequent(g, d0.add(a), pol, c))
-        return None
-
-    raise ValueError(f"premises_for does not handle {rule}")
+            d = d.remove(principal)
+    return _instance(t, g, d, s.polarity, s.succedent,
+                     (principal.left, principal.right))  # type: ignore[attr-defined]
 
 
 def check_rule_instance(conclusion: Sequent, rule: RuleId,
@@ -466,9 +488,9 @@ def check_rule_instance(conclusion: Sequent, rule: RuleId,
     elif rule in RIGHT_RULES:
         candidates = [conclusion.succedent]
     else:
-        side = conclusion.gamma if rule in LEFT_RULES_A else conclusion.delta
-        conn = _CONNECTIVE[rule]
-        candidates = [f for f in side.distinct() if isinstance(f, conn)]
+        schema = SCHEMA[rule]
+        side = conclusion.gamma if schema.at is Side.A else conclusion.delta
+        candidates = [f for f in side.distinct() if isinstance(f, schema.connective)]
         if not candidates:
             return Violation(rule, "no principal occurrence of the right shape")
 
@@ -560,11 +582,12 @@ def infer_principal(d: Derivation) -> Optional[Formula]:
     if d.rule in RIGHT_RULES:
         return d.conclusion.succedent
     if d.rule in LEFT_RULES:
-        side = d.conclusion.gamma if d.rule in LEFT_RULES_A else d.conclusion.delta
-        conn = _CONNECTIVE[d.rule]
+        schema = SCHEMA[d.rule]
+        side = d.conclusion.gamma if schema.at is Side.A else d.conclusion.delta
         actual = tuple(p.conclusion for p in d.premises)
         for f in side.distinct():
-            if isinstance(f, conn) and premises_for(d.conclusion, d.rule, f) == actual:
+            if (isinstance(f, schema.connective)
+                    and premises_for(d.conclusion, d.rule, f) == actual):
                 return f
     return None
 
@@ -579,20 +602,13 @@ class Expansion:
 
 
 _RIGHT_BY_SHAPE = {
-    (And, PLUS): (R.AndRPlus,),
-    (And, MINUS): (R.AndRMinus1, R.AndRMinus2),
-    (Or, PLUS): (R.OrRPlus1, R.OrRPlus2),
-    (Or, MINUS): (R.OrRMinus,),
-    (Imp, PLUS): (R.ImpRPlus,),
-    (Imp, MINUS): (R.ImpRMinus,),
-    (Coimp, PLUS): (R.CoimpRPlus,),
-    (Coimp, MINUS): (R.CoimpRMinus,),
+    (conn, pol): tuple(r for r, s in SCHEMA.items() if s.connective is conn and s.at is pol)
+    for conn in (And, Or, Imp, Coimp) for pol in Polarity
 }
 
 #: the left rule that decomposes a compound of each shape, per context side
 LEFT_RULE_BY_SHAPE = {
-    Side.A: {And: R.AndLa, Or: R.OrLa, Imp: R.ImpLa, Coimp: R.CoimpLa},
-    Side.C: {And: R.AndLc, Or: R.OrLc, Imp: R.ImpLc, Coimp: R.CoimpLc},
+    side: {s.connective: r for r, s in SCHEMA.items() if s.at is side} for side in Side
 }
 
 

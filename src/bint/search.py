@@ -14,7 +14,7 @@ from typing import Optional
 
 from .syntax import And, Atom, Coimp, Formula, Imp, Or
 from .kernel import (
-    MINUS, PLUS, Context, Derivation, Expansion, RuleId as R, Sequent, Side,
+    MINUS, PLUS, SCHEMA, Context, Derivation, Expansion, RuleId as R, Sequent, Side,
     backward_expansions, check_derivation, node,
 )
 from .transform import derive_identity, _weaken
@@ -23,7 +23,6 @@ from .transform import derive_identity, _weaken
 @dataclass(frozen=True)
 class SearchConfig:
     max_depth: int = 50
-    loop_check: bool = True
 
     def __post_init__(self):
         if self.max_depth < 1:
@@ -51,7 +50,7 @@ class BoundExhausted(SearchOutcome):
 
 # expansion ordering: closers, then deterministic single-premise rules, then
 # branching/choice rules, then the rules that copy their principal formula
-_COPYING = (R.ImpLa, R.CoimpLc)
+_COPYING = frozenset(r for r, s in SCHEMA.items() if any(t.keeps for t in s.premises))
 _DETERMINISTIC = (R.AndLa, R.OrLc, R.ImpLc, R.CoimpLa, R.ImpRPlus, R.CoimpRMinus)
 
 
@@ -103,8 +102,7 @@ class _Searcher:
     involved no pruning and no depth cutoff, since those are path- and
     bound-dependent."""
 
-    def __init__(self, cfg: SearchConfig):
-        self.cfg = cfg
+    def __init__(self):
         self.proved: dict[Sequent, Derivation] = {}
         self.refuted: set[Sequent] = set()
 
@@ -114,7 +112,7 @@ class _Searcher:
             return hit
         if s in self.refuted:
             return _NotFound(False, False)
-        if self.cfg.loop_check and s in path:
+        if s in path:
             return _NotFound(True, False)
 
         expansions = sorted(backward_expansions(s), key=_expansion_order)
@@ -156,20 +154,12 @@ def prove(s: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     bound, so no derivation of any height exists.
     BoundExhausted: the bound fired before the space was exhausted.
     """
-    result = _Searcher(cfg).search(_normalize(s), frozenset(), cfg.max_depth)
+    result = _Searcher().search(_normalize(s), frozenset(), cfg.max_depth)
     if isinstance(result, Derivation):
         return Proved(_lift(result, s))
     if result.bounded:
         return BoundExhausted()
     return Refuted()
-
-
-def is_derivable(s: Sequent, cfg: SearchConfig = SearchConfig()) -> bool:
-    """Convenience wrapper; treats BoundExhausted as an error."""
-    out = prove(s, cfg)
-    if isinstance(out, BoundExhausted):
-        raise RuntimeError(f"derivability of {s} undecided within depth {cfg.max_depth}")
-    return isinstance(out, Proved)
 
 
 # --- random derivation generation ------------------------------------------------

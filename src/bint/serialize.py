@@ -132,13 +132,25 @@ def _read_text(path) -> str:
             raise DerivationFormatError(f"not UTF-8 text: {e}") from e
 
 
+def _load(path, parse):
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except RecursionError as e:
+        raise DerivationFormatError("nested too deeply") from e
+
+
 def load_derivation(path) -> Derivation:
-    return loads_derivation(_read_text(path))
+    return _load(path, loads_derivation)
 
 
 def load_derivations(path) -> list[Derivation]:
     """Load a file holding either one derivation object or a list of them."""
-    data = _parse_json(_read_text(path))
+    return _load(path, _derivations_from_text)
+
+
+def _derivations_from_text(text: str) -> list[Derivation]:
+    data = _parse_json(text)
     if isinstance(data, list):
         return [derivation_from_data(item) for item in data]
     if isinstance(data, dict):

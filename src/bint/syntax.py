@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 
 class FormulaSyntaxError(ValueError):
@@ -318,11 +317,3 @@ def format_formula(f: Formula) -> str:
             right_txt = f"({right_txt})"
     return f"{left_txt} {_OP_TEXT[cls]} {right_txt}"
 
-
-def iter_atoms(f: Formula) -> Iterator[str]:
-    match f:
-        case Atom(name):
-            yield name
-        case And(l, r) | Or(l, r) | Imp(l, r) | Coimp(l, r):
-            yield from iter_atoms(l)
-            yield from iter_atoms(r)

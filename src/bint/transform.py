@@ -27,10 +27,10 @@ from .syntax import (
     BOT, TOP, And, Atom, Bottom, Coimp, Formula, Imp, Or, Top, format_formula, weight,
 )
 from .kernel import (
-    CUT_RULES, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS, ZERO_PREMISE,
+    CUT_RULES, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS, SCHEMA, ZERO_PREMISE,
     Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side,
-    check_derivation, check_rule_instance, infer_principal, node, premises_for,
-    _zero_premise_failure,
+    check_derivation, check_rule_instance, infer_principal, node, premise_of,
+    premises_for, _zero_premise_failure,
 )
 
 
@@ -314,44 +314,6 @@ def invert(d: Derivation, side: Side, target: Formula) -> tuple[Derivation, ...]
     return tuple(_invert(d, side, target))
 
 
-def _invert_transforms(side: Side, target: Formula) -> list[Callable[[Sequent], Sequent]]:
-    """Per-output endsequent rewrites for the eight inversion cases."""
-    a, b = target.left, target.right  # type: ignore[attr-defined]
-
-    def mk(ga: list[Formula], da: list[Formula]) -> Callable[[Sequent], Sequent]:
-        def tr(s: Sequent) -> Sequent:
-            g, d = s.gamma, s.delta
-            if side is Side.A:
-                g = g.remove(target)
-            else:
-                d = d.remove(target)
-            for f in ga:
-                g = g.add(f)
-            for f in da:
-                d = d.add(f)
-            return Sequent(g, d, s.polarity, s.succedent)
-        return tr
-
-    match (side, target):
-        case (Side.A, And()):
-            return [mk([a, b], [])]
-        case (Side.C, And()):
-            return [mk([], [a]), mk([], [b])]
-        case (Side.A, Or()):
-            return [mk([a], []), mk([b], [])]
-        case (Side.C, Or()):
-            return [mk([], [a, b])]
-        case (Side.A, Imp()):
-            return [mk([b], [])]
-        case (Side.C, Imp()):
-            return [mk([a], [b])]
-        case (Side.A, Coimp()):
-            return [mk([a], [b])]
-        case (Side.C, Coimp()):
-            return [mk([], [a])]
-    raise TransformError("invert: unsupported target")
-
-
 def _principal_here(d: Derivation, side: Side, target: Formula) -> bool:
     """Does the root rule decompose an occurrence of ``target`` on ``side``?"""
     if d.rule is not LEFT_RULE_BY_SHAPE[side].get(type(target)):
@@ -363,23 +325,20 @@ def _principal_here(d: Derivation, side: Side, target: Formula) -> bool:
 
 
 def _invert(d: Derivation, side: Side, target: Formula) -> list[Derivation]:
-    transforms = _invert_transforms(side, target)
+    """One output per premise of the target's left rule that does not keep
+    the principal, built by that premise's template at every node."""
+    inverses = [t for t in SCHEMA[LEFT_RULE_BY_SHAPE[side][type(target)]].premises
+                if not t.keeps]
     if not d.premises:
-        return [_node(d.rule, tr(d.conclusion), annotation=d.annotation) for tr in transforms]
+        return [_node(d.rule, premise_of(d.conclusion, side, target, t), annotation=d.annotation)
+                for t in inverses]
     if _principal_here(d, side, target):
-        match (side, target):
-            case (Side.A, And()) | (Side.C, Or()) | (Side.C, Imp()) | (Side.A, Coimp()):
-                return [d.premises[0]]
-            case (Side.C, And()) | (Side.A, Or()):
-                return [d.premises[0], d.premises[1]]
-            case (Side.A, Imp()) | (Side.C, Coimp()):
-                # only the right premise of the arrow left rules is invertible
-                return [d.premises[1]]
+        return [p for p, t in zip(d.premises, SCHEMA[d.rule].premises) if not t.keeps]
     sub = [_invert(p, side, target) for p in d.premises]
     return [
-        _node(d.rule, tr(d.conclusion), [sub[i][k] for i in range(len(sub))],
+        _node(d.rule, premise_of(d.conclusion, side, target, t), [out[k] for out in sub],
               annotation=d.annotation)
-        for k, tr in enumerate(transforms)
+        for k, t in enumerate(inverses)
     ]
 
 
@@ -415,44 +374,24 @@ def _contract(d: Derivation, dup: Formula, side: Side) -> Derivation:
 
 def _contract_principal(d: Derivation, dup: Formula, side: Side, conc: Sequent) -> Derivation:
     """The root decomposes one copy of ``dup`` while another copy is parked in
-    the context: invert the parked copy inside the premise(s), contract the
-    doubled operands, and reapply the rule."""
-    a, b = dup.left, dup.right  # type: ignore[attr-defined]
-    match (side, dup):
-        case (Side.A, And()):
-            p = _invert(d.premises[0], side, dup)[0]
-            p = _contract(_contract(p, a, Side.A), b, Side.A)
-            return _node(R.AndLa, conc, [p], principal=dup)
-        case (Side.A, Or()):
-            p1 = _contract(_invert(d.premises[0], side, dup)[0], a, Side.A)
-            p2 = _contract(_invert(d.premises[1], side, dup)[1], b, Side.A)
-            return _node(R.OrLa, conc, [p1, p2], principal=dup)
-        case (Side.A, Imp()):
-            # the left premise repeats the principal, so it holds both copies
-            p1 = _contract(d.premises[0], dup, Side.A)
-            p2 = _contract(_invert(d.premises[1], side, dup)[0], b, Side.A)
-            return _node(R.ImpLa, conc, [p1, p2], principal=dup)
-        case (Side.A, Coimp()):
-            p = _invert(d.premises[0], side, dup)[0]
-            p = _contract(_contract(p, a, Side.A), b, Side.C)
-            return _node(R.CoimpLa, conc, [p], principal=dup)
-        case (Side.C, And()):
-            p1 = _contract(_invert(d.premises[0], side, dup)[0], a, Side.C)
-            p2 = _contract(_invert(d.premises[1], side, dup)[1], b, Side.C)
-            return _node(R.AndLc, conc, [p1, p2], principal=dup)
-        case (Side.C, Or()):
-            p = _invert(d.premises[0], side, dup)[0]
-            p = _contract(_contract(p, a, Side.C), b, Side.C)
-            return _node(R.OrLc, conc, [p], principal=dup)
-        case (Side.C, Imp()):
-            p = _invert(d.premises[0], side, dup)[0]
-            p = _contract(_contract(p, a, Side.A), b, Side.C)
-            return _node(R.ImpLc, conc, [p], principal=dup)
-        case (Side.C, Coimp()):
-            p1 = _contract(d.premises[0], dup, Side.C)
-            p2 = _contract(_invert(d.premises[1], side, dup)[0], a, Side.C)
-            return _node(R.CoimpLc, conc, [p1, p2], principal=dup)
-    raise TransformError("contract: unreachable principal case")
+    the context.  A premise that keeps the principal holds both copies and is
+    contracted on ``dup``; in every other premise the parked copy is inverted
+    away and the doubled operands are contracted.  Then the rule is reapplied."""
+    operands = (dup.left, dup.right)  # type: ignore[attr-defined]
+    premises = []
+    k = 0
+    for p, t in zip(d.premises, SCHEMA[d.rule].premises):
+        if t.keeps:
+            premises.append(_contract(p, dup, side))
+            continue
+        p = _invert(p, side, dup)[k]
+        k += 1
+        for i in t.gamma:
+            p = _contract(p, operands[i], Side.A)
+        for i in t.delta:
+            p = _contract(p, operands[i], Side.C)
+        premises.append(p)
+    return _node(d.rule, conc, premises, principal=dup)
 
 
 # --- cut elimination --------------------------------------------------------------
@@ -669,19 +608,11 @@ class _Eliminator:
         def rec(premise: Derivation) -> Derivation:
             return self.run(premise, right, dfm, variant, index, measure)
 
-        rule = left.rule
-        if rule in (R.AndLa, R.OrLc, R.ImpLc, R.CoimpLa):
-            new_premises = (rec(left.premises[0]),)
-        elif rule in (R.AndLc, R.OrLa):
-            new_premises = (rec(left.premises[0]), rec(left.premises[1]))
-        elif rule in (R.ImpLa, R.CoimpLc):
-            # the first premise does not mention the cut formula; it is only
-            # weakened by the carried-over context
-            carried = _weaken_context(left.premises[0], gp, dp)
-            new_premises = (carried, rec(left.premises[1]))
-        else:
-            raise InternalCheckError(f"not a left rule: {rule}")
-        return _node(rule, target, new_premises, principal=principal)
+        # a premise with a succedent of its own does not conclude the cut
+        # formula; it is only weakened by the carried-over context
+        new_premises = [rec(p) if t.succedent is None else _weaken_context(p, gp, dp)
+                        for p, t in zip(left.premises, SCHEMA[left.rule].premises)]
+        return _node(left.rule, target, new_premises, principal=principal)
 
     # -4.x-: principal on the left only; permute the cut above the right rule
     def _permute_right(self, index: int, measure: tuple[int, int], left: Derivation,

@@ -67,6 +67,7 @@ def test_check_invalid_file(capsys, tmp_path):
 
 
 _RF = {"rule": "RfPlus", "conclusion": "p ; |-+ p", "premises": []}
+_DEEP = 3000
 
 
 @pytest.mark.parametrize("content", [
@@ -81,8 +82,10 @@ _RF = {"rule": "RfPlus", "conclusion": "p ; |-+ p", "premises": []}
                 "annotation": {"principal": 3},
                 "premises": [{"rule": "RfPlus", "conclusion": "p, q ; |-+ p"}]}).encode(),
     b"\xff\xfe not UTF-8",
+    ('{"rule": "RfPlus", "conclusion": "p ; |-+ p", "premises": [' * _DEEP
+     + json.dumps(_RF) + "]}" * _DEEP).encode(),
 ], ids=["not-json", "list-of-ints", "conclusion-int", "premises-object",
-        "cut-empty-split", "principal-int", "not-utf8"])
+        "cut-empty-split", "principal-int", "not-utf8", "nested-too-deeply"])
 def test_check_malformed_file_is_a_format_error(capsys, tmp_path, content):
     path = tmp_path / "bad.deriv"
     path.write_bytes(content)

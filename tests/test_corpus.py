@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 from bint import corpus
 from bint.kernel import check_derivation
 from bint.serialize import load_derivation
@@ -32,3 +35,16 @@ def test_coverage_tracks_gaps(tmp_path):
     assert not coverage.ok
     assert len(coverage.missing_rules) == 24
     assert "-5.4-" in coverage.missing_cases
+
+
+def test_build_corpus_script_reproduces_the_stored_corpus(tmp_path):
+    script_path = Path(__file__).resolve().parent.parent / "scripts" / "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", script_path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.OUT = tmp_path
+    script.main()
+    stored = sorted(p.name for p in corpus.DATA_DIR.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == stored
+    for name in stored:
+        assert (tmp_path / name).read_bytes() == (corpus.DATA_DIR / name).read_bytes(), name

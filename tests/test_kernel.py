@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from bint.syntax import BOT, And, Atom, parse_formula
+from bint.syntax import BOT, And, Atom, Imp, parse_formula
 from bint.kernel import (
     MINUS, Annotation, Context, ContextSplit, RuleId as R, Violation,
     backward_expansions, check_derivation, check_rule_instance, cut_height,
@@ -74,6 +74,15 @@ def test_imp_la_repeats_principal():
     # dropping the repetition violates the schema
     bad = [parse_sequent("; |-+ p"), parse_sequent("q ; |-+ q")]
     assert check_rule_instance(conc, R.ImpLa, bad) is not None
+
+
+def test_right_rule_principal_must_be_the_succedent():
+    conc = parse_sequent("p, q ; |-+ p /\\ q")
+    rf = [node(R.RfPlus, parse_sequent("p, q ; |-+ p")),
+          node(R.RfPlus, parse_sequent("p, q ; |-+ q"))]
+    r = Atom("r")
+    assert not check_derivation(node(R.AndRPlus, conc, rf, principal=Imp(r, r))).valid
+    assert check_derivation(node(R.AndRPlus, conc, rf, principal=And(p, q))).valid
 
 
 def test_polarity_constraints():

@@ -5,7 +5,7 @@ from bint.kernel import (
     RuleId as R, Side, check_derivation, dual_sequent, parse_sequent,
 )
 from bint.search import (
-    BoundExhausted, Proved, Refuted, SearchConfig, is_derivable, prove,
+    BoundExhausted, Proved, Refuted, SearchConfig, prove,
     random_derivation,
 )
 from bint.syntax import Atom
@@ -49,20 +49,6 @@ def test_proved_concludes_the_query_exactly():
 def test_bound_exhausted_when_too_shallow():
     out = prove(parse_sequent("; |-+ p -> (q -> p)"), SearchConfig(max_depth=1))
     assert isinstance(out, BoundExhausted)
-
-
-def test_loop_check_off_only_degrades_to_bound():
-    cfg = SearchConfig(loop_check=False, max_depth=12)
-    # a sequent the loop-checked search refutes
-    out = prove(parse_sequent("; |-+ ((p -> q) -> p) -> p"), cfg)
-    assert isinstance(out, BoundExhausted)
-    # and one it proves: still proved without the loop check
-    assert isinstance(prove(parse_sequent("; |-+ p -> p"), cfg), Proved)
-
-
-def test_is_derivable_raises_on_bound():
-    with pytest.raises(RuntimeError):
-        is_derivable(parse_sequent("; |-+ p -> (q -> p)"), SearchConfig(max_depth=1))
 
 
 def test_config_validates_depth():
