@@ -875,6 +875,8 @@ def build_prove() -> None:
 
 
 def main() -> None:
+    FILES.clear()
+    CASES.clear()
     build_identity_bases()
     build_identity_steps()
     build_weakening()

@@ -14,7 +14,9 @@ in gamma and the falsification of everything in delta, derive the verification
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .syntax import (
@@ -32,7 +34,6 @@ from .syntax import (
     TokenStream,
     parse_formula_tokens,
     format_formula,
-    sort_key,
     tokenize,
 )
 from . import syntax as _syn
@@ -63,12 +64,15 @@ class Side(enum.Enum):
 
 # --- multiset contexts -------------------------------------------------------
 
+_KEY = attrgetter("key")
+
+
 @dataclass(frozen=True)
 class Context:
-    """Finite multiset of formulas, kept as canonically sorted (formula, count)
-    pairs so that equality and hashing are count-map equality."""
+    """Finite multiset of formulas: the tuple of every occurrence, sorted by
+    ``Formula.key``, so that equality and hashing are multiset equality."""
 
-    pairs: tuple[tuple[Formula, int], ...] = ()
+    items: tuple[Formula, ...] = ()
 
     @staticmethod
     def of(*formulas: Formula) -> "Context":
@@ -76,64 +80,50 @@ class Context:
 
     @staticmethod
     def from_iter(formulas: Iterable[Formula]) -> "Context":
-        counts: dict[Formula, int] = {}
-        for f in formulas:
-            counts[f] = counts.get(f, 0) + 1
-        return Context._from_counts(counts)
+        return Context(tuple(sorted(formulas, key=_KEY)))
 
-    @staticmethod
-    def _from_counts(counts: dict[Formula, int]) -> "Context":
-        pairs = tuple(
-            (f, c) for f, c in sorted(counts.items(), key=lambda fc: sort_key(fc[0])) if c > 0
-        )
-        return Context(pairs)
+    def _span(self, f: Formula) -> tuple[int, int]:
+        """Where the occurrences of ``f`` begin and end."""
+        return (bisect_left(self.items, f.key, key=_KEY),
+                bisect_right(self.items, f.key, key=_KEY))
 
     def count(self, f: Formula) -> int:
-        for g, c in self.pairs:
-            if g == f:
-                return c
-        return 0
+        lo, hi = self._span(f)
+        return hi - lo
 
     def __contains__(self, f: Formula) -> bool:
         return self.count(f) > 0
 
     def __len__(self) -> int:
-        return sum(c for _, c in self.pairs)
+        return len(self.items)
 
     def is_empty(self) -> bool:
-        return not self.pairs
+        return not self.items
 
     def add(self, f: Formula, n: int = 1) -> "Context":
-        counts = dict(self.pairs)
-        counts[f] = counts.get(f, 0) + n
-        return Context._from_counts(counts)
+        i = bisect_right(self.items, f.key, key=_KEY)
+        return Context(self.items[:i] + (f,) * n + self.items[i:])
 
     def remove(self, f: Formula, n: int = 1) -> "Context":
-        have = self.count(f)
-        if have < n:
+        lo, hi = self._span(f)
+        if hi - lo < n:
             raise KeyError(f"{format_formula(f)} not present {n} time(s)")
-        counts = dict(self.pairs)
-        counts[f] = have - n
-        return Context._from_counts(counts)
+        return Context(self.items[:lo] + self.items[lo + n:])
 
     def union(self, other: "Context") -> "Context":
-        counts = dict(self.pairs)
-        for f, c in other.pairs:
-            counts[f] = counts.get(f, 0) + c
-        return Context._from_counts(counts)
+        # the sort merges the two sorted runs
+        return Context.from_iter(self.items + other.items)
 
     def distinct(self) -> Iterator[Formula]:
-        for f, _ in self.pairs:
-            yield f
+        """The first occurrence of each formula, in canonical order."""
+        return iter(dict.fromkeys(self.items))
 
-    def expand(self) -> Iterator[Formula]:
+    def expand(self) -> tuple[Formula, ...]:
         """Every occurrence, in canonical order."""
-        for f, c in self.pairs:
-            for _ in range(c):
-                yield f
+        return self.items
 
     def __str__(self) -> str:
-        return ", ".join(format_formula(f) for f in self.expand())
+        return ", ".join(format_formula(f) for f in self.items)
 
 
 EMPTY = Context()

@@ -17,7 +17,7 @@ from .kernel import (
     MINUS, PLUS, SCHEMA, Context, Derivation, Expansion, RuleId as R, Sequent, Side,
     backward_expansions, check_derivation, node,
 )
-from .transform import derive_identity, _weaken
+from .transform import derive_identity, _node, _weaken
 
 
 @dataclass(frozen=True)
@@ -72,27 +72,22 @@ class _NotFound:
         self.bounded = bounded
 
 
-def _dedup(ctx: Context) -> Context:
-    return Context(tuple((f, 1) for f, _ in ctx.pairs))
-
-
 def _normalize(s: Sequent) -> Sequent:
     """Cap every context multiplicity at one.  Height-preserving contraction
     and weakening are admissible, so this preserves derivability while making
     the sequent space reachable from a goal finite (backward expansion only
     introduces subformulas of the goal)."""
-    return Sequent(_dedup(s.gamma), _dedup(s.delta), s.polarity, s.succedent)
+    return Sequent(Context.from_iter(s.gamma.distinct()), Context.from_iter(s.delta.distinct()),
+                   s.polarity, s.succedent)
 
 
 def _lift(d: Derivation, to: Sequent) -> Derivation:
     """Weaken a derivation of the normalized sequent back up to ``to``."""
     have = d.conclusion
-    for f, c in to.gamma.pairs:
-        for _ in range(c - have.gamma.count(f)):
-            d = _weaken(d, f, Side.A)
-    for f, c in to.delta.pairs:
-        for _ in range(c - have.delta.count(f)):
-            d = _weaken(d, f, Side.C)
+    for side, want, got in ((Side.A, to.gamma, have.gamma), (Side.C, to.delta, have.delta)):
+        for f in want.distinct():
+            for _ in range(want.count(f) - got.count(f)):
+                d = _weaken(d, f, side)
     return d
 
 
@@ -121,7 +116,7 @@ class _Searcher:
         sub_path = path | {s}
         for e in expansions:
             if not e.premises:
-                found = node(e.rule, s, (), annotation=e.annotation)
+                found = _node(e.rule, s, (), annotation=e.annotation)
                 break
             if depth == 0:
                 bounded = True
@@ -136,7 +131,7 @@ class _Searcher:
                     break
                 children.append(_lift(r, premise))
             if children:
-                found = node(e.rule, s, children, annotation=e.annotation)
+                found = _node(e.rule, s, children, annotation=e.annotation)
                 break
         if found is not None:
             self.proved[s] = found

@@ -9,8 +9,8 @@ resolved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import re
+from dataclasses import dataclass, field
 
 
 class FormulaSyntaxError(ValueError):
@@ -22,52 +22,88 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
+_formula = dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+
+@_formula
 class Formula:
-    __slots__ = ()
+    """A formula tree.  Each formula computes two things once, when it is
+    built: ``key``, a total structural order used to keep contexts sorted,
+    and its hash.  Equality and hashing read them instead of walking the
+    tree."""
+
+    key: tuple = field(init=False)
+    _hash: int = field(init=False)
+    _tag = -1   # the first component of ``key``: the connective
+
+    def __post_init__(self):    # the constants; atoms and binaries override it
+        self._seal((self._tag,), hash(self._tag))
+
+    def _seal(self, key: tuple, h: int) -> None:
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", h)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.key == other.key)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"<{format_formula(self)}>"
 
 
-@dataclass(frozen=True, repr=False)
+@_formula
+class Bottom(Formula):
+    _tag = 0
+
+
+@_formula
+class Top(Formula):
+    _tag = 1
+
+
+@_formula
 class Atom(Formula):
     name: str
+    _tag = 2
+
+    def __post_init__(self):
+        self._seal((self._tag, self.name), hash(self.name))
 
 
-@dataclass(frozen=True, repr=False)
-class Bottom(Formula):
-    pass
-
-
-@dataclass(frozen=True, repr=False)
-class Top(Formula):
-    pass
-
-
-@dataclass(frozen=True, repr=False)
-class And(Formula):
+@_formula
+class _Binary(Formula):
     left: Formula
     right: Formula
 
-
-@dataclass(frozen=True, repr=False)
-class Or(Formula):
-    left: Formula
-    right: Formula
+    def __post_init__(self):
+        l, r, tag = self.left, self.right, self._tag
+        self._seal((tag, l.key, r.key), hash((tag, l._hash, r._hash)))
 
 
-@dataclass(frozen=True, repr=False)
-class Imp(Formula):
-    left: Formula
-    right: Formula
+@_formula
+class And(_Binary):
+    _tag = 3
 
 
-@dataclass(frozen=True, repr=False)
-class Coimp(Formula):
+@_formula
+class Or(_Binary):
+    _tag = 4
+
+
+@_formula
+class Imp(_Binary):
+    _tag = 5
+
+
+@_formula
+class Coimp(_Binary):
     """``Coimp(a, b)`` is the co-implication "b co-implies a" (text ``a -< b``)."""
 
-    left: Formula
-    right: Formula
+    _tag = 6
 
 
 BOT = Bottom()
@@ -97,58 +133,29 @@ def subformulas(f: Formula) -> frozenset[Formula]:
             return frozenset((f,))
 
 
-@lru_cache(maxsize=None)
-def sort_key(f: Formula) -> tuple:
-    """Total structural order on formulas, used to canonicalize multisets."""
-    match f:
-        case Bottom():
-            return (0,)
-        case Top():
-            return (1,)
-        case Atom(name):
-            return (2, name)
-        case And(l, r):
-            return (3, sort_key(l), sort_key(r))
-        case Or(l, r):
-            return (4, sort_key(l), sort_key(r))
-        case Imp(l, r):
-            return (5, sort_key(l), sort_key(r))
-        case Coimp(l, r):
-            return (6, sort_key(l), sort_key(r))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 # --- tokenizer -------------------------------------------------------------
 
-# Token kinds; the sequent-level tokens (comma, semicolon, turnstiles) are
-# produced here too so sequent parsing shares one lexer.
+# Token kinds: a punctuation token or reserved word is its own kind, any other
+# word is an ``IDENT``.  The sequent-level tokens (comma, semicolon,
+# turnstiles) are produced here too so sequent parsing shares one lexer.
 IDENT = "IDENT"
-CONST_BOT = "BOT"
-CONST_TOP = "TOP"
-OP_AND = "AND"
-OP_OR = "OR"
-OP_IMP = "IMP"
-OP_COIMP = "COIMP"
-LPAREN = "LPAREN"
-RPAREN = "RPAREN"
-COMMA = "COMMA"
-SEMI = "SEMI"
-TURNSTILE_PLUS = "TSTILE+"
-TURNSTILE_MINUS = "TSTILE-"
+CONST_BOT = "F"
+CONST_TOP = "T"
+OP_AND = "/\\"
+OP_OR = "\\/"
+OP_IMP = "->"
+OP_COIMP = "-<"
+LPAREN = "("
+RPAREN = ")"
+COMMA = ","
+SEMI = ";"
+TURNSTILE_PLUS = "|-+"
+TURNSTILE_MINUS = "|--"
 END = "END"
 
-_PUNCT = [
-    ("/\\", OP_AND),
-    ("\\/", OP_OR),
-    ("->", OP_IMP),
-    ("-<", OP_COIMP),
-    ("|-+", TURNSTILE_PLUS),
-    ("|--", TURNSTILE_MINUS),
-    ("(", LPAREN),
-    (")", RPAREN),
-    (",", COMMA),
-    (";", SEMI),
-]
+# after optional whitespace: punctuation (group 1), a word (group 2), or any
+# other non-space character, which is an error (group 3)
+_TOKEN = re.compile(r"\s*(?:(/\\|\\/|->|-<|\|-\+|\|--|[(),;])|([a-zA-Z][a-zA-Z0-9_]*)|(\S))")
 
 
 @dataclass(frozen=True)
@@ -160,33 +167,14 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     out: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        for lit, kind in _PUNCT:
-            if text.startswith(lit, i):
-                out.append(Token(kind, lit, i))
-                i += len(lit)
-                break
-        else:
-            if ch.isalpha():
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                if word == "F":
-                    out.append(Token(CONST_BOT, word, i))
-                elif word == "T":
-                    out.append(Token(CONST_TOP, word, i))
-                else:
-                    out.append(Token(IDENT, word, i))
-                i = j
-            else:
-                raise FormulaSyntaxError(f"unknown token {ch!r}", i)
-    out.append(Token(END, "", n))
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        lexeme = m[group]
+        if group == 3:
+            raise FormulaSyntaxError(f"unknown token {lexeme!r}", m.start(3))
+        kind = IDENT if group == 2 and lexeme not in (CONST_BOT, CONST_TOP) else lexeme
+        out.append(Token(kind, lexeme, m.start(group)))
+    out.append(Token(END, "", len(text)))
     return out
 
 

@@ -1,4 +1,6 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from bint import corpus
@@ -37,14 +39,24 @@ def test_coverage_tracks_gaps(tmp_path):
     assert "-5.4-" in coverage.missing_cases
 
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
 def test_build_corpus_script_reproduces_the_stored_corpus(tmp_path):
-    script_path = Path(__file__).resolve().parent.parent / "scripts" / "build_corpus.py"
-    spec = importlib.util.spec_from_file_location("build_corpus", script_path)
+    spec = importlib.util.spec_from_file_location("build_corpus", SCRIPTS / "build_corpus.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    script.OUT = tmp_path
-    script.main()
     stored = sorted(p.name for p in corpus.DATA_DIR.iterdir())
-    assert sorted(p.name for p in tmp_path.iterdir()) == stored
-    for name in stored:
-        assert (tmp_path / name).read_bytes() == (corpus.DATA_DIR / name).read_bytes(), name
+    for run in ("first", "second"):    # a second run in one process starts afresh
+        script.OUT = out = tmp_path / run
+        script.main()
+        assert sorted(p.name for p in out.iterdir()) == stored
+        for name in stored:
+            assert (out / name).read_bytes() == (corpus.DATA_DIR / name).read_bytes(), name
+
+
+def test_cutelim_stats_script_runs():
+    result = subprocess.run([sys.executable, str(SCRIPTS / "cutelim_stats.py"), "-n", "3",
+                             "--oracle"], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "6 eliminations" in result.stdout

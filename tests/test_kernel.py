@@ -1,5 +1,7 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from bint.syntax import BOT, And, Atom, Imp, parse_formula
 from bint.kernel import (
@@ -33,6 +35,34 @@ def test_context_union_adds_counts():
 @given(contexts, formulas(max_leaves=2))
 def test_context_add_remove_inverse(ctx, f):
     assert ctx.add(f).remove(f) == ctx
+
+
+_occurrences = st.lists(formulas(max_leaves=2), max_size=5)
+
+
+@given(_occurrences, _occurrences, formulas(max_leaves=2), st.integers(1, 3))
+@settings(max_examples=300)
+def test_context_matches_a_counter_model(xs, ys, f, n):
+    a, b = Context.from_iter(xs), Context.from_iter(ys)
+    ma, mb = Counter(xs), Counter(ys)
+    model = lambda ctx: Counter(ctx.expand())
+    assert model(a) == ma and len(a) == len(xs)
+    for g in xs + ys + [f]:
+        assert a.count(g) == ma[g] and (g in a) == (ma[g] > 0)
+    assert model(a.add(f, n)) == ma + Counter({f: n})
+    assert model(a.union(b)) == ma + mb
+    if ma[f] >= n:
+        assert model(a.remove(f, n)) == ma - Counter({f: n})
+    else:
+        with pytest.raises(KeyError):
+            a.remove(f, n)
+    assert (a == b) == (ma == mb)
+    same = Context.from_iter(reversed(xs))
+    assert a == same and hash(a) == hash(same)
+    keys = [g.key for g in a.expand()]
+    assert keys == sorted(keys)
+    assert list(a.distinct()) == [g for i, g in enumerate(a.expand())
+                                  if i == 0 or a.expand()[i - 1] != g]
 
 
 # --- sequent text ----------------------------------------------------------------

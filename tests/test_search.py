@@ -1,15 +1,16 @@
 import pytest
 from hypothesis import given, settings
 
+from bint import search
 from bint.kernel import (
-    RuleId as R, Side, check_derivation, dual_sequent, parse_sequent,
+    Expansion, RuleId as R, Side, check_derivation, dual_sequent, parse_sequent,
 )
 from bint.search import (
     BoundExhausted, Proved, Refuted, SearchConfig, prove,
     random_derivation,
 )
 from bint.syntax import Atom
-from bint.transform import contract, derive_identity, weaken
+from bint.transform import InternalCheckError, contract, derive_identity, weaken
 from conftest import SEED, contexts, formulas, polarities
 
 p, q = Atom("p"), Atom("q")
@@ -25,6 +26,16 @@ def test_implication_reflexivity():
     d = out.derivation
     assert d.rule is R.ImpRPlus and d.premises[0].rule is R.RfPlus
     assert check_derivation(d).valid
+
+
+def test_search_checks_every_node_it_builds(monkeypatch):
+    # an expansion table that wrongly offers an axiom must not yield a Proved
+    goal = parse_sequent("; |-+ p -> p")
+    wrong = Expansion(R.RfPlus, None, ())
+    monkeypatch.setattr(search, "backward_expansions",
+                        lambda s: [wrong] if s == goal else [])
+    with pytest.raises(InternalCheckError):
+        prove(goal)
 
 
 def test_noninvertible_premise_witnesses():

@@ -44,6 +44,8 @@ def test_constants_are_reserved_words():
     ("p @ q", 2),        # unknown token
     ("p ->", 4),         # dangling operator
     ("p q", 2),          # trailing input
+    ("é", 0),            # atoms are ASCII: [a-zA-Z][a-zA-Z0-9_]*
+    ("p²", 1),
 ])
 def test_errors_carry_positions(text, position):
     with pytest.raises(FormulaSyntaxError) as exc:
