@@ -14,10 +14,11 @@ in gamma and the falsification of everything in delta, derive the verification
 from __future__ import annotations
 
 import enum
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .syntax import (
     BOT,
@@ -31,12 +32,10 @@ from .syntax import (
     Imp,
     Or,
     Top,
-    TokenStream,
-    parse_formula_tokens,
     format_formula,
+    parse_formula,
     tokenize,
 )
-from . import syntax as _syn
 
 
 class Polarity(enum.Enum):
@@ -136,6 +135,17 @@ class Sequent:
     polarity: Polarity
     succedent: Formula
 
+    # Not a field, so not compared: ``__hash__`` stores the hash here on first
+    # use.  Most sequents built by the transforms are never hashed.
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.gamma, self.delta, self.polarity, self.succedent))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def __str__(self) -> str:
         return format_sequent(self)
 
@@ -145,58 +155,103 @@ def sequent(gamma: Iterable[Formula], delta: Iterable[Formula], polarity: Polari
     return Sequent(Context.from_iter(gamma), Context.from_iter(delta), polarity, succedent)
 
 
-def format_sequent(s: Sequent) -> str:
-    g = str(s.gamma)
-    d = str(s.delta)
+def format_sequent(s: Sequent, write: Callable[[Formula], str] = format_formula) -> str:
+    """The text of ``s``; ``write`` gives the text of each formula."""
+    g = ", ".join(map(write, s.gamma.items))
+    d = ", ".join(map(write, s.delta.items))
     left = f"{g} ;" if g else ";"
     if d:
         left = f"{left} {d}"
-    return f"{left} |-{s.polarity.sign} {format_formula(s.succedent)}"
+    return f"{left} |-{s.polarity.sign} {write(s.succedent)}"
 
 
-def parse_sequent(text: str) -> Sequent:
+def parse_sequent(text: str, read: Callable[[str], Formula] = parse_formula) -> Sequent:
     """Parse ``Gamma ; Delta |-+ C`` / ``|--``; empty sides are allowed and
-    duplicate list entries produce multiset counts."""
-    ts = TokenStream(tokenize(text))
-    gamma = _parse_formula_list(ts, stop=(_syn.SEMI,))
-    ts.expect(_syn.SEMI, "';'")
-    delta = _parse_formula_list(ts, stop=(_syn.TURNSTILE_PLUS, _syn.TURNSTILE_MINUS))
-    turn = ts.peek()
-    if turn.kind == _syn.TURNSTILE_PLUS:
-        pol = PLUS
-    elif turn.kind == _syn.TURNSTILE_MINUS:
-        pol = MINUS
-    else:
-        raise FormulaSyntaxError("expected '|-+' or '|--'", turn.pos)
-    ts.next()
-    succ = parse_formula_tokens(ts)
-    tail = ts.peek()
-    if tail.kind != _syn.END:
-        raise FormulaSyntaxError(f"trailing input {tail.text!r}", tail.pos)
-    return Sequent(Context.from_iter(gamma), Context.from_iter(delta), pol, succ)
-
-
-def _parse_formula_list(ts: TokenStream, stop: tuple[str, ...]) -> list[Formula]:
-    out: list[Formula] = []
-    if ts.peek().kind in stop:
-        return out
-    out.append(parse_formula_tokens(ts))
-    while ts.peek().kind == _syn.COMMA:
-        ts.next()
-        out.append(parse_formula_tokens(ts))
-    return out
+    duplicate list entries produce multiset counts.  ``read`` parses the text
+    of each formula."""
+    pieces = _Pieces(text, read)
+    gamma, delta = pieces.contexts(_TURNSTILES)
+    pol = PLUS if pieces.expect(_TURNSTILES, "'|-+' or '|--'") == "|-+" else MINUS
+    succ = pieces.formula()
+    pieces.end()
+    return Sequent(gamma, delta, pol, succ)
 
 
 def parse_context_pair(text: str) -> tuple[Context, Context]:
     """Parse ``Gamma ; Delta`` with no turnstile (used by the identity command)."""
-    ts = TokenStream(tokenize(text))
-    gamma = _parse_formula_list(ts, stop=(_syn.SEMI,))
-    ts.expect(_syn.SEMI, "';'")
-    delta = _parse_formula_list(ts, stop=(_syn.END,))
-    tail = ts.peek()
-    if tail.kind != _syn.END:
-        raise FormulaSyntaxError(f"trailing input {tail.text!r}", tail.pos)
-    return Context.from_iter(gamma), Context.from_iter(delta)
+    pieces = _Pieces(text, parse_formula)
+    pair = pieces.contexts(("",))
+    pieces.end()
+    return pair
+
+
+# The separators never occur inside a formula, so a sequent's text splits at
+# them into the texts of its formulas.
+_SEPARATORS = re.compile(r"(,|;|\|-\+|\|--)")
+_TURNSTILES = ("|-+", "|--")
+
+
+class _Pieces:
+    """The text between the separators of a sequent, read left to right.  A
+    piece is the text of one formula, or blank for an empty context.  Errors
+    carry their position in the whole text."""
+
+    def __init__(self, text: str, read: Callable[[str], Formula]):
+        self.text = text
+        self.read = read
+        # piece, separator, ..., piece, and '' for the end of the text, so the
+        # separator after the current piece parts[i] is always parts[i + 1]
+        self.parts = _SEPARATORS.split(text) + [""]
+        self.i = 0
+
+    def _error(self, message: str, part: int, offset: int = 0) -> FormulaSyntaxError:
+        """The error at ``offset`` into ``parts[part]``.  An unknown character
+        anywhere in the text is reported first, as lexing it all would."""
+        tokenize(self.text)
+        return FormulaSyntaxError(message, sum(map(len, self.parts[:part])) + offset)
+
+    def formula(self) -> Formula:
+        piece = self.parts[self.i]
+        body = piece.strip()
+        try:
+            return self.read(body)
+        except FormulaSyntaxError as e:
+            if e.position < len(body):
+                raise self._error(e.message, self.i,
+                                  len(piece) - len(piece.lstrip()) + e.position) from None
+            # the end of the body stands for the separator after the piece
+            raise self._error(e.message, self.i + 1) from None
+
+    def _formulas(self, stops: tuple[str, ...]) -> list[Formula]:
+        """Comma-separated formulas up to a separator in ``stops``; none when
+        the first piece is blank and ends at a stop."""
+        parts = self.parts
+        if parts[self.i + 1] in stops and not parts[self.i].strip():
+            return []
+        out = [self.formula()]
+        while parts[self.i + 1] == ",":
+            self.i += 2
+            out.append(self.formula())
+        return out
+
+    def expect(self, stops: tuple[str, ...], what: str) -> str:
+        """Step past the separator after the current piece, one of ``stops``."""
+        sep = self.parts[self.i + 1]
+        if sep not in stops:
+            raise self._error(f"expected {what}", self.i + 1)
+        self.i += 2
+        return sep
+
+    def contexts(self, stops: tuple[str, ...]) -> tuple[Context, Context]:
+        """``Gamma ; Delta``, the second list ending at a separator in ``stops``."""
+        gamma = self._formulas((";",))
+        self.expect((";",), "';'")
+        return Context.from_iter(gamma), Context.from_iter(self._formulas(stops))
+
+    def end(self) -> None:
+        sep = self.parts[self.i + 1]
+        if sep:
+            raise self._error(f"trailing input {sep!r}", self.i + 1)
 
 
 # --- the rule table ----------------------------------------------------------

@@ -100,20 +100,21 @@ class _Searcher:
     def __init__(self):
         self.proved: dict[Sequent, Derivation] = {}
         self.refuted: set[Sequent] = set()
+        self.path: set[Sequent] = set()     # the sequents on the current branch
 
-    def search(self, s: Sequent, path: frozenset[Sequent], depth: int):
+    def search(self, s: Sequent, depth: int):
         hit = self.proved.get(s)
         if hit is not None:
             return hit
         if s in self.refuted:
             return _NotFound(False, False)
-        if s in path:
+        if s in self.path:
             return _NotFound(True, False)
 
         expansions = sorted(backward_expansions(s), key=_expansion_order)
         pruned = bounded = False
         found: Optional[Derivation] = None
-        sub_path = path | {s}
+        self.path.add(s)
         for e in expansions:
             if not e.premises:
                 found = _node(e.rule, s, (), annotation=e.annotation)
@@ -123,7 +124,7 @@ class _Searcher:
                 continue
             children: list[Derivation] = []
             for premise in e.premises:
-                r = self.search(_normalize(premise), sub_path, depth - 1)
+                r = self.search(_normalize(premise), depth - 1)
                 if isinstance(r, _NotFound):
                     pruned |= r.pruned
                     bounded |= r.bounded
@@ -133,6 +134,7 @@ class _Searcher:
             if children:
                 found = _node(e.rule, s, children, annotation=e.annotation)
                 break
+        self.path.remove(s)
         if found is not None:
             self.proved[s] = found
             return found
@@ -149,7 +151,7 @@ def prove(s: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     bound, so no derivation of any height exists.
     BoundExhausted: the bound fired before the space was exhausted.
     """
-    result = _Searcher().search(_normalize(s), frozenset(), cfg.max_depth)
+    result = _Searcher().search(_normalize(s), cfg.max_depth)
     if isinstance(result, Derivation):
         return Proved(_lift(result, s))
     if result.bounded:

@@ -3,15 +3,17 @@
 A derivation is a JSON object with fields ``rule``, ``conclusion`` (sequent
 text), optional ``annotation``, and ``premises`` (nested list).  Dumping is
 canonical (sorted keys, two-space indent, trailing newline) so files round-trip
-bit-exact through load/dump.
+bit-exact through load/dump.  Every node repeats its whole conclusion, so one
+document holds the same formulas many times: each distinct formula text is
+parsed, and each distinct formula printed, once per document.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Optional
 
-from .syntax import format_formula, parse_formula
+from .syntax import Formula, format_formula, parse_formula
 from .kernel import (
     Annotation, Context, ContextSplit, Derivation, RuleId,
     format_sequent, parse_sequent,
@@ -22,33 +24,44 @@ class DerivationFormatError(ValueError):
     pass
 
 
+_SPLIT_KEYS = ("gamma", "delta", "gamma_prime", "delta_prime")
+
+
 def derivation_to_data(d: Derivation) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "rule": d.rule.value,
-        "conclusion": format_sequent(d.conclusion),
-        "premises": [derivation_to_data(p) for p in d.premises],
-    }
-    if d.annotation is not None:
-        ann: dict[str, Any] = {}
-        if d.annotation.principal is not None:
-            ann["principal"] = format_formula(d.annotation.principal)
-        if d.annotation.cut_formula is not None:
-            ann["cut_formula"] = format_formula(d.annotation.cut_formula)
-        if d.annotation.context_split is not None:
-            sp = d.annotation.context_split
-            ann["context_split"] = {
-                "gamma": _context_to_data(sp.gamma),
-                "delta": _context_to_data(sp.delta),
-                "gamma_prime": _context_to_data(sp.gamma_prime),
-                "delta_prime": _context_to_data(sp.delta_prime),
-            }
-        if ann:
-            out["annotation"] = ann
-    return out
+    return _Writer().data(d)
 
 
-def _context_to_data(ctx: Context) -> list[str]:
-    return [format_formula(f) for f in ctx.expand()]
+class _Writer:
+    """Writes one document, printing each distinct formula once."""
+
+    def __init__(self):
+        self.texts: dict[Formula, str] = {}
+
+    def formula(self, f: Formula) -> str:
+        text = self.texts.get(f)
+        if text is None:
+            text = self.texts[f] = format_formula(f)
+        return text
+
+    def data(self, d: Derivation) -> dict[str, Any]:
+        out: dict[str, Any] = {
+            "rule": d.rule.value,
+            "conclusion": format_sequent(d.conclusion, self.formula),
+            "premises": [self.data(p) for p in d.premises],
+        }
+        if d.annotation is not None:
+            ann: dict[str, Any] = {}
+            if d.annotation.principal is not None:
+                ann["principal"] = self.formula(d.annotation.principal)
+            if d.annotation.cut_formula is not None:
+                ann["cut_formula"] = self.formula(d.annotation.cut_formula)
+            if d.annotation.context_split is not None:
+                sp = d.annotation.context_split
+                ann["context_split"] = {k: [self.formula(f) for f in getattr(sp, k).expand()]
+                                        for k in _SPLIT_KEYS}
+            if ann:
+                out["annotation"] = ann
+        return out
 
 
 _JSON_TYPE_NAMES = {dict: "object", list: "list", str: "string"}
@@ -61,51 +74,63 @@ def _expect(value: Any, kind: type, what: str) -> Any:
     return value
 
 
-def _context_from_data(data: Any, what: str) -> Context:
-    return Context.from_iter(parse_formula(_expect(t, str, f"{what} entry"))
-                             for t in _expect(data, list, what))
-
-
-def _formula_from_data(ann: dict[str, Any], key: str):
-    return parse_formula(_expect(ann[key], str, key)) if key in ann else None
-
-
-_SPLIT_KEYS = ("gamma", "delta", "gamma_prime", "delta_prime")
-
-
 def derivation_from_data(data: Any) -> Derivation:
     """Rebuild a derivation from parsed JSON; any shape other than the
     documented one raises ``DerivationFormatError``."""
-    _expect(data, dict, "a derivation")
-    try:
-        rule = RuleId(data["rule"])
-    except (KeyError, ValueError) as e:
-        raise DerivationFormatError(f"bad or missing rule id: {e}") from e
-    if "conclusion" not in data:
-        raise DerivationFormatError("missing conclusion")
-    conclusion = parse_sequent(_expect(data["conclusion"], str, "conclusion"))
-    premises = tuple(derivation_from_data(p)
-                     for p in _expect(data.get("premises", []), list, "premises"))
-    ann_data = data.get("annotation")
-    annotation = None
-    if ann_data is not None and _expect(ann_data, dict, "annotation"):
-        split = None
-        if "context_split" in ann_data:
-            spd = _expect(ann_data["context_split"], dict, "context_split")
-            missing = [k for k in _SPLIT_KEYS if k not in spd]
-            if missing:
-                raise DerivationFormatError(f"context_split lacks {', '.join(missing)}")
-            split = ContextSplit(**{k: _context_from_data(spd[k], k) for k in _SPLIT_KEYS})
-        annotation = Annotation(
-            principal=_formula_from_data(ann_data, "principal"),
-            cut_formula=_formula_from_data(ann_data, "cut_formula"),
-            context_split=split,
-        )
-    return Derivation(conclusion, rule, premises, annotation)
+    return _Reader().derivation(data)
+
+
+class _Reader:
+    """Reads one document, parsing each distinct formula text once, so equal
+    formulas in what it reads are one object."""
+
+    def __init__(self):
+        self.formulas: dict[str, Formula] = {}
+
+    def formula(self, text: str) -> Formula:
+        f = self.formulas.get(text)
+        if f is None:
+            f = self.formulas[text] = parse_formula(text)
+        return f
+
+    def _context(self, data: Any, what: str) -> Context:
+        return Context.from_iter(self.formula(_expect(t, str, f"{what} entry"))
+                                 for t in _expect(data, list, what))
+
+    def _annotated(self, ann: dict[str, Any], key: str) -> Optional[Formula]:
+        return self.formula(_expect(ann[key], str, key)) if key in ann else None
+
+    def derivation(self, data: Any) -> Derivation:
+        _expect(data, dict, "a derivation")
+        try:
+            rule = RuleId(data["rule"])
+        except (KeyError, ValueError) as e:
+            raise DerivationFormatError(f"bad or missing rule id: {e}") from e
+        if "conclusion" not in data:
+            raise DerivationFormatError("missing conclusion")
+        conclusion = parse_sequent(_expect(data["conclusion"], str, "conclusion"), self.formula)
+        premises = tuple(self.derivation(p)
+                         for p in _expect(data.get("premises", []), list, "premises"))
+        ann_data = data.get("annotation")
+        annotation = None
+        if ann_data is not None and _expect(ann_data, dict, "annotation"):
+            split = None
+            if "context_split" in ann_data:
+                spd = _expect(ann_data["context_split"], dict, "context_split")
+                missing = [k for k in _SPLIT_KEYS if k not in spd]
+                if missing:
+                    raise DerivationFormatError(f"context_split lacks {', '.join(missing)}")
+                split = ContextSplit(**{k: self._context(spd[k], k) for k in _SPLIT_KEYS})
+            annotation = Annotation(
+                principal=self._annotated(ann_data, "principal"),
+                cut_formula=self._annotated(ann_data, "cut_formula"),
+                context_split=split,
+            )
+        return Derivation(conclusion, rule, premises, annotation)
 
 
 def dumps_derivation(d: Derivation) -> str:
-    return json.dumps(derivation_to_data(d), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_Writer().data(d), indent=2, sort_keys=True) + "\n"
 
 
 def _parse_json(text: str) -> Any:
@@ -116,7 +141,7 @@ def _parse_json(text: str) -> Any:
 
 
 def loads_derivation(text: str) -> Derivation:
-    return derivation_from_data(_parse_json(text))
+    return _Reader().derivation(_parse_json(text))
 
 
 def save_derivation(d: Derivation, path) -> None:
@@ -151,14 +176,16 @@ def load_derivations(path) -> list[Derivation]:
 
 def _derivations_from_text(text: str) -> list[Derivation]:
     data = _parse_json(text)
+    reader = _Reader()
     if isinstance(data, list):
-        return [derivation_from_data(item) for item in data]
+        return [reader.derivation(item) for item in data]
     if isinstance(data, dict):
-        return [derivation_from_data(data)]
+        return [reader.derivation(data)]
     raise DerivationFormatError("expected a JSON object or list")
 
 
 def dumps_derivations(ds: list[Derivation]) -> str:
     if len(ds) == 1:
         return dumps_derivation(ds[0])
-    return json.dumps([derivation_to_data(d) for d in ds], indent=2, sort_keys=True) + "\n"
+    writer = _Writer()
+    return json.dumps([writer.data(d) for d in ds], indent=2, sort_keys=True) + "\n"

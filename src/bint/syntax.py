@@ -136,8 +136,9 @@ def subformulas(f: Formula) -> frozenset[Formula]:
 # --- tokenizer -------------------------------------------------------------
 
 # Token kinds: a punctuation token or reserved word is its own kind, any other
-# word is an ``IDENT``.  The sequent-level tokens (comma, semicolon,
-# turnstiles) are produced here too so sequent parsing shares one lexer.
+# word is an ``IDENT``.  The sequent separators (comma, semicolon, turnstiles)
+# are tokens too, so the whole text of a sequent lexes, and a formula's text
+# holding one has trailing input.
 IDENT = "IDENT"
 CONST_BOT = "F"
 CONST_TOP = "T"
@@ -147,10 +148,6 @@ OP_IMP = "->"
 OP_COIMP = "-<"
 LPAREN = "("
 RPAREN = ")"
-COMMA = ","
-SEMI = ";"
-TURNSTILE_PLUS = "|-+"
-TURNSTILE_MINUS = "|--"
 END = "END"
 
 # after optional whitespace: punctuation (group 1), a word (group 2), or any
@@ -192,27 +189,17 @@ class TokenStream:
             self.index += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise FormulaSyntaxError(f"expected {what}", tok.pos)
-        return self.next()
-
 
 # --- parser ----------------------------------------------------------------
 
 def parse_formula(text: str) -> Formula:
     """Parse a formula; raises FormulaSyntaxError with a position on bad input."""
     ts = TokenStream(tokenize(text))
-    f = parse_formula_tokens(ts)
+    f = _parse_arrows(ts)
     tail = ts.peek()
     if tail.kind != END:
         raise FormulaSyntaxError(f"trailing input {tail.text!r}", tail.pos)
     return f
-
-
-def parse_formula_tokens(ts: TokenStream) -> Formula:
-    return _parse_arrows(ts)
 
 
 def _parse_arrows(ts: TokenStream) -> Formula:

@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from bint import serialize
 from bint.cli import main, render_text
 from bint.kernel import RuleId as R, check_derivation, node, parse_sequent
 from bint.serialize import (
@@ -9,7 +11,8 @@ from bint.serialize import (
 )
 from bint.transform import derive_identity
 from bint.kernel import Context
-from bint.syntax import Atom, parse_formula
+from bint.syntax import Atom, Imp, format_formula, parse_formula
+from conftest import chain_proof
 
 
 @pytest.fixture
@@ -179,3 +182,54 @@ def test_cut_node_round_trips():
     assert back == cut and dumps_derivation(back) == text
     report = check_derivation(back)
     assert report.valid and report.cut_count == 1
+
+
+def _horn_chain(height: int):
+    atoms = [Atom(f"a{i}") for i in range(height + 1)]
+    links = [Imp(lo, hi) for lo, hi in zip(atoms, atoms[1:])]
+    return chain_proof(Context.from_iter([atoms[0]] + links), atoms), atoms + links
+
+
+def _formulas_in(d):
+    stack = [d]
+    while stack:
+        x = stack.pop()
+        stack.extend(x.premises)
+        s = x.conclusion
+        yield from s.gamma.expand()
+        yield from s.delta.expand()
+        yield s.succedent
+        if x.annotation is not None and x.annotation.principal is not None:
+            yield x.annotation.principal
+
+
+def test_each_distinct_formula_is_parsed_once_per_document(monkeypatch):
+    d, distinct = _horn_chain(50)
+    text = dumps_derivation(d)
+    parsed = Counter()
+
+    def counting_parse(t):
+        parsed[t] += 1
+        return parse_formula(t)
+
+    monkeypatch.setattr(serialize, "parse_formula", counting_parse)
+    back = loads_derivation(text)
+    assert back == d
+    assert parsed == Counter(format_formula(f) for f in distinct)
+    one = {}
+    assert all(one.setdefault(f, f) is f for f in _formulas_in(back))
+    assert len(one) == len(distinct)
+
+
+def test_each_distinct_formula_is_printed_once_per_document(monkeypatch):
+    d, distinct = _horn_chain(50)
+    text = dumps_derivation(d)
+    printed = Counter()
+
+    def counting_format(f):
+        printed[f] += 1
+        return format_formula(f)
+
+    monkeypatch.setattr(serialize, "format_formula", counting_format)
+    assert dumps_derivation(d) == text
+    assert printed == Counter(distinct)

@@ -3,9 +3,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bint.syntax import BOT, And, Atom, Imp, parse_formula
+from bint.syntax import BOT, And, Atom, FormulaSyntaxError, Imp, parse_formula
 from bint.kernel import (
-    MINUS, Annotation, Context, ContextSplit, RuleId as R, Violation,
+    MINUS, Annotation, Context, ContextSplit, RuleId as R, Sequent, Violation,
     backward_expansions, check_derivation, check_rule_instance, cut_height,
     dual_derivation, dual_formula, dual_sequent, format_sequent, infer_principal,
     node, parse_sequent,
@@ -81,6 +81,46 @@ def test_empty_sides():
 @given(sequents)
 def test_sequent_format_parses_back(s):
     assert parse_sequent(format_sequent(s)) == s
+
+
+_wide_contexts = st.lists(formulas(max_leaves=5), max_size=6).map(Context.from_iter)
+
+
+@given(st.builds(Sequent, _wide_contexts, _wide_contexts, polarities, formulas()))
+def test_wide_sequent_text_round_trips(s):
+    text = format_sequent(s)
+    assert parse_sequent(text) == s
+    assert format_sequent(parse_sequent(text)) == text
+
+
+@pytest.mark.parametrize("text, position", [
+    ("p q ; |-+ r", 2),
+    ("p ;; q |-+ r", 3),
+    ("p, , q ; |-+ r", 3),
+    ("p ; q", 5),
+    ("p ; q |-+", 9),
+    ("p ; q |-+ r |-- s", 12),
+    ("p @ q ; |-+ r", 2),
+    ("; |-+ p ; q", 8),
+    ("|-+ p", 0),
+    (", p ; |-+ q", 0),
+    ("p -> ; |-+ q", 5),
+    ("(p ; |-+ q", 3),
+    ("p ; q r |-- s", 6),
+    ("p |- q ; |-+ r", 2),
+    ("p ; |-+ q r", 10),
+    ("p ; |-+ q -> r -< s", 15),
+    ("p ; |-+ (q", 10),
+    ("p q ; |-+ r @", 12),    # an unknown character anywhere is reported first
+    ("p ;  |-+", 8),
+    ("", 0),
+    (";", 1),
+    ("p ; q |-+ r,", 11),
+])
+def test_malformed_sequents_are_rejected_where_they_go_wrong(text, position):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_sequent(text)
+    assert exc.value.position == position
 
 
 # --- rule instance checking --------------------------------------------------------
