@@ -4,9 +4,9 @@ Sequents carry assumptions and counterassumptions and derive either the
 verification (``|-+``) or falsification (``|--``) of their succedent, over a
 propositional language with co-implication.  The package provides the rule
 table and proof checker (`bint.kernel`), executable structural
-transformations up to cut elimination (`bint.transform`), bounded backward
-proof search (`bint.search`), the golden corpus (`bint.corpus`), and a CLI
-(`bint.cli`).
+transformations up to cut elimination (`bint.transform`), a decision
+procedure for derivability (`bint.decide`), proof search (`bint.search`), the
+golden corpus (`bint.corpus`), and a CLI (`bint.cli`).
 """
 
 from .syntax import (
@@ -23,6 +23,7 @@ from .transform import (
     CutTrace, SpecialWeakening, TransformError, contract, derive_identity,
     eliminate_cut, invert, unweaken_special, weaken, weaken_context,
 )
+from .decide import derivable
 from .search import (
     BoundExhausted, Proved, Refuted, SearchConfig, SearchOutcome, prove,
     random_derivation,

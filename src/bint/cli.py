@@ -1,7 +1,7 @@
 """Command-line front end: parse, check, prove, transform, export.
 
-Exit codes: 0 success / proved; 1 refuted, bound exhausted, or invalid input
-derivation; 2 usage or parse errors.
+Exit codes: 0 success / proved; 1 refuted, derivable but no proof within the
+depth bound, or invalid input derivation; 2 usage or parse errors.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("check", help="validate a derivation file")
     p.add_argument("file", type=Path)
 
-    p = sub.add_parser("prove", help="backward proof search for a sequent")
+    p = sub.add_parser("prove", help="decide a sequent and search for its proof")
     p.add_argument("sequent")
     p.add_argument("--max-depth", type=int, default=50)
 
@@ -180,7 +180,8 @@ def _dispatch(args) -> int:
         if isinstance(outcome, Refuted):
             print("refuted: no derivation exists")
             return 1
-        print(f"bound exhausted at depth {cfg.max_depth}: no verdict")
+        print(f"derivable, but no proof found within depth {cfg.max_depth} "
+              "(bound exhausted)")
         return 1
 
     if args.command == "identity":

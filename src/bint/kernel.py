@@ -601,20 +601,30 @@ class CheckReport:
 
 
 def check_derivation(d: Derivation) -> CheckReport:
-    """Validate every node against its rule schema; never raises."""
-    violation = _first_violation(d, "")
+    """Validate every node against its rule schema; never raises.  The walk
+    keeps its own stack, so a tree of any height checks."""
+    violation = _first_violation(d)
     return CheckReport(violation is None, d.height, d.cut_count, violation)
 
 
-def _first_violation(d: Derivation, path: str) -> Optional[tuple[str, Violation]]:
-    v = check_rule_instance(d.conclusion, d.rule, [p.conclusion for p in d.premises],
-                            d.annotation)
-    if v is not None:
-        return (path, v)
-    for i, p in enumerate(d.premises):
-        sub = _first_violation(p, f"{path}.premises[{i}]" if path else f"premises[{i}]")
-        if sub is not None:
-            return sub
+def _first_violation(root: Derivation) -> Optional[tuple[str, Violation]]:
+    """The first node, in pre-order with premises in order, that breaks its
+    rule, and its path from the root."""
+    # a trail is (premise index, the parent's trail), None at the root: the
+    # path text is built only for the node that fails
+    stack: list[tuple[Derivation, Optional[tuple]]] = [(root, None)]
+    while stack:
+        d, trail = stack.pop()
+        v = check_rule_instance(d.conclusion, d.rule, [p.conclusion for p in d.premises],
+                                d.annotation)
+        if v is not None:
+            steps = []
+            while trail is not None:
+                i, trail = trail
+                steps.append(f"premises[{i}]")
+            return ".".join(reversed(steps)), v
+        for i in range(len(d.premises) - 1, -1, -1):
+            stack.append((d.premises[i], (i, trail)))
     return None
 
 

@@ -1,9 +1,13 @@
-"""Bounded backward proof search over the cut-free calculus.
+"""Backward proof search over the cut-free calculus.
 
-Backward expansion only ever introduces subformulas of the goal, so with a
-per-branch repetition check the reachable sequent space is finite: an
-exhausted loop-checked search is a genuine non-derivability verdict.  The
-searcher doubles as a derivation generator for the transformation corpora.
+``prove`` asks the decision procedure of ``bint.decide`` first: a sequent it
+rejects is ``Refuted`` with no search.  For a derivable sequent a depth-first
+search builds the proof, checking every node as it builds it.  Backward
+expansion only ever introduces subformulas of the goal, so with a per-branch
+repetition check the reachable sequent space is finite, and the search cannot
+exhaust a derivable sequent; if it does, the two disagree and ``prove``
+raises.  The searcher doubles as a derivation generator for the
+transformation corpora.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from .kernel import (
     MINUS, PLUS, SCHEMA, Context, Derivation, Expansion, RuleId as R, Sequent, Side,
     backward_expansions, check_derivation, node,
 )
-from .transform import derive_identity, _node, _weaken
+from .decide import derivable
+from .transform import InternalCheckError, derive_identity, _node, _weaken
 
 
 @dataclass(frozen=True)
@@ -40,12 +45,13 @@ class Proved(SearchOutcome):
 
 @dataclass(frozen=True)
 class Refuted(SearchOutcome):
-    """Search space exhausted under the loop check: no proof exists."""
+    """The decision procedure rejects the sequent: no proof of any height exists."""
 
 
 @dataclass(frozen=True)
 class BoundExhausted(SearchOutcome):
-    """The depth bound fired somewhere; no verdict."""
+    """The sequent is derivable, but the depth bound cut off every proof the
+    search tried."""
 
 
 # expansion ordering: closers, then deterministic single-premise rules, then
@@ -143,20 +149,33 @@ class _Searcher:
         return _NotFound(pruned, bounded)
 
 
-def prove(s: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
-    """Search for a cut-free derivation of ``s``.
-
-    Proved(d): d concludes s and passes the checker with no cuts.
-    Refuted: every expansion path was exhausted without hitting the depth
-    bound, so no derivation of any height exists.
-    BoundExhausted: the bound fired before the space was exhausted.
-    """
-    result = _Searcher().search(_normalize(s), cfg.max_depth)
+def _search(s: Sequent, depth: int) -> SearchOutcome:
+    """The depth-first search alone: ``Refuted`` when it exhausts ``s``
+    without a depth cut-off."""
+    result = _Searcher().search(_normalize(s), depth)
     if isinstance(result, Derivation):
         return Proved(_lift(result, s))
     if result.bounded:
         return BoundExhausted()
     return Refuted()
+
+
+def prove(s: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
+    """Decide ``s``, and search for a cut-free derivation when it is derivable.
+
+    Refuted: ``bint.decide`` rejects s, so no derivation of any height exists.
+    Proved(d): d concludes s and passes the checker with no cuts.
+    BoundExhausted: s is derivable, but the search found no proof within
+    ``cfg.max_depth``.
+    Raises InternalCheckError when the search exhausts a sequent the decision
+    procedure accepts: the two disagree, and neither verdict can be trusted.
+    """
+    if not derivable(s):
+        return Refuted()
+    out = _search(s, cfg.max_depth)
+    if isinstance(out, Refuted):
+        raise InternalCheckError(f"bint.decide accepts {s}, but the search exhausted it")
+    return out
 
 
 # --- random derivation generation ------------------------------------------------

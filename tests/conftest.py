@@ -20,7 +20,8 @@ from bint.transform import derive_identity, weaken
 
 SEED = int(os.environ.get("BINT_SEED", "0"))
 
-leaves = st.sampled_from([Atom("p"), Atom("q"), Atom("r"), BOT, TOP])
+_LEAVES = (Atom("p"), Atom("q"), Atom("r"), BOT, TOP)
+leaves = st.sampled_from(_LEAVES)
 
 
 def formulas(max_leaves: int = 6):
@@ -36,6 +37,23 @@ def formulas(max_leaves: int = 6):
 contexts = st.lists(formulas(max_leaves=3), max_size=3).map(Context.from_iter)
 polarities = st.sampled_from([PLUS, MINUS])
 sequents = st.builds(Sequent, contexts, contexts, polarities, formulas(max_leaves=3))
+
+
+def random_formula(rng: random.Random, n_leaves: int):
+    if n_leaves == 1:
+        return rng.choice(_LEAVES)
+    split = rng.randrange(1, n_leaves)
+    return rng.choice((And, Or, Imp, Coimp))(random_formula(rng, split),
+                                             random_formula(rng, n_leaves - split))
+
+
+def random_sequent(rng: random.Random) -> Sequent:
+    """Up to 3 formulas a side, each of 1 to 4 leaves over p, q, r, T, F."""
+    def side():
+        return Context.from_iter(random_formula(rng, rng.randint(1, 4))
+                                 for _ in range(rng.randrange(4)))
+    return Sequent(side(), side(), rng.choice((PLUS, MINUS)),
+                   random_formula(rng, rng.randint(1, 4)))
 
 
 @pytest.fixture(scope="session")

@@ -45,7 +45,7 @@ def test_prove_bound_exhausted(capsys):
     code, out, _ = run(capsys, "--format", "text", "prove", "; |-+ p -> (q -> p)",
                        "--max-depth", "1")
     assert code == 1
-    assert "bound exhausted" in out
+    assert "bound exhausted" in out and "derivable, but no proof" in out
 
 
 def test_parse_error_exit_code(capsys):

@@ -1,3 +1,5 @@
+import random
+import sys
 from collections import Counter
 
 import pytest
@@ -11,7 +13,7 @@ from bint.kernel import (
     node, parse_sequent,
 )
 from bint.transform import derive_identity
-from conftest import contexts, formulas, polarities, sequents
+from conftest import SEED, contexts, formulas, polarities, sequents
 
 p, q = Atom("p"), Atom("q")
 
@@ -230,6 +232,64 @@ def test_violation_path_reported():
     assert not report.valid
     path, violation = report.first_violation
     assert "premises" in path and violation.rule is R.RfPlus
+
+
+def _tower(height: int, bad_at: int = -1):
+    """``ImpLa`` stacked ``height`` times on ``p, p -> p ; |-+ p``; the node
+    ``bad_at`` levels above the leaf is replaced by an invalid ``RfMinus``."""
+    top = parse_sequent("p, p -> p ; |-+ p")
+    closer = node(R.RfPlus, parse_sequent("p, p ; |-+ p"))
+    d = node(R.RfPlus, top)
+    for level in range(1, height + 1):
+        if level == bad_at:
+            d = node(R.RfMinus, top)
+        else:
+            d = node(R.ImpLa, top, (d, closer), principal=Imp(p, p))
+    return d
+
+
+def _recursive_first_violation(d, path=""):
+    """The checker's walk as it was written before it kept its own stack."""
+    v = check_rule_instance(d.conclusion, d.rule, [x.conclusion for x in d.premises],
+                            d.annotation)
+    if v is not None:
+        return (path, v)
+    for i, x in enumerate(d.premises):
+        sub = _recursive_first_violation(
+            x, f"{path}.premises[{i}]" if path else f"premises[{i}]")
+        if sub is not None:
+            return sub
+    return None
+
+
+def test_checker_walks_a_tall_tower_at_the_default_recursion_limit():
+    report = check_derivation(_tower(2000))
+    assert report.valid and report.height == 2000
+
+
+def _corrupt(d, rng):
+    """``d`` with the polarity of about one conclusion in twelve flipped, so
+    that those nodes, or their parents, break their rule."""
+    premises = tuple(_corrupt(x, rng) for x in d.premises)
+    conclusion = d.conclusion
+    if rng.random() < 0.08:
+        conclusion = Sequent(conclusion.gamma, conclusion.delta,
+                             conclusion.polarity.flip(), conclusion.succedent)
+    return node(d.rule, conclusion, premises, annotation=d.annotation)
+
+
+def test_violation_paths_match_the_recursive_walk(derivation_corpus):
+    rng = random.Random(SEED)
+    trees = [_corrupt(d, rng) for d in derivation_corpus]
+    trees += [_tower(1500, bad_at=rng.randrange(1, 1500)) for _ in range(3)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        expected = [_recursive_first_violation(d) for d in trees]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sum(e is not None for e in expected) > 50
+    assert [check_derivation(d).first_violation for d in trees] == expected
 
 
 # --- backward expansions -------------------------------------------------------------
