@@ -5,7 +5,7 @@ verification (``|-+``) or falsification (``|--``) of their succedent, over a
 propositional language with co-implication.  The package provides the rule
 table and proof checker (`bint.kernel`), executable structural
 transformations up to cut elimination (`bint.transform`), a decision
-procedure for derivability (`bint.decide`), proof search (`bint.search`), the
+procedure for derivability (`bint.decide`), proof construction (`bint.search`), the
 golden corpus (`bint.corpus`), and a CLI (`bint.cli`).
 """
 
@@ -24,10 +24,7 @@ from .transform import (
     eliminate_cut, invert, unweaken_special, weaken, weaken_context,
 )
 from .decide import derivable
-from .search import (
-    BoundExhausted, Proved, Refuted, SearchConfig, SearchOutcome, prove,
-    random_derivation,
-)
+from .search import Proved, Refuted, SearchOutcome, prove, random_derivation
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

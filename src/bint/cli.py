@@ -1,7 +1,7 @@
 """Command-line front end: parse, check, prove, transform, export.
 
-Exit codes: 0 success / proved; 1 refuted, derivable but no proof within the
-depth bound, or invalid input derivation; 2 usage or parse errors.
+Exit codes: 0 success / proved; 1 refuted or invalid input derivation; 2 usage
+or parse errors.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .transform import (
     CutTrace, SpecialWeakening, TransformError, contract, derive_identity,
     eliminate_cut, invert, unweaken_special, weaken,
 )
-from .search import Proved, Refuted, SearchConfig, prove
+from .search import Proved, prove
 from . import corpus
 
 
@@ -110,9 +110,8 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("check", help="validate a derivation file")
     p.add_argument("file", type=Path)
 
-    p = sub.add_parser("prove", help="decide a sequent and search for its proof")
+    p = sub.add_parser("prove", help="decide a sequent and construct its proof")
     p.add_argument("sequent")
-    p.add_argument("--max-depth", type=int, default=50)
 
     p = sub.add_parser("identity", help="reflexivity derivation for a formula")
     p.add_argument("context", help="'Gamma ; Delta' (either side may be empty)")
@@ -172,16 +171,11 @@ def _dispatch(args) -> int:
         return worst
 
     if args.command == "prove":
-        cfg = SearchConfig(max_depth=args.max_depth)
-        outcome = prove(parse_sequent(args.sequent), cfg)
+        outcome = prove(parse_sequent(args.sequent))
         if isinstance(outcome, Proved):
             _emit([outcome.derivation], args)
             return 0
-        if isinstance(outcome, Refuted):
-            print("refuted: no derivation exists")
-            return 1
-        print(f"derivable, but no proof found within depth {cfg.max_depth} "
-              "(bound exhausted)")
+        print("refuted: no derivation exists")
         return 1
 
     if args.command == "identity":

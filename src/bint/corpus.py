@@ -175,10 +175,8 @@ def _run(case: GoldenCase, data_dir: Path) -> GoldenResult:
         return GoldenResult(case, diff is None, diff, produced, trace)
 
     if kind == "prove":
-        cfg = _search.SearchConfig(max_depth=inp.get("max_depth", 50))
-        outcome = _search.prove(parse_sequent(inp["sequent"]), cfg)
-        got = {_search.Proved: "proved", _search.Refuted: "refuted",
-               _search.BoundExhausted: "bound"}[type(outcome)]
+        outcome = _search.prove(parse_sequent(inp["sequent"]))
+        got = "proved" if isinstance(outcome, _search.Proved) else "refuted"
         ok = got == exp["outcome"]
         produced = outcome.derivation if isinstance(outcome, _search.Proved) else None
         return GoldenResult(case, ok, None if ok else f"expected {exp['outcome']}, got {got}",

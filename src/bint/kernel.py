@@ -91,7 +91,8 @@ class Context:
         return hi - lo
 
     def __contains__(self, f: Formula) -> bool:
-        return self.count(f) > 0
+        i = bisect_left(self.items, f.key, key=_KEY)
+        return i < len(self.items) and self.items[i] == f
 
     def __len__(self) -> int:
         return len(self.items)
@@ -104,12 +105,15 @@ class Context:
         return Context(self.items[:i] + (f,) * n + self.items[i:])
 
     def remove(self, f: Formula, n: int = 1) -> "Context":
-        lo, hi = self._span(f)
-        if hi - lo < n:
+        items = self.items
+        lo = bisect_left(items, f.key, key=_KEY)
+        if items[lo:lo + n].count(f) < n:   # the occurrences of f are adjacent
             raise KeyError(f"{format_formula(f)} not present {n} time(s)")
-        return Context(self.items[:lo] + self.items[lo + n:])
+        return Context(items[:lo] + items[lo + n:])
 
     def union(self, other: "Context") -> "Context":
+        if not other.items:
+            return self
         # the sort merges the two sorted runs
         return Context.from_iter(self.items + other.items)
 
@@ -287,9 +291,9 @@ class RuleId(enum.Enum):
 
 R = RuleId
 
-ZERO_PREMISE = frozenset(
-    (R.RfPlus, R.RfMinus, R.BotLa, R.TopLc, R.BotRMinus, R.TopRPlus)
-)
+#: the zero-premise rules, in the order backward expansion lists them
+CLOSERS = (R.RfPlus, R.RfMinus, R.BotLa, R.TopLc, R.BotRMinus, R.TopRPlus)
+ZERO_PREMISE = frozenset(CLOSERS)
 CUT_RULES = frozenset((R.CutA, R.CutC))
 
 
@@ -672,7 +676,7 @@ def backward_expansions(s: Sequent) -> list[Expansion]:
     zero-premise closers, the right rule(s) for the succedent, and one left
     rule per distinct compound occurrence in either context."""
     out: list[Expansion] = []
-    for rule in (R.RfPlus, R.RfMinus, R.BotLa, R.TopLc, R.BotRMinus, R.TopRPlus):
+    for rule in CLOSERS:
         if _zero_premise_failure(s, rule) is None:
             out.append(Expansion(rule, None, ()))
     shape = (type(s.succedent), s.polarity)

@@ -1,13 +1,25 @@
-"""Backward proof search over the cut-free calculus.
+"""Proof construction over the cut-free calculus.
 
 ``prove`` asks the decision procedure of ``bint.decide`` first: a sequent it
-rejects is ``Refuted`` with no search.  For a derivable sequent a depth-first
-search builds the proof, checking every node as it builds it.  Backward
-expansion only ever introduces subformulas of the goal, so with a per-branch
-repetition check the reachable sequent space is finite, and the search cannot
-exhaust a derivable sequent; if it does, the two disagree and ``prove``
-raises.  The searcher doubles as a derivation generator for the
-transformation corpora.
+rejects is ``Refuted``.  For an accepted sequent a constructor builds the
+proof without a depth bound, checking every node as it builds it.  It works
+over normalized sequents and takes the first step that applies, in order:
+
+1. a zero-premise rule that closes the sequent;
+2. an invertible rule, with no oracle call: its premises are derivable
+   whenever its conclusion is;
+3. an ``ImpLa``/``CoimpLc`` whose kept premise closes at once: these rules
+   are invertible in their other premise (cut the principal against
+   ``Gamma, B |-+ A -> B`` and contract);
+4. otherwise the first other expansion whose premises the oracle all
+   accepts, trying the next one if the chosen one gets stuck.
+
+A sequent already on its own branch is a loop, and building it gets stuck.
+Steps 2 and 3 shrink the sequent, so every loop passes through step 4, which
+then tries its next choice: construction terminates, with no depth bound.  A
+goal it cannot finish means the constructor and the decision procedure
+disagree, and ``prove`` raises.  The module doubles as a derivation generator
+for the transformation corpora.
 """
 
 from __future__ import annotations
@@ -18,20 +30,11 @@ from typing import Optional
 
 from .syntax import And, Atom, Coimp, Formula, Imp, Or
 from .kernel import (
-    MINUS, PLUS, SCHEMA, Context, Derivation, Expansion, RuleId as R, Sequent, Side,
-    backward_expansions, check_derivation, node,
+    CLOSERS, MINUS, PLUS, SCHEMA, Context, Derivation, Expansion, RuleId as R, Sequent,
+    Side, backward_expansions, check_derivation, node, _zero_premise_failure,
 )
 from .decide import derivable
-from .transform import InternalCheckError, derive_identity, _node, _weaken
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    max_depth: int = 50
-
-    def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+from .transform import InternalCheckError, derive_identity, _node, _weaken, _weaken_context
 
 
 class SearchOutcome:
@@ -48,34 +51,23 @@ class Refuted(SearchOutcome):
     """The decision procedure rejects the sequent: no proof of any height exists."""
 
 
-@dataclass(frozen=True)
-class BoundExhausted(SearchOutcome):
-    """The sequent is derivable, but the depth bound cut off every proof the
-    search tried."""
+#: the rules committed to without asking the oracle: under the translation of
+#: ``bint.decide`` each one is an invertible rule of G3ip (conjunction left
+#: and right, disjunction left, implication right)
+_INVERTIBLE = frozenset((
+    R.AndLa, R.OrLc, R.ImpLc, R.CoimpLa, R.ImpRPlus, R.CoimpRMinus,
+    R.AndRPlus, R.OrRMinus, R.OrLa, R.AndLc, R.ImpRMinus, R.CoimpRPlus,
+))
+#: ``ImpLa`` and ``CoimpLc``: their first premise keeps the principal
+_KEEPING = frozenset(r for r, s in SCHEMA.items() if s.premises[0].keeps)
 
 
-# expansion ordering: closers, then deterministic single-premise rules, then
-# branching/choice rules, then the rules that copy their principal formula
-_COPYING = frozenset(r for r, s in SCHEMA.items() if any(t.keeps for t in s.premises))
-_DETERMINISTIC = (R.AndLa, R.OrLc, R.ImpLc, R.CoimpLa, R.ImpRPlus, R.CoimpRMinus)
-
-
-def _expansion_order(e: Expansion) -> int:
-    if not e.premises:
-        return 0
-    if e.rule in _COPYING:
-        return 3
-    if e.rule in _DETERMINISTIC:
-        return 1
-    return 2
-
-
-class _NotFound:
-    __slots__ = ("pruned", "bounded")
-
-    def __init__(self, pruned: bool, bounded: bool):
-        self.pruned = pruned
-        self.bounded = bounded
+def _closer(s: Sequent) -> Optional[R]:
+    """The first zero-premise rule that closes ``s``, if any."""
+    for rule in CLOSERS:
+        if _zero_premise_failure(s, rule) is None:
+            return rule
+    return None
 
 
 def _normalize(s: Sequent) -> Sequent:
@@ -87,95 +79,91 @@ def _normalize(s: Sequent) -> Sequent:
                    s.polarity, s.succedent)
 
 
+def _repeats(ctx: Context) -> Context:
+    """The occurrences of ``ctx`` after the first of each formula."""
+    items = ctx.items
+    return Context(tuple(f for f, before in zip(items[1:], items) if f == before))
+
+
 def _lift(d: Derivation, to: Sequent) -> Derivation:
-    """Weaken a derivation of the normalized sequent back up to ``to``."""
-    have = d.conclusion
-    for side, want, got in ((Side.A, to.gamma, have.gamma), (Side.C, to.delta, have.delta)):
-        for f in want.distinct():
-            for _ in range(want.count(f) - got.count(f)):
-                d = _weaken(d, f, side)
-    return d
+    """Weaken a derivation of ``_normalize(to)`` back up to ``to``."""
+    if d.conclusion == to:
+        return d
+    return _weaken_context(d, _repeats(to.gamma), _repeats(to.delta))
 
 
-class _Searcher:
-    """DFS over normalized sequents with a per-branch repetition check and
-    per-query memo tables.  Refutations are cached only when the failure
-    involved no pruning and no depth cutoff, since those are path- and
-    bound-dependent."""
+class _Constructor:
+    """Builds proofs of accepted normalized sequents, for one query.
+    ``proved`` and ``accepted`` memoize finished subproofs and oracle
+    verdicts; ``path`` holds the sequents on the current branch; ``backtracks``
+    counts the step-4 choices that got stuck."""
 
     def __init__(self):
         self.proved: dict[Sequent, Derivation] = {}
-        self.refuted: set[Sequent] = set()
-        self.path: set[Sequent] = set()     # the sequents on the current branch
+        self.accepted: dict[Sequent, bool] = {}
+        self.path: set[Sequent] = set()
+        self.backtracks = 0
 
-    def search(self, s: Sequent, depth: int):
-        hit = self.proved.get(s)
-        if hit is not None:
-            return hit
-        if s in self.refuted:
-            return _NotFound(False, False)
-        if s in self.path:
-            return _NotFound(True, False)
-
-        expansions = sorted(backward_expansions(s), key=_expansion_order)
-        pruned = bounded = False
-        found: Optional[Derivation] = None
+    def build(self, s: Sequent) -> Optional[Derivation]:
+        """A derivation of ``s``, or None when the step-4 choices get stuck."""
+        found = self.proved.get(s)
+        if found is not None or s in self.path:     # proved, or a loop
+            return found
+        rule = _closer(s)
+        if rule is not None:
+            return _node(rule, s)
+        expansions = backward_expansions(s)
         self.path.add(s)
-        for e in expansions:
-            if not e.premises:
-                found = _node(e.rule, s, (), annotation=e.annotation)
-                break
-            if depth == 0:
-                bounded = True
-                continue
-            children: list[Derivation] = []
-            for premise in e.premises:
-                r = self.search(_normalize(premise), depth - 1)
-                if isinstance(r, _NotFound):
-                    pruned |= r.pruned
-                    bounded |= r.bounded
-                    children = []
+        committed = next((e for e in expansions if e.rule in _INVERTIBLE), None)
+        if committed is None:
+            committed = next((e for e in expansions if e.rule in _KEEPING
+                              and _closer(e.premises[0]) is not None), None)
+        if committed is not None:
+            found = self._apply(s, committed)
+        else:
+            for e in expansions:
+                if not all(self._accepts(_normalize(p)) for p in e.premises):
+                    continue
+                found = self._apply(s, e)
+                if found is not None:
                     break
-                children.append(_lift(r, premise))
-            if children:
-                found = _node(e.rule, s, children, annotation=e.annotation)
-                break
+                self.backtracks += 1
         self.path.remove(s)
         if found is not None:
             self.proved[s] = found
-            return found
-        if not pruned and not bounded:
-            self.refuted.add(s)
-        return _NotFound(pruned, bounded)
+        return found
+
+    def _accepts(self, s: Sequent) -> bool:
+        verdict = self.accepted.get(s)
+        if verdict is None:
+            verdict = self.accepted[s] = derivable(s)
+        return verdict
+
+    def _apply(self, s: Sequent, e: Expansion) -> Optional[Derivation]:
+        children = []
+        for premise in e.premises:
+            d = self.build(_normalize(premise))
+            if d is None:
+                return None
+            children.append(_lift(d, premise))
+        return _node(e.rule, s, children, annotation=e.annotation)
 
 
-def _search(s: Sequent, depth: int) -> SearchOutcome:
-    """The depth-first search alone: ``Refuted`` when it exhausts ``s``
-    without a depth cut-off."""
-    result = _Searcher().search(_normalize(s), depth)
-    if isinstance(result, Derivation):
-        return Proved(_lift(result, s))
-    if result.bounded:
-        return BoundExhausted()
-    return Refuted()
-
-
-def prove(s: Sequent, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
-    """Decide ``s``, and search for a cut-free derivation when it is derivable.
+def prove(s: Sequent) -> SearchOutcome:
+    """Decide ``s``, and construct a cut-free derivation when it is derivable.
 
     Refuted: ``bint.decide`` rejects s, so no derivation of any height exists.
     Proved(d): d concludes s and passes the checker with no cuts.
-    BoundExhausted: s is derivable, but the search found no proof within
-    ``cfg.max_depth``.
-    Raises InternalCheckError when the search exhausts a sequent the decision
-    procedure accepts: the two disagree, and neither verdict can be trusted.
+    Raises InternalCheckError when the constructor cannot finish a sequent
+    the decision procedure accepts: the two disagree, and neither verdict can
+    be trusted.
     """
     if not derivable(s):
         return Refuted()
-    out = _search(s, cfg.max_depth)
-    if isinstance(out, Refuted):
-        raise InternalCheckError(f"bint.decide accepts {s}, but the search exhausted it")
-    return out
+    d = _Constructor().build(_normalize(s))
+    if d is None:
+        raise InternalCheckError(f"bint.decide accepts {s}, but no proof of it was built")
+    return Proved(_lift(d, s))
 
 
 # --- random derivation generation ------------------------------------------------

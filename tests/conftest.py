@@ -14,7 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or
-from bint.kernel import MINUS, PLUS, Context, RuleId as R, Sequent, Side, node
+from bint.kernel import MINUS, PLUS, Context, RuleId as R, Sequent, Side, node, parse_sequent
 from bint.search import random_derivation
 from bint.transform import derive_identity, weaken
 
@@ -54,6 +54,19 @@ def random_sequent(rng: random.Random) -> Sequent:
                                  for _ in range(rng.randrange(4)))
     return Sequent(side(), side(), rng.choice((PLUS, MINUS)),
                    random_formula(rng, rng.randint(1, 4)))
+
+
+#: the heavy-tail reproducer: derivable, and 928,679 expansions deep for the
+#: depth-first search that once built proofs
+REPRODUCER = parse_sequent(
+    "r \\/ T \\/ q, q \\/ F -> q ; (T /\\ q) /\\ q, (q -< p) -< T /\\ p "
+    "|-- ((T \\/ q) \\/ (T -< r)) /\\ F")
+
+
+def horn_chain(length: int, with_start: bool):
+    """``a0, a0 -> a1, ..., a(L-1) -> aL ; |-+ aL``; derivable iff ``a0`` is there."""
+    links = [f"a{i} -> a{i + 1}" for i in range(length)]
+    return parse_sequent(", ".join(links + ["a0"] * with_start) + f" ; |-+ a{length}")
 
 
 @pytest.fixture(scope="session")

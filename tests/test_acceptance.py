@@ -18,7 +18,7 @@ from bint.kernel import (
     backward_expansions, check_derivation, check_rule_instance, dual_derivation,
     dual_sequent, format_sequent, node, parse_sequent, sequent,
 )
-from bint.search import Proved, Refuted, SearchConfig, prove
+from bint.search import Proved, Refuted, prove
 from bint.serialize import (
     dumps_derivation, load_derivation, loads_derivation,
 )
@@ -385,7 +385,7 @@ def test_criterion_6_cut_elimination(cut_pairs):
                 if parent.case == "-5.4-" and parent.variant == "a" and child.variant == "c":
                     a_to_c += 1
 
-            oracle = prove(out.conclusion, SearchConfig(max_depth=60))
+            oracle = prove(out.conclusion)
             assert isinstance(oracle, Proved), \
                 f"oracle failed on {format_sequent(out.conclusion)}"
     elapsed = time.time() - start

@@ -41,13 +41,6 @@ def test_prove_refuted_exit_code(capsys):
     assert "refuted" in out
 
 
-def test_prove_bound_exhausted(capsys):
-    code, out, _ = run(capsys, "--format", "text", "prove", "; |-+ p -> (q -> p)",
-                       "--max-depth", "1")
-    assert code == 1
-    assert "bound exhausted" in out and "derivable, but no proof" in out
-
-
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "prove", "; |-+ p ->")
     assert code == 2

@@ -1,23 +1,30 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 
-from bint import search
+from bint import corpus, search
+from bint.decide import derivable
 from bint.kernel import (
-    Expansion, RuleId as R, Side, check_derivation, dual_sequent, parse_sequent,
+    MINUS, PLUS, Expansion, RuleId as R, Sequent, Side, check_derivation, dual_derivation,
+    dual_formula, dual_sequent, node, parse_sequent, premises_for,
 )
-from bint.search import (
-    BoundExhausted, Proved, Refuted, SearchConfig, prove,
-    random_derivation,
+from bint.search import Proved, Refuted, prove, random_derivation
+from bint.serialize import load_derivation
+from bint.syntax import Atom, Imp
+from bint.transform import (
+    InternalCheckError, contract, derive_identity, eliminate_cut, weaken,
 )
-from bint.syntax import Atom
-from bint.transform import InternalCheckError, contract, derive_identity, weaken
-from conftest import SEED, contexts, formulas, polarities
+from conftest import (
+    REPRODUCER, SEED, contexts, formulas, horn_chain, polarities, random_sequent,
+)
 
 p, q = Atom("p"), Atom("q")
 
 
 def outcome_name(o):
-    return {Proved: "proved", Refuted: "refuted", BoundExhausted: "bound"}[type(o)]
+    return {Proved: "proved", Refuted: "refuted"}[type(o)]
 
 
 def test_implication_reflexivity():
@@ -38,6 +45,102 @@ def test_search_checks_every_node_it_builds(monkeypatch):
         prove(goal)
 
 
+def assert_proves_exactly(s):
+    out = prove(s)
+    assert isinstance(out, Proved), s
+    report = check_derivation(out.derivation)
+    assert report.valid and report.cut_count == 0, s
+    assert out.derivation.conclusion == s
+
+
+def test_constructs_accepted_random_sequents_and_their_duals():
+    rng = random.Random(f"{SEED}/construct")
+    accepted = 0
+    while accepted < 1000:
+        s = random_sequent(rng)
+        if derivable(s):
+            accepted += 1
+            assert_proves_exactly(s)
+            assert_proves_exactly(dual_sequent(s))
+
+
+def test_constructs_the_heavy_tail_reproducer():
+    assert_proves_exactly(REPRODUCER)
+    assert_proves_exactly(dual_sequent(REPRODUCER))
+
+
+def test_horn_chains_are_built_without_backtracking(monkeypatch):
+    # at the default recursion limit, so a height-200 proof must fit in it
+    assert sys.getrecursionlimit() == 1000
+    calls = 0
+    constructors = []
+    real = search.backward_expansions
+
+    def expand(s):
+        nonlocal calls
+        calls += 1
+        return real(s)
+
+    class Recorded(search._Constructor):
+        def __init__(self):
+            super().__init__()
+            constructors.append(self)
+
+    monkeypatch.setattr(search, "backward_expansions", expand)
+    monkeypatch.setattr(search, "_Constructor", Recorded)
+    for length in [*range(4, 17), 25, 50, 100, 200]:
+        for s in (horn_chain(length, True), dual_sequent(horn_chain(length, True))):
+            calls = 0
+            out = prove(s)
+            assert isinstance(out, Proved) and out.derivation.conclusion == s
+            assert calls <= 2 * length + 2, (length, calls)
+            assert constructors[-1].backtracks == 0
+            assert out.derivation.height == length
+            assert check_derivation(out.derivation).valid
+
+
+def _right_premise_by_cut(d, principal, side):
+    """From ``d`` concluding ``Gamma, A -> B ; Delta |-* C`` (side a), cut
+    ``A -> B`` against ``Gamma, B ; Delta |-+ A -> B`` and contract back to
+    ``Gamma, B ; Delta |-* C``; dually for ``A -< B`` on side c."""
+    s = d.conclusion
+    a, b = principal.left, principal.right
+    if side is Side.A:
+        g, dl = s.gamma.remove(principal), s.delta
+        left = node(R.ImpRPlus, Sequent(g.add(b), dl, PLUS, principal),
+                    [derive_identity(g.add(a), dl, b, PLUS)])
+        out = eliminate_cut(left, d, principal, R.CutA)
+    else:
+        g, dl = s.gamma, s.delta.remove(principal)
+        left = node(R.CoimpRMinus, Sequent(g, dl.add(a), MINUS, principal),
+                    [derive_identity(g, dl.add(b), a, MINUS)])
+        out = eliminate_cut(left, d, principal, R.CutC)
+    for f in g.expand():
+        out = contract(out, f, Side.A)
+    for f in dl.expand():
+        out = contract(out, f, Side.C)
+    return out
+
+
+def test_implication_left_is_invertible_in_its_right_premise(derivation_corpus):
+    """The lemma the constructor commits on: ``ImpLa`` and, dually,
+    ``CoimpLc`` lose nothing once their kept premise is derivable."""
+    golden = [load_derivation(path) for path in sorted(corpus.DATA_DIR.glob("*.deriv"))]
+    seen = 0
+    for d in derivation_corpus + [d for d in golden if d.cut_count == 0]:
+        for principal in d.conclusion.gamma.distinct():
+            if not isinstance(principal, Imp):
+                continue
+            for x, f, rule, side in ((d, principal, R.ImpLa, Side.A),
+                                     (dual_derivation(d), dual_formula(principal), R.CoimpLc,
+                                      Side.C)):
+                out = _right_premise_by_cut(x, f, side)
+                assert check_derivation(out).valid and out.cut_count == 0
+                assert out.conclusion == premises_for(x.conclusion, rule, f)[1]
+                seen += 1
+    assert seen >= 40
+
+
 def test_noninvertible_premise_witnesses():
     assert isinstance(prove(parse_sequent("F -> F ; |-+ F -> F")), Proved)
     assert isinstance(prove(parse_sequent("F -> F ; |-+ F")), Refuted)
@@ -55,16 +158,6 @@ def test_proved_concludes_the_query_exactly():
     assert isinstance(out, Proved)
     assert out.derivation.conclusion == s
     assert check_derivation(out.derivation).valid
-
-
-def test_bound_exhausted_when_too_shallow():
-    out = prove(parse_sequent("; |-+ p -> (q -> p)"), SearchConfig(max_depth=1))
-    assert isinstance(out, BoundExhausted)
-
-
-def test_config_validates_depth():
-    with pytest.raises(ValueError):
-        SearchConfig(max_depth=0)
 
 
 @given(contexts, contexts, formulas(max_leaves=3), polarities)
