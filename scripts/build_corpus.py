@@ -10,9 +10,11 @@ in the test suite.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -874,7 +876,8 @@ def build_prove() -> None:
                "; |-+ p \\/ (p -> F)", "refuted")
 
 
-def main() -> None:
+def main(argv: Sequence[str] = ()) -> None:
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
     FILES.clear()
     CASES.clear()
     build_identity_bases()
@@ -897,4 +900,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -3,8 +3,9 @@ the derivation checker, backward rule enumeration, and the duality mapping.
 
 The 18 logical rules are one data table, ``SCHEMA``: per rule, the connective
 it decomposes, where its principal sits, and one template per premise.
-Checking, backward expansion and the rule sets here, and inversion and
-contraction in ``bint.transform``, all read it.
+Checking, backward expansion, the rule sets and the duality table here, and
+inversion, contraction and the principal cases of cut elimination in
+``bint.transform``, all read it.
 
 A sequent ``(gamma; delta) |-* C`` reads: from the verification of everything
 in gamma and the falsification of everything in delta, derive the verification
@@ -16,7 +17,7 @@ from __future__ import annotations
 import enum
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -294,7 +295,10 @@ R = RuleId
 #: the zero-premise rules, in the order backward expansion lists them
 CLOSERS = (R.RfPlus, R.RfMinus, R.BotLa, R.TopLc, R.BotRMinus, R.TopRPlus)
 ZERO_PREMISE = frozenset(CLOSERS)
-CUT_RULES = frozenset((R.CutA, R.CutC))
+#: per cut variant, the right premise's side that holds the cut formula and the
+#: polarity at which the left premise proves it
+CUT_AT = {R.CutA: (Side.A, PLUS), R.CutC: (Side.C, MINUS)}
+CUT_RULES = frozenset(CUT_AT)
 
 
 @dataclass(frozen=True)
@@ -572,14 +576,12 @@ def _check_cut(conclusion: Sequent, rule: RuleId,
         return Violation(rule, "context split does not recompose the assumptions")
     if conclusion.delta != sp.delta.union(sp.delta_prime):
         return Violation(rule, "context split does not recompose the counterassumptions")
-    if rule is R.CutA:
-        left = Sequent(sp.gamma, sp.delta, PLUS, dfm)
-        right = Sequent(sp.gamma_prime.add(dfm), sp.delta_prime, conclusion.polarity,
-                        conclusion.succedent)
-    else:
-        left = Sequent(sp.gamma, sp.delta, MINUS, dfm)
-        right = Sequent(sp.gamma_prime, sp.delta_prime.add(dfm), conclusion.polarity,
-                        conclusion.succedent)
+    side, pol = CUT_AT[rule]
+    left = Sequent(sp.gamma, sp.delta, pol, dfm)
+    on_a = side is Side.A
+    right = Sequent(sp.gamma_prime.add(dfm) if on_a else sp.gamma_prime,
+                    sp.delta_prime if on_a else sp.delta_prime.add(dfm),
+                    conclusion.polarity, conclusion.succedent)
     if premises[0] != left:
         return Violation(rule, f"left premise must be {format_sequent(left)}, "
                                f"got {format_sequent(premises[0])}")
@@ -697,25 +699,36 @@ def backward_expansions(s: Sequent) -> list[Expansion]:
 
 # --- duality -------------------------------------------------------------------
 
+_DUAL_CONNECTIVE = {And: Or, Or: And, Imp: Coimp, Coimp: Imp}
+_DUAL_AT = {Side.A: Side.C, Side.C: Side.A, PLUS: MINUS, MINUS: PLUS}
+
+
+def _dual_schema(s: Schema) -> Schema:
+    """``s`` under duality: sides and polarities swap, arrow operands trade
+    places; an unset polarity or succedent stays unset (``get`` gives None)."""
+    op = {0: 1, 1: 0} if s.connective in (Imp, Coimp) else {0: 0, 1: 1}
+    return Schema(_DUAL_CONNECTIVE[s.connective], _DUAL_AT[s.at], tuple(
+        Template(tuple(map(op.get, t.delta)), tuple(map(op.get, t.gamma)),
+                 _DUAL_AT.get(t.polarity), op.get(t.succedent), t.keeps)
+        for t in s.premises))
+
+
+_RULE_BY_SCHEMA = {s: r for r, s in SCHEMA.items()}
+_DUAL_SCHEMA = {r: _dual_schema(s) for r, s in SCHEMA.items()}
+
+# mixed-polarity right rules: the dual schema lists its premises in the
+# opposite order, so the premise tuple is reversed when dualizing
+_DUAL_SWAPS_PREMISES = frozenset(r for r, d in _DUAL_SCHEMA.items() if d not in _RULE_BY_SCHEMA)
+
 DUAL_RULE = {
     R.RfPlus: R.RfMinus, R.RfMinus: R.RfPlus,
     R.BotLa: R.TopLc, R.TopLc: R.BotLa,
     R.BotRMinus: R.TopRPlus, R.TopRPlus: R.BotRMinus,
-    R.AndRPlus: R.OrRMinus, R.OrRMinus: R.AndRPlus,
-    R.AndRMinus1: R.OrRPlus1, R.OrRPlus1: R.AndRMinus1,
-    R.AndRMinus2: R.OrRPlus2, R.OrRPlus2: R.AndRMinus2,
-    R.AndLa: R.OrLc, R.OrLc: R.AndLa,
-    R.AndLc: R.OrLa, R.OrLa: R.AndLc,
-    R.ImpRPlus: R.CoimpRMinus, R.CoimpRMinus: R.ImpRPlus,
-    R.ImpRMinus: R.CoimpRPlus, R.CoimpRPlus: R.ImpRMinus,
-    R.ImpLa: R.CoimpLc, R.CoimpLc: R.ImpLa,
-    R.ImpLc: R.CoimpLa, R.CoimpLa: R.ImpLc,
     R.CutA: R.CutC, R.CutC: R.CutA,
+    **{r: _RULE_BY_SCHEMA[replace(d, premises=d.premises[::-1])
+                          if r in _DUAL_SWAPS_PREMISES else d]
+       for r, d in _DUAL_SCHEMA.items()},
 }
-
-# mixed-polarity right rules: the dual schema lists its premises in the
-# opposite order, so the premise tuple is reversed when dualizing
-_DUAL_SWAPS_PREMISES = frozenset((R.ImpRMinus, R.CoimpRPlus))
 
 
 def dual_formula(f: Formula) -> Formula:

@@ -27,10 +27,6 @@ class DerivationFormatError(ValueError):
 _SPLIT_KEYS = ("gamma", "delta", "gamma_prime", "delta_prime")
 
 
-def derivation_to_data(d: Derivation) -> dict[str, Any]:
-    return _Writer().data(d)
-
-
 class _Writer:
     """Writes one document, printing each distinct formula once."""
 
@@ -72,12 +68,6 @@ def _expect(value: Any, kind: type, what: str) -> Any:
         raise DerivationFormatError(
             f"{what} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}")
     return value
-
-
-def derivation_from_data(data: Any) -> Derivation:
-    """Rebuild a derivation from parsed JSON; any shape other than the
-    documented one raises ``DerivationFormatError``."""
-    return _Reader().derivation(data)
 
 
 class _Reader:

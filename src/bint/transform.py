@@ -8,7 +8,10 @@ checker-valid, cut-free derivation with the advertised endsequent:
 * ``unweaken_special`` -- dropping a spurious T assumption / F counterassumption,
 * ``invert`` -- the eight inversion cases for the left rules,
 * ``contract`` -- height-preserving contraction,
-* ``eliminate_cut`` -- the full cut-elimination case machine.
+* ``eliminate_cut`` -- the full cut-elimination case machine.  It reads its
+  principal (``-5.x-``) reductions from the schemas of the two premises' root
+  rules and each variant's side and polarity from ``kernel.CUT_AT``, so each
+  case is written once for both cut variants.
 
 Public entry points check their input derivations once, at entry.  Every node
 the module builds goes through one checked constructor, which checks that node
@@ -27,7 +30,7 @@ from .syntax import (
     BOT, TOP, And, Atom, Bottom, Coimp, Formula, Imp, Or, Top, format_formula, weight,
 )
 from .kernel import (
-    CUT_RULES, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS, SCHEMA, ZERO_PREMISE,
+    CUT_AT, CUT_RULES, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS, SCHEMA, ZERO_PREMISE,
     Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side,
     check_derivation, check_rule_instance, infer_principal, node, premise_of,
     premises_for, _zero_premise_failure,
@@ -447,14 +450,12 @@ _CASE_BY_RIGHT_RULE = {
 _CASE_PRINCIPAL = {And: "-5.1-", Or: "-5.2-", Imp: "-5.3-", Coimp: "-5.4-"}
 
 #: every case label of the elimination machine, for coverage accounting
-ELIMINATION_CASES: tuple[str, ...] = tuple(
-    ["-1.1-", "-1.2-", "-1.3-", "-2.1-", "-2.2-", "-2.3-"]
-    + [f"-3.{i}-" for i in range(1, 9)]
-    + [f"-4.{i}-" for i in range(1, 10)]
-    + ["-4.10.1-", "-4.10.2-", "-4.11.1-", "-4.11.2-"]
-    + [f"-4.{i}-" for i in range(12, 17)]
-    + [f"-5.{i}-" for i in range(1, 5)]
-)
+ELIMINATION_CASES: tuple[str, ...] = (
+    "-1.1-", "-1.2-", "-1.3-", "-2.1-", "-2.2-", "-2.3-", *_CASE_BY_LEFT_RULE.values(),
+    *_CASE_BY_RIGHT_RULE.values(), *_CASE_PRINCIPAL.values())
+
+#: the cut variant on a formula on each side, or proved at each polarity
+_VARIANT = {at: variant for variant, pair in CUT_AT.items() for at in pair}
 
 # priority for re-axiomatizing a conclusion that several zero-premise rules
 # close: context-based closures first
@@ -477,9 +478,8 @@ def _cut_target(left: Derivation, right: Derivation, dfm: Formula, variant: R) -
 
 def _prime_contexts(right: Derivation, dfm: Formula, variant: R) -> tuple[Context, Context]:
     """Gamma' and Delta': the right premise minus its cut-formula occurrence."""
-    if variant is R.CutA:
-        return right.conclusion.gamma.remove(dfm), right.conclusion.delta
-    return right.conclusion.gamma, right.conclusion.delta.remove(dfm)
+    s = _drop_one(right.conclusion, dfm, CUT_AT[variant][0])
+    return s.gamma, s.delta
 
 
 def eliminate_cut(left: Derivation, right: Derivation, cut_formula: Formula,
@@ -493,18 +493,18 @@ def eliminate_cut(left: Derivation, right: Derivation, cut_formula: Formula,
     Every recursive sub-cut strictly decreases the (weight, cut-height) pair;
     pass ``trace`` to record the dispatched case per rewrite.
     """
-    if variant not in (R.CutA, R.CutC):
+    if variant not in CUT_AT:
         raise TransformError(f"variant must be CutA or CutC, got {variant}")
     _require_input(left, "eliminate_cut(left)")
     _require_input(right, "eliminate_cut(right)")
-    want_pol = PLUS if variant is R.CutA else MINUS
+    side, want_pol = CUT_AT[variant]
     if left.conclusion.polarity is not want_pol or left.conclusion.succedent != cut_formula:
         raise TransformError(
             f"eliminate_cut: left premise must conclude |-{want_pol.sign} "
             f"{format_formula(cut_formula)}, got {left.conclusion}")
-    side_ctx = right.conclusion.gamma if variant is R.CutA else right.conclusion.delta
-    if cut_formula not in side_ctx:
-        where = "assumptions" if variant is R.CutA else "counterassumptions"
+    on_a = side is Side.A
+    if cut_formula not in (right.conclusion.gamma if on_a else right.conclusion.delta):
+        where = "assumptions" if on_a else "counterassumptions"
         raise TransformError(
             f"eliminate_cut: cut formula {format_formula(cut_formula)} missing "
             f"from the right premise's {where}")
@@ -531,25 +531,22 @@ class _Eliminator:
         self._counter += 1
         case, build = self._select(left, right, dfm, variant)
         if self.trace is not None:
-            self.trace.steps.append(TraceStep(
-                index, parent, case, "a" if variant is R.CutA else "c",
-                measure[0], measure[1]))
+            self.trace.steps.append(TraceStep(index, parent, case, CUT_AT[variant][0].value,
+                                              *measure))
         return build(index, measure)
 
     def _select(self, left: Derivation, right: Derivation, dfm: Formula,
                 variant: R) -> tuple[str, Callable[[int, tuple[int, int]], Derivation]]:
         target = _cut_target(left, right, dfm, variant)
+        side, pol = CUT_AT[variant]
+        family = "-1." if side is Side.A else "-2."
 
         if right.rule in ZERO_PREMISE:
-            case = {(R.CutA, PLUS): "-1.2-", (R.CutA, MINUS): "-1.3-",
-                    (R.CutC, PLUS): "-2.2-", (R.CutC, MINUS): "-2.3-"}[
-                (variant, right.conclusion.polarity)]
+            case = family + ("2-" if right.conclusion.polarity is PLUS else "3-")
             closer = _axiom_for(target)
             if closer is not None:
                 return case, lambda i, m: _node(closer, target)
-            if target.succedent == dfm and (
-                    (variant is R.CutA and target.polarity is PLUS)
-                    or (variant is R.CutC and target.polarity is MINUS)):
+            if target.succedent == dfm and target.polarity is pol:
                 gp, dp = _prime_contexts(right, dfm, variant)
                 return case, lambda i, m: _weaken_context(left, gp, dp)
             # the right axiom closed through the cut occurrence itself
@@ -560,22 +557,16 @@ class _Eliminator:
                 raise InternalCheckError(
                     f"fall-through with a non-left-rule left premise {left.rule}")
         elif left.rule in ZERO_PREMISE:
-            case = "-1.1-" if variant is R.CutA else "-2.1-"
-            return case, lambda i, m: self._left_axiom(left, right, dfm, variant, target)
+            return family + "1-", lambda i, m: self._left_axiom(left, right, dfm, variant, target)
 
         if left.rule in LEFT_RULES:
             case = _CASE_BY_LEFT_RULE[left.rule]
             return case, lambda i, m: self._permute_left(i, m, left, right, dfm, variant, target)
-        if not self._principal_in_right(right, dfm, variant):
+        if not (isinstance(dfm, (And, Or, Imp, Coimp)) and _principal_here(right, side, dfm)):
             case = _CASE_BY_RIGHT_RULE[right.rule]
             return case, lambda i, m: self._permute_right(i, m, left, right, dfm, variant, target)
         case = _CASE_PRINCIPAL[type(dfm)]
-        return case, lambda i, m: self._principal(i, m, left, right, dfm, variant)
-
-    @staticmethod
-    def _principal_in_right(right: Derivation, dfm: Formula, variant: R) -> bool:
-        side = Side.A if variant is R.CutA else Side.C
-        return isinstance(dfm, (And, Or, Imp, Coimp)) and _principal_here(right, side, dfm)
+        return case, lambda i, m: self._principal(i, m, left, right, dfm, variant, target)
 
     # -1.1- / -2.1-: the left premise is an axiom
     def _left_axiom(self, left: Derivation, right: Derivation, dfm: Formula,
@@ -583,19 +574,14 @@ class _Eliminator:
         lg, ld = left.conclusion.gamma, left.conclusion.delta
         rule = left.rule
         if rule in (R.RfPlus, R.RfMinus):
-            if variant is R.CutA:
-                return _weaken_context(right, lg.remove(dfm), ld)
-            return _weaken_context(right, lg, ld.remove(dfm))
-        if rule is R.BotLa:
-            return _node(R.BotLa, target)
-        if rule is R.TopLc:
-            return _node(R.TopLc, target)
-        if rule is R.TopRPlus:
-            trimmed = _unweaken_special(right, SpecialWeakening.TOP_IN_GAMMA)
-            return _weaken_context(trimmed, lg, ld)
-        if rule is R.BotRMinus:
-            trimmed = _unweaken_special(right, SpecialWeakening.BOT_IN_DELTA)
-            return _weaken_context(trimmed, lg, ld)
+            rest = _drop_one(left.conclusion, dfm, CUT_AT[variant][0])
+            return _weaken_context(right, rest.gamma, rest.delta)
+        if rule in (R.BotLa, R.TopLc):
+            return _node(rule, target)
+        if rule in (R.TopRPlus, R.BotRMinus):
+            which = (SpecialWeakening.TOP_IN_GAMMA if rule is R.TopRPlus
+                     else SpecialWeakening.BOT_IN_DELTA)
+            return _weaken_context(_unweaken_special(right, which), lg, ld)
         raise InternalCheckError(f"unexpected axiom rule {rule} on the left premise")
 
     # -3.x-: the cut formula is not principal on the left; permute the cut
@@ -625,73 +611,42 @@ class _Eliminator:
             self.run(left, q, dfm, variant, index, measure) for q in right.premises)
         return _node(right.rule, target, new_premises, annotation=right.annotation)
 
-    # -5.x-: principal on both sides; cut on strict subformulas and close the
-    # doubled contexts with contraction
+    # -5.x-: principal on both sides; the two rules' schemas say which strict
+    # subformulas to cut on, and the doubled contexts are closed by contraction
     def _principal(self, index: int, measure: tuple[int, int], left: Derivation,
-                   right: Derivation, dfm: Formula, variant: R) -> Derivation:
-        a, b = dfm.left, dfm.right  # type: ignore[attr-defined]
+                   right: Derivation, dfm: Formula, variant: R,
+                   target: Sequent) -> Derivation:
+        proves = SCHEMA.get(left.rule)
+        if (proves is None or proves.connective is not type(dfm)
+                or proves.at is not CUT_AT[variant][1]):
+            raise InternalCheckError(
+                f"left premise root {left.rule} does not introduce the cut formula")
+        ops = (dfm.left, dfm.right)  # type: ignore[attr-defined]
+        templates = SCHEMA[right.rule].premises
         lg, ld = left.conclusion.gamma, left.conclusion.delta
-        gp, dp = _prime_contexts(right, dfm, variant)
 
         def rec(l: Derivation, r: Derivation, f: Formula, v: R) -> Derivation:
             return self.run(l, r, f, v, index, measure)
 
-        def close(d: Derivation, dup_gamma: Context, dup_delta: Context) -> Derivation:
-            # the C^{a/c} closing steps: contract each doubled occurrence
-            for f in dup_gamma.expand():
-                d = _contract(d, f, Side.A)
-            for f in dup_delta.expand():
-                d = _contract(d, f, Side.C)
-            return d
-
-        if variant is R.CutA:
-            if isinstance(dfm, And):                      # -5.1-
-                self._expect(left.rule is R.AndRPlus, left)
-                inner = rec(left.premises[0], right.premises[0], a, R.CutA)
-                outer = rec(left.premises[1], inner, b, R.CutA)
-                return close(outer, lg, ld)
-            if isinstance(dfm, Or):                       # -5.2-
-                self._expect(left.rule in (R.OrRPlus1, R.OrRPlus2), left)
-                if left.rule is R.OrRPlus1:
-                    return rec(left.premises[0], right.premises[0], a, R.CutA)
-                return rec(left.premises[0], right.premises[1], b, R.CutA)
-            if isinstance(dfm, Imp):                      # -5.3-
-                self._expect(left.rule is R.ImpRPlus, left)
-                cut1 = rec(left, right.premises[0], dfm, R.CutA)
-                cut2 = rec(left.premises[0], right.premises[1], b, R.CutA)
-                cut3 = rec(cut1, cut2, a, R.CutA)
-                return close(cut3, lg.union(gp), ld.union(dp))
-            if isinstance(dfm, Coimp):                    # -5.4-: CutA is
-                self._expect(left.rule is R.CoimpRPlus, left)   # replaced by CutC
-                inner = rec(left.premises[0], right.premises[0], a, R.CutA)
-                outer = rec(left.premises[1], inner, b, R.CutC)
-                return close(outer, lg, ld)
-        else:
-            if isinstance(dfm, And):                      # -5.1-
-                self._expect(left.rule in (R.AndRMinus1, R.AndRMinus2), left)
-                if left.rule is R.AndRMinus1:
-                    return rec(left.premises[0], right.premises[0], a, R.CutC)
-                return rec(left.premises[0], right.premises[1], b, R.CutC)
-            if isinstance(dfm, Or):                       # -5.2-
-                self._expect(left.rule is R.OrRMinus, left)
-                inner = rec(left.premises[0], right.premises[0], a, R.CutC)
-                outer = rec(left.premises[1], inner, b, R.CutC)
-                return close(outer, lg, ld)
-            if isinstance(dfm, Imp):                      # -5.3-: CutC is
-                self._expect(left.rule is R.ImpRMinus, left)    # replaced by CutA
-                inner = rec(left.premises[0], right.premises[0], a, R.CutA)
-                outer = rec(left.premises[1], inner, b, R.CutC)
-                return close(outer, lg, ld)
-            if isinstance(dfm, Coimp):                    # -5.4-
-                self._expect(left.rule is R.CoimpRMinus, left)
-                cut1 = rec(left, right.premises[0], dfm, R.CutC)
-                cut2 = rec(left.premises[0], right.premises[1], a, R.CutC)
-                cut3 = rec(cut1, cut2, b, R.CutC)
-                return close(cut3, lg.union(gp), ld.union(dp))
-        raise InternalCheckError(f"principal case fell through for {format_formula(dfm)}")
-
-    @staticmethod
-    def _expect(ok: bool, left: Derivation) -> None:
-        if not ok:
-            raise InternalCheckError(
-                f"left premise root {left.rule} does not introduce the cut formula")
+        if templates[0].keeps:                  # ImpLa / CoimpLc
+            kept, i = templates[0], proves.premises[0].succedent
+            first = rec(left, right.premises[0], dfm, variant)
+            second = rec(left.premises[0], right.premises[1], ops[i], variant)
+            out = rec(first, second, ops[kept.succedent], _VARIANT[kept.polarity])
+            lg, ld = target.gamma, target.delta
+        elif len(templates) == 2:               # OrLa / AndLc: one operand, no close
+            i = proves.premises[0].succedent
+            adds = [t.gamma + t.delta for t in templates]
+            return rec(left.premises[0], right.premises[adds.index((i,))], ops[i], variant)
+        else:                                   # one premise: cut each operand it adds
+            (t,) = templates
+            proof = {lt.succedent: p for p, lt in zip(left.premises, proves.premises)}
+            out = right.premises[0]
+            for v, adds in ((_VARIANT[Side.A], t.gamma), (_VARIANT[Side.C], t.delta)):
+                for i in adds:
+                    out = rec(proof[i], out, ops[i], v)
+        # the C^{a/c} closing steps: contract each doubled occurrence
+        for ctx, side in ((lg, Side.A), (ld, Side.C)):
+            for f in ctx.expand():
+                out = _contract(out, f, side)
+        return out

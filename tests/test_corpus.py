@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bint import corpus
 from bint.kernel import check_derivation
 from bint.serialize import load_derivation
@@ -42,10 +44,15 @@ def test_coverage_tracks_gaps(tmp_path):
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_build_corpus_script_reproduces_the_stored_corpus(tmp_path):
+def _build_corpus_script():
     spec = importlib.util.spec_from_file_location("build_corpus", SCRIPTS / "build_corpus.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_build_corpus_script_reproduces_the_stored_corpus(tmp_path):
+    script = _build_corpus_script()
     stored = sorted(p.name for p in corpus.DATA_DIR.iterdir())
     for run in ("first", "second"):    # a second run in one process starts afresh
         script.OUT = out = tmp_path / run
@@ -53,6 +60,18 @@ def test_build_corpus_script_reproduces_the_stored_corpus(tmp_path):
         assert sorted(p.name for p in out.iterdir()) == stored
         for name in stored:
             assert (out / name).read_bytes() == (corpus.DATA_DIR / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv, status", [(["--help"], 0), (["--bogus"], 2)])
+def test_build_corpus_script_writes_nothing_without_a_run(tmp_path, capsys, argv, status):
+    script = _build_corpus_script()
+    script.OUT = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        script.main(argv)
+    assert info.value.code == status
+    out, err = capsys.readouterr()
+    assert "usage: " in out + err
+    assert not script.OUT.exists()
 
 
 def test_cutelim_stats_script_runs():

@@ -12,6 +12,7 @@ from bint.kernel import (
     dual_derivation, dual_formula, dual_sequent, format_sequent, infer_principal,
     node, parse_sequent,
 )
+from bint import kernel
 from bint.transform import derive_identity
 from conftest import SEED, contexts, formulas, polarities, sequents
 
@@ -356,6 +357,26 @@ def test_dual_derivation_of_identity_is_valid(g, d, c, pol):
     assert report.valid
     assert dual.height == deriv.height
     assert dual.conclusion == dual_sequent(deriv.conclusion)
+
+
+def test_dual_rule_table_follows_from_the_schema():
+    # the hand-written table the kernel derives from SCHEMA
+    assert kernel.DUAL_RULE == {
+        R.RfPlus: R.RfMinus, R.RfMinus: R.RfPlus,
+        R.BotLa: R.TopLc, R.TopLc: R.BotLa,
+        R.BotRMinus: R.TopRPlus, R.TopRPlus: R.BotRMinus,
+        R.AndRPlus: R.OrRMinus, R.OrRMinus: R.AndRPlus,
+        R.AndRMinus1: R.OrRPlus1, R.OrRPlus1: R.AndRMinus1,
+        R.AndRMinus2: R.OrRPlus2, R.OrRPlus2: R.AndRMinus2,
+        R.AndLa: R.OrLc, R.OrLc: R.AndLa,
+        R.AndLc: R.OrLa, R.OrLa: R.AndLc,
+        R.ImpRPlus: R.CoimpRMinus, R.CoimpRMinus: R.ImpRPlus,
+        R.ImpRMinus: R.CoimpRPlus, R.CoimpRPlus: R.ImpRMinus,
+        R.ImpLa: R.CoimpLc, R.CoimpLc: R.ImpLa,
+        R.ImpLc: R.CoimpLa, R.CoimpLa: R.ImpLc,
+        R.CutA: R.CutC, R.CutC: R.CutA,
+    }
+    assert kernel._DUAL_SWAPS_PREMISES == frozenset((R.ImpRMinus, R.CoimpRPlus))
 
 
 def test_dual_derivation_on_corpus(derivation_corpus):
