@@ -43,6 +43,10 @@ class Polarity(enum.Enum):
     PLUS = "+"
     MINUS = "-"
 
+    # Members are singletons, so identity hashing agrees with ``==`` and skips
+    # ``Enum.__hash__``'s Python-level ``hash(self._name_)``.
+    __hash__ = object.__hash__
+
     @property
     def sign(self) -> str:
         return self.value
@@ -60,6 +64,8 @@ class Side(enum.Enum):
 
     A = "a"
     C = "c"
+
+    __hash__ = object.__hash__   # as for Polarity
 
 
 # --- multiset contexts -------------------------------------------------------
@@ -288,6 +294,8 @@ class RuleId(enum.Enum):
     CoimpLc = "CoimpLc"
     CutA = "CutA"
     CutC = "CutC"
+
+    __hash__ = object.__hash__   # as for Polarity
 
 
 R = RuleId

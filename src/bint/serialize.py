@@ -2,20 +2,24 @@
 
 A derivation is a JSON object with fields ``rule``, ``conclusion`` (sequent
 text), optional ``annotation``, and ``premises`` (nested list).  Dumping is
-canonical (sorted keys, two-space indent, trailing newline) so files round-trip
-bit-exact through load/dump.  Every node repeats its whole conclusion, so one
+canonical (sorted keys, two-space indent, ASCII escapes, trailing newline), so
+files round-trip bit-exact through load/dump.  The text is exactly what
+Python's ``json`` module writes with ``indent=2, sort_keys=True``; the writer
+here emits it directly.  Every node repeats its whole conclusion, so one
 document holds the same formulas many times: each distinct formula text is
-parsed, and each distinct formula printed, once per document.
+parsed, and each distinct formula printed, once per document, and each
+distinct ``Gamma ; Delta |-*`` head of a conclusion is read once per document.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from json.encoder import encode_basestring_ascii as _escape
+from typing import Any, Callable, Optional
 
-from .syntax import Formula, format_formula, parse_formula
+from .syntax import Formula, FormulaSyntaxError, format_formula, parse_formula
 from .kernel import (
-    Annotation, Context, ContextSplit, Derivation, RuleId,
+    Annotation, Context, ContextSplit, Derivation, Polarity, RuleId, Sequent,
     format_sequent, parse_sequent,
 )
 
@@ -27,37 +31,94 @@ class DerivationFormatError(ValueError):
 _SPLIT_KEYS = ("gamma", "delta", "gamma_prime", "delta_prime")
 
 
+class _Memo(dict):
+    """``key -> make(key)``, each value made on first use.  A hit is a plain
+    dict lookup, with no Python frame."""
+
+    def __init__(self, make: Callable):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class _Writer:
-    """Writes one document, printing each distinct formula once."""
+    """Writes one document, printing each distinct formula once.  The text is
+    the one Python's JSON encoder gives with a two-space indent and sorted
+    keys: the keys in that order, strings escaped by the encoder's own C
+    function, and each depth's indentation built once.  It nests two calls
+    per derivation level, node and premise list, as the loader does."""
 
     def __init__(self):
-        self.texts: dict[Formula, str] = {}
+        self.texts: dict[Formula, str] = _Memo(format_formula)
+        self.out: list[str] = []
+        self.indents: dict[int, str] = _Memo(lambda depth: "\n" + "  " * depth)
 
-    def formula(self, f: Formula) -> str:
-        text = self.texts.get(f)
-        if text is None:
-            text = self.texts[f] = format_formula(f)
-        return text
+    def text(self) -> str:
+        self.out.append("\n")
+        return "".join(self.out)
 
-    def data(self, d: Derivation) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "rule": d.rule.value,
-            "conclusion": format_sequent(d.conclusion, self.formula),
-            "premises": [self.data(p) for p in d.premises],
-        }
-        if d.annotation is not None:
-            ann: dict[str, Any] = {}
-            if d.annotation.principal is not None:
-                ann["principal"] = self.formula(d.annotation.principal)
-            if d.annotation.cut_formula is not None:
-                ann["cut_formula"] = self.formula(d.annotation.cut_formula)
-            if d.annotation.context_split is not None:
-                sp = d.annotation.context_split
-                ann["context_split"] = {k: [self.formula(f) for f in getattr(sp, k).expand()]
-                                        for k in _SPLIT_KEYS}
-            if ann:
-                out["annotation"] = ann
-        return out
+    def node(self, d: Derivation, depth: int) -> None:
+        out, indents = self.out, self.indents
+        nl = indents[depth + 1]
+        out.append("{")
+        a = d.annotation
+        if a is not None and (a.principal is not None or a.cut_formula is not None
+                              or a.context_split is not None):
+            out += (nl, '"annotation": ')
+            self.annotation(a, depth + 1)
+            out.append(",")
+        conclusion = format_sequent(d.conclusion, self.texts.__getitem__)
+        out += (nl, '"conclusion": ', _escape(conclusion), ",", nl, '"premises": ')
+        self.premises(d.premises, depth + 1)
+        out += (",", nl, '"rule": ', _escape(d.rule.value), indents[depth], "}")
+
+    def premises(self, ds, depth: int) -> None:
+        out = self.out
+        if not ds:
+            out.append("[]")
+            return
+        nl = self.indents[depth + 1]
+        sep = "["
+        for d in ds:
+            out += (sep, nl)
+            self.node(d, depth + 1)
+            sep = ","
+        out += (self.indents[depth], "]")
+
+    def annotation(self, a: Annotation, depth: int) -> None:
+        out, indents = self.out, self.indents
+        nl = indents[depth + 1]
+        sep = "{"
+        sp = a.context_split
+        if sp is not None:
+            inner = indents[depth + 2]
+            out += (sep, nl, '"context_split": ')
+            sep = "{"
+            for key in sorted(_SPLIT_KEYS):
+                out += (sep, inner, f'"{key}": ')
+                self.formulas(getattr(sp, key).items, depth + 2)
+                sep = ","
+            out += (nl, "}")
+            sep = ","
+        for key, f in (("cut_formula", a.cut_formula), ("principal", a.principal)):
+            if f is not None:
+                out += (sep, nl, f'"{key}": ', _escape(self.texts[f]))
+                sep = ","
+        out += (indents[depth], "}")
+
+    def formulas(self, fs: tuple[Formula, ...], depth: int) -> None:
+        out = self.out
+        if not fs:
+            out.append("[]")
+            return
+        nl = self.indents[depth + 1]
+        sep = "["
+        for f in fs:
+            out += (sep, nl, _escape(self.texts[f]))
+            sep = ","
+        out += (self.indents[depth], "]")
 
 
 _JSON_TYPE_NAMES = {dict: "object", list: "list", str: "string"}
@@ -75,13 +136,27 @@ class _Reader:
     formulas in what it reads are one object."""
 
     def __init__(self):
-        self.formulas: dict[str, Formula] = {}
+        self.formula: Callable[[str], Formula] = _Memo(parse_formula).__getitem__
+        # conclusion text up to and including its turnstile -> its contexts
+        # and polarity: many nodes repeat their parent's contexts
+        self.heads: dict[str, tuple[Context, Context, Polarity]] = {}
 
-    def formula(self, text: str) -> Formula:
-        f = self.formulas.get(text)
-        if f is None:
-            f = self.formulas[text] = parse_formula(text)
-        return f
+    def sequent(self, text: str) -> Sequent:
+        """``parse_sequent(text)``, reading only the succedent when the text
+        up to its turnstile has been read before."""
+        cut = text.find("|-") + 3
+        head = self.heads.get(text[:cut]) if cut > 2 else None
+        if head is not None:
+            rest = text[cut:]
+            if "," not in rest and ";" not in rest and "|" not in rest:
+                try:
+                    return Sequent(*head, self.formula(rest.strip()))
+                except FormulaSyntaxError:
+                    pass
+        # anything else, failures included, reads as a whole sequent
+        s = parse_sequent(text, self.formula)
+        self.heads[text[:cut]] = (s.gamma, s.delta, s.polarity)
+        return s
 
     def _context(self, data: Any, what: str) -> Context:
         return Context.from_iter(self.formula(_expect(t, str, f"{what} entry"))
@@ -98,7 +173,7 @@ class _Reader:
             raise DerivationFormatError(f"bad or missing rule id: {e}") from e
         if "conclusion" not in data:
             raise DerivationFormatError("missing conclusion")
-        conclusion = parse_sequent(_expect(data["conclusion"], str, "conclusion"), self.formula)
+        conclusion = self.sequent(_expect(data["conclusion"], str, "conclusion"))
         premises = tuple(self.derivation(p)
                          for p in _expect(data.get("premises", []), list, "premises"))
         ann_data = data.get("annotation")
@@ -119,8 +194,24 @@ class _Reader:
         return Derivation(conclusion, rule, premises, annotation)
 
 
+def _dumps(write, item) -> str:
+    """The text ``write(writer, item, 0)`` gives a fresh writer.  Overflowing
+    the stack raises a new ``RecursionError`` from here, outside the
+    ``except`` and with the writer gone: the caught error's traceback holds
+    every writer frame, and with them the partial text, for as long as
+    anything keeps the error."""
+    writer = _Writer()
+    try:
+        write(writer, item, 0)
+        return writer.text()
+    except RecursionError:
+        pass
+    del writer
+    raise RecursionError("derivation nested too deeply to write")
+
+
 def dumps_derivation(d: Derivation) -> str:
-    return json.dumps(_Writer().data(d), indent=2, sort_keys=True) + "\n"
+    return _dumps(_Writer.node, d)
 
 
 def _parse_json(text: str) -> Any:
@@ -177,5 +268,4 @@ def _derivations_from_text(text: str) -> list[Derivation]:
 def dumps_derivations(ds: list[Derivation]) -> str:
     if len(ds) == 1:
         return dumps_derivation(ds[0])
-    writer = _Writer()
-    return json.dumps([writer.data(d) for d in ds], indent=2, sort_keys=True) + "\n"
+    return _dumps(_Writer.premises, ds)
