@@ -34,8 +34,8 @@ from .syntax import (
     Or,
     Top,
     format_formula,
+    lexemes,
     parse_formula,
-    tokenize,
 )
 
 
@@ -218,7 +218,7 @@ class _Pieces:
     def _error(self, message: str, part: int, offset: int = 0) -> FormulaSyntaxError:
         """The error at ``offset`` into ``parts[part]``.  An unknown character
         anywhere in the text is reported first, as lexing it all would."""
-        tokenize(self.text)
+        lexemes(self.text)
         return FormulaSyntaxError(message, sum(map(len, self.parts[:part])) + offset)
 
     def formula(self) -> Formula:
@@ -468,6 +468,24 @@ def _zero_premise_failure(s: Sequent, rule: RuleId) -> Optional[str]:
     raise ValueError(f"not a zero-premise rule: {rule}")
 
 
+def closing_rules(s: Sequent) -> list[RuleId]:
+    """The zero-premise rules that close ``s``, in ``CLOSERS`` order: those
+    for which ``_zero_premise_failure`` finds nothing missing, in one pass."""
+    out = []
+    c, plus = s.succedent, s.polarity is PLUS
+    if isinstance(c, Atom) and c in (s.gamma if plus else s.delta):
+        out.append(R.RfPlus if plus else R.RfMinus)
+    if BOT in s.gamma:
+        out.append(R.BotLa)
+    if TOP in s.delta:
+        out.append(R.TopLc)
+    if not plus and isinstance(c, Bottom):
+        out.append(R.BotRMinus)
+    elif plus and isinstance(c, Top):
+        out.append(R.TopRPlus)
+    return out
+
+
 def premises_for(conclusion: Sequent, rule: RuleId,
                  principal: Optional[Formula] = None) -> Optional[tuple[Sequent, ...]]:
     """Premise sequents the schema demands of this conclusion, or None when the
@@ -481,50 +499,37 @@ def premises_for(conclusion: Sequent, rule: RuleId,
     schema = SCHEMA.get(rule)
     if schema is None:
         raise ValueError(f"premises_for does not handle {rule}")
-    g = g0 = conclusion.gamma
-    d = d0 = conclusion.delta
-    pol, c = conclusion.polarity, conclusion.succedent
     at = schema.at
-    if at is Side.A:
-        if not isinstance(principal, schema.connective) or principal not in g:
+    if isinstance(at, Side):
+        if (not isinstance(principal, schema.connective)
+                or principal not in (conclusion.gamma if at is Side.A else conclusion.delta)):
             return None
-        g0 = g.remove(principal)
-    elif at is Side.C:
-        if not isinstance(principal, schema.connective) or principal not in d:
-            return None
-        d0 = d.remove(principal)
     else:
-        if pol is not at or not isinstance(c, schema.connective):
+        c = conclusion.succedent
+        if conclusion.polarity is not at or not isinstance(c, schema.connective):
             return None
         if principal is not None and principal != c:
             return None
         principal = c
-    ops = (principal.left, principal.right)  # type: ignore[union-attr]
-    return tuple([_instance(t, g if t.keeps else g0, d if t.keeps else d0, pol, c, ops)
-                  for t in schema.premises])
+    return tuple([premise_of(conclusion, at, principal, t) for t in schema.premises])
 
 
-def _instance(t: Template, g: Context, d: Context, pol: Polarity, c: Formula,
-              ops: tuple[Formula, Formula]) -> Sequent:
+def premise_of(s: Sequent, at: Side | Polarity, principal: Formula, t: Template) -> Sequent:
+    """The premise that template ``t`` of a rule with its principal ``at``
+    (as in ``Schema``) builds from ``s``."""
+    g, d = s.gamma, s.delta
+    if not t.keeps:
+        if at is Side.A:
+            g = g.remove(principal)
+        elif at is Side.C:
+            d = d.remove(principal)
+    ops = (principal.left, principal.right)  # type: ignore[attr-defined]
     for i in t.gamma:
         g = g.add(ops[i])
     for i in t.delta:
         d = d.add(ops[i])
-    return Sequent(g, d, pol if t.polarity is None else t.polarity,
-                   c if t.succedent is None else ops[t.succedent])
-
-
-def premise_of(s: Sequent, side: Side, principal: Formula, t: Template) -> Sequent:
-    """The premise that template ``t`` of a left rule builds from ``s``, with
-    the rule's principal occurrence on ``side``."""
-    g, d = s.gamma, s.delta
-    if not t.keeps:
-        if side is Side.A:
-            g = g.remove(principal)
-        else:
-            d = d.remove(principal)
-    return _instance(t, g, d, s.polarity, s.succedent,
-                     (principal.left, principal.right))  # type: ignore[attr-defined]
+    return Sequent(g, d, s.polarity if t.polarity is None else t.polarity,
+                   s.succedent if t.succedent is None else ops[t.succedent])
 
 
 def check_rule_instance(conclusion: Sequent, rule: RuleId,
@@ -663,11 +668,28 @@ def infer_principal(d: Derivation) -> Optional[Formula]:
 
 # --- backward reading of the rule table ---------------------------------------
 
-@dataclass(frozen=True)
 class Expansion:
-    rule: RuleId
-    annotation: Optional[Annotation]
-    premises: tuple[Sequent, ...]
+    """A primitive-rule instance concluding ``conclusion``.  Its premises are
+    built from the conclusion the first time they are read, and then kept;
+    an expansion made with its premises keeps those."""
+
+    __slots__ = ("rule", "annotation", "conclusion", "_premises")
+
+    def __init__(self, rule: RuleId, annotation: Optional[Annotation] = None,
+                 premises: Optional[tuple] = None, conclusion: Optional[Sequent] = None):
+        self.rule = rule
+        self.annotation = annotation
+        self.conclusion = conclusion
+        self._premises = premises
+
+    @property
+    def premises(self) -> tuple[Sequent, ...]:
+        if self._premises is None:
+            s, schema = self.conclusion, SCHEMA[self.rule]
+            principal = s.succedent if self.annotation is None else self.annotation.principal
+            self._premises = tuple([premise_of(s, schema.at, principal, t)
+                                    for t in schema.premises])
+        return self._premises
 
 
 _RIGHT_BY_SHAPE = {
@@ -684,24 +706,17 @@ LEFT_RULE_BY_SHAPE = {
 def backward_expansions(s: Sequent) -> list[Expansion]:
     """Every primitive-rule instance (no cuts) concluding exactly s: the
     zero-premise closers, the right rule(s) for the succedent, and one left
-    rule per distinct compound occurrence in either context."""
-    out: list[Expansion] = []
-    for rule in CLOSERS:
-        if _zero_premise_failure(s, rule) is None:
-            out.append(Expansion(rule, None, ()))
-    shape = (type(s.succedent), s.polarity)
-    for rule in _RIGHT_BY_SHAPE.get(shape, ()):
-        prem = premises_for(s, rule)
-        if prem is not None:
-            out.append(Expansion(rule, None, prem))
+    rule per distinct compound occurrence in either context.  Only the
+    closers come with their premises; the others build them when read."""
+    out = [Expansion(rule, None, ()) for rule in closing_rules(s)]
+    for rule in _RIGHT_BY_SHAPE.get((type(s.succedent), s.polarity), ()):
+        out.append(Expansion(rule, conclusion=s))
     for side, ctx in ((Side.A, s.gamma), (Side.C, s.delta)):
         table = LEFT_RULE_BY_SHAPE[side]
         for f in ctx.distinct():
             rule = table.get(type(f))
             if rule is not None:
-                prem = premises_for(s, rule, f)
-                if prem is not None:
-                    out.append(Expansion(rule, Annotation(principal=f), prem))
+                out.append(Expansion(rule, Annotation(principal=f), conclusion=s))
     return out
 
 
@@ -767,21 +782,49 @@ def dual_sequent(s: Sequent) -> Sequent:
                    dual_formula(s.succedent))
 
 
+class _Memo(dict):
+    """``key -> make(key)``, each value made on first use.  A hit is a plain
+    dict lookup, with no Python frame."""
+
+    def __init__(self, make: Callable):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def dual_derivation(d: Derivation) -> Derivation:
-    premises = tuple(dual_derivation(p) for p in d.premises)
-    if d.rule in _DUAL_SWAPS_PREMISES:
-        premises = premises[::-1]
-    ann = None
-    if d.annotation is not None:
-        sp = d.annotation.context_split
-        ann = Annotation(
-            principal=dual_formula(d.annotation.principal) if d.annotation.principal else None,
-            cut_formula=dual_formula(d.annotation.cut_formula) if d.annotation.cut_formula else None,
-            context_split=ContextSplit(
-                gamma=dual_context(sp.delta),
-                delta=dual_context(sp.gamma),
-                gamma_prime=dual_context(sp.delta_prime),
-                delta_prime=dual_context(sp.gamma_prime),
-            ) if sp is not None else None,
-        )
-    return Derivation(dual_sequent(d.conclusion), DUAL_RULE[d.rule], premises, ann)
+    """The dual of ``d``.  Each distinct formula, context and sequent is
+    dualized once, as is a premise object shared by several nodes; the walk
+    keeps its own stack, so a tree of any height dualizes."""
+    formula = _Memo(dual_formula)
+    context = _Memo(lambda ctx: Context.from_iter(map(formula.__getitem__, ctx.items)))
+    sequent = _Memo(lambda s: Sequent(context[s.delta], context[s.gamma], s.polarity.flip(),
+                                      formula[s.succedent]))
+    done: dict[int, Derivation] = {}      # id of a node -> its dual
+    stack = [d]
+    while stack:
+        x = stack[-1]
+        if id(x) in done:       # a shared premise, pushed again before its dual was made
+            stack.pop()
+            continue
+        todo = [p for p in x.premises if id(p) not in done]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        premises = tuple([done[id(p)] for p in x.premises])
+        if x.rule in _DUAL_SWAPS_PREMISES:
+            premises = premises[::-1]
+        a = x.annotation
+        if a is not None:
+            sp = a.context_split
+            a = Annotation(
+                None if a.principal is None else formula[a.principal],
+                None if a.cut_formula is None else formula[a.cut_formula],
+                None if sp is None else ContextSplit(context[sp.delta], context[sp.gamma],
+                                                     context[sp.delta_prime],
+                                                     context[sp.gamma_prime]))
+        done[id(x)] = Derivation(sequent[x.conclusion], DUAL_RULE[x.rule], premises, a)
+    return done[id(d)]

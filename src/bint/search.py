@@ -30,8 +30,8 @@ from typing import Optional
 
 from .syntax import And, Atom, Coimp, Formula, Imp, Or
 from .kernel import (
-    CLOSERS, MINUS, PLUS, SCHEMA, Context, Derivation, Expansion, RuleId as R, Sequent,
-    Side, backward_expansions, check_derivation, node, _zero_premise_failure,
+    MINUS, PLUS, SCHEMA, Context, Derivation, Expansion, RuleId as R, Sequent, Side,
+    backward_expansions, check_derivation, closing_rules, node, premise_of,
 )
 from .decide import derivable
 from .transform import InternalCheckError, derive_identity, _node, _weaken, _weaken_context
@@ -58,25 +58,31 @@ _INVERTIBLE = frozenset((
     R.AndLa, R.OrLc, R.ImpLc, R.CoimpLa, R.ImpRPlus, R.CoimpRMinus,
     R.AndRPlus, R.OrRMinus, R.OrLa, R.AndLc, R.ImpRMinus, R.CoimpRPlus,
 ))
-#: ``ImpLa`` and ``CoimpLc``: their first premise keeps the principal
-_KEEPING = frozenset(r for r, s in SCHEMA.items() if s.premises[0].keeps)
+#: ``ImpLa`` and ``CoimpLc``, whose first premise keeps the principal: the
+#: principal's side and that premise's template
+_KEEPING = {r: (s.at, s.premises[0]) for r, s in SCHEMA.items() if s.premises[0].keeps}
 
 
 def _closer(s: Sequent) -> Optional[R]:
     """The first zero-premise rule that closes ``s``, if any."""
-    for rule in CLOSERS:
-        if _zero_premise_failure(s, rule) is None:
-            return rule
-    return None
+    return next(iter(closing_rules(s)), None)
+
+
+def _kept_premise_closes(s: Sequent, e: Expansion) -> bool:
+    side, kept = _KEEPING[e.rule]
+    return _closer(premise_of(s, side, e.annotation.principal, kept)) is not None
 
 
 def _normalize(s: Sequent) -> Sequent:
-    """Cap every context multiplicity at one.  Height-preserving contraction
-    and weakening are admissible, so this preserves derivability while making
-    the sequent space reachable from a goal finite (backward expansion only
-    introduces subformulas of the goal)."""
-    return Sequent(Context.from_iter(s.gamma.distinct()), Context.from_iter(s.delta.distinct()),
-                   s.polarity, s.succedent)
+    """Cap every context multiplicity at one (``s`` itself when none repeats).
+    Height-preserving contraction and weakening are admissible, so this
+    preserves derivability while making the sequent space reachable from a
+    goal finite (backward expansion only introduces subformulas of the goal)."""
+    gamma, delta = dict.fromkeys(s.gamma.items), dict.fromkeys(s.delta.items)
+    if len(gamma) == len(s.gamma) and len(delta) == len(s.delta):
+        return s
+    # the first occurrences keep the sorted order
+    return Sequent(Context(tuple(gamma)), Context(tuple(delta)), s.polarity, s.succedent)
 
 
 def _repeats(ctx: Context) -> Context:
@@ -117,7 +123,7 @@ class _Constructor:
         committed = next((e for e in expansions if e.rule in _INVERTIBLE), None)
         if committed is None:
             committed = next((e for e in expansions if e.rule in _KEEPING
-                              and _closer(e.premises[0]) is not None), None)
+                              and _kept_premise_closes(s, e)), None)
         if committed is not None:
             found = self._apply(s, committed)
         else:

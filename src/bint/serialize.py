@@ -19,7 +19,7 @@ from typing import Any, Callable, Optional
 
 from .syntax import Formula, FormulaSyntaxError, format_formula, parse_formula
 from .kernel import (
-    Annotation, Context, ContextSplit, Derivation, Polarity, RuleId, Sequent,
+    Annotation, Context, ContextSplit, Derivation, Polarity, RuleId, Sequent, _Memo,
     format_sequent, parse_sequent,
 )
 
@@ -29,18 +29,6 @@ class DerivationFormatError(ValueError):
 
 
 _SPLIT_KEYS = ("gamma", "delta", "gamma_prime", "delta_prime")
-
-
-class _Memo(dict):
-    """``key -> make(key)``, each value made on first use.  A hit is a plain
-    dict lookup, with no Python frame."""
-
-    def __init__(self, make: Callable):
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 class _Writer:

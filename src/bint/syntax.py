@@ -10,6 +10,7 @@ resolved.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 
 
@@ -133,139 +134,103 @@ def subformulas(f: Formula) -> frozenset[Formula]:
             return frozenset((f,))
 
 
-# --- tokenizer -------------------------------------------------------------
-
-# Token kinds: a punctuation token or reserved word is its own kind, any other
-# word is an ``IDENT``.  The sequent separators (comma, semicolon, turnstiles)
-# are tokens too, so the whole text of a sequent lexes, and a formula's text
-# holding one has trailing input.
-IDENT = "IDENT"
-CONST_BOT = "F"
-CONST_TOP = "T"
-OP_AND = "/\\"
-OP_OR = "\\/"
-OP_IMP = "->"
-OP_COIMP = "-<"
-LPAREN = "("
-RPAREN = ")"
-END = "END"
-
-# after optional whitespace: punctuation (group 1), a word (group 2), or any
-# other non-space character, which is an error (group 3)
-_TOKEN = re.compile(r"\s*(?:(/\\|\\/|->|-<|\|-\+|\|--|[(),;])|([a-zA-Z][a-zA-Z0-9_]*)|(\S))")
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        lexeme = m[group]
-        if group == 3:
-            raise FormulaSyntaxError(f"unknown token {lexeme!r}", m.start(3))
-        kind = IDENT if group == 2 and lexeme not in (CONST_BOT, CONST_TOP) else lexeme
-        out.append(Token(kind, lexeme, m.start(group)))
-    out.append(Token(END, "", len(text)))
-    return out
-
-
-class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.index = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.index]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.index]
-        if tok.kind != END:
-            self.index += 1
-        return tok
-
-
 # --- parser ----------------------------------------------------------------
 
-def parse_formula(text: str) -> Formula:
-    """Parse a formula; raises FormulaSyntaxError with a position on bad input."""
-    ts = TokenStream(tokenize(text))
-    f = _parse_arrows(ts)
-    tail = ts.peek()
-    if tail.kind != END:
-        raise FormulaSyntaxError(f"trailing input {tail.text!r}", tail.pos)
-    return f
-
-
-def _parse_arrows(ts: TokenStream) -> Formula:
-    first = _parse_or(ts)
-    chain: list[tuple[Token, Formula]] = []
-    while ts.peek().kind in (OP_IMP, OP_COIMP):
-        op = ts.next()
-        chain.append((op, _parse_or(ts)))
-    if not chain:
-        return first
-    kinds = {op.kind for op, _ in chain}
-    if len(kinds) > 1:
-        bad = next(op for op, _ in chain if op.kind != chain[0][0].kind)
-        raise FormulaSyntaxError(
-            "cannot mix '->' and '-<' without parentheses", bad.pos
-        )
-    ctor = Imp if chain[0][0].kind == OP_IMP else Coimp
-    operands = [first] + [f for _, f in chain]
-    result = operands[-1]
-    for operand in reversed(operands[:-1]):
-        result = ctor(operand, result)
-    return result
-
-
-def _parse_or(ts: TokenStream) -> Formula:
-    left = _parse_and(ts)
-    if ts.peek().kind == OP_OR:
-        ts.next()
-        return Or(left, _parse_or(ts))
-    return left
-
-
-def _parse_and(ts: TokenStream) -> Formula:
-    left = _parse_unit(ts)
-    if ts.peek().kind == OP_AND:
-        ts.next()
-        return And(left, _parse_and(ts))
-    return left
-
-
-def _parse_unit(ts: TokenStream) -> Formula:
-    tok = ts.peek()
-    if tok.kind == IDENT:
-        ts.next()
-        return Atom(tok.text)
-    if tok.kind == CONST_BOT:
-        ts.next()
-        return BOT
-    if tok.kind == CONST_TOP:
-        ts.next()
-        return TOP
-    if tok.kind == LPAREN:
-        ts.next()
-        inner = _parse_arrows(ts)
-        closing = ts.peek()
-        if closing.kind != RPAREN:
-            raise FormulaSyntaxError("unbalanced parentheses", closing.pos)
-        ts.next()
-        return inner
-    raise FormulaSyntaxError("expected a formula", tok.pos)
-
-
-# --- printer ---------------------------------------------------------------
+# After optional whitespace, a lexeme: punctuation, a word, or any other
+# non-space character, which begins no lexeme and is an error.  The sequent
+# separators (comma, semicolon, turnstiles) are lexemes too, so the whole text
+# of a sequent scans, and a formula's text holding one has trailing input.
+_LEXEME = re.compile(r"\s*(/\\|\\/|->|-<|\|-\+|\|--|[(),;]|[a-zA-Z][a-zA-Z0-9_]*|\S)")
+_PUNCTUATION = frozenset(("/\\", "\\/", "->", "-<", "|-+", "|--", "(", ")", ",", ";"))
+_LETTERS = frozenset(string.ascii_letters)
 
 _PREC = {And: 3, Or: 2, Imp: 1, Coimp: 1}
 _OP_TEXT = {And: "/\\", Or: "\\/", Imp: "->", Coimp: "-<"}
+#: per connective's text, how tightly it binds and the node it builds
+_INFIX = {_OP_TEXT[c]: (_PREC[c], c) for c in BINARY}
+_CONSTANT = {"F": BOT, "T": TOP}
+
+
+def lexemes(text: str) -> list[tuple[str, int]]:
+    """Each lexeme of ``text`` with its offset.  Raises FormulaSyntaxError at
+    the first character that begins no lexeme."""
+    out = []
+    for m in _LEXEME.finditer(text):
+        lexeme = m[1]
+        if lexeme not in _PUNCTUATION and lexeme[0] not in _LETTERS:
+            raise FormulaSyntaxError(f"unknown token {lexeme!r}", m.start(1))
+        out.append((lexeme, m.start(1)))
+    return out
+
+
+def _error(text: str, message: str, index: int) -> FormulaSyntaxError:
+    """``message`` at lexeme ``index`` of ``text``, or at the end of the text
+    past its last lexeme.  An unknown character anywhere in the text is
+    reported first."""
+    found = lexemes(text)
+    return FormulaSyntaxError(message, found[index][1] if index < len(found) else len(text))
+
+
+def parse_formula(text: str) -> Formula:
+    """Parse a formula; raises FormulaSyntaxError with a position on bad input.
+
+    One scan splits the text into lexemes, and one loop reads them with its
+    own stacks, so parentheses nest as deep as memory allows.  Positions are
+    found again only for an error."""
+    found = _LEXEME.findall(text)
+    found.append("")            # the end of the text
+    operands: list[Formula] = []
+    pending: list = []          # connectives not yet applied; None opens a parenthesis
+    outer: list = []            # per open parenthesis, the enclosing level's arrow state
+    arrow, mixed = "", -1       # this level's first arrow; where another one first follows
+    i = 0
+    while True:
+        lexeme = found[i]
+        while lexeme == "(":
+            pending.append(None)
+            outer.append((arrow, mixed))
+            arrow, mixed = "", -1
+            i += 1
+            lexeme = found[i]
+        f = _CONSTANT.get(lexeme)
+        if f is None:
+            if lexeme[:1] not in _LETTERS:
+                raise _error(text, "expected a formula", i)
+            f = Atom(lexeme)
+        operands.append(f)
+        i += 1
+        # after an operand: a connective, or the end of the current level
+        while True:
+            lexeme = found[i]
+            infix = _INFIX.get(lexeme)
+            binding = 0 if infix is None else infix[0]
+            # every connective associates to the right: apply the tighter ones
+            while pending and pending[-1] is not None and pending[-1][0] > binding:
+                right = operands.pop()
+                operands[-1] = pending.pop()[1](operands[-1], right)
+            if infix is not None:
+                break
+            if mixed >= 0:
+                raise _error(text, "cannot mix '->' and '-<' without parentheses", mixed)
+            if not outer:
+                if lexeme:
+                    raise _error(text, f"trailing input {lexeme!r}", i)
+                return operands[0]
+            if lexeme != ")":
+                raise _error(text, "unbalanced parentheses", i)
+            pending.pop()
+            arrow, mixed = outer.pop()
+            i += 1
+        if binding == _PREC[Imp]:
+            if not arrow:
+                arrow = lexeme
+            elif lexeme != arrow and mixed < 0:
+                mixed = i
+        pending.append(infix)
+        i += 1
+
+
+# --- printer ---------------------------------------------------------------
 
 
 def format_formula(f: Formula) -> str:

@@ -32,8 +32,8 @@ from .syntax import (
 from .kernel import (
     CUT_AT, CUT_RULES, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS, SCHEMA, ZERO_PREMISE,
     Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side,
-    check_derivation, check_rule_instance, infer_principal, node, premise_of,
-    premises_for, _zero_premise_failure,
+    check_derivation, check_rule_instance, closing_rules, infer_principal, node,
+    premise_of, premises_for,
 )
 
 
@@ -463,10 +463,8 @@ _AXIOM_PRIORITY = (R.BotLa, R.TopLc, R.TopRPlus, R.BotRMinus, R.RfPlus, R.RfMinu
 
 
 def _axiom_for(s: Sequent) -> Optional[R]:
-    for rule in _AXIOM_PRIORITY:
-        if _zero_premise_failure(s, rule) is None:
-            return rule
-    return None
+    closers = closing_rules(s)
+    return next((rule for rule in _AXIOM_PRIORITY if rule in closers), None)
 
 
 def _cut_target(left: Derivation, right: Derivation, dfm: Formula, variant: R) -> Sequent:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import bint
 from bint import serialize
 from bint.cli import main, render_text
 from bint.kernel import RuleId as R, check_derivation, node, parse_sequent
@@ -39,6 +44,21 @@ def test_prove_refuted_exit_code(capsys):
     code, out, _ = run(capsys, "prove", "F -> F ; |-+ F")
     assert code == 1
     assert "refuted" in out
+
+
+def _bint(*argv):
+    """Run the command line in a fresh interpreter: its exit code and output."""
+    env = {**os.environ, "PYTHONPATH": str(Path(bint.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "bint.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("sequent", ["; |-+ {}", "p ; |-+ {}"])
+def test_prove_reads_deep_parentheses(sequent):
+    deep = _bint("prove", sequent.format("(" * 10_000 + "p" + ")" * 10_000))
+    assert deep == _bint("prove", sequent.format("p"))
+    assert "Traceback" not in deep[2]
 
 
 def test_parse_error_exit_code(capsys):

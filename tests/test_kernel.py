@@ -7,14 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from bint.syntax import BOT, And, Atom, FormulaSyntaxError, Imp, parse_formula
 from bint.kernel import (
-    MINUS, Annotation, Context, ContextSplit, RuleId as R, Sequent, Violation,
-    backward_expansions, check_derivation, check_rule_instance, cut_height,
-    dual_derivation, dual_formula, dual_sequent, format_sequent, infer_principal,
-    node, parse_sequent,
+    CLOSERS, MINUS, Annotation, Context, ContextSplit, Derivation, RuleId as R, Sequent,
+    Violation, backward_expansions, check_derivation, check_rule_instance, closing_rules,
+    cut_height, dual_context, dual_derivation, dual_formula, dual_sequent, format_sequent,
+    infer_principal, node, parse_sequent, _zero_premise_failure,
 )
-from bint import kernel
+from bint import corpus, kernel
+from bint.serialize import load_derivation
 from bint.transform import derive_identity
-from conftest import SEED, contexts, formulas, polarities, sequents
+from conftest import SEED, contexts, formulas, polarities, random_sequent, sequents
 
 p, q = Atom("p"), Atom("q")
 
@@ -377,6 +378,118 @@ def test_dual_rule_table_follows_from_the_schema():
         R.CutA: R.CutC, R.CutC: R.CutA,
     }
     assert kernel._DUAL_SWAPS_PREMISES == frozenset((R.ImpRMinus, R.CoimpRPlus))
+
+
+def reference_dual(d: Derivation) -> Derivation:
+    """``dual_derivation`` as it was: recursive, every part dualized afresh."""
+    premises = tuple(reference_dual(p) for p in d.premises)
+    if d.rule in kernel._DUAL_SWAPS_PREMISES:
+        premises = premises[::-1]
+    ann = None
+    if d.annotation is not None:
+        sp = d.annotation.context_split
+        ann = Annotation(
+            principal=dual_formula(d.annotation.principal) if d.annotation.principal else None,
+            cut_formula=dual_formula(d.annotation.cut_formula) if d.annotation.cut_formula else None,
+            context_split=ContextSplit(
+                gamma=dual_context(sp.delta),
+                delta=dual_context(sp.gamma),
+                gamma_prime=dual_context(sp.delta_prime),
+                delta_prime=dual_context(sp.gamma_prime),
+            ) if sp is not None else None,
+        )
+    return Derivation(dual_sequent(d.conclusion), kernel.DUAL_RULE[d.rule], premises, ann)
+
+
+def _cut(left: Derivation, right: Derivation, dfm, variant: R) -> Derivation:
+    l, r = left.conclusion, right.conclusion
+    gp, dp = (r.gamma.remove(dfm), r.delta) if variant is R.CutA else (r.gamma, r.delta.remove(dfm))
+    split = ContextSplit(l.gamma, l.delta, gp, dp)
+    return node(variant, Sequent(l.gamma.union(gp), l.delta.union(dp), r.polarity, r.succedent),
+                [left, right], annotation=Annotation(cut_formula=dfm, context_split=split))
+
+
+def test_dual_derivation_matches_the_reference(derivation_corpus, cut_pairs):
+    golden = [load_derivation(path) for path in sorted(corpus.DATA_DIR.glob("*.deriv"))]
+    cuts = [_cut(*pair, variant) for variant, pairs in cut_pairs.items() for pair in pairs[:50]]
+    assert all(check_derivation(d).valid for d in cuts)
+    for d in derivation_corpus + golden + cuts:
+        dd = dual_derivation(d)
+        assert dd == reference_dual(d)
+        assert dual_derivation(dd) == d
+
+
+def _nodes(d: Derivation):
+    stack = [d]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack += x.premises
+
+
+def test_dual_derivation_dualizes_each_part_once(monkeypatch, derivation_corpus):
+    calls = Counter()
+    real = kernel.dual_formula
+    depth = 0
+
+    def counted(f):     # counts the calls for whole formulas, not their subformulas
+        nonlocal depth
+        if depth == 0:
+            calls[f] += 1
+        depth += 1
+        try:
+            return real(f)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(kernel, "dual_formula", counted)
+    for d in derivation_corpus:
+        calls.clear()
+        dd = dual_derivation(d)
+        assert max(calls.values()) == 1
+        # equal parts of the dual are one object
+        parts = {}
+        for x in _nodes(dd):
+            for part in (x.conclusion, x.conclusion.gamma, x.conclusion.delta):
+                assert parts.setdefault(part, part) is part
+    made = []
+
+    class Counted(Derivation):
+        def __post_init__(self):
+            made.append(self)
+            super().__post_init__()
+
+    rf = node(R.RfPlus, parse_sequent("p ; |-+ p"))
+    d = node(R.AndRPlus, parse_sequent("p ; |-+ p /\\ p"), [rf, rf])
+    monkeypatch.setattr(kernel, "Derivation", Counted)
+    dd = dual_derivation(d)
+    assert dd.premises[0] is dd.premises[1] and len(made) == 2
+
+
+def test_tall_tower_dualizes_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() == 1000
+    top = parse_sequent("p, p -> p ; |-+ p")
+    closer = node(R.RfPlus, parse_sequent("p, p ; |-+ p"))
+    d = node(R.RfPlus, top)
+    for _ in range(1200):
+        d = node(R.ImpLa, top, (d, closer), principal=Imp(p, p))
+    dd = dual_derivation(d)
+    assert dd.height == 1200 and check_derivation(dd).valid
+    back = dual_derivation(dd)
+    for x, y in zip(_nodes(d), _nodes(back), strict=True):
+        assert (x.conclusion, x.rule, x.annotation) == (y.conclusion, y.rule, y.annotation)
+
+
+def test_closing_rules_agree_with_the_checker():
+    rng = random.Random(f"{SEED}/closers")
+    seen = Counter()
+    for _ in range(3000):
+        s = random_sequent(rng)
+        for x in (s, dual_sequent(s)):
+            found = closing_rules(x)
+            assert found == [r for r in CLOSERS if _zero_premise_failure(x, r) is None], x
+            seen.update(found)
+    assert set(seen) == set(CLOSERS)
 
 
 def test_dual_derivation_on_corpus(derivation_corpus):
