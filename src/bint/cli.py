@@ -1,7 +1,7 @@
 """Command-line front end: parse, check, prove, transform, export.
 
 Exit codes: 0 success / proved; 1 refuted or invalid input derivation; 2 usage
-or parse errors.
+or parse errors, or input nested too deeply for the command.
 """
 
 from __future__ import annotations
@@ -157,6 +157,9 @@ def main(argv: list[str] | None = None) -> int:
     except TransformError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print(f"error: input nested too deeply for {args.command}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args) -> int:

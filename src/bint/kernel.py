@@ -1,6 +1,11 @@
 """Sequents over multiset contexts, the 24-rule table plus the two cut rules,
 the derivation checker, backward rule enumeration, and the duality mapping.
 
+Every ``Derivation`` is checked once, when it is built: its ``valid`` field
+says that its premises are valid and that it instantiates its rule schema.
+No construction path skips the check, so a tree is never re-checked, and
+``check_derivation`` walks only an invalid tree, for its first violation.
+
 The 18 logical rules are one data table, ``SCHEMA``: per rule, the connective
 it decomposes, where its principal sits, and one template per premise.
 Checking, backward expansion, the rule sets and the duality table here, and
@@ -393,20 +398,30 @@ class Annotation:
 
 @dataclass(frozen=True)
 class Derivation:
+    """A derivation tree.  ``valid`` is decided once, when the node is built:
+    every premise is valid and the node instantiates its rule schema."""
+
     conclusion: Sequent
     rule: RuleId
     premises: tuple["Derivation", ...] = ()
     annotation: Optional[Annotation] = None
     height: int = field(init=False, compare=False, repr=False, default=0)
     cut_count: int = field(init=False, compare=False, repr=False, default=0)
+    valid: bool = field(init=False, compare=False, repr=False, default=False)
 
     def __post_init__(self):
-        h = 0 if not self.premises else 1 + max(p.height for p in self.premises)
-        c = sum(p.cut_count for p in self.premises)
-        if self.rule in CUT_RULES:
-            c += 1
+        h, c, valid = 0, 1 if self.rule in CUT_RULES else 0, True
+        for p in self.premises:
+            if p.height >= h:
+                h = p.height + 1
+            c += p.cut_count
+            valid = valid and p.valid
+        valid = valid and check_rule_instance(
+            self.conclusion, self.rule, [p.conclusion for p in self.premises],
+            self.annotation) is None
         object.__setattr__(self, "height", h)
         object.__setattr__(self, "cut_count", c)
+        object.__setattr__(self, "valid", valid)
 
 
 def node(rule: RuleId, conclusion: Sequent, premises: Iterable[Derivation] = (),
@@ -620,31 +635,26 @@ class CheckReport:
 
 
 def check_derivation(d: Derivation) -> CheckReport:
-    """Validate every node against its rule schema; never raises.  The walk
-    keeps its own stack, so a tree of any height checks."""
-    violation = _first_violation(d)
-    return CheckReport(violation is None, d.height, d.cut_count, violation)
+    """The report on ``d``; never raises.  A valid tree is reported without a
+    walk; an invalid one is walked only for its first violation."""
+    violation = None if d.valid else _first_violation(d)
+    return CheckReport(d.valid, d.height, d.cut_count, violation)
 
 
-def _first_violation(root: Derivation) -> Optional[tuple[str, Violation]]:
+def _first_violation(root: Derivation) -> tuple[str, Violation]:
     """The first node, in pre-order with premises in order, that breaks its
-    rule, and its path from the root."""
-    # a trail is (premise index, the parent's trail), None at the root: the
-    # path text is built only for the node that fails
-    stack: list[tuple[Derivation, Optional[tuple]]] = [(root, None)]
-    while stack:
-        d, trail = stack.pop()
+    rule, and its path from the root.  A valid subtree holds no violation, so
+    the walk goes down one path: while the node fits its rule, into its first
+    invalid premise."""
+    d, steps = root, []
+    while True:
         v = check_rule_instance(d.conclusion, d.rule, [p.conclusion for p in d.premises],
                                 d.annotation)
         if v is not None:
-            steps = []
-            while trail is not None:
-                i, trail = trail
-                steps.append(f"premises[{i}]")
-            return ".".join(reversed(steps)), v
-        for i in range(len(d.premises) - 1, -1, -1):
-            stack.append((d.premises[i], (i, trail)))
-    return None
+            return ".".join(steps), v
+        i = next(i for i, p in enumerate(d.premises) if not p.valid)
+        steps.append(f"premises[{i}]")
+        d = d.premises[i]
 
 
 def infer_principal(d: Derivation) -> Optional[Formula]:

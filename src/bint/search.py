@@ -34,7 +34,7 @@ from .kernel import (
     backward_expansions, check_derivation, closing_rules, node, premise_of,
 )
 from .decide import derivable
-from .transform import InternalCheckError, derive_identity, _node, _weaken, _weaken_context
+from .transform import InternalCheckError, derive_identity, _node, weaken, weaken_context
 
 
 class SearchOutcome:
@@ -95,7 +95,7 @@ def _lift(d: Derivation, to: Sequent) -> Derivation:
     """Weaken a derivation of ``_normalize(to)`` back up to ``to``."""
     if d.conclusion == to:
         return d
-    return _weaken_context(d, _repeats(to.gamma), _repeats(to.delta))
+    return weaken_context(d, _repeats(to.gamma), _repeats(to.delta))
 
 
 class _Constructor:
@@ -226,7 +226,7 @@ def _extend_once(d: Derivation, rng: random.Random) -> Optional[Derivation]:
     move = rng.randrange(12)
 
     if move == 0:  # weakening keeps the corpus contexts varied
-        return _weaken(d, _random_formula(rng), rng.choice((Side.A, Side.C)))
+        return weaken(d, _random_formula(rng), rng.choice((Side.A, Side.C)))
     if move == 1 and len(g) >= 2:  # AndLa on two assumption occurrences
         a = _pick(rng, g)
         b = _pick(rng, g.remove(a))
@@ -293,7 +293,7 @@ def random_derivation(seed: int, size_budget: int) -> Derivation:
         out = _extend_once(d, rng)
         if out is not None:
             d = out
-    report = check_derivation(d)
-    if not report.valid:
-        raise AssertionError(f"random_derivation produced an invalid tree: {report}")
+    if not d.valid:
+        raise AssertionError(
+            f"random_derivation produced an invalid tree: {check_derivation(d)}")
     return d

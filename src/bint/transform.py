@@ -13,11 +13,11 @@ checker-valid, cut-free derivation with the advertised endsequent:
   rules and each variant's side and polarity from ``kernel.CUT_AT``, so each
   case is written once for both cut variants.
 
-Public entry points check their input derivations once, at entry.  Every node
-the module builds goes through one checked constructor, which checks that node
-against its rule schema and its premises' conclusions and refuses cuts; by
-induction every output is valid and cut-free, and no tree is re-checked.  A
-node that fails its check raises ``InternalCheckError`` where it is built.
+Every node is checked once, when it is built (``Derivation.valid``), so an
+entry point reads its input's validity and cut count without a walk, and an
+operation recurses into itself.  Every node the module builds goes through
+one constructor, which refuses cuts and raises ``InternalCheckError`` where
+an invalid node is built; by induction every output is valid and cut-free.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .syntax import (
 from .kernel import (
     CUT_AT, CUT_RULES, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS, SCHEMA, ZERO_PREMISE,
     Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side,
-    check_derivation, check_rule_instance, closing_rules, infer_principal, node,
+    check_derivation, closing_rules, infer_principal, node,
     premise_of, premises_for,
 )
 
@@ -48,25 +48,22 @@ class InternalCheckError(AssertionError):
 def _node(rule: R, conclusion: Sequent, premises: Iterable[Derivation] = (),
           principal: Optional[Formula] = None,
           annotation: Optional[Annotation] = None) -> Derivation:
-    """The only way this module builds a node.  Its premises are checked
-    already (inputs at entry, built nodes here), so checking the node alone
-    keeps every tree valid."""
+    """The only way this module builds a node: a cut-free node that is valid
+    when it is built."""
     if rule in CUT_RULES:
         raise InternalCheckError(f"a transformation built a {rule.value} node")
     d = node(rule, conclusion, premises, principal, annotation)
-    violation = check_rule_instance(conclusion, rule, [p.conclusion for p in d.premises],
-                                    d.annotation)
-    if violation is not None:
-        raise InternalCheckError(f"built an invalid node {conclusion}: {violation}")
+    if not d.valid:
+        raise InternalCheckError(f"built an invalid node {conclusion}: "
+                                 f"{check_derivation(d).first_violation[1]}")
     return d
 
 
 def _require_input(d: Derivation, what: str) -> None:
     if d.cut_count != 0:
         raise TransformError(f"{what}: input contains {d.cut_count} cut(s)")
-    report = check_derivation(d)
-    if not report.valid:
-        raise TransformError(f"{what}: input is not checker-valid: {report}")
+    if not d.valid:
+        raise TransformError(f"{what}: input is not checker-valid: {check_derivation(d)}")
 
 
 # --- identity expansion --------------------------------------------------------
@@ -232,33 +229,25 @@ def weaken(d: Derivation, extra: Formula, side: Side) -> Derivation:
     """Add ``extra`` to the assumptions (side a) or counterassumptions (side c)
     of the endsequent, preserving the tree shape and therefore the height."""
     _require_input(d, "weaken")
-    return _weaken(d, extra, side)
-
-
-def _weaken(d: Derivation, extra: Formula, side: Side) -> Derivation:
     s = d.conclusion
     conc = (Sequent(s.gamma.add(extra), s.delta, s.polarity, s.succedent)
             if side is Side.A
             else Sequent(s.gamma, s.delta.add(extra), s.polarity, s.succedent))
-    return _node(d.rule, conc, [_weaken(p, extra, side) for p in d.premises],
+    return _node(d.rule, conc, [weaken(p, extra, side) for p in d.premises],
                  annotation=d.annotation)
 
 
 def weaken_context(d: Derivation, gamma_extra: Context = Context(),
                    delta_extra: Context = Context()) -> Derivation:
-    """Multiset fold of ``weaken`` over both sides (the W^{a/c} steps)."""
+    """Multiset fold of ``weaken`` over both sides (the W^{a/c} steps), in
+    one walk that adds every extra occurrence at each node."""
     _require_input(d, "weaken_context")
-    return _weaken_context(d, gamma_extra, delta_extra)
-
-
-def _weaken_context(d: Derivation, gamma_extra: Context, delta_extra: Context) -> Derivation:
-    """One walk that adds every extra occurrence at each node."""
     if gamma_extra.is_empty() and delta_extra.is_empty():
         return d
     s = d.conclusion
     conc = Sequent(s.gamma.union(gamma_extra), s.delta.union(delta_extra), s.polarity,
                    s.succedent)
-    return _node(d.rule, conc, [_weaken_context(p, gamma_extra, delta_extra)
+    return _node(d.rule, conc, [weaken_context(p, gamma_extra, delta_extra)
                                 for p in d.premises], annotation=d.annotation)
 
 
@@ -274,26 +263,16 @@ def unweaken_special(d: Derivation, which: SpecialWeakening) -> Derivation:
     of the endsequent.  Such an occurrence is never principal, so it can be
     dropped at every node without touching the tree shape or height."""
     _require_input(d, "unweaken_special")
-    return _unweaken_special(d, which)
-
-
-def _unweaken_special(d: Derivation, which: SpecialWeakening) -> Derivation:
     s = d.conclusion
     if which is SpecialWeakening.TOP_IN_GAMMA:
         if TOP not in s.gamma:
             raise TransformError("unweaken_special: no T among the assumptions")
-        return _unweaken(d, TOP, Side.A)
-    if BOT not in s.delta:
-        raise TransformError("unweaken_special: no F among the counterassumptions")
-    return _unweaken(d, BOT, Side.C)
-
-
-def _unweaken(d: Derivation, f: Formula, side: Side) -> Derivation:
-    s = d.conclusion
-    conc = (Sequent(s.gamma.remove(f), s.delta, s.polarity, s.succedent)
-            if side is Side.A
-            else Sequent(s.gamma, s.delta.remove(f), s.polarity, s.succedent))
-    return _node(d.rule, conc, [_unweaken(p, f, side) for p in d.premises],
+        conc = _drop_one(s, TOP, Side.A)
+    else:
+        if BOT not in s.delta:
+            raise TransformError("unweaken_special: no F among the counterassumptions")
+        conc = _drop_one(s, BOT, Side.C)
+    return _node(d.rule, conc, [unweaken_special(p, which) for p in d.premises],
                  annotation=d.annotation)
 
 
@@ -317,7 +296,21 @@ def invert(d: Derivation, side: Side, target: Formula) -> tuple[Derivation, ...]
     if not present:
         raise TransformError(
             f"invert: {format_formula(target)} does not occur on side {side.value}")
-    return tuple(_invert(d, side, target))
+    # one output per premise of the target's left rule that does not keep the
+    # principal, built by that premise's template at every node
+    inverses = [t for t in SCHEMA[LEFT_RULE_BY_SHAPE[side][type(target)]].premises
+                if not t.keeps]
+    if not d.premises:
+        return tuple([_node(d.rule, premise_of(d.conclusion, side, target, t),
+                            annotation=d.annotation) for t in inverses])
+    if _principal_here(d, side, target):
+        return tuple([p for p, t in zip(d.premises, SCHEMA[d.rule].premises) if not t.keeps])
+    sub = [invert(p, side, target) for p in d.premises]
+    return tuple([
+        _node(d.rule, premise_of(d.conclusion, side, target, t), [out[k] for out in sub],
+              annotation=d.annotation)
+        for k, t in enumerate(inverses)
+    ])
 
 
 def _principal_here(d: Derivation, side: Side, target: Formula) -> bool:
@@ -328,24 +321,6 @@ def _principal_here(d: Derivation, side: Side, target: Formula) -> bool:
         return d.annotation.principal == target
     expected = premises_for(d.conclusion, d.rule, target)
     return expected == tuple(p.conclusion for p in d.premises)
-
-
-def _invert(d: Derivation, side: Side, target: Formula) -> list[Derivation]:
-    """One output per premise of the target's left rule that does not keep
-    the principal, built by that premise's template at every node."""
-    inverses = [t for t in SCHEMA[LEFT_RULE_BY_SHAPE[side][type(target)]].premises
-                if not t.keeps]
-    if not d.premises:
-        return [_node(d.rule, premise_of(d.conclusion, side, target, t), annotation=d.annotation)
-                for t in inverses]
-    if _principal_here(d, side, target):
-        return [p for p, t in zip(d.premises, SCHEMA[d.rule].premises) if not t.keeps]
-    sub = [_invert(p, side, target) for p in d.premises]
-    return [
-        _node(d.rule, premise_of(d.conclusion, side, target, t), [out[k] for out in sub],
-              annotation=d.annotation)
-        for k, t in enumerate(inverses)
-    ]
 
 
 # --- contraction -----------------------------------------------------------------
@@ -359,23 +334,19 @@ def contract(d: Derivation, dup: Formula, side: Side) -> Derivation:
         raise TransformError(
             f"contract: fewer than two occurrences of {format_formula(dup)} "
             f"on side {side.value}")
-    return _contract(d, dup, side)
+    conc = _drop_one(d.conclusion, dup, side)
+    if not d.premises:
+        return _node(d.rule, conc, annotation=d.annotation)
+    if isinstance(dup, (And, Or, Imp, Coimp)) and _principal_here(d, side, dup):
+        return _contract_principal(d, dup, side, conc)
+    return _node(d.rule, conc, [contract(p, dup, side) for p in d.premises],
+                 annotation=d.annotation)
 
 
 def _drop_one(s: Sequent, f: Formula, side: Side) -> Sequent:
     if side is Side.A:
         return Sequent(s.gamma.remove(f), s.delta, s.polarity, s.succedent)
     return Sequent(s.gamma, s.delta.remove(f), s.polarity, s.succedent)
-
-
-def _contract(d: Derivation, dup: Formula, side: Side) -> Derivation:
-    conc = _drop_one(d.conclusion, dup, side)
-    if not d.premises:
-        return _node(d.rule, conc, annotation=d.annotation)
-    if isinstance(dup, (And, Or, Imp, Coimp)) and _principal_here(d, side, dup):
-        return _contract_principal(d, dup, side, conc)
-    return _node(d.rule, conc, [_contract(p, dup, side) for p in d.premises],
-                 annotation=d.annotation)
 
 
 def _contract_principal(d: Derivation, dup: Formula, side: Side, conc: Sequent) -> Derivation:
@@ -388,14 +359,14 @@ def _contract_principal(d: Derivation, dup: Formula, side: Side, conc: Sequent) 
     k = 0
     for p, t in zip(d.premises, SCHEMA[d.rule].premises):
         if t.keeps:
-            premises.append(_contract(p, dup, side))
+            premises.append(contract(p, dup, side))
             continue
-        p = _invert(p, side, dup)[k]
+        p = invert(p, side, dup)[k]
         k += 1
         for i in t.gamma:
-            p = _contract(p, operands[i], Side.A)
+            p = contract(p, operands[i], Side.A)
         for i in t.delta:
-            p = _contract(p, operands[i], Side.C)
+            p = contract(p, operands[i], Side.C)
         premises.append(p)
     return _node(d.rule, conc, premises, principal=dup)
 
@@ -546,7 +517,7 @@ class _Eliminator:
                 return case, lambda i, m: _node(closer, target)
             if target.succedent == dfm and target.polarity is pol:
                 gp, dp = _prime_contexts(right, dfm, variant)
-                return case, lambda i, m: _weaken_context(left, gp, dp)
+                return case, lambda i, m: weaken_context(left, gp, dp)
             # the right axiom closed through the cut occurrence itself
             # (D = F via BotLa under CutA, D = T via TopLc under CutC); the
             # left premise then necessarily ends in a left rule, so the cut
@@ -573,13 +544,13 @@ class _Eliminator:
         rule = left.rule
         if rule in (R.RfPlus, R.RfMinus):
             rest = _drop_one(left.conclusion, dfm, CUT_AT[variant][0])
-            return _weaken_context(right, rest.gamma, rest.delta)
+            return weaken_context(right, rest.gamma, rest.delta)
         if rule in (R.BotLa, R.TopLc):
             return _node(rule, target)
         if rule in (R.TopRPlus, R.BotRMinus):
             which = (SpecialWeakening.TOP_IN_GAMMA if rule is R.TopRPlus
                      else SpecialWeakening.BOT_IN_DELTA)
-            return _weaken_context(_unweaken_special(right, which), lg, ld)
+            return weaken_context(unweaken_special(right, which), lg, ld)
         raise InternalCheckError(f"unexpected axiom rule {rule} on the left premise")
 
     # -3.x-: the cut formula is not principal on the left; permute the cut
@@ -597,7 +568,7 @@ class _Eliminator:
 
         # a premise with a succedent of its own does not conclude the cut
         # formula; it is only weakened by the carried-over context
-        new_premises = [rec(p) if t.succedent is None else _weaken_context(p, gp, dp)
+        new_premises = [rec(p) if t.succedent is None else weaken_context(p, gp, dp)
                         for p, t in zip(left.premises, SCHEMA[left.rule].premises)]
         return _node(left.rule, target, new_premises, principal=principal)
 
@@ -646,5 +617,5 @@ class _Eliminator:
         # the C^{a/c} closing steps: contract each doubled occurrence
         for ctx, side in ((lg, Side.A), (ld, Side.C)):
             for f in ctx.expand():
-                out = _contract(out, f, side)
+                out = contract(out, f, side)
         return out

@@ -186,6 +186,20 @@ def chain_proof(gamma: Context, chain: list) -> object:
     return d
 
 
+def tower(height: int, bad_at: int = -1):
+    """``ImpLa`` stacked ``height`` times on ``p, p -> p ; |-+ p``; the node
+    ``bad_at`` levels above the leaf is replaced by an invalid ``RfMinus``."""
+    top = parse_sequent("p, p -> p ; |-+ p")
+    closer = node(R.RfPlus, parse_sequent("p, p ; |-+ p"))
+    d = node(R.RfPlus, top)
+    for level in range(1, height + 1):
+        if level == bad_at:
+            d = node(R.RfMinus, top)
+        else:
+            d = node(R.ImpLa, top, (d, closer), principal=Imp(Atom("p"), Atom("p")))
+    return d
+
+
 def _bump_pair():
     """A principal conjunction cut whose two left subproofs are tall chains
     while the right premise closes by restating an operand: the inner operand

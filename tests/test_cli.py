@@ -12,12 +12,12 @@ from bint import serialize
 from bint.cli import main, render_text
 from bint.kernel import RuleId as R, check_derivation, node, parse_sequent
 from bint.serialize import (
-    dumps_derivation, load_derivation, loads_derivation, save_derivation,
+    dumps_derivation, dumps_derivations, load_derivation, loads_derivation, save_derivation,
 )
 from bint.transform import derive_identity
-from bint.kernel import Context
+from bint.kernel import Annotation, Context, ContextSplit
 from bint.syntax import Atom, Imp, format_formula, parse_formula
-from conftest import chain_proof
+from conftest import chain_proof, tower
 
 
 @pytest.fixture
@@ -61,6 +61,13 @@ def test_prove_reads_deep_parentheses(sequent):
     assert "Traceback" not in deep[2]
 
 
+@pytest.mark.parametrize("arrows", [400, 3_000])
+def test_prove_on_too_deep_a_formula_is_a_usage_error(arrows):
+    code, out, err = _bint("prove", "; |-+ " + " -> ".join(["p"] * (arrows + 1)))
+    assert code == 2 and out == ""
+    assert err == "error: input nested too deeply for prove\n"
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "prove", "; |-+ p ->")
     assert code == 2
@@ -80,6 +87,36 @@ def test_check_invalid_file(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1
     assert "INVALID" in out
+
+
+def test_check_report_lines_are_pinned(capsys, tmp_path):
+    # byte-for-byte: the first violation in pre-order and its path, whichever
+    # premises the walk enters
+    p = Atom("p")
+    rf = node(R.RfPlus, parse_sequent("p ; |-+ p"))
+    one = node(R.RfPlus, parse_sequent("; |-+ p"))
+    # two bad nodes: the left one, deeper, comes first in pre-order
+    two = node(R.AndRPlus, parse_sequent("p, p -> p ; |-+ p /\\ q"),
+               [tower(4, 2), node(R.RfPlus, parse_sequent("p, p -> p ; |-+ q"))])
+    deep = tower(200, 7)
+    # a cut node that fits its rule, over an invalid premise
+    split = ContextSplit(Context.of(p), Context(), Context(), Context())
+    cut = node(R.CutA, parse_sequent("p ; |-+ p"),
+               [rf, node(R.RfMinus, parse_sequent("p ; |-+ p"))],
+               annotation=Annotation(cut_formula=p, context_split=split))
+    path = tmp_path / "bad.deriv"
+    path.write_text(dumps_derivations([rf, one, two, deep, cut]))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1 and err == ""
+    deep_path = ".".join(["premises[0]"] * 193)
+    assert out == (
+        "valid, height 0, cuts 0\n"
+        "INVALID at root: RfPlus: atomic succedent not among the assumptions"
+        " (height 0, cuts 0)\n"
+        "INVALID at premises[0].premises[0].premises[0]: RfMinus: wrong polarity:"
+        " needs |-- (height 3, cuts 0)\n"
+        f"INVALID at {deep_path}: RfMinus: wrong polarity: needs |-- (height 193, cuts 0)\n"
+        "INVALID at premises[1]: RfMinus: wrong polarity: needs |-- (height 1, cuts 1)\n")
 
 
 _RF = {"rule": "RfPlus", "conclusion": "p ; |-+ p", "premises": []}

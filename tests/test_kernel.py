@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 from bint.syntax import BOT, And, Atom, FormulaSyntaxError, Imp, parse_formula
 from bint.kernel import (
     CLOSERS, MINUS, Annotation, Context, ContextSplit, Derivation, RuleId as R, Sequent,
-    Violation, backward_expansions, check_derivation, check_rule_instance, closing_rules,
+    Side, Violation, backward_expansions, check_derivation, check_rule_instance, closing_rules,
     cut_height, dual_context, dual_derivation, dual_formula, dual_sequent, format_sequent,
     infer_principal, node, parse_sequent, _zero_premise_failure,
 )
 from bint import corpus, kernel
-from bint.serialize import load_derivation
-from bint.transform import derive_identity
-from conftest import SEED, contexts, formulas, polarities, random_sequent, sequents
+from bint.serialize import dumps_derivation, load_derivation, loads_derivation
+from bint.transform import TransformError, derive_identity, weaken
+from conftest import SEED, contexts, formulas, polarities, random_sequent, sequents, tower
 
 p, q = Atom("p"), Atom("q")
 
@@ -236,36 +236,28 @@ def test_violation_path_reported():
     assert "premises" in path and violation.rule is R.RfPlus
 
 
-def _tower(height: int, bad_at: int = -1):
-    """``ImpLa`` stacked ``height`` times on ``p, p -> p ; |-+ p``; the node
-    ``bad_at`` levels above the leaf is replaced by an invalid ``RfMinus``."""
-    top = parse_sequent("p, p -> p ; |-+ p")
-    closer = node(R.RfPlus, parse_sequent("p, p ; |-+ p"))
-    d = node(R.RfPlus, top)
-    for level in range(1, height + 1):
-        if level == bad_at:
-            d = node(R.RfMinus, top)
-        else:
-            d = node(R.ImpLa, top, (d, closer), principal=Imp(p, p))
-    return d
-
-
-def _recursive_first_violation(d, path=""):
-    """The checker's walk as it was written before it kept its own stack."""
+def _recursive_first_violation(d, trail=None):
+    """The checker's walk as it was written before it kept its own stack or
+    read ``valid``: every node checked, in pre-order.  The path is held as
+    (premise index, the parent's trail) and written out at the violation, so
+    a walk 10^4 nodes deep holds no long strings."""
     v = check_rule_instance(d.conclusion, d.rule, [x.conclusion for x in d.premises],
                             d.annotation)
     if v is not None:
-        return (path, v)
+        steps = []
+        while trail is not None:
+            i, trail = trail
+            steps.append(f"premises[{i}]")
+        return ".".join(reversed(steps)), v
     for i, x in enumerate(d.premises):
-        sub = _recursive_first_violation(
-            x, f"{path}.premises[{i}]" if path else f"premises[{i}]")
+        sub = _recursive_first_violation(x, (i, trail))
         if sub is not None:
             return sub
     return None
 
 
 def test_checker_walks_a_tall_tower_at_the_default_recursion_limit():
-    report = check_derivation(_tower(2000))
+    report = check_derivation(tower(2000))
     assert report.valid and report.height == 2000
 
 
@@ -283,7 +275,7 @@ def _corrupt(d, rng):
 def test_violation_paths_match_the_recursive_walk(derivation_corpus):
     rng = random.Random(SEED)
     trees = [_corrupt(d, rng) for d in derivation_corpus]
-    trees += [_tower(1500, bad_at=rng.randrange(1, 1500)) for _ in range(3)]
+    trees += [tower(1500, bad_at=rng.randrange(1, 1500)) for _ in range(3)]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(10_000)
     try:
@@ -292,6 +284,42 @@ def test_violation_paths_match_the_recursive_walk(derivation_corpus):
         sys.setrecursionlimit(limit)
     assert sum(e is not None for e in expected) > 50
     assert [check_derivation(d).first_violation for d in trees] == expected
+
+
+def test_valid_is_not_a_constructor_argument():
+    s = parse_sequent("; |-+ p")
+    with pytest.raises(TypeError):
+        Derivation(s, R.RfPlus, valid=True)
+    assert not Derivation(s, R.RfPlus).valid
+
+
+def test_valid_agrees_with_the_recursive_walk(derivation_corpus):
+    rng = random.Random(SEED)
+    corrupt = [_corrupt(d, rng) for d in derivation_corpus]
+    trees = derivation_corpus + corrupt
+    assert [d.valid for d in trees] == [_recursive_first_violation(d) is None for d in trees]
+    assert sum(not d.valid for d in corrupt) > 50
+    # nodes built by duality and by loading are checked like any other
+    assert [dual_derivation(d).valid for d in trees] == [d.valid for d in trees]
+    assert [loads_derivation(dumps_derivation(d)).valid for d in trees] == [
+        d.valid for d in trees]
+
+
+@pytest.mark.parametrize("bad_at", [-1, 1, 2, 4_321, 9_999, 10_000])
+def test_tall_towers_agree_with_the_recursive_walk(bad_at):
+    d = tower(10_000, bad_at)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(25_000)
+    try:
+        expected = _recursive_first_violation(d)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert d.valid == (expected is None) == (bad_at == -1)
+    assert check_derivation(d).first_violation == expected
+    if not d.valid:
+        # read, not walked: refused at the default recursion limit
+        with pytest.raises(TransformError, match="not checker-valid"):
+            weaken(d, q, Side.A)
 
 
 # --- backward expansions -------------------------------------------------------------

@@ -376,8 +376,9 @@ def _tall_chain_pair(length: int):
 
 
 def test_cut_elimination_checks_only_its_inputs(monkeypatch):
-    # built nodes are checked once, as they are built; the whole-tree checker
-    # runs only on the two inputs, however tall the right premise
+    # every node is checked once, as it is built, so a valid input is read,
+    # not walked: no operation calls the whole-tree checker on one, however
+    # tall.  Only an invalid input is walked, to name its first violation.
     left, right, dfm = _tall_chain_pair(50)
     calls = []
 
@@ -387,10 +388,29 @@ def test_cut_elimination_checks_only_its_inputs(monkeypatch):
 
     monkeypatch.setattr(transform, "check_derivation", counting)
     out = eliminate_cut(left, right, dfm, R.CutA)
-    assert len(calls) == 2
-    assert calls[0] is left and calls[1] is right
-    assert_cutfree_valid(out)
     assert out.height == right.height
+    contract(weaken(right, dfm, Side.A), dfm, Side.A)
+    invert(right, Side.A, dfm)
+    unweaken_special(weaken(right, TOP, Side.A), SpecialWeakening.TOP_IN_GAMMA)
+    assert calls == []
+    assert_cutfree_valid(out)
+
+    # a valid chain beside an invalid axiom: the violation is at premises[1]
+    s = right.conclusion
+    z = Atom("z")
+    bad = node(R.AndRPlus, Sequent(s.gamma, s.delta, PLUS, And(s.succedent, z)),
+               [right, node(R.RfPlus, Sequent(s.gamma, s.delta, PLUS, z))])
+    report = check_derivation(bad)
+    assert report.first_violation[0] == "premises[1]"
+    for op in (lambda: eliminate_cut(bad, right, bad.conclusion.succedent, R.CutA),
+               lambda: eliminate_cut(left, bad, dfm, R.CutA),
+               lambda: weaken(bad, dfm, Side.A),
+               lambda: contract(bad, dfm, Side.A),
+               lambda: invert(bad, Side.A, dfm),
+               lambda: unweaken_special(bad, SpecialWeakening.TOP_IN_GAMMA)):
+        with pytest.raises(TransformError, match="not checker-valid") as info:
+            op()
+        assert str(report) in str(info.value)
 
 
 def test_bad_case_builder_is_caught_by_the_constructor(monkeypatch):
