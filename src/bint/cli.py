@@ -1,5 +1,7 @@
 """Command-line front end: parse, check, prove, transform, export.
 
+Both renderers walk with their own stack, so a derivation of any height prints.
+
 Exit codes: 0 success / proved; 1 refuted or invalid input derivation; 2 usage
 or parse errors, or input nested too deeply for the command.
 """
@@ -15,8 +17,8 @@ from .syntax import (
     parse_formula,
 )
 from .kernel import (
-    Derivation, RuleId, Side, check_derivation, format_sequent,
-    parse_context_pair, parse_sequent, PLUS, MINUS,
+    Derivation, Polarity, RuleId, Side, check_derivation, format_sequent,
+    parse_context_pair, parse_sequent,
 )
 from .serialize import (
     DerivationFormatError, dumps_derivations, load_derivations,
@@ -29,10 +31,13 @@ from .search import Proved, prove
 from . import corpus
 
 
-def render_text(d: Derivation, indent: int = 0) -> str:
-    lines = [f"{'  ' * indent}[{d.rule.value}] {format_sequent(d.conclusion)}"]
-    for p in d.premises:
-        lines.append(render_text(p, indent + 1))
+def render_text(d: Derivation) -> str:
+    """Pre-order lines, each premise indented two spaces below its node."""
+    lines, stack = [], [(d, 0)]
+    while stack:
+        x, depth = stack.pop()
+        lines.append(f"{'  ' * depth}[{x.rule.value}] {format_sequent(x.conclusion)}")
+        stack += [(p, depth + 1) for p in reversed(x.premises)]
     return "\n".join(lines)
 
 
@@ -72,12 +77,19 @@ def _latex_sequent(s) -> str:
 
 
 def render_latex(d: Derivation) -> str:
-    if not d.premises:
-        body = "{}"
-    else:
-        body = "{" + r" \quad ".join(render_latex(p) for p in d.premises) + "}"
-    return (rf"\infer[\scriptstyle {_LATEX_RULE[d.rule]}]"
-            + "{" + _latex_sequent(d.conclusion) + "}" + body)
+    r"""``\infer[rule]{conclusion}{premise \quad ...}``; the stack holds nodes and text."""
+    out, stack = [], [d]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        out.append(rf"\infer[\scriptstyle {_LATEX_RULE[x.rule]}]"
+                   + "{" + _latex_sequent(x.conclusion) + "}{")
+        stack.append("}")      # after the premises, which pop in order
+        for i, p in enumerate(reversed(x.premises)):
+            stack += (r" \quad ", p) if i else (p,)
+    return "".join(out)
 
 
 def _emit(derivations: list[Derivation], args) -> None:
@@ -89,12 +101,6 @@ def _emit(derivations: list[Derivation], args) -> None:
     else:
         for d in derivations:
             print(render_text(d))
-
-
-def _parse_side(text: str) -> Side:
-    if text not in ("a", "c"):
-        raise FormulaSyntaxError("side must be 'a' or 'c'", 0)
-    return Side.A if text == "a" else Side.C
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -183,29 +189,27 @@ def _dispatch(args) -> int:
 
     if args.command == "identity":
         gamma, delta = parse_context_pair(args.context)
-        pol = PLUS if args.polarity == "+" else MINUS
+        pol = Polarity(args.polarity)
         _emit([derive_identity(gamma, delta, parse_formula(args.formula), pol)], args)
         return 0
 
     if args.command == "weaken":
         d = _load_single(args.file)
-        _emit([weaken(d, parse_formula(args.formula), _parse_side(args.side))], args)
+        _emit([weaken(d, parse_formula(args.formula), Side(args.side))], args)
         return 0
 
     if args.command == "unweaken":
-        which = (SpecialWeakening.TOP_IN_GAMMA if args.which == "TopInGamma"
-                 else SpecialWeakening.BOT_IN_DELTA)
-        _emit([unweaken_special(_load_single(args.file), which)], args)
+        _emit([unweaken_special(_load_single(args.file), SpecialWeakening(args.which))], args)
         return 0
 
     if args.command == "contract":
         d = _load_single(args.file)
-        _emit([contract(d, parse_formula(args.formula), _parse_side(args.side))], args)
+        _emit([contract(d, parse_formula(args.formula), Side(args.side))], args)
         return 0
 
     if args.command == "invert":
         d = _load_single(args.file)
-        outs = invert(d, _parse_side(args.side), parse_formula(args.target))
+        outs = invert(d, Side(args.side), parse_formula(args.target))
         _emit(list(outs), args)
         return 0
 

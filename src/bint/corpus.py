@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .kernel import (
-    MINUS, PLUS, Derivation, PRIMITIVE_RULES, RuleId, Side,
-    check_derivation, format_sequent, parse_context_pair, parse_sequent,
+    PRIMITIVE_RULES, Derivation, Polarity, RuleId, Side,
+    check_derivation, fold, format_sequent, parse_context_pair, parse_sequent,
 )
 from .syntax import parse_formula
 from .serialize import dumps_derivation, load_derivation
@@ -77,10 +77,6 @@ def _load(data_dir: Path, name: str) -> Derivation:
     return load_derivation(data_dir / name)
 
 
-def _side(text: str) -> Side:
-    return Side.A if text == "a" else Side.C
-
-
 def _diff_derivations(expected: Derivation, produced: Derivation) -> Optional[str]:
     want, got = dumps_derivation(expected), dumps_derivation(produced)
     if want == got:
@@ -107,8 +103,8 @@ def _run(case: GoldenCase, data_dir: Path) -> GoldenResult:
 
     if kind == "identity":
         gamma, delta = parse_context_pair(inp["context"])
-        pol = PLUS if inp["polarity"] == "+" else MINUS
-        produced = derive_identity(gamma, delta, parse_formula(inp["formula"]), pol)
+        produced = derive_identity(gamma, delta, parse_formula(inp["formula"]),
+                                   Polarity(inp["polarity"]))
         expected = _load(data_dir, exp["file"])
         diff = _diff_derivations(expected, produced)
         if diff is None and produced.height != exp["height"]:
@@ -117,19 +113,18 @@ def _run(case: GoldenCase, data_dir: Path) -> GoldenResult:
 
     if kind == "weaken":
         produced = weaken(_load(data_dir, inp["file"]),
-                          parse_formula(inp["formula"]), _side(inp["side"]))
+                          parse_formula(inp["formula"]), Side(inp["side"]))
         diff = _diff_derivations(_load(data_dir, exp["file"]), produced)
         return GoldenResult(case, diff is None, diff, produced)
 
     if kind == "unweaken":
-        which = (SpecialWeakening.TOP_IN_GAMMA if inp["which"] == "TopInGamma"
-                 else SpecialWeakening.BOT_IN_DELTA)
-        produced = unweaken_special(_load(data_dir, inp["file"]), which)
+        produced = unweaken_special(_load(data_dir, inp["file"]),
+                                    SpecialWeakening(inp["which"]))
         diff = _diff_derivations(_load(data_dir, exp["file"]), produced)
         return GoldenResult(case, diff is None, diff, produced)
 
     if kind == "invert":
-        outs = invert(_load(data_dir, inp["file"]), _side(inp["side"]),
+        outs = invert(_load(data_dir, inp["file"]), Side(inp["side"]),
                       parse_formula(inp["target"]))
         expected_files = exp["files"]
         if len(outs) != len(expected_files):
@@ -143,7 +138,7 @@ def _run(case: GoldenCase, data_dir: Path) -> GoldenResult:
 
     if kind == "contract":
         produced = contract(_load(data_dir, inp["file"]),
-                            parse_formula(inp["formula"]), _side(inp["side"]))
+                            parse_formula(inp["formula"]), Side(inp["side"]))
         diff = _diff_derivations(_load(data_dir, exp["file"]), produced)
         return GoldenResult(case, diff is None, diff, produced)
 
@@ -188,16 +183,10 @@ def run_all(data_dir: Path = DATA_DIR) -> tuple[list[GoldenResult], CoverageRepo
     cases = load_manifest(data_dir)
     results = [run_golden(c, data_dir) for c in cases]
 
-    rules_seen: set[RuleId] = set()
-    for r in results:
-        if r.produced is not None:
-            rules_seen |= _rules_in(r.produced)
-    for path in sorted(data_dir.glob("*.deriv")):
-        rules_seen |= _rules_in(load_derivation(path))
-    cases_seen: set[str] = set()
-    for r in results:
-        if r.trace is not None:
-            cases_seen |= r.trace.cases()
+    trees = [r.produced for r in results if r.produced is not None]
+    trees += map(load_derivation, sorted(data_dir.glob("*.deriv")))
+    rules_seen = set().union(*map(_rules_in, trees))
+    cases_seen = set().union(*(r.trace.cases() for r in results if r.trace is not None))
 
     report = CoverageReport(
         missing_rules=sorted(r.value for r in PRIMITIVE_RULES - rules_seen),
@@ -207,7 +196,4 @@ def run_all(data_dir: Path = DATA_DIR) -> tuple[list[GoldenResult], CoverageRepo
 
 
 def _rules_in(d: Derivation) -> set[RuleId]:
-    out = {d.rule}
-    for p in d.premises:
-        out |= _rules_in(p)
-    return out
+    return fold(d, lambda x, images: {x.rule}.union(*images))

@@ -1,5 +1,6 @@
 """Sequents over multiset contexts, the 24-rule table plus the two cut rules,
-the derivation checker, backward rule enumeration, and the duality mapping.
+the derivation checker, backward rule enumeration, the duality mapping, and
+``fold``, the stack-free walk that duality, weakening and coverage share.
 
 Every ``Derivation`` is checked once, when it is built: its ``valid`` field
 says that its premises are valid and that it instantiates its rule schema.
@@ -24,7 +25,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .syntax import (
     BOT,
@@ -439,6 +440,27 @@ def cut_height(d: Derivation) -> int:
     return d.premises[0].height + d.premises[1].height
 
 
+_T = TypeVar("_T")
+
+
+def fold(d: Derivation, make: Callable[[Derivation, tuple], _T]) -> _T:
+    """``make(x, images of x's premises)`` for the root ``d``, on its own stack.
+    Each distinct node object is made once, after its premises, in order, so
+    a premise object shared by several nodes has one image."""
+    if not d.premises:
+        return make(d, ())
+    done: dict[int, _T] = {}     # id of a node -> its image
+    stack: list = [d]
+    while stack:
+        x = stack.pop()
+        if x is None:           # the premises of the node below are made
+            x = stack.pop()
+            done[id(x)] = make(x, tuple([done[id(p)] for p in x.premises]))
+        elif id(x) not in done:  # a shared premise is pushed again once made
+            stack += (x, None, *x.premises[::-1])
+    return done[id(d)]
+
+
 # --- schema machinery ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -805,26 +827,14 @@ class _Memo(dict):
 
 
 def dual_derivation(d: Derivation) -> Derivation:
-    """The dual of ``d``.  Each distinct formula, context and sequent is
-    dualized once, as is a premise object shared by several nodes; the walk
-    keeps its own stack, so a tree of any height dualizes."""
+    """The dual of ``d``, a tree of any height.  Each distinct formula, context,
+    sequent and node object (``fold``) is dualized once."""
     formula = _Memo(dual_formula)
     context = _Memo(lambda ctx: Context.from_iter(map(formula.__getitem__, ctx.items)))
     sequent = _Memo(lambda s: Sequent(context[s.delta], context[s.gamma], s.polarity.flip(),
                                       formula[s.succedent]))
-    done: dict[int, Derivation] = {}      # id of a node -> its dual
-    stack = [d]
-    while stack:
-        x = stack[-1]
-        if id(x) in done:       # a shared premise, pushed again before its dual was made
-            stack.pop()
-            continue
-        todo = [p for p in x.premises if id(p) not in done]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        premises = tuple([done[id(p)] for p in x.premises])
+
+    def make(x: Derivation, premises: tuple) -> Derivation:
         if x.rule in _DUAL_SWAPS_PREMISES:
             premises = premises[::-1]
         a = x.annotation
@@ -836,5 +846,6 @@ def dual_derivation(d: Derivation) -> Derivation:
                 None if sp is None else ContextSplit(context[sp.delta], context[sp.gamma],
                                                      context[sp.delta_prime],
                                                      context[sp.gamma_prime]))
-        done[id(x)] = Derivation(sequent[x.conclusion], DUAL_RULE[x.rule], premises, a)
-    return done[id(d)]
+        return Derivation(sequent[x.conclusion], DUAL_RULE[x.rule], premises, a)
+
+    return fold(d, make)

@@ -14,8 +14,9 @@ checker-valid, cut-free derivation with the advertised endsequent:
   case is written once for both cut variants.
 
 Every node is checked once, when it is built (``Derivation.valid``), so an
-entry point reads its input's validity and cut count without a walk, and an
-operation recurses into itself.  Every node the module builds goes through
+entry point reads its input's validity and cut count without a walk.  Each
+weakening is one stack-free ``kernel.fold``; the other operations stop at
+principal nodes and recurse into themselves.  Every node goes through
 one constructor, which refuses cuts and raises ``InternalCheckError`` where
 an invalid node is built; by induction every output is valid and cut-free.
 """
@@ -32,8 +33,7 @@ from .syntax import (
 from .kernel import (
     CUT_AT, CUT_RULES, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS, SCHEMA, ZERO_PREMISE,
     Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side,
-    check_derivation, closing_rules, infer_principal, node,
-    premise_of, premises_for,
+    check_derivation, closing_rules, fold, infer_principal, node, premise_of,
 )
 
 
@@ -225,16 +225,22 @@ def _identity_step(g: Context, d: Context, c: Formula, pol: Polarity) -> Derivat
 
 # --- weakening -------------------------------------------------------------------
 
+def _map_conclusions(d: Derivation, conclusion: Callable[[Sequent], Sequent]) -> Derivation:
+    """``d`` with each conclusion ``s`` replaced by ``conclusion(s)``: the same
+    rules, annotations and shape, and a shared subproof stays shared."""
+    return fold(d, lambda x, premises: _node(x.rule, conclusion(x.conclusion), premises,
+                                             annotation=x.annotation))
+
+
 def weaken(d: Derivation, extra: Formula, side: Side) -> Derivation:
     """Add ``extra`` to the assumptions (side a) or counterassumptions (side c)
     of the endsequent, preserving the tree shape and therefore the height."""
     _require_input(d, "weaken")
-    s = d.conclusion
-    conc = (Sequent(s.gamma.add(extra), s.delta, s.polarity, s.succedent)
-            if side is Side.A
-            else Sequent(s.gamma, s.delta.add(extra), s.polarity, s.succedent))
-    return _node(d.rule, conc, [weaken(p, extra, side) for p in d.premises],
-                 annotation=d.annotation)
+    if side is Side.A:
+        return _map_conclusions(d, lambda s: Sequent(s.gamma.add(extra), s.delta,
+                                                     s.polarity, s.succedent))
+    return _map_conclusions(d, lambda s: Sequent(s.gamma, s.delta.add(extra),
+                                                 s.polarity, s.succedent))
 
 
 def weaken_context(d: Derivation, gamma_extra: Context = Context(),
@@ -244,11 +250,9 @@ def weaken_context(d: Derivation, gamma_extra: Context = Context(),
     _require_input(d, "weaken_context")
     if gamma_extra.is_empty() and delta_extra.is_empty():
         return d
-    s = d.conclusion
-    conc = Sequent(s.gamma.union(gamma_extra), s.delta.union(delta_extra), s.polarity,
-                   s.succedent)
-    return _node(d.rule, conc, [weaken_context(p, gamma_extra, delta_extra)
-                                for p in d.premises], annotation=d.annotation)
+    return _map_conclusions(d, lambda s: Sequent(s.gamma.union(gamma_extra),
+                                                 s.delta.union(delta_extra),
+                                                 s.polarity, s.succedent))
 
 
 class SpecialWeakening(enum.Enum):
@@ -260,20 +264,17 @@ class SpecialWeakening(enum.Enum):
 
 def unweaken_special(d: Derivation, which: SpecialWeakening) -> Derivation:
     """Remove one T from the assumptions or one F from the counterassumptions
-    of the endsequent.  Such an occurrence is never principal, so it can be
-    dropped at every node without touching the tree shape or height."""
+    of the endsequent.  Such an occurrence is never principal, so it occurs in
+    every sequent above the root and is dropped at every node without touching
+    the tree shape or height."""
     _require_input(d, "unweaken_special")
-    s = d.conclusion
     if which is SpecialWeakening.TOP_IN_GAMMA:
-        if TOP not in s.gamma:
+        if TOP not in d.conclusion.gamma:
             raise TransformError("unweaken_special: no T among the assumptions")
-        conc = _drop_one(s, TOP, Side.A)
-    else:
-        if BOT not in s.delta:
-            raise TransformError("unweaken_special: no F among the counterassumptions")
-        conc = _drop_one(s, BOT, Side.C)
-    return _node(d.rule, conc, [unweaken_special(p, which) for p in d.premises],
-                 annotation=d.annotation)
+        return _map_conclusions(d, lambda s: _drop_one(s, TOP, Side.A))
+    if BOT not in d.conclusion.delta:
+        raise TransformError("unweaken_special: no F among the counterassumptions")
+    return _map_conclusions(d, lambda s: _drop_one(s, BOT, Side.C))
 
 
 # --- inversion -------------------------------------------------------------------
@@ -314,13 +315,10 @@ def invert(d: Derivation, side: Side, target: Formula) -> tuple[Derivation, ...]
 
 
 def _principal_here(d: Derivation, side: Side, target: Formula) -> bool:
-    """Does the root rule decompose an occurrence of ``target`` on ``side``?"""
-    if d.rule is not LEFT_RULE_BY_SHAPE[side].get(type(target)):
-        return False
-    if d.annotation is not None and d.annotation.principal is not None:
-        return d.annotation.principal == target
-    expected = premises_for(d.conclusion, d.rule, target)
-    return expected == tuple(p.conclusion for p in d.premises)
+    """Does the root rule decompose an occurrence of ``target`` on ``side``?
+    The principal of a valid left-rule node is unique."""
+    return (d.rule is LEFT_RULE_BY_SHAPE[side].get(type(target))
+            and infer_principal(d) == target)
 
 
 # --- contraction -----------------------------------------------------------------
@@ -337,7 +335,7 @@ def contract(d: Derivation, dup: Formula, side: Side) -> Derivation:
     conc = _drop_one(d.conclusion, dup, side)
     if not d.premises:
         return _node(d.rule, conc, annotation=d.annotation)
-    if isinstance(dup, (And, Or, Imp, Coimp)) and _principal_here(d, side, dup):
+    if _principal_here(d, side, dup):
         return _contract_principal(d, dup, side, conc)
     return _node(d.rule, conc, [contract(p, dup, side) for p in d.premises],
                  annotation=d.annotation)
@@ -531,7 +529,7 @@ class _Eliminator:
         if left.rule in LEFT_RULES:
             case = _CASE_BY_LEFT_RULE[left.rule]
             return case, lambda i, m: self._permute_left(i, m, left, right, dfm, variant, target)
-        if not (isinstance(dfm, (And, Or, Imp, Coimp)) and _principal_here(right, side, dfm)):
+        if not _principal_here(right, side, dfm):
             case = _CASE_BY_RIGHT_RULE[right.rule]
             return case, lambda i, m: self._permute_right(i, m, left, right, dfm, variant, target)
         case = _CASE_PRINCIPAL[type(dfm)]

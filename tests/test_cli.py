@@ -10,14 +10,14 @@ import pytest
 import bint
 from bint import serialize
 from bint.cli import main, render_text
-from bint.kernel import RuleId as R, check_derivation, node, parse_sequent
+from bint.kernel import RuleId as R, check_derivation, format_sequent, node, parse_sequent
 from bint.serialize import (
     dumps_derivation, dumps_derivations, load_derivation, loads_derivation, save_derivation,
 )
 from bint.transform import derive_identity
 from bint.kernel import Annotation, Context, ContextSplit
 from bint.syntax import Atom, Imp, format_formula, parse_formula
-from conftest import chain_proof, tower
+from conftest import chain_proof, horn_chain, tower
 
 
 @pytest.fixture
@@ -204,6 +204,14 @@ def test_latex_rendering(capsys):
     assert code == 0
     assert r"\infer[\scriptstyle \rightarrow R^{+}]" in out
     assert r"\vdash^{+}" in out
+
+
+def test_latex_proof_of_a_tall_horn_chain():
+    # a proof of height about 1,000: LaTeX is written by a walk with its own
+    # stack, as the text tree and the data document are
+    code, out, err = _bint("--latex", "prove", format_sequent(horn_chain(480, True)))
+    assert code == 0 and err == ""
+    assert out.startswith(r"\infer[\scriptstyle ") and out.count("{") == out.count("}")
 
 
 def test_render_text_shape():

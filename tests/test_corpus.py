@@ -41,6 +41,17 @@ def test_coverage_tracks_gaps(tmp_path):
     assert "-5.4-" in coverage.missing_cases
 
 
+@pytest.mark.parametrize("field, value", [("side", "x"), ("which", "TopInDelta"),
+                                          ("polarity", "*")])
+def test_a_bad_manifest_value_fails_its_case(field, value):
+    # an unknown side, weakening or polarity is an error, not a default
+    case = next(c for c in corpus.load_manifest() if field in c.input)
+    bad = corpus.GoldenCase(case.id, case.description, case.kind,
+                            {**case.input, field: value}, case.expected)
+    result = corpus.run_golden(bad)
+    assert not result.ok and result.diff.startswith("ValueError: ")
+
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 

@@ -1,0 +1,320 @@
+"""The shared derivation walk: ``kernel.fold`` and the maps built on it.
+
+The three weakenings, duality and rule coverage are folds; the two renderers
+are pre-order walks with their own stacks.  Each is checked against the
+recursive definition it replaced, on tall towers at the default recursion
+limit, and for the sharing of premise objects.  A last test pins the
+functions of ``bint`` that still recurse.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import bint
+from bint.cli import _LATEX_RULE, _latex_sequent, render_latex, render_text
+from bint.corpus import DATA_DIR, _rules_in
+from bint.kernel import (
+    Annotation, Context, ContextSplit, RuleId as R, Sequent, Side, dual_derivation, fold,
+    format_sequent, node, parse_sequent,
+)
+from bint.serialize import load_derivation
+from bint.syntax import BOT, TOP, And, Atom, Imp
+from bint.transform import (
+    SpecialWeakening, TransformError, _drop_one, _node, _require_input, unweaken_special,
+    weaken, weaken_context,
+)
+from conftest import tower
+
+p, q = Atom("p"), Atom("q")
+TOP_IN_GAMMA, BOT_IN_DELTA = SpecialWeakening.TOP_IN_GAMMA, SpecialWeakening.BOT_IN_DELTA
+
+
+# --- recursive references: the definitions the walks replaced ------------------
+
+def ref_weaken(d, extra, side):
+    _require_input(d, "weaken")
+    s = d.conclusion
+    conc = (Sequent(s.gamma.add(extra), s.delta, s.polarity, s.succedent)
+            if side is Side.A
+            else Sequent(s.gamma, s.delta.add(extra), s.polarity, s.succedent))
+    return _node(d.rule, conc, [ref_weaken(p, extra, side) for p in d.premises],
+                 annotation=d.annotation)
+
+
+def ref_weaken_context(d, gamma_extra=Context(), delta_extra=Context()):
+    _require_input(d, "weaken_context")
+    if gamma_extra.is_empty() and delta_extra.is_empty():
+        return d
+    s = d.conclusion
+    conc = Sequent(s.gamma.union(gamma_extra), s.delta.union(delta_extra), s.polarity,
+                   s.succedent)
+    return _node(d.rule, conc, [ref_weaken_context(p, gamma_extra, delta_extra)
+                                for p in d.premises], annotation=d.annotation)
+
+
+def ref_unweaken_special(d, which):
+    _require_input(d, "unweaken_special")
+    s = d.conclusion
+    if which is SpecialWeakening.TOP_IN_GAMMA:
+        if TOP not in s.gamma:
+            raise TransformError("unweaken_special: no T among the assumptions")
+        conc = _drop_one(s, TOP, Side.A)
+    else:
+        if BOT not in s.delta:
+            raise TransformError("unweaken_special: no F among the counterassumptions")
+        conc = _drop_one(s, BOT, Side.C)
+    return _node(d.rule, conc, [ref_unweaken_special(p, which) for p in d.premises],
+                 annotation=d.annotation)
+
+
+def ref_render_text(d, indent=0):
+    lines = [f"{'  ' * indent}[{d.rule.value}] {format_sequent(d.conclusion)}"]
+    for p in d.premises:
+        lines.append(ref_render_text(p, indent + 1))
+    return "\n".join(lines)
+
+
+def ref_render_latex(d):
+    if not d.premises:
+        body = "{}"
+    else:
+        body = "{" + r" \quad ".join(ref_render_latex(p) for p in d.premises) + "}"
+    return (rf"\infer[\scriptstyle {_LATEX_RULE[d.rule]}]"
+            + "{" + _latex_sequent(d.conclusion) + "}" + body)
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return fn(*args)
+    except TransformError as e:
+        return type(e), str(e)
+
+
+@pytest.fixture(scope="module")
+def corpus_files():
+    return [load_derivation(path) for path in sorted(DATA_DIR.glob("*.deriv"))]
+
+
+# --- fold ------------------------------------------------------------------------
+
+def test_fold_makes_each_distinct_node_once():
+    rf = node(R.RfPlus, parse_sequent("p ; |-+ p"))
+    d = node(R.AndRPlus, parse_sequent("p ; |-+ p /\\ p"), [rf, rf])
+    made = []
+
+    def make(x, images):
+        made.append((x, images))
+        return len(made)
+
+    assert fold(d, make) == 2
+    assert made == [(rf, ()), (d, (1, 1))] and made[0][0] is rf
+    made.clear()
+    assert fold(rf, make) == 1 and made == [(rf, ())]
+    made.clear()
+    rq = node(R.RfPlus, parse_sequent("p, q ; |-+ q"))
+    rp = node(R.RfPlus, parse_sequent("p, q ; |-+ p"))
+    pq = node(R.AndRPlus, parse_sequent("p, q ; |-+ p /\\ q"), [rp, rq])
+    assert fold(pq, make) == 3
+    assert [x for x, _ in made] == [rp, rq, pq]     # premises first, in order
+
+
+def test_fold_visits_a_towers_shared_closer_once():
+    d = tower(50)
+    made = []
+    fold(d, lambda x, images: made.append(x))
+    closer = d.premises[1]
+    assert len(made) == 52          # 50 ImpLa nodes, the bottom leaf, one closer
+    assert sum(x is closer for x in made) == 1
+    assert len({id(x) for x in made}) == 52
+
+
+def test_the_maps_share_what_their_input_shares():
+    rf = node(R.RfPlus, parse_sequent("p ; |-+ p"))
+    d = node(R.AndRPlus, parse_sequent("p ; |-+ p /\\ p"), [rf, rf])
+    w = weaken(d, q, Side.A)
+    wc = weaken_context(d, Context.of(q), Context.of(TOP))
+    u = unweaken_special(weaken(d, TOP, Side.A), TOP_IN_GAMMA)
+    dd = dual_derivation(d)
+    for out in (w, wc, u, dd):
+        assert out.premises[0] is out.premises[1]
+    assert u == d
+    t = weaken(tower(20), q, Side.C)
+    closers = []
+    x = t
+    while x.premises:
+        closers.append(x.premises[1])
+        x = x.premises[0]
+    assert len(closers) == 20 and all(c is closers[0] for c in closers)
+
+
+# --- stack-free at the default recursion limit ---------------------------------
+
+def _spine(d):
+    """The nodes down the first premise, root first."""
+    while True:
+        yield d
+        if not d.premises:
+            return
+        d = d.premises[0]
+
+
+def test_a_tower_of_height_ten_thousand_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() == 1000
+    d = tower(10_000)
+    top = d.conclusion
+    w = weaken(d, q, Side.A)
+    assert w.height == 10_000 and w.conclusion.gamma == top.gamma.add(q)
+    wc = weaken_context(d, Context.of(q), Context.of(BOT))
+    assert wc.height == 10_000 and wc.conclusion.delta == Context.of(BOT)
+    with_top = weaken(d, TOP, Side.A)
+    u = unweaken_special(with_top, TOP_IN_GAMMA)
+    assert u.height == 10_000 and u.valid
+    assert all(x.conclusion == y.conclusion for x, y in zip(_spine(u), _spine(d), strict=True))
+    dd = dual_derivation(d)
+    assert dd.height == 10_000 and dd.valid
+    latex = render_latex(d)
+    assert latex.count(r"\infer") == 2 * 10_000 + 1
+    assert latex.count("{") == latex.count("}")
+    assert _rules_in(d) == {R.ImpLa, R.RfPlus}
+    assert all(x.valid for x in (w, wc, u, dd))
+
+
+def test_render_text_of_a_tower_at_the_default_recursion_limit():
+    # a tower's text is quadratic in its height (two spaces per level): at
+    # height 3,000 it is about 18 MB, three times what one frame per level allows
+    assert sys.getrecursionlimit() == 1000
+    text = render_text(tower(3_000))
+    lines = text.split("\n")
+    assert len(lines) == 2 * 3_000 + 1
+    assert lines[0] == "[ImpLa] p, p -> p ; |-+ p"
+    assert lines[3_000] == "  " * 3_000 + "[RfPlus] p, p -> p ; |-+ p"   # the bottom leaf
+    assert lines[-1] == "  [RfPlus] p, p ; |-+ p"        # the root's closer
+
+
+# --- the same results as the recursive definitions -------------------------------
+
+_EXTRA = [p, Imp(p, q), And(q, TOP), TOP, BOT]
+
+
+def test_weakenings_equal_the_recursive_definitions(derivation_corpus, corpus_files):
+    checked = 0
+    for d in derivation_corpus + corpus_files:
+        for f in _EXTRA:
+            for side in Side:
+                assert outcome(weaken, d, f, side) == outcome(ref_weaken, d, f, side)
+        for g, dl in ((Context.of(q, TOP), Context.of(BOT)), (Context(), Context.of(p, p)),
+                      (Context(), Context())):
+            assert outcome(weaken_context, d, g, dl) == outcome(ref_weaken_context, d, g, dl)
+        for which, x, side in ((TOP_IN_GAMMA, TOP, Side.A), (BOT_IN_DELTA, BOT, Side.C)):
+            assert (outcome(unweaken_special, d, which)
+                    == outcome(ref_unweaken_special, d, which))
+            w = weaken(d, x, side)
+            assert outcome(unweaken_special, w, which) == outcome(ref_unweaken_special, w, which)
+            assert unweaken_special(w, which) == d
+        checked += 1
+    assert checked == len(derivation_corpus) + len(corpus_files)
+
+
+def test_entry_errors_equal_the_recursive_definitions():
+    rf = node(R.RfPlus, parse_sequent("p ; q |-+ p"))
+    split = ContextSplit(Context.of(p), Context.of(q), Context(), Context.of(q))
+    cut = node(R.CutA, parse_sequent("p ; q, q |-+ p"), [rf, rf],
+               annotation=Annotation(cut_formula=p, context_split=split))
+    invalid = node(R.RfMinus, parse_sequent("p ; |-+ p"))
+    for d in (cut, invalid, rf):
+        assert outcome(weaken, d, q, Side.A) == outcome(ref_weaken, d, q, Side.A)
+        assert (outcome(weaken_context, d, Context(), Context())
+                == outcome(ref_weaken_context, d, Context(), Context()))
+        for which in SpecialWeakening:
+            assert (outcome(unweaken_special, d, which)
+                    == outcome(ref_unweaken_special, d, which))
+    assert isinstance(outcome(weaken, cut, q, Side.A)[1], str)
+
+
+def test_renderers_equal_the_recursive_definitions(derivation_corpus, corpus_files):
+    for d in derivation_corpus + corpus_files:
+        assert render_text(d) == ref_render_text(d)
+        assert render_latex(d) == ref_render_latex(d)
+
+
+def test_rules_in_equals_the_recursive_definition(derivation_corpus, corpus_files):
+    def ref(d):
+        out = {d.rule}
+        for x in d.premises:
+            out |= ref(x)
+        return out
+
+    for d in derivation_corpus + corpus_files:
+        assert _rules_in(d) == ref(d)
+
+
+# --- what still recurses ---------------------------------------------------------
+
+#: functions of ``bint`` on a cycle of their module's call graph: formula walks,
+#: the document writer and reader, contraction, inversion, identity expansion,
+#: the cut eliminator, the proof constructor and the decider.  Remove an entry
+#: when its recursion goes; a new entry is a new recursion.
+RECURSIVE = {
+    "cli._latex_formula",
+    "decide._decide", "decide._sequent", "decide.derives", "decide.signed",
+    "kernel.dual_formula",
+    "search._apply", "search._random_formula", "search.build",
+    "serialize.derivation", "serialize.node", "serialize.premises",
+    "syntax.format_formula", "syntax.subformulas", "syntax.weight",
+    "transform._contract_principal", "transform._identity", "transform._identity_step",
+    "transform._permute_left", "transform._permute_right", "transform._principal",
+    "transform._select", "transform.contract", "transform.invert", "transform.rec",
+    "transform.run",
+}
+
+
+def _on_cycles(path: Path) -> set[str]:
+    """Functions of one module that can reach themselves, counting a call by
+    its bare name (``f(...)``) or as ``self.f(...)``; a function's calls
+    include those of the functions and lambdas written inside it."""
+    calls: dict[str, set[str]] = {}
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out = calls.setdefault(fn.name, set())
+            for c in ast.walk(fn):
+                if not isinstance(c, ast.Call):
+                    continue
+                if isinstance(c.func, ast.Name):
+                    out.add(c.func.id)
+                elif (isinstance(c.func, ast.Attribute) and isinstance(c.func.value, ast.Name)
+                      and c.func.value.id == "self"):
+                    out.add(c.func.attr)
+    found = set()
+    for start in calls:
+        seen, stack = set(), [start]
+        while stack:
+            for n in calls[stack.pop()] & calls.keys():
+                if n == start:
+                    found.add(start)
+                elif n not in seen:
+                    seen.add(n)
+                    stack.append(n)
+    return found
+
+
+def test_the_recursive_functions_are_pinned():
+    src = Path(bint.__file__).parent
+    found = {f"{path.stem}.{name}" for path in sorted(src.glob("*.py"))
+             for name in _on_cycles(path)}
+    assert not found - RECURSIVE, f"new recursion: {sorted(found - RECURSIVE)}"
+    assert not RECURSIVE - found, f"no longer recursive, unpin: {sorted(RECURSIVE - found)}"
+
+
+def test_the_cycle_finder_sees_direct_and_mutual_recursion(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def f(x):\n    return f(x)\n"
+                    "def g():\n    return h()\n"
+                    "def h():\n    return (lambda: g())()\n"
+                    "class C:\n    def a(self):\n        return self.b()\n"
+                    "    def b(self):\n        return self.a()\n"
+                    "def leaf():\n    return f(1)\n")
+    assert _on_cycles(path) == {"f", "g", "h", "a", "b"}
