@@ -32,11 +32,15 @@ from . import corpus
 
 
 def render_text(d: Derivation) -> str:
-    """Pre-order lines, each premise indented two spaces below its node."""
-    lines, stack = [], [(d, 0)]
+    """Pre-order lines, each premise indented two spaces below its node.  A
+    node object that occurs several times is formatted once."""
+    lines, stack, texts = [], [(d, 0)], {}    # id of a node -> its text
     while stack:
         x, depth = stack.pop()
-        lines.append(f"{'  ' * depth}[{x.rule.value}] {format_sequent(x.conclusion)}")
+        text = texts.get(id(x))
+        if text is None:
+            text = texts[id(x)] = f"[{x.rule.value}] {format_sequent(x.conclusion)}"
+        lines.append(f"{'  ' * depth}{text}")
         stack += [(p, depth + 1) for p in reversed(x.premises)]
     return "\n".join(lines)
 
@@ -77,15 +81,19 @@ def _latex_sequent(s) -> str:
 
 
 def render_latex(d: Derivation) -> str:
-    r"""``\infer[rule]{conclusion}{premise \quad ...}``; the stack holds nodes and text."""
-    out, stack = [], [d]
+    r"""``\infer[rule]{conclusion}{premise \quad ...}``; the stack holds nodes and
+    text.  A node object that occurs several times is formatted once."""
+    out, stack, texts = [], [d], {}     # id of a node -> the text before its premises
     while stack:
         x = stack.pop()
         if isinstance(x, str):
             out.append(x)
             continue
-        out.append(rf"\infer[\scriptstyle {_LATEX_RULE[x.rule]}]"
-                   + "{" + _latex_sequent(x.conclusion) + "}{")
+        text = texts.get(id(x))
+        if text is None:
+            text = texts[id(x)] = (rf"\infer[\scriptstyle {_LATEX_RULE[x.rule]}]"
+                                   + "{" + _latex_sequent(x.conclusion) + "}{")
+        out.append(text)
         stack.append("}")      # after the premises, which pop in order
         for i, p in enumerate(reversed(x.premises)):
             stack += (r" \quad ", p) if i else (p,)

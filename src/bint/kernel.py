@@ -5,7 +5,9 @@ the derivation checker, backward rule enumeration, the duality mapping, and
 Every ``Derivation`` is checked once, when it is built: its ``valid`` field
 says that its premises are valid and that it instantiates its rule schema.
 No construction path skips the check, so a tree is never re-checked, and
-``check_derivation`` walks only an invalid tree, for its first violation.
+``check_derivation`` walks only an invalid tree, for its first violation.  A
+node is checked by matching its premises against its rule's templates in
+place; the premises the schema expects are built only to word a violation.
 
 The 18 logical rules are one data table, ``SCHEMA``: per rule, the connective
 it decomposes, where its principal sits, and one template per premise.
@@ -172,10 +174,16 @@ def sequent(gamma: Iterable[Formula], delta: Iterable[Formula], polarity: Polari
     return Sequent(Context.from_iter(gamma), Context.from_iter(delta), polarity, succedent)
 
 
-def format_sequent(s: Sequent, write: Callable[[Formula], str] = format_formula) -> str:
-    """The text of ``s``; ``write`` gives the text of each formula."""
-    g = ", ".join(map(write, s.gamma.items))
-    d = ", ".join(map(write, s.delta.items))
+def format_sequent(s: Sequent, write: Callable[[Formula], str] = format_formula,
+                   context: Optional[Callable[[Context], str]] = None) -> str:
+    """The text of ``s``; ``write`` gives the text of each formula, and
+    ``context``, when set, the text of each context (its formulas' texts
+    joined by ", ")."""
+    if context is None:
+        g = ", ".join(map(write, s.gamma.items))
+        d = ", ".join(map(write, s.delta.items))
+    else:
+        g, d = context(s.gamma), context(s.delta)
     left = f"{g} ;" if g else ";"
     if d:
         left = f"{left} {d}"
@@ -424,6 +432,30 @@ class Derivation:
         object.__setattr__(self, "cut_count", c)
         object.__setattr__(self, "valid", valid)
 
+    def __eq__(self, other: object) -> bool:
+        """The dataclass's equality of conclusion, rule, premises and
+        annotation, on its own stack; a pair of node objects is compared once."""
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            x, y = stack.pop()
+            pair = (id(x), id(y))
+            if x is y or pair in seen:
+                continue
+            seen.add(pair)
+            if (x.conclusion != y.conclusion or x.rule is not y.rule
+                    or len(x.premises) != len(y.premises) or x.annotation != y.annotation):
+                return False
+            stack += zip(x.premises, y.premises)
+        return True
+
+    def __hash__(self) -> int:
+        # the root's fields only, so no walk: equal derivations agree on them
+        return hash((self.conclusion, self.rule, len(self.premises), self.annotation))
+
 
 def node(rule: RuleId, conclusion: Sequent, premises: Iterable[Derivation] = (),
          principal: Optional[Formula] = None,
@@ -569,11 +601,86 @@ def premise_of(s: Sequent, at: Side | Polarity, principal: Formula, t: Template)
                    s.succedent if t.succedent is None else ops[t.succedent])
 
 
+def _edited(items: tuple, drop: Optional[Formula], adds: tuple[int, ...],
+            ops: tuple[Formula, Formula]) -> Optional[tuple]:
+    """``items`` less one occurrence of ``drop`` (when set) and with the
+    operands ``ops[i]``, ``i`` in ``adds``, inserted where they sort, as one
+    tuple; None when ``drop`` is missing."""
+    n = lo = len(items)
+    if drop is not None:
+        lo = bisect_left(items, drop.key, key=_KEY)
+        if lo == n or items[lo] != drop:
+            return None
+    fs = [ops[i] for i in adds]
+    if len(fs) > 1:
+        fs.sort(key=_KEY)
+    out, start = [], 0
+    for f in fs:
+        i = bisect_right(items, f.key, key=_KEY)
+        if lo < i:              # the dropped occurrence sorts before f
+            out += items[start:lo]
+            start, lo = lo + 1, n
+        out += items[start:i]
+        out.append(f)
+        start = i
+    if lo < n:
+        out += items[start:lo]
+        start = lo + 1
+    out += items[start:]
+    return tuple(out)
+
+
+def _context_fits(ctx: Context, got: Context, drop: Optional[Formula], adds: tuple[int, ...],
+                  ops: tuple[Formula, Formula]) -> bool:
+    """Whether ``got`` is ``ctx`` less one ``drop`` (when set) and plus the
+    operands ``adds`` picks from ``ops``: by identity or items when nothing
+    changes, else by length and then by one tuple."""
+    if got is ctx:
+        return drop is None and not adds
+    if drop is None and not adds:
+        return got.items == ctx.items
+    if len(got.items) != len(ctx.items) - (drop is not None) + len(adds):
+        return False
+    return got.items == _edited(ctx.items, drop, adds, ops)
+
+
+def _fits(s: Sequent, rule: RuleId, principal: Formula,
+          premises: tuple[Sequent, ...] | list[Sequent]) -> bool:
+    """Whether ``premises_for(s, rule, principal) == tuple(premises)`` for a
+    logical rule, decided by matching each premise against its template in
+    place, so that no premise is built."""
+    schema = SCHEMA[rule]
+    if not isinstance(principal, schema.connective) or len(premises) != len(schema.premises):
+        return False
+    at, pol, succ = schema.at, s.polarity, s.succedent
+    # every left rule has a premise that drops the principal, and that
+    # premise does not match when the principal is missing
+    drop_g = principal if at is Side.A else None
+    drop_d = principal if at is Side.C else None
+    if isinstance(at, Polarity) and (pol is not at or (principal is not succ
+                                                      and principal != succ)):
+        return False
+    ops = (principal.left, principal.right)  # type: ignore[attr-defined]
+    gamma, delta = s.gamma, s.delta
+    for t, p in zip(schema.premises, premises):
+        c = succ if t.succedent is None else ops[t.succedent]
+        if (p.polarity is not (pol if t.polarity is None else t.polarity)
+                or (p.succedent is not c and p.succedent != c)):
+            return False
+        keeps = t.keeps
+        if not (_context_fits(gamma, p.gamma, None if keeps else drop_g, t.gamma, ops)
+                and _context_fits(delta, p.delta, None if keeps else drop_d, t.delta, ops)):
+            return False
+    return True
+
+
 def check_rule_instance(conclusion: Sequent, rule: RuleId,
                         premise_conclusions: list[Sequent] | tuple[Sequent, ...],
                         annotation: Optional[Annotation] = None) -> Optional[Violation]:
     """None when the node instantiates the rule schema exactly, else the first
-    failed constraint."""
+    failed constraint.  A logical rule's premises are matched against their
+    templates in place (``_fits``); the expected premises are built only to
+    word a violation."""
     premise_conclusions = tuple(premise_conclusions)
     if len(premise_conclusions) != ARITY[rule]:
         return Violation(rule, f"arity: expected {ARITY[rule]} premises, got {len(premise_conclusions)}")
@@ -596,24 +703,22 @@ def check_rule_instance(conclusion: Sequent, rule: RuleId,
         candidates = [f for f in side.distinct() if isinstance(f, schema.connective)]
         if not candidates:
             return Violation(rule, "no principal occurrence of the right shape")
-
-    last: Optional[Violation] = None
     for cand in candidates:
-        expected = premises_for(conclusion, rule, cand)
-        if expected is None:
-            last = Violation(rule, "conclusion does not fit the rule schema "
-                                   f"(principal {format_formula(cand)})")
-            continue
-        if expected == premise_conclusions:
+        if _fits(conclusion, rule, cand, premise_conclusions):
             return None
-        last = Violation(
-            rule,
-            "premises do not match the schema: expected "
-            + " | ".join(format_sequent(e) for e in expected)
-            + ", got "
-            + " | ".join(format_sequent(p) for p in premise_conclusions),
-        )
-    return last
+
+    # every candidate failed: the last one words the violation
+    expected = premises_for(conclusion, rule, cand)
+    if expected is None:
+        return Violation(rule, "conclusion does not fit the rule schema "
+                               f"(principal {format_formula(cand)})")
+    return Violation(
+        rule,
+        "premises do not match the schema: expected "
+        + " | ".join(format_sequent(e) for e in expected)
+        + ", got "
+        + " | ".join(format_sequent(p) for p in premise_conclusions),
+    )
 
 
 def _check_cut(conclusion: Sequent, rule: RuleId,
@@ -690,10 +795,9 @@ def infer_principal(d: Derivation) -> Optional[Formula]:
     if d.rule in LEFT_RULES:
         schema = SCHEMA[d.rule]
         side = d.conclusion.gamma if schema.at is Side.A else d.conclusion.delta
-        actual = tuple(p.conclusion for p in d.premises)
+        actual = [p.conclusion for p in d.premises]
         for f in side.distinct():
-            if (isinstance(f, schema.connective)
-                    and premises_for(d.conclusion, d.rule, f) == actual):
+            if isinstance(f, schema.connective) and _fits(d.conclusion, d.rule, f, actual):
                 return f
     return None
 

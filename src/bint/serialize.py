@@ -7,19 +7,20 @@ files round-trip bit-exact through load/dump.  The text is exactly what
 Python's ``json`` module writes with ``indent=2, sort_keys=True``; the writer
 here emits it directly.  Every node repeats its whole conclusion, so one
 document holds the same formulas many times: each distinct formula text is
-parsed, and each distinct formula printed, once per document, and each
-distinct ``Gamma ; Delta |-*`` head of a conclusion is read once per document.
+parsed, and each distinct formula printed, once per document.  So is each
+distinct text of a conclusion's Gamma or Delta read, and each distinct
+context object written.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .syntax import Formula, FormulaSyntaxError, format_formula, parse_formula
 from .kernel import (
-    Annotation, Context, ContextSplit, Derivation, Polarity, RuleId, Sequent, _Memo,
+    EMPTY, MINUS, PLUS, Annotation, Context, ContextSplit, Derivation, RuleId, Sequent, _Memo,
     format_sequent, parse_sequent,
 )
 
@@ -40,12 +41,21 @@ class _Writer:
 
     def __init__(self):
         self.texts: dict[Formula, str] = _Memo(format_formula)
+        # id of a context -> the context, kept alive so that its id is not
+        # reused, and its formulas' texts joined
+        self.contexts: dict[int, tuple[Context, str]] = {}
         self.out: list[str] = []
         self.indents: dict[int, str] = _Memo(lambda depth: "\n" + "  " * depth)
 
     def text(self) -> str:
         self.out.append("\n")
         return "".join(self.out)
+
+    def context(self, ctx: Context) -> str:
+        hit = self.contexts.get(id(ctx))
+        if hit is None:
+            hit = self.contexts[id(ctx)] = (ctx, ", ".join(map(self.texts.__getitem__, ctx.items)))
+        return hit[1]
 
     def node(self, d: Derivation, depth: int) -> None:
         out, indents = self.out, self.indents
@@ -57,7 +67,7 @@ class _Writer:
             out += (nl, '"annotation": ')
             self.annotation(a, depth + 1)
             out.append(",")
-        conclusion = format_sequent(d.conclusion, self.texts.__getitem__)
+        conclusion = format_sequent(d.conclusion, self.texts.__getitem__, self.context)
         out += (nl, '"conclusion": ', _escape(conclusion), ",", nl, '"premises": ')
         self.premises(d.premises, depth + 1)
         out += (",", nl, '"rule": ', _escape(d.rule.value), indents[depth], "}")
@@ -121,30 +131,39 @@ def _expect(value: Any, kind: type, what: str) -> Any:
 
 class _Reader:
     """Reads one document, parsing each distinct formula text once, so equal
-    formulas in what it reads are one object."""
+    formulas in what it reads are one object, and reading each distinct text
+    of a conclusion's Gamma or Delta once, so equal contexts are one object."""
 
     def __init__(self):
-        self.formula: Callable[[str], Formula] = _Memo(parse_formula).__getitem__
-        # conclusion text up to and including its turnstile -> its contexts
-        # and polarity: many nodes repeat their parent's contexts
-        self.heads: dict[str, tuple[Context, Context, Polarity]] = {}
+        formula = self.formula = _Memo(parse_formula).__getitem__
+
+        def context(text: str) -> Context:
+            if not text.strip():
+                return EMPTY
+            return Context.from_iter([formula(t.strip()) for t in text.split(",")])
+
+        # the text of a context, before ';' or between ';' and the turnstile
+        # -> the context: a left rule's premise changes one context of its
+        # conclusion and repeats the other
+        self.contexts: dict[str, Context] = _Memo(context)
 
     def sequent(self, text: str) -> Sequent:
-        """``parse_sequent(text)``, reading only the succedent when the text
-        up to its turnstile has been read before."""
-        cut = text.find("|-") + 3
-        head = self.heads.get(text[:cut]) if cut > 2 else None
-        if head is not None:
-            rest = text[cut:]
-            if "," not in rest and ";" not in rest and "|" not in rest:
-                try:
-                    return Sequent(*head, self.formula(rest.strip()))
-                except FormulaSyntaxError:
-                    pass
-        # anything else, failures included, reads as a whole sequent
-        s = parse_sequent(text, self.formula)
-        self.heads[text[:cut]] = (s.gamma, s.delta, s.polarity)
-        return s
+        """``parse_sequent(text)``, reading each context text once per
+        document.  Text that does not split regularly at one ';' and a
+        turnstile, and any text with an error, reads as a whole sequent."""
+        semi = text.find(";")
+        turn = text.find("|-", semi)
+        sign = text[turn + 2:turn + 3]
+        if semi >= 0 and turn >= 0 and (sign == "+" or sign == "-"):
+            # a formula's text holds no separator, so the pieces that parse
+            # are the ones parse_sequent reads
+            try:
+                return Sequent(self.contexts[text[:semi]], self.contexts[text[semi + 1:turn]],
+                               PLUS if sign == "+" else MINUS,
+                               self.formula(text[turn + 3:].strip()))
+            except FormulaSyntaxError:
+                pass
+        return parse_sequent(text, self.formula)
 
     def _context(self, data: Any, what: str) -> Context:
         return Context.from_iter(self.formula(_expect(t, str, f"{what} entry"))

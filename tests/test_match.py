@@ -1,0 +1,304 @@
+"""The checker's matcher, ``kernel._fits``: a logical rule instance is decided
+by matching each premise against its template in place.
+
+It is compared with what it replaced, building the expected premises with
+``premises_for`` and comparing them, on every node of the golden corpus files,
+of the random derivation corpora and of their duals, and on single-field
+mutations of those nodes.  The whole checker is compared with its former
+definition, violation text included.  A last test counts that building valid
+nodes builds no premise for the check.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from bint import kernel
+from bint.corpus import DATA_DIR
+from bint.kernel import (
+    ARITY, CUT_RULES, RIGHT_RULES, SCHEMA, ZERO_PREMISE, Annotation, RuleId as R, Sequent,
+    Side, Violation,
+    _check_cut, _fits, _zero_premise_failure, check_rule_instance, dual_derivation,
+    format_sequent, infer_principal, parse_sequent, premises_for,
+)
+from bint.search import prove, random_derivation
+from bint.serialize import load_derivation, load_derivations
+from bint.syntax import And, Atom, Coimp, Imp, Or, format_formula
+from bint.transform import eliminate_cut, weaken
+
+from conftest import SEED, horn_chain
+
+RANDOM_DERIVATIONS = 1_000
+_CONNECTIVES = (And, Or, Imp, Coimp)
+q, zz = Atom("q"), Atom("zz")
+
+
+# --- the reference: the checker as it was, building the expected premises --------
+
+def ref_check_rule_instance(conclusion, rule, premise_conclusions, annotation=None):
+    premise_conclusions = tuple(premise_conclusions)
+    if len(premise_conclusions) != ARITY[rule]:
+        return Violation(rule, f"arity: expected {ARITY[rule]} premises, "
+                               f"got {len(premise_conclusions)}")
+    if rule in ZERO_PREMISE:
+        why = _zero_premise_failure(conclusion, rule)
+        return None if why is None else Violation(rule, why)
+    if rule in CUT_RULES:
+        return _check_cut(conclusion, rule, premise_conclusions, annotation)
+    if annotation is not None and annotation.principal is not None:
+        candidates = [annotation.principal]
+    elif rule in RIGHT_RULES:
+        candidates = [conclusion.succedent]
+    else:
+        schema = SCHEMA[rule]
+        side = conclusion.gamma if schema.at is Side.A else conclusion.delta
+        candidates = [f for f in side.distinct() if isinstance(f, schema.connective)]
+        if not candidates:
+            return Violation(rule, "no principal occurrence of the right shape")
+    last = None
+    for cand in candidates:
+        expected = premises_for(conclusion, rule, cand)
+        if expected is None:
+            last = Violation(rule, "conclusion does not fit the rule schema "
+                                   f"(principal {format_formula(cand)})")
+            continue
+        if expected == premise_conclusions:
+            return None
+        last = Violation(
+            rule,
+            "premises do not match the schema: expected "
+            + " | ".join(format_sequent(e) for e in expected)
+            + ", got "
+            + " | ".join(format_sequent(p) for p in premise_conclusions),
+        )
+    return last
+
+
+def ref_infer_principal(d):
+    if d.annotation is not None and d.annotation.principal is not None:
+        return d.annotation.principal
+    if d.rule in RIGHT_RULES:
+        return d.conclusion.succedent
+    if d.rule in SCHEMA:
+        schema = SCHEMA[d.rule]
+        side = d.conclusion.gamma if schema.at is Side.A else d.conclusion.delta
+        actual = tuple(p.conclusion for p in d.premises)
+        for f in side.distinct():
+            if (isinstance(f, schema.connective)
+                    and premises_for(d.conclusion, d.rule, f) == actual):
+                return f
+    return None
+
+
+# --- the nodes compared ----------------------------------------------------------
+
+def _nodes(roots):
+    """Each distinct node of ``roots``, as (conclusion, rule, premise conclusions,
+    annotation), once per value."""
+    seen, visited, out, stack = set(), set(), [], list(roots)
+    while stack:
+        x = stack.pop()
+        if id(x) in visited:
+            continue
+        visited.add(id(x))
+        key = (x.conclusion, x.rule, tuple(p.conclusion for p in x.premises), x.annotation)
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+        stack.extend(x.premises)
+    return out
+
+
+@pytest.fixture(scope="module")
+def nodes(derivation_corpus):
+    roots = [d for path in sorted(DATA_DIR.glob("*.deriv")) for d in load_derivations(path)]
+    roots += derivation_corpus
+    rand = [random_derivation(SEED * 1000 + 50_000 + i, 8) for i in range(RANDOM_DERIVATIONS)]
+    roots += rand + [dual_derivation(d) for d in rand]
+    return _nodes(roots)
+
+
+def _candidates(s: Sequent, annotation):
+    """Every formula that could be offered as the principal: the annotated one,
+    the succedent, each context formula and each operand."""
+    out = [s.succedent, *s.gamma.distinct(), *s.delta.distinct()]
+    if annotation is not None and annotation.principal is not None:
+        out.append(annotation.principal)
+    out += [x for f in list(out) if isinstance(f, _CONNECTIVES) for x in (f.left, f.right)]
+    return list(dict.fromkeys(out))
+
+
+def _principals(s: Sequent, rule, annotation):
+    """The principals the checker tries: the annotated one, a right rule's
+    succedent, or each context formula a left rule could decompose."""
+    if annotation is not None and annotation.principal is not None:
+        return [annotation.principal]
+    if rule in RIGHT_RULES:
+        return [s.succedent]
+    schema = SCHEMA[rule]
+    side = s.gamma if schema.at is Side.A else s.delta
+    return [f for f in side.distinct() if isinstance(f, schema.connective)]
+
+
+def _agree(s, rule, premises, annotation, candidates, worded=True):
+    """The matcher agrees with ``premises_for`` on each candidate principal,
+    and the checker with its former definition: on its verdict, and when
+    ``worded``, on its violation text."""
+    fit = False
+    for f in candidates:
+        built = premises_for(s, rule, f) == premises
+        assert _fits(s, rule, f, premises) == built, \
+            (format_sequent(s), rule, format_formula(f), [format_sequent(p) for p in premises])
+        fit = fit or built
+    if not worded:
+        return fit
+    got = check_rule_instance(s, rule, premises, annotation)
+    want = ref_check_rule_instance(s, rule, premises, annotation)
+    assert str(got) == str(want) and (got is None) == (want is None)
+    return got is None
+
+
+def _changed(s: Sequent, **fields) -> Sequent:
+    return Sequent(**{"gamma": s.gamma, "delta": s.delta, "polarity": s.polarity,
+                      "succedent": s.succedent, **fields})
+
+
+def _mutations(s, rule, premises, annotation):
+    """Single-field mutations of one node, as (conclusion, premises,
+    annotation): one context formula added to, dropped from or replaced in
+    either side of a premise, a premise's polarity flipped, the principal's
+    other operand as a premise's succedent, the premises swapped, a wrong
+    principal in the annotation, and every polarity flipped."""
+    principal = _principal_of(s, rule, premises, annotation)
+    ops = () if principal is None else (principal.left, principal.right)
+    for i, p in enumerate(premises):
+        def at(q):
+            return s, premises[:i] + (q,) + premises[i + 1:], annotation
+        for side in ("gamma", "delta"):
+            ctx = getattr(p, side)
+            for f in (zz, *ops, *ctx.items[:1]):
+                yield at(_changed(p, **{side: ctx.add(f)}))
+            for f in ctx.distinct():
+                yield at(_changed(p, **{side: ctx.remove(f)}))
+                yield at(_changed(p, **{side: ctx.remove(f).add(zz)}))
+        yield at(_changed(p, polarity=p.polarity.flip()))
+        for f in ops:
+            if f != p.succedent:
+                yield at(_changed(p, succedent=f))
+    if len(premises) == 2:
+        yield s, premises[::-1], annotation
+    connective = SCHEMA[rule].connective
+    wrong = [f for f in (*s.gamma.distinct(), *s.delta.distinct(), s.succedent)
+             if isinstance(f, connective) and f != principal]
+    for f in wrong + [connective(zz, zz)]:
+        yield s, premises, Annotation(principal=f)
+    yield (_changed(s, polarity=s.polarity.flip()),
+           tuple(_changed(p, polarity=p.polarity.flip()) for p in premises), annotation)
+
+
+def _principal_of(s, rule, premises, annotation):
+    return next((f for f in _principals(s, rule, annotation)
+                 if premises_for(s, rule, f) == premises), None)
+
+
+# --- the matcher against premises_for ------------------------------------------------
+
+def test_the_matcher_agrees_with_premises_for_on_every_node(nodes):
+    logical = [n for n in nodes if n[1] in SCHEMA]
+    assert len(logical) > 5_000
+    assert {n[1] for n in logical} == set(SCHEMA)
+    assert all(_agree(*n, _candidates(n[0], n[3])) for n in logical)    # all are valid
+
+
+def test_the_matcher_agrees_with_premises_for_on_mutated_nodes(nodes):
+    accepted = rejected = 0
+    for s, rule, premises, annotation in nodes:
+        if rule not in SCHEMA:
+            continue
+        for conclusion, mutated, ann in _mutations(s, rule, premises, annotation):
+            # formatting dominates, so every eighth violation is worded
+            worded = (accepted + rejected) % 8 == 0
+            if _agree(conclusion, rule, mutated, ann, _principals(conclusion, rule, ann),
+                      worded):
+                accepted += 1
+            else:
+                rejected += 1
+    # a mutation is nearly always a violation; a few still fit: by another
+    # principal, by an equal premise, or a left rule at the other polarity
+    assert rejected > 100_000 and accepted < rejected // 20
+
+
+def test_infer_principal_agrees_with_the_former_definition(derivation_corpus):
+    roots = derivation_corpus + [dual_derivation(d) for d in derivation_corpus]
+    stack, seen = list(roots), set()
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            assert infer_principal(x) == ref_infer_principal(x)
+            stack.extend(x.premises)
+
+
+def test_a_context_that_changes_is_matched_in_sort_order():
+    # two operands added around a dropped principal, and repeated formulas
+    s = parse_sequent("a, b /\\ d, c, c, e ; |-+ q")
+    ok = (parse_sequent("a, b, c, c, d, e ; |-+ q"),)
+    principal = And(Atom("b"), Atom("d"))
+    assert _fits(s, R.AndLa, principal, ok)
+    for bad in ("a, b, c, d, e ; |-+ q", "a, b, c, c, c, d, e ; |-+ q",
+                "a, b /\\ d, b, c, c, d, e ; |-+ q", "a, b, c, c, d ; |-+ q"):
+        assert not _fits(s, R.AndLa, principal, (parse_sequent(bad),))
+        assert premises_for(s, R.AndLa, principal) != (parse_sequent(bad),)
+    assert not _fits(s, R.AndLa, And(Atom("x"), Atom("y")), ok)
+    # a premise that repeats, as the same object, a context the rule changes
+    assert not _fits(s, R.AndLa, principal, (Sequent(s.gamma, s.delta, s.polarity, q),))
+    t = parse_sequent("a ; |-+ a -> q")
+    assert not _fits(t, R.ImpRPlus, t.succedent, (Sequent(t.gamma, t.delta, t.polarity, q),))
+
+
+# --- building valid nodes builds no premise for the check ------------------------------
+
+@pytest.fixture
+def builders(monkeypatch):
+    """Calls of ``premises_for`` and ``premise_of`` made through the kernel, by
+    the name of the calling function."""
+    callers = []
+
+    def spy(fn):
+        def wrapper(*args, **kwargs):
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):     # a comprehension
+                caller = caller.f_back
+            callers.append((fn.__name__, caller.f_code.co_name))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernel, "premises_for", spy(kernel.premises_for))
+    monkeypatch.setattr(kernel, "premise_of", spy(kernel.premise_of))
+    return callers
+
+
+def test_building_valid_nodes_builds_no_premise(cut_pairs, builders):
+    loaded = [load_derivation(path) for path in sorted(DATA_DIR.glob("*.deriv"))]
+    built = [dual_derivation(d) for d in loaded]
+    built += [weaken(d, zz, side) for d in loaded if not d.cut_count for side in Side]
+    for variant in CUT_RULES:
+        for left, right, dfm in cut_pairs[variant][:20]:
+            built.append(eliminate_cut(left, right, dfm, variant))
+    for s in (horn_chain(12, True), parse_sequent("p /\\ q ; |-+ q /\\ p"),
+              parse_sequent("; |-+ (p -> q) -> (q -> r) -> p -> r")):
+        built.append(prove(s).derivation)
+    assert len(loaded) > 100 and all(d.valid for d in loaded + built)
+    assert not [c for c in builders if c[0] == "premises_for"]
+    # the expansions of prove build their premises, once each; nothing else does
+    assert {caller for _, caller in builders} <= {"premises"}
+
+
+def test_a_violation_is_worded_from_built_premises(builders):
+    s = parse_sequent("p /\\ q ; |-+ p")
+    v = check_rule_instance(s, R.AndLa, [parse_sequent("p ; |-+ p")])
+    assert str(v) == ("AndLa: premises do not match the schema: expected p, q ; |-+ p, "
+                      "got p ; |-+ p")
+    assert ("premises_for", "check_rule_instance") in builders

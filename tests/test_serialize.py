@@ -1,5 +1,5 @@
 """The derivation writer against the JSON module it replaced, the loader's
-memo of conclusion heads, and dumps that overflow the stack."""
+and the writer's memos of contexts, and dumps that overflow the stack."""
 
 from __future__ import annotations
 
@@ -124,7 +124,7 @@ def test_every_corpus_file_writes_as_before():
         assert dumps_derivations(ds) == text, path.name
 
 
-# --- the loader's memo of conclusion heads ---------------------------------------------------
+# --- the loader's and the writer's memos of contexts ---------------------------------------
 
 def _two_levels(top: str, below: str) -> str:
     return json.dumps({"rule": "AndLa", "conclusion": top,
@@ -150,6 +150,57 @@ def test_equal_heads_read_as_one_context():
     below = d.premises[0].conclusion
     assert below == parse_sequent("p, q ; r |-- p /\\ q")
     assert below.gamma is d.conclusion.gamma and below.delta is d.conclusion.delta
+
+
+@pytest.mark.parametrize("below", [
+    "p,, q ; |-+ r", " , p ; |-+ q", "p ; q, |-+ r", "p ; q |- r", "p ; q |-x r", "p |-+ q",
+    "p ; ; q |-+ r", "p ; q |-+ r ; s", "p $ ; |-+ q", "p ; q $ |-+ r", "p ; |-+", "",
+    "p q ; |-+ r", "; p |-- q |-- r", "p |-- q ; |-+ r", "(p ; q) |-+ r", "p, ; |-+ q",
+])
+def test_an_irregular_context_text_fails_as_parse_sequent_does(below):
+    with pytest.raises(FormulaSyntaxError) as alone:
+        parse_sequent(below)
+    for top in ("p ; q |-+ r", "p, q ; |-+ r"):     # the memo empty, and holding p and q
+        with pytest.raises(FormulaSyntaxError) as loaded:
+            loads_derivation(_two_levels(top, below))
+        assert (loaded.value.message, loaded.value.position) == \
+            (alone.value.message, alone.value.position)
+
+
+@pytest.mark.parametrize("text", [
+    "p ; q |-+ r", "  p ,q;r|--s ", "p \\/ q, r ;|-+ r", ";|-+ T", " ;  |-- F", "q, p, q ; p |-+ q",
+])
+def test_a_regular_text_in_any_spacing_reads_as_parse_sequent_does(text):
+    d = loads_derivation(_two_levels("p, q ; r |-- q", text))
+    assert d.premises[0].conclusion == parse_sequent(text)
+
+
+def _contexts_in(d: Derivation, side: str) -> list[Context]:
+    out, stack = [], [d]
+    while stack:
+        x = stack.pop()
+        out.append(getattr(x.conclusion, side))
+        stack.extend(x.premises)
+    return out
+
+
+def test_each_distinct_context_is_read_as_one_object():
+    for i in range(40):
+        d = loads_derivation(dumps_derivation(random_derivation(SEED * 1000 + i, 10)))
+        for side in ("gamma", "delta"):
+            contexts = _contexts_in(d, side)
+            one: dict[Context, Context] = {}
+            assert all(one.setdefault(c, c) is c for c in contexts)
+
+
+def test_each_distinct_context_object_is_joined_once():
+    d = random_derivation(SEED, 12)
+    contexts = _contexts_in(d, "gamma") + _contexts_in(d, "delta")
+    writer = serialize._Writer()
+    writer.node(d, 0)
+    assert writer.text() == dumps_derivation(d)
+    assert writer.contexts.keys() == {id(c) for c in contexts}
+    assert all(writer.contexts[id(c)][0] is c for c in contexts)
 
 
 # --- dumps that overflow the stack --------------------------------------------------------

@@ -1,10 +1,10 @@
 """The shared derivation walk: ``kernel.fold`` and the maps built on it.
 
 The three weakenings, duality and rule coverage are folds; the two renderers
-are pre-order walks with their own stacks.  Each is checked against the
-recursive definition it replaced, on tall towers at the default recursion
-limit, and for the sharing of premise objects.  A last test pins the
-functions of ``bint`` that still recurse.
+are pre-order walks with their own stacks, and so is the equality of two
+derivations.  Each is checked against the recursive definition it replaced,
+on tall towers at the default recursion limit, and for the sharing of premise
+objects.  A last test pins the functions of ``bint`` that still recurse.
 """
 
 import ast
@@ -14,14 +14,15 @@ from pathlib import Path
 import pytest
 
 import bint
+from bint import cli
 from bint.cli import _LATEX_RULE, _latex_sequent, render_latex, render_text
 from bint.corpus import DATA_DIR, _rules_in
 from bint.kernel import (
-    Annotation, Context, ContextSplit, RuleId as R, Sequent, Side, dual_derivation, fold,
+    PLUS, Annotation, Context, ContextSplit, RuleId as R, Sequent, Side, dual_derivation, fold,
     format_sequent, node, parse_sequent,
 )
 from bint.serialize import load_derivation
-from bint.syntax import BOT, TOP, And, Atom, Imp
+from bint.syntax import BOT, TOP, And, Atom, Imp, Or
 from bint.transform import (
     SpecialWeakening, TransformError, _drop_one, _node, _require_input, unweaken_special,
     weaken, weaken_context,
@@ -193,6 +194,72 @@ def test_render_text_of_a_tower_at_the_default_recursion_limit():
     assert lines[0] == "[ImpLa] p, p -> p ; |-+ p"
     assert lines[3_000] == "  " * 3_000 + "[RfPlus] p, p -> p ; |-+ p"   # the bottom leaf
     assert lines[-1] == "  [RfPlus] p, p ; |-+ p"        # the root's closer
+
+
+def _doubling(levels: int):
+    """``OrLa`` stacked ``levels`` times, both premises of each node the same
+    object: a tree of 2 ** (levels + 1) - 1 nodes held in ``levels + 1``."""
+    por = Or(p, p)
+    d = node(R.RfPlus, Sequent(Context.of(*[p] * (levels + 1)), Context(), PLUS, p))
+    for i in range(1, levels + 1):
+        conc = Sequent(Context.of(*[por] * i, *[p] * (levels + 1 - i)), Context(), PLUS, p)
+        d = node(R.OrLa, conc, (d, d), principal=por)
+    return d
+
+
+def test_equality_of_towers_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() == 1000
+    for height in (2_000, 10_000):
+        a, b = tower(height), tower(height)
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    a = tower(2_000)
+    assert a != tower(2_000, bad_at=1_000) and a != tower(1_999) and a != dual_derivation(a)
+    assert a != a.conclusion and a.__eq__(a.conclusion) is NotImplemented
+
+
+def test_equality_compares_a_shared_pair_of_subproofs_once():
+    a, b = _doubling(80), _doubling(80)        # trees of 2 ** 81 - 1 nodes
+    assert a == b and hash(a) == hash(b)
+    assert a != _doubling(79) and a.premises[0] == b.premises[1]
+
+
+def test_equality_is_the_dataclass_equality(derivation_corpus):
+    def ref(x, y):
+        return (x.conclusion == y.conclusion and x.rule is y.rule
+                and len(x.premises) == len(y.premises)
+                and all(ref(u, v) for u, v in zip(x.premises, y.premises))
+                and x.annotation == y.annotation)
+
+    ds = derivation_corpus[:60]
+    for x in ds:
+        for y in ds:
+            assert (x == y) == ref(x, y)
+        twin = dual_derivation(dual_derivation(x))
+        assert twin == x and ref(twin, x) and hash(twin) == hash(x)
+    # nodes, and trees, that differ in their rule or their annotation alone
+    s = parse_sequent("p, F ; |-+ p")
+    rf, bot = node(R.RfPlus, s), node(R.BotLa, s)
+    both = parse_sequent("p, F ; |-+ p /\\ p")
+    pairs = [(rf, bot), (node(R.AndRPlus, both, [rf, rf]), node(R.AndRPlus, both, [rf, bot]))]
+    conj = parse_sequent("p /\\ q ; |-+ p")
+    below = node(R.RfPlus, parse_sequent("p, q ; |-+ p"))
+    pairs.append((node(R.AndLa, conj, [below]), node(R.AndLa, conj, [below], principal=And(p, q))))
+    for x, y in pairs:
+        assert x.valid and y.valid and x != y and not ref(x, y)
+
+
+def test_renderers_format_each_distinct_node_once(monkeypatch):
+    d = _doubling(10)
+    formatted = []
+    monkeypatch.setattr(cli, "format_sequent", lambda s: formatted.append(s) or format_sequent(s))
+    monkeypatch.setattr(cli, "_latex_sequent", lambda s: formatted.append(s) or _latex_sequent(s))
+    text = render_text(d)
+    assert len(formatted) == 11 and text.count("\n") == 2 ** 11 - 2
+    formatted.clear()
+    latex = render_latex(d)
+    assert len(formatted) == 11 and latex.count(r"\infer") == 2 ** 11 - 1
+    monkeypatch.undo()
+    assert text == ref_render_text(d) and latex == ref_render_latex(d)
 
 
 # --- the same results as the recursive definitions -------------------------------
