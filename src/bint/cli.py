@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (FormulaSyntaxError, DerivationFormatError, FileNotFoundError) as e:
+    except (FormulaSyntaxError, DerivationFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TransformError as e:

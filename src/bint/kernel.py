@@ -1,6 +1,8 @@
 """Sequents over multiset contexts, the 24-rule table plus the two cut rules,
 the derivation checker, backward rule enumeration, the duality mapping, and
-``fold``, the stack-free walk that duality, weakening and coverage share.
+``fold``, the stack-free walk that duality, weakening, inversion, contraction
+and coverage share.  Its ``stop`` hook gives a node an image without visiting
+its premises, which is how inversion and contraction end at a principal node.
 
 Every ``Derivation`` is checked once, when it is built: its ``valid`` field
 says that its premises are valid and that it instantiates its rule schema.
@@ -12,8 +14,8 @@ place; the premises the schema expects are built only to word a violation.
 The 18 logical rules are one data table, ``SCHEMA``: per rule, the connective
 it decomposes, where its principal sits, and one template per premise.
 Checking, backward expansion, the rule sets and the duality table here, and
-inversion, contraction and the principal cases of cut elimination in
-``bint.transform``, all read it.
+identity expansion, inversion, contraction and the principal cases of cut
+elimination in ``bint.transform``, all read it.
 
 A sequent ``(gamma; delta) |-* C`` reads: from the verification of everything
 in gamma and the falsification of everything in delta, derive the verification
@@ -475,11 +477,16 @@ def cut_height(d: Derivation) -> int:
 _T = TypeVar("_T")
 
 
-def fold(d: Derivation, make: Callable[[Derivation, tuple], _T]) -> _T:
+def fold(d: Derivation, make: Callable[[Derivation, tuple], _T],
+         stop: Optional[Callable[[Derivation], Optional[_T]]] = None) -> _T:
     """``make(x, images of x's premises)`` for the root ``d``, on its own stack.
     Each distinct node object is made once, after its premises, in order, so
-    a premise object shared by several nodes has one image."""
-    if not d.premises:
+    a premise object shared by several nodes has one image.
+
+    ``stop(x)``, when given, is asked first, once per distinct node: an image
+    it returns (not None) stands for ``x``, and the premises of ``x`` are not
+    visited."""
+    if not d.premises and stop is None:
         return make(d, ())
     done: dict[int, _T] = {}     # id of a node -> its image
     stack: list = [d]
@@ -489,7 +496,11 @@ def fold(d: Derivation, make: Callable[[Derivation, tuple], _T]) -> _T:
             x = stack.pop()
             done[id(x)] = make(x, tuple([done[id(p)] for p in x.premises]))
         elif id(x) not in done:  # a shared premise is pushed again once made
-            stack += (x, None, *x.premises[::-1])
+            image = None if stop is None else stop(x)
+            if image is None:
+                stack += (x, None, *x.premises[::-1])
+            else:
+                done[id(x)] = image
     return done[id(d)]
 
 

@@ -125,15 +125,6 @@ def weight(f: Formula) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def subformulas(f: Formula) -> frozenset[Formula]:
-    """All subformulas of ``f``, including ``f`` itself."""
-    match f:
-        case And(l, r) | Or(l, r) | Imp(l, r) | Coimp(l, r):
-            return subformulas(l) | subformulas(r) | {f}
-        case _:
-            return frozenset((f,))
-
-
 # --- parser ----------------------------------------------------------------
 
 # After optional whitespace, a lexeme: punctuation, a word, or any other

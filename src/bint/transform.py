@@ -14,11 +14,14 @@ checker-valid, cut-free derivation with the advertised endsequent:
   case is written once for both cut variants.
 
 Every node is checked once, when it is built (``Derivation.valid``), so an
-entry point reads its input's validity and cut count without a walk.  Each
-weakening is one stack-free ``kernel.fold``; the other operations stop at
-principal nodes and recurse into themselves.  Every node goes through
-one constructor, which refuses cuts and raises ``InternalCheckError`` where
-an invalid node is built; by induction every output is valid and cut-free.
+entry point reads its input's validity and cut count without a walk.  The
+weakenings, inversion and contraction are each one stack-free ``kernel.fold``
+that gives every node a new conclusion; inversion and contraction stop the
+walk at a node that decomposes their formula, where contraction calls itself
+on the premises.  Identity expansion reads its rule pairs from ``SCHEMA``, and
+it and cut elimination recurse.  Every node goes through one constructor,
+which refuses cuts and raises ``InternalCheckError`` where an invalid node is
+built; by induction every output is valid and cut-free.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .syntax import (
     BOT, TOP, And, Atom, Bottom, Coimp, Formula, Imp, Or, Top, format_formula, weight,
 )
 from .kernel import (
-    CUT_AT, CUT_RULES, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS, SCHEMA, ZERO_PREMISE,
-    Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side,
+    _RIGHT_BY_SHAPE, CUT_AT, CUT_RULES, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS, SCHEMA,
+    ZERO_PREMISE, Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side,
     check_derivation, closing_rules, fold, infer_principal, node, premise_of,
 )
 
@@ -77,10 +80,6 @@ def derive_identity(gamma: Context, delta: Context, c: Formula,
     formulas recurse through the matching left/right rule pair on strict
     subformulas, so an all-atom compound comes out with height 2.
     """
-    return _identity(gamma, delta, c, polarity)
-
-
-def _identity(gamma: Context, delta: Context, c: Formula, polarity: Polarity) -> Derivation:
     if weight(c) <= 1:
         return _identity_base(gamma, delta, c, polarity)
     return _identity_step(gamma, delta, c, polarity)
@@ -172,64 +171,41 @@ def _identity_base(g: Context, d: Context, c: Formula, pol: Polarity) -> Derivat
 
 
 def _identity_step(g: Context, d: Context, c: Formula, pol: Polarity) -> Derivation:
-    a, b = c.left, c.right  # type: ignore[attr-defined]
-    plus = pol is PLUS
-    conc = Sequent(g.add(c), d, PLUS, c) if plus else Sequent(g, d.add(c), MINUS, c)
-    match c:
-        case And():
-            if plus:
-                pa = _node(R.AndLa, Sequent(conc.gamma, d, PLUS, a),
-                           [_identity(g.add(b), d, a, PLUS)], principal=c)
-                pb = _node(R.AndLa, Sequent(conc.gamma, d, PLUS, b),
-                           [_identity(g.add(a), d, b, PLUS)], principal=c)
-                return _node(R.AndRPlus, conc, [pa, pb])
-            pa = _node(R.AndRMinus1, Sequent(g, d.add(a), MINUS, c),
-                       [_identity(g, d, a, MINUS)])
-            pb = _node(R.AndRMinus2, Sequent(g, d.add(b), MINUS, c),
-                       [_identity(g, d, b, MINUS)])
-            return _node(R.AndLc, conc, [pa, pb], principal=c)
-        case Or():
-            if plus:
-                pa = _node(R.OrRPlus1, Sequent(g.add(a), d, PLUS, c),
-                           [_identity(g, d, a, PLUS)])
-                pb = _node(R.OrRPlus2, Sequent(g.add(b), d, PLUS, c),
-                           [_identity(g, d, b, PLUS)])
-                return _node(R.OrLa, conc, [pa, pb], principal=c)
-            pa = _node(R.OrLc, Sequent(g, conc.delta, MINUS, a),
-                       [_identity(g, d.add(b), a, MINUS)], principal=c)
-            pb = _node(R.OrLc, Sequent(g, conc.delta, MINUS, b),
-                       [_identity(g, d.add(a), b, MINUS)], principal=c)
-            return _node(R.OrRMinus, conc, [pa, pb])
-        case Imp():
-            if plus:
-                inner = _node(R.ImpLa, Sequent(conc.gamma.add(a), d, PLUS, b),
-                              [_identity(g.add(c), d, a, PLUS),
-                               _identity(g.add(a), d, b, PLUS)], principal=c)
-                return _node(R.ImpRPlus, conc, [inner])
-            inner = _node(R.ImpRMinus, Sequent(g.add(a), d.add(b), MINUS, c),
-                          [_identity(g, d.add(b), a, PLUS),
-                           _identity(g.add(a), d, b, MINUS)])
-            return _node(R.ImpLc, conc, [inner], principal=c)
-        case Coimp():
-            if plus:
-                inner = _node(R.CoimpRPlus, Sequent(g.add(a), d.add(b), PLUS, c),
-                              [_identity(g, d.add(b), a, PLUS),
-                               _identity(g.add(a), d, b, MINUS)])
-                return _node(R.CoimpLa, conc, [inner], principal=c)
-            inner = _node(R.CoimpLc, Sequent(g, conc.delta.add(b), MINUS, a),
-                          [_identity(g, d.add(c), b, MINUS),
-                           _identity(g, d.add(b), a, MINUS)], principal=c)
-            return _node(R.CoimpRMinus, conc, [inner])
-    raise TypeError(f"not a compound formula: {c!r}")
+    """The right rule for ``c`` at ``pol`` and the left rule on its occurrence
+    in the context, one above the other; each premise of the upper rule is
+    closed by identity on the operand it concludes.  The left rule goes below
+    where the right rule has two variants, one per premise of the left rule
+    (And-, Or+), or a premise of the other polarity (Imp-, Coimp+)."""
+    side = Side.A if pol is PLUS else Side.C
+    conc = Sequent(g.add(c), d, PLUS, c) if pol is PLUS else Sequent(g, d.add(c), MINUS, c)
+    left, rights = LEFT_RULE_BY_SHAPE[side][type(c)], _RIGHT_BY_SHAPE[type(c), pol]
+    if len(rights) == 1 and all(t.polarity in (None, pol) for t in SCHEMA[rights[0]].premises):
+        lower, uppers = rights[0], (left, left)
+    else:
+        lower, uppers = left, rights
+    premises = []
+    for t, upper in zip(SCHEMA[lower].premises, uppers):
+        s = premise_of(conc, SCHEMA[lower].at, c, t)
+        closed = []
+        for u in SCHEMA[upper].premises:
+            above = premise_of(s, SCHEMA[upper].at, c, u)
+            e, g2, d2 = above.succedent, above.gamma, above.delta
+            closed.append(derive_identity(g2.remove(e), d2, e, PLUS) if above.polarity is PLUS
+                          else derive_identity(g2, d2.remove(e), e, MINUS))
+        premises.append(_node(upper, s, closed, principal=c if upper is left else None))
+    return _node(lower, conc, premises, principal=c if lower is left else None)
 
 
 # --- weakening -------------------------------------------------------------------
 
-def _map_conclusions(d: Derivation, conclusion: Callable[[Sequent], Sequent]) -> Derivation:
+def _map_conclusions(d: Derivation, conclusion: Callable[[Sequent], Sequent],
+                     stop: Optional[Callable[[Derivation], Optional[Derivation]]] = None
+                     ) -> Derivation:
     """``d`` with each conclusion ``s`` replaced by ``conclusion(s)``: the same
-    rules, annotations and shape, and a shared subproof stays shared."""
+    rules, annotations and shape, and a shared subproof stays shared.  Where
+    ``stop(x)`` gives a derivation, it stands for ``x`` and its premises."""
     return fold(d, lambda x, premises: _node(x.rule, conclusion(x.conclusion), premises,
-                                             annotation=x.annotation))
+                                             annotation=x.annotation), stop)
 
 
 def weaken(d: Derivation, extra: Formula, side: Side) -> Derivation:
@@ -297,21 +273,19 @@ def invert(d: Derivation, side: Side, target: Formula) -> tuple[Derivation, ...]
     if not present:
         raise TransformError(
             f"invert: {format_formula(target)} does not occur on side {side.value}")
-    # one output per premise of the target's left rule that does not keep the
-    # principal, built by that premise's template at every node
-    inverses = [t for t in SCHEMA[LEFT_RULE_BY_SHAPE[side][type(target)]].premises
-                if not t.keeps]
-    if not d.premises:
-        return tuple([_node(d.rule, premise_of(d.conclusion, side, target, t),
-                            annotation=d.annotation) for t in inverses])
-    if _principal_here(d, side, target):
-        return tuple([p for p, t in zip(d.premises, SCHEMA[d.rule].premises) if not t.keeps])
-    sub = [invert(p, side, target) for p in d.premises]
-    return tuple([
-        _node(d.rule, premise_of(d.conclusion, side, target, t), [out[k] for out in sub],
-              annotation=d.annotation)
-        for k, t in enumerate(inverses)
-    ])
+    # one output per premise of the target's left rule that does not keep it
+    return tuple([_inverse(d, side, target, i) for i, t in
+                  enumerate(SCHEMA[LEFT_RULE_BY_SHAPE[side][type(target)]].premises)
+                  if not t.keeps])
+
+
+def _inverse(d: Derivation, side: Side, target: Formula, i: int) -> Derivation:
+    """``d`` with each conclusion made by premise ``i`` of the left rule that
+    decomposes ``target`` on ``side``; a node that decomposes it gives its own
+    premise ``i``, and the walk does not go above it."""
+    t = SCHEMA[LEFT_RULE_BY_SHAPE[side][type(target)]].premises[i]
+    return _map_conclusions(d, lambda s: premise_of(s, side, target, t),
+                            lambda x: x.premises[i] if _principal_here(x, side, target) else None)
 
 
 def _principal_here(d: Derivation, side: Side, target: Formula) -> bool:
@@ -332,13 +306,9 @@ def contract(d: Derivation, dup: Formula, side: Side) -> Derivation:
         raise TransformError(
             f"contract: fewer than two occurrences of {format_formula(dup)} "
             f"on side {side.value}")
-    conc = _drop_one(d.conclusion, dup, side)
-    if not d.premises:
-        return _node(d.rule, conc, annotation=d.annotation)
-    if _principal_here(d, side, dup):
-        return _contract_principal(d, dup, side, conc)
-    return _node(d.rule, conc, [contract(p, dup, side) for p in d.premises],
-                 annotation=d.annotation)
+    return _map_conclusions(d, lambda s: _drop_one(s, dup, side),
+                            lambda x: (_contract_principal(x, dup, side)
+                                       if _principal_here(x, side, dup) else None))
 
 
 def _drop_one(s: Sequent, f: Formula, side: Side) -> Sequent:
@@ -347,26 +317,34 @@ def _drop_one(s: Sequent, f: Formula, side: Side) -> Sequent:
     return Sequent(s.gamma, s.delta.remove(f), s.polarity, s.succedent)
 
 
-def _contract_principal(d: Derivation, dup: Formula, side: Side, conc: Sequent) -> Derivation:
+def _contract_principal(d: Derivation, dup: Formula, side: Side) -> Derivation:
     """The root decomposes one copy of ``dup`` while another copy is parked in
     the context.  A premise that keeps the principal holds both copies and is
     contracted on ``dup``; in every other premise the parked copy is inverted
-    away and the doubled operands are contracted.  Then the rule is reapplied."""
+    away and the doubled operands are contracted.  Then the rule is reapplied.
+    A run of such nodes, each the kept premise of the one below, is rebuilt in
+    one loop from the top down, so a tower of them does not nest."""
     operands = (dup.left, dup.right)  # type: ignore[attr-defined]
-    premises = []
-    k = 0
-    for p, t in zip(d.premises, SCHEMA[d.rule].premises):
-        if t.keeps:
-            premises.append(contract(p, dup, side))
-            continue
-        p = invert(p, side, dup)[k]
-        k += 1
-        for i in t.gamma:
-            p = contract(p, operands[i], Side.A)
-        for i in t.delta:
-            p = contract(p, operands[i], Side.C)
-        premises.append(p)
-    return _node(d.rule, conc, premises, principal=dup)
+    templates = SCHEMA[d.rule].premises
+    kept = next((j for j, t in enumerate(templates) if t.keeps), None)
+    run = [d]
+    while kept is not None and _principal_here(run[-1].premises[kept], side, dup):
+        run.append(run[-1].premises[kept])
+    image = None if kept is None else contract(run[-1].premises[kept], dup, side)
+    for x in reversed(run):
+        premises = []
+        for j, (p, t) in enumerate(zip(x.premises, templates)):
+            if t.keeps:
+                premises.append(image)
+                continue
+            p = _inverse(p, side, dup, j)
+            for i in t.gamma:
+                p = contract(p, operands[i], Side.A)
+            for i in t.delta:
+                p = contract(p, operands[i], Side.C)
+            premises.append(p)
+        image = _node(x.rule, _drop_one(x.conclusion, dup, side), premises, principal=dup)
+    return image
 
 
 # --- cut elimination --------------------------------------------------------------

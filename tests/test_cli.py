@@ -147,6 +147,13 @@ def test_check_malformed_file_is_a_format_error(capsys, tmp_path, content):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("name", ["", "missing.deriv"], ids=["directory", "missing"])
+def test_check_unreadable_path_is_a_usage_error(capsys, tmp_path, name):
+    code, out, err = run(capsys, "check", str(tmp_path / name))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1   # no traceback
+
+
 def test_identity_subcommand(capsys):
     code, out, _ = run(capsys, "--format", "data", "identity", "q ; r", "p", "+")
     assert code == 0

@@ -7,7 +7,7 @@ from hypothesis import given
 
 from bint.syntax import (
     BOT, TOP, And, Atom, Bottom, Coimp, Formula, FormulaSyntaxError, Imp, Or,
-    format_formula, parse_formula, subformulas, weight,
+    format_formula, parse_formula, weight,
 )
 from conftest import SEED, formulas, random_formula
 
@@ -284,11 +284,3 @@ def test_weight_strict_subterm_decrease(f):
     if isinstance(f, (And, Or, Imp, Coimp)):
         assert weight(f) > weight(f.left)
         assert weight(f) > weight(f.right)
-
-
-@given(formulas())
-def test_subformulas_contains_self(f):
-    subs = subformulas(f)
-    assert f in subs
-    if isinstance(f, (And, Or, Imp, Coimp)):
-        assert f.left in subs and f.right in subs

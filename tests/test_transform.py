@@ -1,10 +1,11 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
-from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or, parse_formula
+from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or, parse_formula, weight
 from bint.kernel import (
     MINUS, PLUS, Context, RuleId as R, Sequent, Side, check_derivation, node,
     parse_sequent,
@@ -15,7 +16,7 @@ from bint.transform import (
 )
 from bint import corpus, transform
 from bint.serialize import dumps_derivation, load_derivation
-from conftest import SEED, chain_proof, contexts, formulas, polarities
+from conftest import SEED, chain_proof, contexts, formulas, polarities, random_formula
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 EMPTY = Context()
@@ -57,6 +58,84 @@ def test_identity_total_and_valid(g, d, c, pol):
         assert deriv.conclusion == Sequent(g.add(c), d, PLUS, c)
     else:
         assert deriv.conclusion == Sequent(g, d.add(c), MINUS, c)
+
+
+def ref_identity(g, d, c, pol):
+    if weight(c) <= 1:
+        return transform._identity_base(g, d, c, pol)
+    return ref_identity_step(g, d, c, pol)
+
+
+def ref_identity_step(g, d, c, pol):
+    """The eight rule pairs of identity expansion, written out by hand."""
+    _node = transform._node
+    a, b = c.left, c.right
+    plus = pol is PLUS
+    conc = Sequent(g.add(c), d, PLUS, c) if plus else Sequent(g, d.add(c), MINUS, c)
+    match c:
+        case And():
+            if plus:
+                pa = _node(R.AndLa, Sequent(conc.gamma, d, PLUS, a),
+                           [ref_identity(g.add(b), d, a, PLUS)], principal=c)
+                pb = _node(R.AndLa, Sequent(conc.gamma, d, PLUS, b),
+                           [ref_identity(g.add(a), d, b, PLUS)], principal=c)
+                return _node(R.AndRPlus, conc, [pa, pb])
+            pa = _node(R.AndRMinus1, Sequent(g, d.add(a), MINUS, c),
+                       [ref_identity(g, d, a, MINUS)])
+            pb = _node(R.AndRMinus2, Sequent(g, d.add(b), MINUS, c),
+                       [ref_identity(g, d, b, MINUS)])
+            return _node(R.AndLc, conc, [pa, pb], principal=c)
+        case Or():
+            if plus:
+                pa = _node(R.OrRPlus1, Sequent(g.add(a), d, PLUS, c),
+                           [ref_identity(g, d, a, PLUS)])
+                pb = _node(R.OrRPlus2, Sequent(g.add(b), d, PLUS, c),
+                           [ref_identity(g, d, b, PLUS)])
+                return _node(R.OrLa, conc, [pa, pb], principal=c)
+            pa = _node(R.OrLc, Sequent(g, conc.delta, MINUS, a),
+                       [ref_identity(g, d.add(b), a, MINUS)], principal=c)
+            pb = _node(R.OrLc, Sequent(g, conc.delta, MINUS, b),
+                       [ref_identity(g, d.add(a), b, MINUS)], principal=c)
+            return _node(R.OrRMinus, conc, [pa, pb])
+        case Imp():
+            if plus:
+                inner = _node(R.ImpLa, Sequent(conc.gamma.add(a), d, PLUS, b),
+                              [ref_identity(g.add(c), d, a, PLUS),
+                               ref_identity(g.add(a), d, b, PLUS)], principal=c)
+                return _node(R.ImpRPlus, conc, [inner])
+            inner = _node(R.ImpRMinus, Sequent(g.add(a), d.add(b), MINUS, c),
+                          [ref_identity(g, d.add(b), a, PLUS),
+                           ref_identity(g.add(a), d, b, MINUS)])
+            return _node(R.ImpLc, conc, [inner], principal=c)
+        case Coimp():
+            if plus:
+                inner = _node(R.CoimpRPlus, Sequent(g.add(a), d.add(b), PLUS, c),
+                              [ref_identity(g, d.add(b), a, PLUS),
+                               ref_identity(g.add(a), d, b, MINUS)])
+                return _node(R.CoimpLa, conc, [inner], principal=c)
+            inner = _node(R.CoimpLc, Sequent(g, conc.delta.add(b), MINUS, a),
+                          [ref_identity(g, d.add(c), b, MINUS),
+                           ref_identity(g, d.add(b), a, MINUS)], principal=c)
+            return _node(R.CoimpRMinus, conc, [inner])
+
+
+def test_identity_equals_the_hand_written_rule_pairs():
+    rng = random.Random(SEED + 29)
+
+    def context():
+        return Context.from_iter(random_formula(rng, rng.randint(1, 3))
+                                 for _ in range(rng.randrange(3)))
+
+    shapes = Counter()
+    for _ in range(3_000):
+        c = random_formula(rng, rng.randint(2, 7))
+        g, d = context(), context()
+        for pol in (PLUS, MINUS):
+            got = derive_identity(g, d, c, pol)
+            assert dumps_derivation(got) == dumps_derivation(ref_identity(g, d, c, pol))
+            if weight(c) > 1:
+                shapes[type(c), pol] += 1
+    assert len(shapes) == 8 and min(shapes.values()) > 200
 
 
 # --- weakening -------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The shared derivation walk: ``kernel.fold`` and the maps built on it.
 
-The three weakenings, duality and rule coverage are folds; the two renderers
-are pre-order walks with their own stacks, and so is the equality of two
-derivations.  Each is checked against the recursive definition it replaced,
-on tall towers at the default recursion limit, and for the sharing of premise
-objects.  A last test pins the functions of ``bint`` that still recurse.
+The three weakenings, inversion, contraction, duality and rule coverage are
+folds; the two renderers are pre-order walks with their own stacks, and so is
+the equality of two derivations.  Each is checked against the recursive
+definition it replaced, on tall towers at the default recursion limit, and for
+the sharing of premise objects.  A last test pins the functions of ``bint``
+that still recurse.
 """
 
 import ast
@@ -17,19 +18,21 @@ import bint
 from bint import cli
 from bint.cli import _LATEX_RULE, _latex_sequent, render_latex, render_text
 from bint.corpus import DATA_DIR, _rules_in
+from bint import transform
 from bint.kernel import (
-    PLUS, Annotation, Context, ContextSplit, RuleId as R, Sequent, Side, dual_derivation, fold,
-    format_sequent, node, parse_sequent,
+    LEFT_RULE_BY_SHAPE, PLUS, SCHEMA, Annotation, Context, ContextSplit, RuleId as R, Sequent,
+    Side, dual_derivation, fold, format_sequent, node, parse_sequent, premise_of,
 )
+from bint.search import random_derivation
 from bint.serialize import load_derivation
-from bint.syntax import BOT, TOP, And, Atom, Imp, Or
+from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or, format_formula
 from bint.transform import (
-    SpecialWeakening, TransformError, _drop_one, _node, _require_input, unweaken_special,
-    weaken, weaken_context,
+    SpecialWeakening, TransformError, _drop_one, _node, _principal_here, _require_input,
+    contract, invert, unweaken_special, weaken, weaken_context,
 )
 from conftest import tower
 
-p, q = Atom("p"), Atom("q")
+p, q, r = Atom("p"), Atom("q"), Atom("r")
 TOP_IN_GAMMA, BOT_IN_DELTA = SpecialWeakening.TOP_IN_GAMMA, SpecialWeakening.BOT_IN_DELTA
 
 
@@ -69,6 +72,64 @@ def ref_unweaken_special(d, which):
         conc = _drop_one(s, BOT, Side.C)
     return _node(d.rule, conc, [ref_unweaken_special(p, which) for p in d.premises],
                  annotation=d.annotation)
+
+
+def ref_invert(d, side, target):
+    _require_input(d, "invert")
+    if not isinstance(target, (And, Or, Imp, Coimp)):
+        raise TransformError(
+            f"invert: unsupported target {format_formula(target)} (must be compound)")
+    present = target in (d.conclusion.gamma if side is Side.A else d.conclusion.delta)
+    if not present:
+        raise TransformError(
+            f"invert: {format_formula(target)} does not occur on side {side.value}")
+    inverses = [t for t in SCHEMA[LEFT_RULE_BY_SHAPE[side][type(target)]].premises
+                if not t.keeps]
+    if not d.premises:
+        return tuple([_node(d.rule, premise_of(d.conclusion, side, target, t),
+                            annotation=d.annotation) for t in inverses])
+    if _principal_here(d, side, target):
+        return tuple([p for p, t in zip(d.premises, SCHEMA[d.rule].premises) if not t.keeps])
+    sub = [ref_invert(p, side, target) for p in d.premises]
+    return tuple([
+        _node(d.rule, premise_of(d.conclusion, side, target, t), [out[k] for out in sub],
+              annotation=d.annotation)
+        for k, t in enumerate(inverses)
+    ])
+
+
+def ref_contract(d, dup, side):
+    _require_input(d, "contract")
+    ctx = d.conclusion.gamma if side is Side.A else d.conclusion.delta
+    if ctx.count(dup) < 2:
+        raise TransformError(
+            f"contract: fewer than two occurrences of {format_formula(dup)} "
+            f"on side {side.value}")
+    conc = _drop_one(d.conclusion, dup, side)
+    if not d.premises:
+        return _node(d.rule, conc, annotation=d.annotation)
+    if _principal_here(d, side, dup):
+        return ref_contract_principal(d, dup, side, conc)
+    return _node(d.rule, conc, [ref_contract(p, dup, side) for p in d.premises],
+                 annotation=d.annotation)
+
+
+def ref_contract_principal(d, dup, side, conc):
+    operands = (dup.left, dup.right)
+    premises = []
+    k = 0
+    for p, t in zip(d.premises, SCHEMA[d.rule].premises):
+        if t.keeps:
+            premises.append(ref_contract(p, dup, side))
+            continue
+        p = ref_invert(p, side, dup)[k]
+        k += 1
+        for i in t.gamma:
+            p = ref_contract(p, operands[i], Side.A)
+        for i in t.delta:
+            p = ref_contract(p, operands[i], Side.C)
+        premises.append(p)
+    return _node(d.rule, conc, premises, principal=dup)
 
 
 def ref_render_text(d, indent=0):
@@ -152,6 +213,37 @@ def test_the_maps_share_what_their_input_shares():
     assert len(closers) == 20 and all(c is closers[0] for c in closers)
 
 
+def test_invert_and_contract_transform_a_shared_premise_once(monkeypatch):
+    rf = node(R.RfPlus, parse_sequent("p ; |-+ p"))
+    d = node(R.AndRPlus, parse_sequent("p ; |-+ p /\\ p"), [rf, rf])
+    qr = And(q, r)
+    outs = [*invert(weaken(d, qr, Side.C), Side.C, qr),
+            contract(weaken(weaken(d, q, Side.A), q, Side.A), q, Side.A)]
+    for out in outs:
+        assert out.premises[0] is out.premises[1]
+    built = []
+    monkeypatch.setattr(transform, "_node", lambda *a, **k: built.append(a) or _node(*a, **k))
+    t = weaken(weaken(tower(50), qr, Side.C), q, Side.A)    # 52 distinct nodes
+    doubled = weaken(t, q, Side.A)
+    built.clear()
+    assert len(invert(t, Side.C, qr)) == 2 and len(built) == 2 * 52
+    built.clear()
+    assert contract(doubled, q, Side.A).height == 50 and len(built) == 52
+    # a tree of 2 ** 11 - 1 nodes held in 11 objects: each output holds one
+    # node per object, where the recursive definitions build one per node
+    por = Or(p, p)
+    big = _doubling(10)
+    grown, doubled = weaken(big, qr, Side.C), weaken(big, por, Side.A)
+    built.clear()
+    first, second = invert(grown, Side.C, qr)
+    assert len(built) == 2 * 11 and first.premises[0] is first.premises[1]
+    built.clear()
+    out = contract(doubled, por, Side.A)
+    # the root, and for each of its two premises the level below it, whose
+    # 9 objects are contracted on p
+    assert len(built) == 1 + 2 * 9 and out.conclusion == big.conclusion and out.valid
+
+
 # --- stack-free at the default recursion limit ---------------------------------
 
 def _spine(d):
@@ -182,6 +274,23 @@ def test_a_tower_of_height_ten_thousand_at_the_default_recursion_limit():
     assert latex.count("{") == latex.count("}")
     assert _rules_in(d) == {R.ImpLa, R.RfPlus}
     assert all(x.valid for x in (w, wc, u, dd))
+
+
+def test_invert_and_contract_a_tower_at_the_default_recursion_limit():
+    # the formula inverted or contracted is never principal in the tower, or
+    # principal at every level, each node the kept premise of the one below
+    assert sys.getrecursionlimit() == 1000
+    d = tower(10_000)
+    qr = And(q, r)
+    outs = invert(weaken(d, qr, Side.C), Side.C, qr)
+    assert [o.conclusion.delta for o in outs] == [Context.of(q), Context.of(r)]
+    assert all(o.height == 10_000 and o.valid for o in outs)
+    once = weaken(d, q, Side.A)
+    c = contract(weaken(once, q, Side.A), q, Side.A)
+    assert c.height == 10_000 and c.valid and c.conclusion == once.conclusion
+    pp = Imp(p, p)
+    c = contract(weaken(d, pp, Side.A), pp, Side.A)
+    assert c.height == 10_000 and c.valid and c.conclusion == d.conclusion
 
 
 def test_render_text_of_a_tower_at_the_default_recursion_limit():
@@ -286,6 +395,35 @@ def test_weakenings_equal_the_recursive_definitions(derivation_corpus, corpus_fi
     assert checked == len(derivation_corpus) + len(corpus_files)
 
 
+def _seeded():
+    """Random derivations beside the session corpus, from other seeds."""
+    return [random_derivation(seed, size) for seed in range(300, 400) for size in (6, 14)]
+
+
+def test_invert_and_contract_equal_the_recursive_definitions(derivation_corpus, corpus_files):
+    targets = [And(p, q), Or(q, r), Imp(p, q), Coimp(q, p), And(p, p), Imp(TOP, q)]
+    checked = principal = 0
+    for d in derivation_corpus + corpus_files + _seeded():
+        for side in Side:
+            ctx = d.conclusion.gamma if side is Side.A else d.conclusion.delta
+            for f in [*ctx.distinct(), *targets, p]:
+                grown = d if f in ctx else weaken(d, f, side)
+                assert outcome(invert, grown, side, f) == outcome(ref_invert, grown, side, f)
+                doubled = weaken(grown, f, side)
+                assert (outcome(contract, doubled, f, side)
+                        == outcome(ref_contract, doubled, f, side))
+                assert outcome(contract, grown, f, side) == outcome(ref_contract, grown, f, side)
+                principal += f in ctx and any(_principal_here(x, side, f) for x in _spine(d))
+                checked += 1
+    assert checked > 5_000 and principal > 100
+    # a run of nodes that decompose the formula, each the kept premise of the
+    # one below: ImpLa in a tower, CoimpLc in its dual
+    for d, side, f in ((tower(300), Side.A, Imp(p, p)),
+                       (dual_derivation(tower(300)), Side.C, Coimp(p, p))):
+        grown = weaken(d, f, side)
+        assert contract(grown, f, side) == ref_contract(grown, f, side)
+
+
 def test_entry_errors_equal_the_recursive_definitions():
     rf = node(R.RfPlus, parse_sequent("p ; q |-+ p"))
     split = ContextSplit(Context.of(p), Context.of(q), Context(), Context.of(q))
@@ -299,6 +437,9 @@ def test_entry_errors_equal_the_recursive_definitions():
         for which in SpecialWeakening:
             assert (outcome(unweaken_special, d, which)
                     == outcome(ref_unweaken_special, d, which))
+        for f in (p, q, And(p, q)):
+            assert outcome(invert, d, Side.A, f) == outcome(ref_invert, d, Side.A, f)
+            assert outcome(contract, d, f, Side.C) == outcome(ref_contract, d, f, Side.C)
     assert isinstance(outcome(weaken, cut, q, Side.A)[1], str)
 
 
@@ -322,7 +463,7 @@ def test_rules_in_equals_the_recursive_definition(derivation_corpus, corpus_file
 # --- what still recurses ---------------------------------------------------------
 
 #: functions of ``bint`` on a cycle of their module's call graph: formula walks,
-#: the document writer and reader, contraction, inversion, identity expansion,
+#: the document writer and reader, contraction, identity expansion,
 #: the cut eliminator, the proof constructor and the decider.  Remove an entry
 #: when its recursion goes; a new entry is a new recursion.
 RECURSIVE = {
@@ -331,10 +472,10 @@ RECURSIVE = {
     "kernel.dual_formula",
     "search._apply", "search._random_formula", "search.build",
     "serialize.derivation", "serialize.node", "serialize.premises",
-    "syntax.format_formula", "syntax.subformulas", "syntax.weight",
-    "transform._contract_principal", "transform._identity", "transform._identity_step",
+    "syntax.format_formula", "syntax.weight",
+    "transform._contract_principal", "transform._identity_step",
     "transform._permute_left", "transform._permute_right", "transform._principal",
-    "transform._select", "transform.contract", "transform.invert", "transform.rec",
+    "transform._select", "transform.contract", "transform.derive_identity", "transform.rec",
     "transform.run",
 }
 
