@@ -17,6 +17,10 @@ Checking, backward expansion, the rule sets and the duality table here, and
 identity expansion, inversion, contraction and the principal cases of cut
 elimination in ``bint.transform``, all read it.
 
+A context caches its hash, as a sequent does, and a union with a short side
+inserts that side's occurrences by bisection, so editing a long context never
+sorts it again.
+
 A sequent ``(gamma; delta) |-* C`` reads: from the verification of everything
 in gamma and the falsification of everything in delta, derive the verification
 (``*`` = ``+``) or falsification (``*`` = ``-``) of C.
@@ -81,6 +85,10 @@ class Side(enum.Enum):
 # --- multiset contexts -------------------------------------------------------
 
 _KEY = attrgetter("key")
+#: ``Context.union`` inserts a side of at most this many occurrences, and at
+#: most a quarter of the other side's, by bisection; it sorts longer sides,
+#: where bisecting each occurrence costs more than the sort
+_SHORT = 4
 
 
 @dataclass(frozen=True)
@@ -89,6 +97,16 @@ class Context:
     ``Formula.key``, so that equality and hashing are multiset equality."""
 
     items: tuple[Formula, ...] = ()
+
+    # as for Sequent: not a field, so neither compared nor printed
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.items,))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @staticmethod
     def of(*formulas: Formula) -> "Context":
@@ -129,10 +147,24 @@ class Context:
         return Context(items[:lo] + items[lo + n:])
 
     def union(self, other: "Context") -> "Context":
-        if not other.items:
+        """Both multisets; an empty side gives the other context itself."""
+        a, b = self.items, other.items
+        if not b:
             return self
-        # the sort merges the two sorted runs
-        return Context.from_iter(self.items + other.items)
+        if not a:
+            return other
+        long, short, find = (a, b, bisect_right) if len(b) <= len(a) else (b, a, bisect_left)
+        if len(short) > _SHORT or len(long) < 4 * len(short):
+            # the sort merges the two sorted runs
+            return Context.from_iter(a + b)
+        # the short side's occurrences go where the stable sort would put
+        # them: after equal ones of ``self``, before equal ones of ``other``
+        out, start = (), 0
+        for f in short:
+            i = find(long, f.key, key=_KEY)
+            out += long[start:i] + (f,)
+            start = i
+        return Context(out + long[start:])
 
     def distinct(self) -> Iterator[Formula]:
         """The first occurrence of each formula, in canonical order."""
@@ -157,13 +189,15 @@ class Sequent:
     succedent: Formula
 
     # Not a field, so not compared: ``__hash__`` stores the hash here on first
-    # use.  Most sequents built by the transforms are never hashed.
+    # use.  Most sequents built by the transforms are never hashed.  It hashes
+    # the contexts' items, not the contexts: the search hashes each sequent
+    # once, and most of its contexts only there.
     _hash = None
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.gamma, self.delta, self.polarity, self.succedent))
+            h = hash((self.gamma.items, self.delta.items, self.polarity, self.succedent))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -457,6 +491,11 @@ class Derivation:
     def __hash__(self) -> int:
         # the root's fields only, so no walk: equal derivations agree on them
         return hash((self.conclusion, self.rule, len(self.premises), self.annotation))
+
+    def __repr__(self) -> str:
+        # the root only, so no walk: a tall or shared tree prints as one line
+        return (f"Derivation({self.rule.value}, {format_sequent(self.conclusion)!r}, "
+                f"height={self.height})")
 
 
 def node(rule: RuleId, conclusion: Sequent, premises: Iterable[Derivation] = (),

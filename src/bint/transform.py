@@ -18,10 +18,14 @@ entry point reads its input's validity and cut count without a walk.  The
 weakenings, inversion and contraction are each one stack-free ``kernel.fold``
 that gives every node a new conclusion; inversion and contraction stop the
 walk at a node that decomposes their formula, where contraction calls itself
-on the premises.  Identity expansion reads its rule pairs from ``SCHEMA``, and
-it and cut elimination recurse.  Every node goes through one constructor,
-which refuses cuts and raises ``InternalCheckError`` where an invalid node is
-built; by induction every output is valid and cut-free.
+on the premises.  The weakenings and contraction edit each distinct context
+once per call, and cut elimination computes each step's contexts once per
+distinct pair of premise contexts, with memos that live for the call, so
+contexts that the input shares stay shared in the output.  Identity expansion
+reads its rule pairs from ``SCHEMA``, and it and cut elimination recurse.
+Every node goes through one constructor, which refuses cuts and raises
+``InternalCheckError`` where an invalid node is built; by induction every
+output is valid and cut-free.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .syntax import (
 )
 from .kernel import (
     _RIGHT_BY_SHAPE, CUT_AT, CUT_RULES, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS, SCHEMA,
-    ZERO_PREMISE, Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side,
+    ZERO_PREMISE, Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side, _Memo,
     check_derivation, closing_rules, fold, infer_principal, node, premise_of,
 )
 
@@ -208,15 +212,32 @@ def _map_conclusions(d: Derivation, conclusion: Callable[[Sequent], Sequent],
                                              annotation=x.annotation), stop)
 
 
+def _edit(s: Sequent, gamma: Optional[_Memo], delta: Optional[_Memo]) -> Sequent:
+    """``s`` with its Gamma and Delta looked up in ``gamma`` and ``delta``,
+    memos of one edit each; a side whose memo is None stays the same object."""
+    return Sequent(s.gamma if gamma is None else gamma[s.gamma],
+                   s.delta if delta is None else delta[s.delta], s.polarity, s.succedent)
+
+
+def _map_contexts(d: Derivation, gamma: Optional[_Memo], delta: Optional[_Memo],
+                  stop: Optional[Callable[[Derivation], Optional[Derivation]]] = None
+                  ) -> Derivation:
+    """``_map_conclusions`` by ``_edit``.  The memos live for one call, so each
+    distinct context is edited once, and equal contexts of ``d`` stay one
+    object in the output."""
+    return _map_conclusions(d, lambda s: _edit(s, gamma, delta), stop)
+
+
+def _on(side: Side, edit: Callable[[Context], Context]) -> tuple:
+    """The (gamma, delta) memos of ``_edit`` that ``edit`` one side."""
+    return (_Memo(edit), None) if side is Side.A else (None, _Memo(edit))
+
+
 def weaken(d: Derivation, extra: Formula, side: Side) -> Derivation:
     """Add ``extra`` to the assumptions (side a) or counterassumptions (side c)
     of the endsequent, preserving the tree shape and therefore the height."""
     _require_input(d, "weaken")
-    if side is Side.A:
-        return _map_conclusions(d, lambda s: Sequent(s.gamma.add(extra), s.delta,
-                                                     s.polarity, s.succedent))
-    return _map_conclusions(d, lambda s: Sequent(s.gamma, s.delta.add(extra),
-                                                 s.polarity, s.succedent))
+    return _map_contexts(d, *_on(side, lambda ctx: ctx.add(extra)))
 
 
 def weaken_context(d: Derivation, gamma_extra: Context = Context(),
@@ -226,9 +247,9 @@ def weaken_context(d: Derivation, gamma_extra: Context = Context(),
     _require_input(d, "weaken_context")
     if gamma_extra.is_empty() and delta_extra.is_empty():
         return d
-    return _map_conclusions(d, lambda s: Sequent(s.gamma.union(gamma_extra),
-                                                 s.delta.union(delta_extra),
-                                                 s.polarity, s.succedent))
+    return _map_contexts(
+        d, None if gamma_extra.is_empty() else _Memo(lambda g: g.union(gamma_extra)),
+        None if delta_extra.is_empty() else _Memo(lambda c: c.union(delta_extra)))
 
 
 class SpecialWeakening(enum.Enum):
@@ -247,10 +268,10 @@ def unweaken_special(d: Derivation, which: SpecialWeakening) -> Derivation:
     if which is SpecialWeakening.TOP_IN_GAMMA:
         if TOP not in d.conclusion.gamma:
             raise TransformError("unweaken_special: no T among the assumptions")
-        return _map_conclusions(d, lambda s: _drop_one(s, TOP, Side.A))
+        return _map_contexts(d, *_on(Side.A, lambda g: g.remove(TOP)))
     if BOT not in d.conclusion.delta:
         raise TransformError("unweaken_special: no F among the counterassumptions")
-    return _map_conclusions(d, lambda s: _drop_one(s, BOT, Side.C))
+    return _map_contexts(d, *_on(Side.C, lambda c: c.remove(BOT)))
 
 
 # --- inversion -------------------------------------------------------------------
@@ -306,9 +327,14 @@ def contract(d: Derivation, dup: Formula, side: Side) -> Derivation:
         raise TransformError(
             f"contract: fewer than two occurrences of {format_formula(dup)} "
             f"on side {side.value}")
-    return _map_conclusions(d, lambda s: _drop_one(s, dup, side),
-                            lambda x: (_contract_principal(x, dup, side)
-                                       if _principal_here(x, side, dup) else None))
+    drop = _on(side, lambda c: c.remove(dup))
+
+    def stop(x: Derivation) -> Optional[Derivation]:
+        if _principal_here(x, side, dup):
+            return _contract_principal(x, dup, side, drop, stop)
+        return None
+
+    return _map_contexts(d, *drop, stop)
 
 
 def _drop_one(s: Sequent, f: Formula, side: Side) -> Sequent:
@@ -317,33 +343,40 @@ def _drop_one(s: Sequent, f: Formula, side: Side) -> Sequent:
     return Sequent(s.gamma, s.delta.remove(f), s.polarity, s.succedent)
 
 
-def _contract_principal(d: Derivation, dup: Formula, side: Side) -> Derivation:
+def _contract_principal(d: Derivation, dup: Formula, side: Side, drop: tuple,
+                        stop: Callable[[Derivation], Optional[Derivation]]) -> Derivation:
     """The root decomposes one copy of ``dup`` while another copy is parked in
     the context.  A premise that keeps the principal holds both copies and is
     contracted on ``dup``; in every other premise the parked copy is inverted
     away and the doubled operands are contracted.  Then the rule is reapplied.
     A run of such nodes, each the kept premise of the one below, is rebuilt in
-    one loop from the top down, so a tower of them does not nest."""
+    one loop from the top down, so a tower of them does not nest.  The run's
+    conclusions and its kept premise are contracted with the calling
+    contraction's memos ``drop`` and its ``stop``, and a premise the run
+    shares is inverted and contracted once."""
     operands = (dup.left, dup.right)  # type: ignore[attr-defined]
     templates = SCHEMA[d.rule].premises
     kept = next((j for j, t in enumerate(templates) if t.keeps), None)
     run = [d]
     while kept is not None and _principal_here(run[-1].premises[kept], side, dup):
         run.append(run[-1].premises[kept])
-    image = None if kept is None else contract(run[-1].premises[kept], dup, side)
+    image = None if kept is None else _map_contexts(run[-1].premises[kept], *drop, stop)
+    done: dict[tuple[int, int], Derivation] = {}    # (id of a premise, its index) -> image
     for x in reversed(run):
         premises = []
         for j, (p, t) in enumerate(zip(x.premises, templates)):
             if t.keeps:
                 premises.append(image)
                 continue
-            p = _inverse(p, side, dup, j)
-            for i in t.gamma:
-                p = contract(p, operands[i], Side.A)
-            for i in t.delta:
-                p = contract(p, operands[i], Side.C)
-            premises.append(p)
-        image = _node(x.rule, _drop_one(x.conclusion, dup, side), premises, principal=dup)
+            if (id(p), j) not in done:      # a premise shared along the run
+                q = _inverse(p, side, dup, j)
+                for i in t.gamma:
+                    q = contract(q, operands[i], Side.A)
+                for i in t.delta:
+                    q = contract(q, operands[i], Side.C)
+                done[id(p), j] = q
+            premises.append(done[id(p), j])
+        image = _node(x.rule, _edit(x.conclusion, *drop), premises, principal=dup)
     return image
 
 
@@ -415,16 +448,18 @@ def _axiom_for(s: Sequent) -> Optional[R]:
 
 
 def _cut_target(left: Derivation, right: Derivation, dfm: Formula, variant: R) -> Sequent:
-    lg, ld = left.conclusion.gamma, left.conclusion.delta
-    gp, dp = _prime_contexts(right, dfm, variant)
-    return Sequent(lg.union(gp), ld.union(dp), right.conclusion.polarity,
-                   right.conclusion.succedent)
+    return _Eliminator(None).target(left, right, dfm, variant)
 
 
-def _prime_contexts(right: Derivation, dfm: Formula, variant: R) -> tuple[Context, Context]:
-    """Gamma' and Delta': the right premise minus its cut-formula occurrence."""
-    s = _drop_one(right.conclusion, dfm, CUT_AT[variant][0])
-    return s.gamma, s.delta
+def _cut_contexts(key: tuple) -> tuple[Context, Context, Context, Context]:
+    """Gamma', Delta', and the target's Gamma and Delta, of a cut with the
+    premise contexts, cut formula and variant of ``key``."""
+    lg, ld, gp, dp, dfm, variant = key
+    if CUT_AT[variant][0] is Side.A:
+        gp = gp.remove(dfm)
+    else:
+        dp = dp.remove(dfm)
+    return gp, dp, lg.union(gp), ld.union(dp)
 
 
 def eliminate_cut(left: Derivation, right: Derivation, cut_formula: Formula,
@@ -453,8 +488,9 @@ def eliminate_cut(left: Derivation, right: Derivation, cut_formula: Formula,
         raise TransformError(
             f"eliminate_cut: cut formula {format_formula(cut_formula)} missing "
             f"from the right premise's {where}")
-    out = _Eliminator(trace).run(left, right, cut_formula, variant, None, None)
-    target = _cut_target(left, right, cut_formula, variant)
+    eliminator = _Eliminator(trace)
+    out = eliminator.run(left, right, cut_formula, variant, None, None)
+    target = eliminator.target(left, right, cut_formula, variant)
     if out.conclusion != target:
         raise InternalCheckError(
             f"eliminate_cut endsequent mismatch: wanted {target}, got {out.conclusion}")
@@ -462,13 +498,32 @@ def eliminate_cut(left: Derivation, right: Derivation, cut_formula: Formula,
 
 
 class _Eliminator:
+    """One elimination.  It computes each cut formula's weight, and each
+    step's contexts from the premises' contexts, once per elimination, so a
+    context shared by the premises stays one object in the output."""
+
     def __init__(self, trace: Optional[CutTrace]):
         self.trace = trace
         self._counter = 0
+        self.weight = _Memo(weight)
+        # (Gamma, Delta of the left premise, of the right premise, cut formula,
+        # variant) -> Gamma', Delta' and the target's Gamma, Delta
+        self._contexts = _Memo(_cut_contexts)
+
+    def contexts(self, left: Derivation, right: Derivation, dfm: Formula,
+                 variant: R) -> tuple[Context, Context, Context, Context]:
+        """``_cut_contexts`` of the cut of ``left`` into ``right`` on ``dfm``."""
+        l, r = left.conclusion, right.conclusion
+        return self._contexts[l.gamma, l.delta, r.gamma, r.delta, dfm, variant]
+
+    def target(self, left: Derivation, right: Derivation, dfm: Formula, variant: R) -> Sequent:
+        """The endsequent of the cut of ``left`` into ``right`` on ``dfm``."""
+        _, _, g, d = self.contexts(left, right, dfm, variant)
+        return Sequent(g, d, right.conclusion.polarity, right.conclusion.succedent)
 
     def run(self, left: Derivation, right: Derivation, dfm: Formula, variant: R,
             parent: Optional[int], parent_measure: Optional[tuple[int, int]]) -> Derivation:
-        measure = (weight(dfm), left.height + right.height)
+        measure = (self.weight[dfm], left.height + right.height)
         if parent_measure is not None and not measure < parent_measure:
             raise InternalCheckError(
                 f"elimination measure did not decrease: {parent_measure} -> {measure}")
@@ -482,7 +537,7 @@ class _Eliminator:
 
     def _select(self, left: Derivation, right: Derivation, dfm: Formula,
                 variant: R) -> tuple[str, Callable[[int, tuple[int, int]], Derivation]]:
-        target = _cut_target(left, right, dfm, variant)
+        target = self.target(left, right, dfm, variant)
         side, pol = CUT_AT[variant]
         family = "-1." if side is Side.A else "-2."
 
@@ -492,7 +547,7 @@ class _Eliminator:
             if closer is not None:
                 return case, lambda i, m: _node(closer, target)
             if target.succedent == dfm and target.polarity is pol:
-                gp, dp = _prime_contexts(right, dfm, variant)
+                gp, dp, _, _ = self.contexts(left, right, dfm, variant)
                 return case, lambda i, m: weaken_context(left, gp, dp)
             # the right axiom closed through the cut occurrence itself
             # (D = F via BotLa under CutA, D = T via TopLc under CutC); the
@@ -534,7 +589,7 @@ class _Eliminator:
     def _permute_left(self, index: int, measure: tuple[int, int], left: Derivation,
                       right: Derivation, dfm: Formula, variant: R,
                       target: Sequent) -> Derivation:
-        gp, dp = _prime_contexts(right, dfm, variant)
+        gp, dp, _, _ = self.contexts(left, right, dfm, variant)
         principal = infer_principal(left)
         if principal is None:
             raise InternalCheckError(f"cannot identify the principal of {left.rule}")

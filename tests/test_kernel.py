@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from collections import Counter
@@ -67,6 +68,58 @@ def test_context_matches_a_counter_model(xs, ys, f, n):
     assert keys == sorted(keys)
     assert list(a.distinct()) == [g for i, g in enumerate(a.expand())
                                   if i == 0 or a.expand()[i - 1] != g]
+
+
+def test_union_equals_the_sorted_concatenation():
+    # a short side is inserted into a long one by bisection, other sides are
+    # sorted together; both must give what sorting every occurrence gives, down to
+    # which of two equal formula objects comes first
+    rng = random.Random(SEED + 5)
+    texts = ("p", "q", "r", "F", "T", "p /\\ q", "q \\/ F", "p -> q", "r -< T",
+             "(p -> q) /\\ r")
+    sizes = (0, 1, 2, 3, 4, 5, 8, 30)
+    seen = Counter()
+    for _ in range(6_000):
+        # each occurrence its own object, so that equal formulas are told apart
+        xs = [parse_formula(rng.choice(texts)) for _ in range(rng.choice(sizes))]
+        ys = [parse_formula(rng.choice(texts)) for _ in range(rng.choice(sizes))]
+        a, b = Context.from_iter(xs), Context.from_iter(ys)
+        for x, y in ((a, b), (b, a)):
+            got, want = x.union(y), Context.from_iter(x.items + y.items)
+            assert got == want and all(g is w for g, w in zip(got.items, want.items))
+        short, long = sorted((len(xs), len(ys)))
+        inserted = short <= kernel._SHORT and 4 * short <= long
+        seen["an empty side"] += short == 0
+        seen["a short side inserted"] += 0 < short and inserted
+        seen["both sides sorted"] += not inserted
+        seen["repeats on both sides"] += len(set(xs)) < len(xs) and len(set(ys)) < len(ys)
+    assert len(seen) == 4 and min(seen.values()) > 500, seen
+
+
+def test_union_with_an_empty_side_is_the_other_context():
+    a = Context.of(p, q, p)
+    for empty in (Context(), Context.from_iter([]), kernel.EMPTY):
+        assert a.union(empty) is a and empty.union(a) is a
+    assert kernel.EMPTY.union(Context()) is kernel.EMPTY
+
+
+def test_equal_contexts_hash_equal():
+    fs = [parse_formula(t) for t in ("p -> q", "p", "q /\\ p", "p", "F")]
+    a = Context.from_iter(fs)
+    b = Context.from_iter(reversed(fs))
+    c = Context.of(p).union(Context.from_iter(fs).remove(p))
+    assert a is not b and a == b == c
+    assert hash(a) == hash(b) == hash(c) == hash(a) and {a: 1}[c] == 1
+
+
+def test_the_cached_hash_is_not_a_field():
+    a, b = Context.of(p, q), Context.of(q, p)
+    hash(a)
+    assert a._hash is not None and b._hash is None
+    assert "_hash" not in {f.name for f in dataclasses.fields(Context)}
+    assert a == b and repr(a) == repr(b) and "_hash" not in repr(a)
+    object.__setattr__(b, "_hash", hash(a) + 1)     # a stored hash is not compared
+    assert a == b
 
 
 # --- sequent text ----------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or, parse_formula, weight
 from bint.kernel import (
-    MINUS, PLUS, Context, RuleId as R, Sequent, Side, check_derivation, node,
+    MINUS, PLUS, Context, RuleId as R, Sequent, Side, check_derivation, fold, node,
     parse_sequent,
 )
 from bint.transform import (
@@ -15,8 +15,9 @@ from bint.transform import (
     eliminate_cut, invert, unweaken_special, weaken, weaken_context,
 )
 from bint import corpus, transform
-from bint.serialize import dumps_derivation, load_derivation
+from bint.serialize import dumps_derivation, load_derivation, loads_derivation
 from conftest import SEED, chain_proof, contexts, formulas, polarities, random_formula
+from perfbench import gen
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 EMPTY = Context()
@@ -433,6 +434,53 @@ def test_cut_elimination_output_is_pinned(cut_pairs):
         digest.update(dumps_derivation(out).encode())
         digest.update(("\n".join(trace.lines()) + "\n").encode())
     assert digest.hexdigest() == CUT_ELIMINATION_DIGEST
+
+
+#: SHA-256 over every output and trace of the tall-chain eliminations below
+CHAIN_ELIMINATION_DIGEST = "d6858d26a46b472beeb85825982eec4c2eef6be043382b9c6110f4baee053fad"
+
+
+@pytest.fixture(scope="module")
+def chain_eliminations():
+    """The 100 tall-chain pairs of the benchmark's first cut-chain pass, each
+    with its right premise, its output and its trace."""
+    out = []
+    for pair in gen.chain_set(0, 0):
+        left, right = loads_derivation(pair.left), loads_derivation(pair.right)
+        trace = CutTrace()
+        out.append((pair, right, eliminate_cut(left, right, parse_formula(pair.cut_formula),
+                                               R(pair.variant), trace), trace))
+    return out
+
+
+def test_tall_chain_eliminations_are_pinned(chain_eliminations):
+    assert len(chain_eliminations) == 100
+    digest = hashlib.sha256()
+    for _, _, out, trace in chain_eliminations:
+        digest.update(dumps_derivation(out).encode())
+        digest.update(("\n".join(trace.lines()) + "\n").encode())
+    assert digest.hexdigest() == CHAIN_ELIMINATION_DIGEST
+
+
+def _context_objects(d):
+    seen = {}
+    fold(d, lambda x, _: seen.update({(Side.A, id(x.conclusion.gamma)): x.conclusion.gamma,
+                                      (Side.C, id(x.conclusion.delta)): x.conclusion.delta}))
+    return len(seen)
+
+
+def test_tall_chain_eliminations_keep_their_contexts_shared(chain_eliminations):
+    # a loaded premise holds one object per distinct context text; each step
+    # of the elimination computes its contexts once per distinct pair of
+    # premise contexts, so the output holds no more objects than the right
+    # premise: at L = 50, one Gamma shared by the chain, one per closing
+    # axiom, and one empty Delta
+    tall = [(right, out) for pair, right, out, _ in chain_eliminations
+            if pair.tag in ("L50a", "L50c")]
+    assert len(tall) == 2
+    for right, out in tall:
+        assert _context_objects(right) == 52
+        assert _context_objects(out) <= 52 and out.height == right.height
 
 
 def test_cut_on_two_axioms_untraced():

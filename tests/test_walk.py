@@ -20,15 +20,16 @@ from bint.cli import _LATEX_RULE, _latex_sequent, render_latex, render_text
 from bint.corpus import DATA_DIR, _rules_in
 from bint import transform
 from bint.kernel import (
-    LEFT_RULE_BY_SHAPE, PLUS, SCHEMA, Annotation, Context, ContextSplit, RuleId as R, Sequent,
-    Side, dual_derivation, fold, format_sequent, node, parse_sequent, premise_of,
+    LEFT_RULE_BY_SHAPE, PLUS, SCHEMA, Annotation, Context, ContextSplit, Derivation,
+    RuleId as R, Sequent, Side, dual_derivation, fold, format_sequent, node, parse_sequent,
+    premise_of,
 )
 from bint.search import random_derivation
-from bint.serialize import load_derivation
+from bint.serialize import dumps_derivation, load_derivation
 from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or, format_formula
 from bint.transform import (
-    SpecialWeakening, TransformError, _drop_one, _node, _principal_here, _require_input,
-    contract, invert, unweaken_special, weaken, weaken_context,
+    SpecialWeakening, TransformError, _drop_one, _inverse, _map_conclusions, _node,
+    _principal_here, _require_input, contract, invert, unweaken_special, weaken, weaken_context,
 )
 from conftest import tower
 
@@ -293,6 +294,14 @@ def test_invert_and_contract_a_tower_at_the_default_recursion_limit():
     assert c.height == 10_000 and c.valid and c.conclusion == d.conclusion
 
 
+def test_repr_of_a_tower_at_the_default_recursion_limit():
+    # the root's rule, conclusion and height: no walk, and one line
+    assert sys.getrecursionlimit() == 1000
+    text = repr(tower(10_000))
+    assert len(text) < 200 and "ImpLa" in text and "p, p -> p ; |-+ p" in text
+    assert "10000" in text
+
+
 def test_render_text_of_a_tower_at_the_default_recursion_limit():
     # a tower's text is quadratic in its height (two spaces per level): at
     # height 3,000 it is about 18 MB, three times what one frame per level allows
@@ -393,6 +402,149 @@ def test_weakenings_equal_the_recursive_definitions(derivation_corpus, corpus_fi
             assert unweaken_special(w, which) == d
         checked += 1
     assert checked == len(derivation_corpus) + len(corpus_files)
+
+
+# the conclusion maps the weakenings and contraction were before each distinct
+# context was edited once per call: one new conclusion per node, and a union
+# that sorts every occurrence
+
+def sorting_union(a, b):
+    return a if b.is_empty() else Context.from_iter(a.items + b.items)
+
+
+def map_weaken(d, extra, side):
+    _require_input(d, "weaken")
+    if side is Side.A:
+        return _map_conclusions(d, lambda s: Sequent(s.gamma.add(extra), s.delta,
+                                                     s.polarity, s.succedent))
+    return _map_conclusions(d, lambda s: Sequent(s.gamma, s.delta.add(extra),
+                                                 s.polarity, s.succedent))
+
+
+def map_weaken_context(d, gamma_extra=Context(), delta_extra=Context()):
+    _require_input(d, "weaken_context")
+    if gamma_extra.is_empty() and delta_extra.is_empty():
+        return d
+    return _map_conclusions(d, lambda s: Sequent(sorting_union(s.gamma, gamma_extra),
+                                                 sorting_union(s.delta, delta_extra),
+                                                 s.polarity, s.succedent))
+
+
+def map_unweaken_special(d, which):
+    _require_input(d, "unweaken_special")
+    if which is SpecialWeakening.TOP_IN_GAMMA:
+        if TOP not in d.conclusion.gamma:
+            raise TransformError("unweaken_special: no T among the assumptions")
+        return _map_conclusions(d, lambda s: _drop_one(s, TOP, Side.A))
+    if BOT not in d.conclusion.delta:
+        raise TransformError("unweaken_special: no F among the counterassumptions")
+    return _map_conclusions(d, lambda s: _drop_one(s, BOT, Side.C))
+
+
+def map_contract(d, dup, side):
+    _require_input(d, "contract")
+    ctx = d.conclusion.gamma if side is Side.A else d.conclusion.delta
+    if ctx.count(dup) < 2:
+        raise TransformError(
+            f"contract: fewer than two occurrences of {format_formula(dup)} "
+            f"on side {side.value}")
+    return _map_conclusions(d, lambda s: _drop_one(s, dup, side),
+                            lambda x: (map_contract_principal(x, dup, side)
+                                       if _principal_here(x, side, dup) else None))
+
+
+def map_contract_principal(d, dup, side):
+    operands = (dup.left, dup.right)
+    templates = SCHEMA[d.rule].premises
+    kept = next((j for j, t in enumerate(templates) if t.keeps), None)
+    run = [d]
+    while kept is not None and _principal_here(run[-1].premises[kept], side, dup):
+        run.append(run[-1].premises[kept])
+    image = None if kept is None else map_contract(run[-1].premises[kept], dup, side)
+    for x in reversed(run):
+        premises = []
+        for j, (p, t) in enumerate(zip(x.premises, templates)):
+            if t.keeps:
+                premises.append(image)
+                continue
+            p = _inverse(p, side, dup, j)
+            for i in t.gamma:
+                p = map_contract(p, operands[i], Side.A)
+            for i in t.delta:
+                p = map_contract(p, operands[i], Side.C)
+            premises.append(p)
+        image = _node(x.rule, _drop_one(x.conclusion, dup, side), premises, principal=dup)
+    return image
+
+
+def context_objects(d):
+    """The number of distinct context objects in the conclusions of ``d``,
+    counted on each side (an empty Gamma may be the same object as Delta)."""
+    seen = {}
+    fold(d, lambda x, _: seen.update({(Side.A, id(x.conclusion.gamma)): x.conclusion.gamma,
+                                      (Side.C, id(x.conclusion.delta)): x.conclusion.delta}))
+    return len(seen)
+
+
+def _principal_somewhere(d, side, f):
+    return fold(d, lambda x, above: _principal_here(x, side, f) or any(above))
+
+
+def test_mapping_transforms_equal_the_conclusion_maps(derivation_corpus, corpus_files):
+    # the same output, node for node and byte for byte, with no more distinct
+    # contexts than the input.  Where contraction meets its formula as a
+    # principal, it contracts the operands above by calls of its own, each
+    # with its own memo; that output holds no more than the map's.
+    checked = nested = 0
+
+    def same(fn, ref, d, *args, own_calls=False):
+        nonlocal checked
+        got, want = outcome(fn, d, *args), outcome(ref, d, *args)
+        assert got == want
+        if isinstance(got, Derivation):
+            assert dumps_derivation(got) == dumps_derivation(want)
+            assert context_objects(got) <= context_objects(want)
+            assert own_calls or context_objects(got) <= context_objects(d)
+            checked += 1
+
+    for d in derivation_corpus + corpus_files:
+        for f in _EXTRA:
+            for side in Side:
+                same(weaken, map_weaken, d, f, side)
+        for g, dl in ((Context.of(q, TOP), Context.of(BOT)), (Context(), Context.of(p, p)),
+                      (Context.of(*_EXTRA), Context()), (Context(), Context())):
+            same(weaken_context, map_weaken_context, d, g, dl)
+        for which, x, side in ((TOP_IN_GAMMA, TOP, Side.A), (BOT_IN_DELTA, BOT, Side.C)):
+            same(unweaken_special, map_unweaken_special, d, which)
+            same(unweaken_special, map_unweaken_special, weaken(d, x, side), which)
+        for side in Side:
+            ctx = d.conclusion.gamma if side is Side.A else d.conclusion.delta
+            for f in [*ctx.distinct(), p, And(p, q)]:
+                own_calls = _principal_somewhere(d, side, f)
+                nested += own_calls
+                same(contract, map_contract, d, f, side, own_calls=own_calls)
+                doubled = weaken(d if f in ctx else weaken(d, f, side), f, side)
+                same(contract, map_contract, doubled, f, side, own_calls=own_calls)
+    assert checked > 5_000 and nested > 50, (checked, nested)
+
+
+def test_mapping_transforms_edit_each_distinct_context_once():
+    # a tower holds four context objects at any height, two of them equal
+    # (the empty Deltas), and each map of it no more; a side that a map leaves
+    # alone keeps its objects
+    d = tower(200)
+    n = context_objects(d)
+    pp = Imp(p, p)
+    outs = [weaken(d, q, Side.A), weaken(d, q, Side.C),
+            weaken_context(d, Context.of(q, r), Context.of(BOT)),
+            unweaken_special(weaken(d, TOP, Side.A), TOP_IN_GAMMA),
+            contract(weaken(weaken(d, q, Side.C), q, Side.C), q, Side.C),
+            contract(weaken(d, pp, Side.A), pp, Side.A)]
+    assert n == context_objects(tower(3)) == 4
+    for out in outs:
+        assert out.height == 200 and context_objects(out) <= n
+    assert all(x.conclusion.gamma is y.conclusion.gamma
+               for x, y in zip(_spine(outs[1]), _spine(d), strict=True))
 
 
 def _seeded():
