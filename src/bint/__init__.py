@@ -24,7 +24,7 @@ from .transform import (
     eliminate_cut, invert, unweaken_special, weaken, weaken_context,
 )
 from .decide import derivable
-from .search import Proved, Refuted, SearchOutcome, prove, random_derivation
+from .search import Proved, Refuted, SearchOutcome, prove
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

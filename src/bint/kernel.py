@@ -21,6 +21,9 @@ A context caches its hash, as a sequent does, and a union with a short side
 inserts that side's occurrences by bisection, so editing a long context never
 sorts it again.
 
+Sequent text is read from one ``bint.syntax.scan``: ``read_formula`` reads
+each formula, and the lists, ``;`` and turnstile between them are read here.
+
 A sequent ``(gamma; delta) |-* C`` reads: from the verification of everything
 in gamma and the falsification of everything in delta, derive the verification
 (``*`` = ``+``) or falsification (``*`` = ``-``) of C.
@@ -29,7 +32,6 @@ in gamma and the falsification of everything in delta, derive the verification
 from __future__ import annotations
 
 import enum
-import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -43,13 +45,13 @@ from .syntax import (
     Bottom,
     Coimp,
     Formula,
-    FormulaSyntaxError,
     Imp,
     Or,
     Top,
+    error,
     format_formula,
-    lexemes,
-    parse_formula,
+    read_formula,
+    scan,
 )
 
 
@@ -226,93 +228,58 @@ def format_sequent(s: Sequent, write: Callable[[Formula], str] = format_formula,
     return f"{left} |-{s.polarity.sign} {write(s.succedent)}"
 
 
-def parse_sequent(text: str, read: Callable[[str], Formula] = parse_formula) -> Sequent:
+def parse_sequent(text: str) -> Sequent:
     """Parse ``Gamma ; Delta |-+ C`` / ``|--``; empty sides are allowed and
-    duplicate list entries produce multiset counts.  ``read`` parses the text
-    of each formula."""
-    pieces = _Pieces(text, read)
-    gamma, delta = pieces.contexts(_TURNSTILES)
-    pol = PLUS if pieces.expect(_TURNSTILES, "'|-+' or '|--'") == "|-+" else MINUS
-    succ = pieces.formula()
-    pieces.end()
-    return Sequent(gamma, delta, pol, succ)
+    duplicate list entries produce multiset counts."""
+    found = scan(text)
+    gamma, delta, i = _contexts(text, found, _TURNSTILES)
+    if found[i] not in _TURNSTILES:
+        raise error(text, "expected '|-+' or '|--'", i)
+    succ, end = read_formula(text, found, i + 1)
+    if found[end]:
+        raise error(text, f"trailing input {found[end]!r}", end)
+    return Sequent(gamma, delta, PLUS if found[i] == "|-+" else MINUS, succ)
 
 
 def parse_context_pair(text: str) -> tuple[Context, Context]:
     """Parse ``Gamma ; Delta`` with no turnstile (used by the identity command)."""
-    pieces = _Pieces(text, parse_formula)
-    pair = pieces.contexts(("",))
-    pieces.end()
-    return pair
+    found = scan(text)
+    gamma, delta, i = _contexts(text, found, ("",))
+    if found[i]:
+        raise error(text, f"trailing input {found[i]!r}", i)
+    return gamma, delta
 
 
-# The separators never occur inside a formula, so a sequent's text splits at
-# them into the texts of its formulas.
-_SEPARATORS = re.compile(r"(,|;|\|-\+|\|--)")
 _TURNSTILES = ("|-+", "|--")
+#: the lexemes that may follow a formula of a sequent; "" is the end of the text
+_AFTER_FORMULA = frozenset((",", ";", *_TURNSTILES, ""))
 
 
-class _Pieces:
-    """The text between the separators of a sequent, read left to right.  A
-    piece is the text of one formula, or blank for an empty context.  Errors
-    carry their position in the whole text."""
+def _contexts(text: str, found: list[str], stops: tuple) -> tuple[Context, Context, int]:
+    """``Gamma ; Delta`` from the first lexeme of ``found`` (``scan(text)``),
+    the second list ending at a lexeme in ``stops``, and where it ends."""
+    gamma, i = _formulas(text, found, 0, (";",))
+    if found[i] != ";":
+        raise error(text, "expected ';'", i)
+    delta, i = _formulas(text, found, i + 1, stops)
+    return Context.from_iter(gamma), Context.from_iter(delta), i
 
-    def __init__(self, text: str, read: Callable[[str], Formula]):
-        self.text = text
-        self.read = read
-        # piece, separator, ..., piece, and '' for the end of the text, so the
-        # separator after the current piece parts[i] is always parts[i + 1]
-        self.parts = _SEPARATORS.split(text) + [""]
-        self.i = 0
 
-    def _error(self, message: str, part: int, offset: int = 0) -> FormulaSyntaxError:
-        """The error at ``offset`` into ``parts[part]``.  An unknown character
-        anywhere in the text is reported first, as lexing it all would."""
-        lexemes(self.text)
-        return FormulaSyntaxError(message, sum(map(len, self.parts[:part])) + offset)
-
-    def formula(self) -> Formula:
-        piece = self.parts[self.i]
-        body = piece.strip()
-        try:
-            return self.read(body)
-        except FormulaSyntaxError as e:
-            if e.position < len(body):
-                raise self._error(e.message, self.i,
-                                  len(piece) - len(piece.lstrip()) + e.position) from None
-            # the end of the body stands for the separator after the piece
-            raise self._error(e.message, self.i + 1) from None
-
-    def _formulas(self, stops: tuple[str, ...]) -> list[Formula]:
-        """Comma-separated formulas up to a separator in ``stops``; none when
-        the first piece is blank and ends at a stop."""
-        parts = self.parts
-        if parts[self.i + 1] in stops and not parts[self.i].strip():
-            return []
-        out = [self.formula()]
-        while parts[self.i + 1] == ",":
-            self.i += 2
-            out.append(self.formula())
-        return out
-
-    def expect(self, stops: tuple[str, ...], what: str) -> str:
-        """Step past the separator after the current piece, one of ``stops``."""
-        sep = self.parts[self.i + 1]
-        if sep not in stops:
-            raise self._error(f"expected {what}", self.i + 1)
-        self.i += 2
-        return sep
-
-    def contexts(self, stops: tuple[str, ...]) -> tuple[Context, Context]:
-        """``Gamma ; Delta``, the second list ending at a separator in ``stops``."""
-        gamma = self._formulas((";",))
-        self.expect((";",), "';'")
-        return Context.from_iter(gamma), Context.from_iter(self._formulas(stops))
-
-    def end(self) -> None:
-        sep = self.parts[self.i + 1]
-        if sep:
-            raise self._error(f"trailing input {sep!r}", self.i + 1)
+def _formulas(text: str, found: list[str], i: int, stops: tuple) -> tuple[list, int]:
+    """Comma-separated formulas from lexeme ``i`` up to the first lexeme
+    after a formula that is not a comma, and its index; none when lexeme
+    ``i`` is in ``stops``."""
+    out: list[Formula] = []
+    if found[i] in stops:
+        return out, i
+    while True:
+        f, i = read_formula(text, found, i)
+        if found[i] not in _AFTER_FORMULA:
+            raise error(text, f"trailing input {found[i]!r}", i)
+        out.append(f)
+        if found[i] != ",":
+            return out, i
+        i += 1
 
 
 # --- the rule table ----------------------------------------------------------

@@ -150,7 +150,8 @@ class _Reader:
     def sequent(self, text: str) -> Sequent:
         """``parse_sequent(text)``, reading each context text once per
         document.  Text that does not split regularly at one ';' and a
-        turnstile, and any text with an error, reads as a whole sequent."""
+        turnstile, and any text with an error, goes to ``parse_sequent``,
+        which words the error."""
         semi = text.find(";")
         turn = text.find("|-", semi)
         sign = text[turn + 2:turn + 3]
@@ -163,7 +164,7 @@ class _Reader:
                                self.formula(text[turn + 3:].strip()))
             except FormulaSyntaxError:
                 pass
-        return parse_sequent(text, self.formula)
+        return parse_sequent(text)
 
     def _context(self, data: Any, what: str) -> Context:
         return Context.from_iter(self.formula(_expect(t, str, f"{what} entry"))

@@ -5,6 +5,11 @@ Precedence, tightest first: ``/\\``, ``\\/``, then ``->`` and ``-<`` together at
 the bottom.  All binary connectives associate to the right; mixing ``->`` and
 ``-<`` at the same level without parentheses is rejected rather than silently
 resolved.
+
+One lexer (``scan``) and one reader (``read_formula``) serve the text of a
+formula here and of a sequent in ``bint.kernel``: the reader stops at the
+first lexeme outside every parenthesis that is not a connective, where a
+formula's text must end and a sequent's lists go on.
 """
 
 from __future__ import annotations
@@ -154,7 +159,7 @@ def lexemes(text: str) -> list[tuple[str, int]]:
     return out
 
 
-def _error(text: str, message: str, index: int) -> FormulaSyntaxError:
+def error(text: str, message: str, index: int) -> FormulaSyntaxError:
     """``message`` at lexeme ``index`` of ``text``, or at the end of the text
     past its last lexeme.  An unknown character anywhere in the text is
     reported first."""
@@ -162,19 +167,34 @@ def _error(text: str, message: str, index: int) -> FormulaSyntaxError:
     return FormulaSyntaxError(message, found[index][1] if index < len(found) else len(text))
 
 
+def scan(text: str) -> list[str]:
+    """The lexemes of ``text``, with no check, and "" for the end of the text."""
+    found = _LEXEME.findall(text)
+    found.append("")
+    return found
+
+
 def parse_formula(text: str) -> Formula:
     """Parse a formula; raises FormulaSyntaxError with a position on bad input.
 
-    One scan splits the text into lexemes, and one loop reads them with its
-    own stacks, so parentheses nest as deep as memory allows.  Positions are
-    found again only for an error."""
-    found = _LEXEME.findall(text)
-    found.append("")            # the end of the text
+    One scan splits the text into lexemes, and ``read_formula`` reads them.
+    Positions are found again only for an error."""
+    found = scan(text)
+    f, i = read_formula(text, found, 0)
+    if found[i]:
+        raise error(text, f"trailing input {found[i]!r}", i)
+    return f
+
+
+def read_formula(text: str, found: list[str], i: int) -> tuple[Formula, int]:
+    """The formula whose lexemes ``found`` (``scan(text)``) begin at index
+    ``i``, and the index of the first lexeme outside every parenthesis that
+    is not a connective.  One loop reads them with its own stacks, so
+    parentheses nest as deep as memory allows."""
     operands: list[Formula] = []
     pending: list = []          # connectives not yet applied; None opens a parenthesis
     outer: list = []            # per open parenthesis, the enclosing level's arrow state
     arrow, mixed = "", -1       # this level's first arrow; where another one first follows
-    i = 0
     while True:
         lexeme = found[i]
         while lexeme == "(":
@@ -186,7 +206,7 @@ def parse_formula(text: str) -> Formula:
         f = _CONSTANT.get(lexeme)
         if f is None:
             if lexeme[:1] not in _LETTERS:
-                raise _error(text, "expected a formula", i)
+                raise error(text, "expected a formula", i)
             f = Atom(lexeme)
         operands.append(f)
         i += 1
@@ -202,13 +222,11 @@ def parse_formula(text: str) -> Formula:
             if infix is not None:
                 break
             if mixed >= 0:
-                raise _error(text, "cannot mix '->' and '-<' without parentheses", mixed)
+                raise error(text, "cannot mix '->' and '-<' without parentheses", mixed)
             if not outer:
-                if lexeme:
-                    raise _error(text, f"trailing input {lexeme!r}", i)
-                return operands[0]
+                return operands[0], i
             if lexeme != ")":
-                raise _error(text, "unbalanced parentheses", i)
+                raise error(text, "unbalanced parentheses", i)
             pending.pop()
             arrow, mixed = outer.pop()
             i += 1

@@ -19,10 +19,14 @@ weakenings, inversion and contraction are each one stack-free ``kernel.fold``
 that gives every node a new conclusion; inversion and contraction stop the
 walk at a node that decomposes their formula, where contraction calls itself
 on the premises.  The weakenings and contraction edit each distinct context
-once per call, and cut elimination computes each step's contexts once per
-distinct pair of premise contexts, with memos that live for the call, so
-contexts that the input shares stay shared in the output.  Identity expansion
-reads its rule pairs from ``SCHEMA``, and it and cut elimination recurse.
+once per call (the contractions nested in one call share its memos), and cut
+elimination computes each step's contexts once per distinct pair of premise
+contexts, with memos that live for the call, so contexts that the input
+shares stay shared in the output.  Identity expansion reads the rule table:
+a formula of weight <= 1 gets the first backward expansion of its bare
+sequent whose premises close at once, closed by the rules of one tie-break
+table, ``_IDENTITY_CLOSERS``; a heavier one gets its rule pair from
+``SCHEMA``, and it and cut elimination recurse.
 Every node goes through one constructor, which refuses cuts and raises
 ``InternalCheckError`` where an invalid node is built; by induction every
 output is valid and cut-free.
@@ -34,13 +38,12 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .syntax import (
-    BOT, TOP, And, Atom, Bottom, Coimp, Formula, Imp, Or, Top, format_formula, weight,
-)
+from .syntax import BOT, TOP, And, Coimp, Formula, Imp, Or, format_formula, weight
 from .kernel import (
-    _RIGHT_BY_SHAPE, CUT_AT, CUT_RULES, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS, SCHEMA,
-    ZERO_PREMISE, Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side, _Memo,
-    check_derivation, closing_rules, fold, infer_principal, node, premise_of,
+    _RIGHT_BY_SHAPE, CUT_AT, CUT_RULES, EMPTY, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS,
+    SCHEMA, ZERO_PREMISE, Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side,
+    _Memo, backward_expansions, check_derivation, closing_rules, fold, infer_principal, node,
+    premise_of, premises_for,
 )
 
 
@@ -80,98 +83,44 @@ def derive_identity(gamma: Context, delta: Context, c: Formula,
     """Cut-free derivation of ``(gamma, C; delta) |-+ C`` (PLUS) or
     ``(gamma; delta, C) |-- C`` (MINUS), for arbitrary C and contexts.
 
-    Formulas of weight <= 1 get their fixed one-step constructions; heavier
-    formulas recurse through the matching left/right rule pair on strict
-    subformulas, so an all-atom compound comes out with height 2.
+    Formulas of weight <= 1 get a figure of at most one step above the
+    closers, which depends on C and the polarity alone; heavier formulas
+    recurse through the matching left/right rule pair on strict subformulas,
+    so an all-atom compound comes out with height 2.
     """
     if weight(c) <= 1:
         return _identity_base(gamma, delta, c, polarity)
     return _identity_step(gamma, delta, c, polarity)
 
 
+#: per polarity, the zero-premise rules that close a sequent in a figure of
+#: weight <= 1, in the order they are tried
+_IDENTITY_CLOSERS = {PLUS: (R.RfPlus, R.TopRPlus, R.BotLa, R.TopLc),
+                     MINUS: (R.RfMinus, R.TopLc, R.BotLa, R.BotRMinus)}
+
+
+def _first_closer(s: Sequent, rules: tuple[R, ...]) -> Optional[R]:
+    """The first of ``rules`` that closes ``s``."""
+    closers = closing_rules(s)
+    return next((rule for rule in rules if rule in closers), None)
+
+
 def _identity_base(g: Context, d: Context, c: Formula, pol: Polarity) -> Derivation:
+    """The figure of ``c`` alone in its context, built on ``g`` and ``d``: the
+    first backward expansion of that bare sequent whose premises each close,
+    by the first rule that closes them in ``_IDENTITY_CLOSERS``.  A closer of
+    the bare sequent itself is such an expansion, and comes first."""
     plus = pol is PLUS
     conc = Sequent(g.add(c), d, PLUS, c) if plus else Sequent(g, d.add(c), MINUS, c)
-
-    match c:
-        case Bottom():
-            return _node(R.BotLa if plus else R.BotRMinus, conc)
-        case Top():
-            return _node(R.TopRPlus if plus else R.TopLc, conc)
-        case Atom():
-            return _node(R.RfPlus if plus else R.RfMinus, conc)
-
-    a, b = c.left, c.right  # weight(c) == 1: both operands are F or T
-    bot_a, bot_b = isinstance(a, Bottom), isinstance(b, Bottom)
-
-    match c:
-        case And():
-            if plus:
-                if bot_a or bot_b:
-                    prem = _node(R.BotLa, Sequent(g.add(a).add(b), d, PLUS, c))
-                    return _node(R.AndLa, conc, [prem], principal=c)
-                prem = _node(R.TopRPlus, Sequent(conc.gamma, d, PLUS, TOP))
-                return _node(R.AndRPlus, conc, [prem, prem])
-            if bot_a:
-                prem = _node(R.BotRMinus, Sequent(g, conc.delta, MINUS, BOT))
-                return _node(R.AndRMinus1, conc, [prem])
-            if bot_b:
-                prem = _node(R.BotRMinus, Sequent(g, conc.delta, MINUS, BOT))
-                return _node(R.AndRMinus2, conc, [prem])
-            prem = _node(R.TopLc, Sequent(g, d.add(TOP), MINUS, c))
-            return _node(R.AndLc, conc, [prem, prem], principal=c)
-        case Or():
-            if plus:
-                if not bot_a:
-                    prem = _node(R.TopRPlus, Sequent(conc.gamma, d, PLUS, TOP))
-                    return _node(R.OrRPlus1, conc, [prem])
-                if not bot_b:
-                    prem = _node(R.TopRPlus, Sequent(conc.gamma, d, PLUS, TOP))
-                    return _node(R.OrRPlus2, conc, [prem])
-                prem = _node(R.BotLa, Sequent(g.add(BOT), d, PLUS, c))
-                return _node(R.OrLa, conc, [prem, prem], principal=c)
-            if bot_a and bot_b:
-                prem = _node(R.BotRMinus, Sequent(g, conc.delta, MINUS, BOT))
-                return _node(R.OrRMinus, conc, [prem, prem])
-            prem = _node(R.TopLc, Sequent(g, d.add(a).add(b), MINUS, c))
-            return _node(R.OrLc, conc, [prem], principal=c)
-        case Imp():
-            if plus:
-                if not bot_a and bot_b:  # T -> F closes through both arms
-                    p1 = _node(R.TopRPlus, Sequent(conc.gamma, d, PLUS, TOP))
-                    p2 = _node(R.BotLa, Sequent(g.add(BOT), d, PLUS, c))
-                    return _node(R.ImpLa, conc, [p1, p2], principal=c)
-                inner_rule = R.BotLa if bot_a and bot_b else R.TopRPlus
-                succ = BOT if bot_a and bot_b else TOP
-                prem = _node(inner_rule, Sequent(conc.gamma.add(a), d, PLUS, succ))
-                return _node(R.ImpRPlus, conc, [prem])
-            if not bot_a and bot_b:
-                p1 = _node(R.TopRPlus, Sequent(g, conc.delta, PLUS, TOP))
-                p2 = _node(R.BotRMinus, Sequent(g, conc.delta, MINUS, BOT))
-                return _node(R.ImpRMinus, conc, [p1, p2])
-            inner_rule = R.BotLa if (bot_a and bot_b) else R.TopLc
-            prem = _node(inner_rule, Sequent(g.add(a), d.add(b), MINUS, c))
-            return _node(R.ImpLc, conc, [prem], principal=c)
-        case Coimp():
-            if plus:
-                if not bot_a and bot_b:
-                    p1 = _node(R.TopRPlus, Sequent(conc.gamma, d, PLUS, TOP))
-                    p2 = _node(R.BotRMinus, Sequent(conc.gamma, d, MINUS, BOT))
-                    return _node(R.CoimpRPlus, conc, [p1, p2])
-                inner_rule = R.BotLa if bot_a else R.TopLc
-                prem = _node(inner_rule, Sequent(g.add(a), d.add(b), PLUS, c))
-                return _node(R.CoimpLa, conc, [prem], principal=c)
-            if bot_a:
-                inner_rule = R.BotRMinus if bot_b else R.TopLc
-                prem = _node(inner_rule, Sequent(g, conc.delta.add(b), MINUS, BOT))
-                return _node(R.CoimpRMinus, conc, [prem])
-            if bot_b:
-                p1 = _node(R.BotRMinus, Sequent(g, conc.delta, MINUS, BOT))
-                p2 = _node(R.TopLc, Sequent(g, d.add(TOP), MINUS, c))
-                return _node(R.CoimpLc, conc, [p1, p2], principal=c)
-            prem = _node(R.TopLc, Sequent(g, conc.delta.add(TOP), MINUS, TOP))
-            return _node(R.CoimpRMinus, conc, [prem])
-    raise TypeError(f"not a formula: {c!r}")
+    alone = Context.of(c)
+    bare = Sequent(alone, EMPTY, PLUS, c) if plus else Sequent(EMPTY, alone, MINUS, c)
+    for e in backward_expansions(bare):
+        closers = [_first_closer(p, _IDENTITY_CLOSERS[p.polarity]) for p in e.premises]
+        if None not in closers:
+            premises = premises_for(conc, e.rule, c)
+            return _node(e.rule, conc, [_node(r, p) for r, p in zip(closers, premises)],
+                         annotation=e.annotation)
+    raise InternalCheckError(f"no base figure for {format_formula(c)}")
 
 
 def _identity_step(g: Context, d: Context, c: Formula, pol: Polarity) -> Derivation:
@@ -327,11 +276,18 @@ def contract(d: Derivation, dup: Formula, side: Side) -> Derivation:
         raise TransformError(
             f"contract: fewer than two occurrences of {format_formula(dup)} "
             f"on side {side.value}")
-    drop = _on(side, lambda c: c.remove(dup))
+    return _contract(d, dup, side, _Memo(lambda key: _on(key[0], lambda c: c.remove(key[1]))))
+
+
+def _contract(d: Derivation, dup: Formula, side: Side, memos: _Memo) -> Derivation:
+    """``contract`` with no checks.  ``memos`` gives the ``_on`` memos that
+    drop one formula from one side, per (side, formula), and the contractions
+    nested in this one share it, so equal contexts stay one object."""
+    drop = memos[side, dup]
 
     def stop(x: Derivation) -> Optional[Derivation]:
         if _principal_here(x, side, dup):
-            return _contract_principal(x, dup, side, drop, stop)
+            return _contract_principal(x, dup, side, drop, stop, memos)
         return None
 
     return _map_contexts(d, *drop, stop)
@@ -344,7 +300,8 @@ def _drop_one(s: Sequent, f: Formula, side: Side) -> Sequent:
 
 
 def _contract_principal(d: Derivation, dup: Formula, side: Side, drop: tuple,
-                        stop: Callable[[Derivation], Optional[Derivation]]) -> Derivation:
+                        stop: Callable[[Derivation], Optional[Derivation]],
+                        memos: _Memo) -> Derivation:
     """The root decomposes one copy of ``dup`` while another copy is parked in
     the context.  A premise that keeps the principal holds both copies and is
     contracted on ``dup``; in every other premise the parked copy is inverted
@@ -371,9 +328,9 @@ def _contract_principal(d: Derivation, dup: Formula, side: Side, drop: tuple,
             if (id(p), j) not in done:      # a premise shared along the run
                 q = _inverse(p, side, dup, j)
                 for i in t.gamma:
-                    q = contract(q, operands[i], Side.A)
+                    q = _contract(q, operands[i], Side.A, memos)
                 for i in t.delta:
-                    q = contract(q, operands[i], Side.C)
+                    q = _contract(q, operands[i], Side.C, memos)
                 done[id(p), j] = q
             premises.append(done[id(p), j])
         image = _node(x.rule, _edit(x.conclusion, *drop), premises, principal=dup)
@@ -440,15 +397,6 @@ _VARIANT = {at: variant for variant, pair in CUT_AT.items() for at in pair}
 # priority for re-axiomatizing a conclusion that several zero-premise rules
 # close: context-based closures first
 _AXIOM_PRIORITY = (R.BotLa, R.TopLc, R.TopRPlus, R.BotRMinus, R.RfPlus, R.RfMinus)
-
-
-def _axiom_for(s: Sequent) -> Optional[R]:
-    closers = closing_rules(s)
-    return next((rule for rule in _AXIOM_PRIORITY if rule in closers), None)
-
-
-def _cut_target(left: Derivation, right: Derivation, dfm: Formula, variant: R) -> Sequent:
-    return _Eliminator(None).target(left, right, dfm, variant)
 
 
 def _cut_contexts(key: tuple) -> tuple[Context, Context, Context, Context]:
@@ -543,7 +491,7 @@ class _Eliminator:
 
         if right.rule in ZERO_PREMISE:
             case = family + ("2-" if right.conclusion.polarity is PLUS else "3-")
-            closer = _axiom_for(target)
+            closer = _first_closer(target, _AXIOM_PRIORITY)
             if closer is not None:
                 return case, lambda i, m: _node(closer, target)
             if target.succedent == dfm and target.polarity is pol:

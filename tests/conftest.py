@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or
 from bint.kernel import MINUS, PLUS, Context, RuleId as R, Sequent, Side, node, parse_sequent
-from bint.search import random_derivation
 from bint.transform import derive_identity, weaken
+from random_derivations import random_derivation
 
 SEED = int(os.environ.get("BINT_SEED", "0"))
 

@@ -372,8 +372,8 @@ def test_criterion_6_cut_elimination(cut_pairs):
             report = check_derivation(out)
             assert report.valid and report.cut_count == 0
 
-            from bint.transform import _cut_target
-            assert out.conclusion == _cut_target(left, right, dfm, variant)
+            from bint.transform import _Eliminator
+            assert out.conclusion == _Eliminator(None).target(left, right, dfm, variant)
 
             for parent, child in trace.edges():
                 assert (child.weight, child.cut_height) < (parent.weight, parent.cut_height)

@@ -23,7 +23,8 @@ from bint.kernel import (
     _check_cut, _fits, _zero_premise_failure, check_rule_instance, dual_derivation,
     format_sequent, infer_principal, parse_sequent, premises_for,
 )
-from bint.search import prove, random_derivation
+from bint.search import prove
+from random_derivations import random_derivation
 from bint.serialize import load_derivation, load_derivations
 from bint.syntax import And, Atom, Coimp, Imp, Or, format_formula
 from bint.transform import eliminate_cut, weaken

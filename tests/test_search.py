@@ -11,7 +11,8 @@ from bint.kernel import (
     MINUS, PLUS, Expansion, RuleId as R, Sequent, Side, check_derivation, dual_derivation,
     dual_formula, dual_sequent, node, parse_sequent, premises_for,
 )
-from bint.search import Proved, Refuted, prove, random_derivation
+from bint.search import Proved, Refuted, prove
+from random_derivations import random_derivation
 from bint.serialize import dumps_derivation, load_derivation
 from bint.syntax import Atom, Imp
 from bint.transform import (

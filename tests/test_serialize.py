@@ -18,7 +18,7 @@ from bint.kernel import (
     Annotation, Context, ContextSplit, Derivation, RuleId as R, dual_derivation,
     format_sequent, node, parse_sequent,
 )
-from bint.search import random_derivation
+from random_derivations import random_derivation
 from bint.serialize import (
     dumps_derivation, dumps_derivations, load_derivations, loads_derivation,
 )

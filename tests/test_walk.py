@@ -24,7 +24,7 @@ from bint.kernel import (
     RuleId as R, Sequent, Side, dual_derivation, fold, format_sequent, node, parse_sequent,
     premise_of,
 )
-from bint.search import random_derivation
+from random_derivations import random_derivation
 from bint.serialize import dumps_derivation, load_derivation
 from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or, format_formula
 from bint.transform import (
@@ -547,6 +547,22 @@ def test_mapping_transforms_edit_each_distinct_context_once():
                for x, y in zip(_spine(outs[1]), _spine(d), strict=True))
 
 
+def test_nested_contractions_keep_equal_contexts_one_object(derivation_corpus, corpus_files):
+    # weaken, then contract, each distinct formula of each side: no output
+    # holds more distinct contexts than its input, also where contraction
+    # meets the formula as a principal and contracts its operands above
+    contractions = nested = 0
+    for d in derivation_corpus + corpus_files:
+        for side in Side:
+            ctx = d.conclusion.gamma if side is Side.A else d.conclusion.delta
+            for f in ctx.distinct():
+                doubled = weaken(d, f, side)
+                assert context_objects(contract(doubled, f, side)) <= context_objects(doubled)
+                contractions += 1
+                nested += _principal_somewhere(d, side, f)
+    assert contractions > 500 and nested > 30, (contractions, nested)
+
+
 def _seeded():
     """Random derivations beside the session corpus, from other seeds."""
     return [random_derivation(seed, size) for seed in range(300, 400) for size in (6, 14)]
@@ -622,12 +638,12 @@ RECURSIVE = {
     "cli._latex_formula",
     "decide._decide", "decide._sequent", "decide.derives", "decide.signed",
     "kernel.dual_formula",
-    "search._apply", "search._random_formula", "search.build",
+    "search._apply", "search.build",
     "serialize.derivation", "serialize.node", "serialize.premises",
     "syntax.format_formula", "syntax.weight",
     "transform._contract_principal", "transform._identity_step",
     "transform._permute_left", "transform._permute_right", "transform._principal",
-    "transform._select", "transform.contract", "transform.derive_identity", "transform.rec",
+    "transform._select", "transform._contract", "transform.derive_identity", "transform.rec",
     "transform.run",
 }
 
