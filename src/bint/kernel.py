@@ -3,13 +3,14 @@ the derivation checker, backward rule enumeration, the duality mapping, and
 ``fold``, the stack-free walk that duality, weakening, inversion, contraction
 and coverage share.  Its ``stop`` hook gives a node an image without visiting
 its premises, which is how inversion and contraction end at a principal node.
+Duality dualizes each distinct subformula once per call, on its own stack.
 
-Every ``Derivation`` is checked once, when it is built: its ``valid`` field
-says that its premises are valid and that it instantiates its rule schema.
-No construction path skips the check, so a tree is never re-checked, and
-``check_derivation`` walks only an invalid tree, for its first violation.  A
-node is checked by matching its premises against its rule's templates in
-place; the premises the schema expects are built only to word a violation.
+Every ``Derivation`` is checked once, when it is built, by the one call that
+writes its fields: ``valid`` says that its premises are valid and that it
+instantiates its rule schema.  No construction path skips the check, so a
+tree is never re-checked, and ``check_derivation`` walks only an invalid tree.
+A node is matched in place against ``_MATCH``, ``SCHEMA`` flattened at import;
+the premises the schema expects are built only to word a violation.
 
 The 18 logical rules are one data table, ``SCHEMA``: per rule, the connective
 it decomposes, where its principal sits, and one template per premise.
@@ -408,7 +409,7 @@ class Annotation:
     context_split: Optional[ContextSplit] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Derivation:
     """A derivation tree.  ``valid`` is decided once, when the node is built:
     every premise is valid and the node instantiates its rule schema."""
@@ -421,19 +422,22 @@ class Derivation:
     cut_count: int = field(init=False, compare=False, repr=False, default=0)
     valid: bool = field(init=False, compare=False, repr=False, default=False)
 
-    def __post_init__(self):
-        h, c, valid = 0, 1 if self.rule in CUT_RULES else 0, True
-        for p in self.premises:
+    def __init__(self, conclusion: Sequent, rule: RuleId, premises=(), annotation=None):
+        h, c, valid = 0, 1 if rule in CUT_RULES else 0, True
+        for p in premises:
             if p.height >= h:
                 h = p.height + 1
             c += p.cut_count
             valid = valid and p.valid
-        valid = valid and check_rule_instance(
-            self.conclusion, self.rule, [p.conclusion for p in self.premises],
-            self.annotation) is None
-        object.__setattr__(self, "height", h)
-        object.__setattr__(self, "cut_count", c)
-        object.__setattr__(self, "valid", valid)
+        _set = object.__setattr__
+        _set(self, "conclusion", conclusion)
+        _set(self, "rule", rule)
+        _set(self, "premises", premises)
+        _set(self, "annotation", annotation)
+        _set(self, "height", h)
+        _set(self, "cut_count", c)
+        _set(self, "valid", valid and check_rule_instance(
+            conclusion, rule, [p.conclusion for p in premises], annotation) is None)
 
     def __eq__(self, other: object) -> bool:
         """The dataclass's equality of conclusion, rule, premises and
@@ -647,18 +651,12 @@ def _edited(items: tuple, drop: Optional[Formula], adds: tuple[int, ...],
     return tuple(out)
 
 
-def _context_fits(ctx: Context, got: Context, drop: Optional[Formula], adds: tuple[int, ...],
-                  ops: tuple[Formula, Formula]) -> bool:
-    """Whether ``got`` is ``ctx`` less one ``drop`` (when set) and plus the
-    operands ``adds`` picks from ``ops``: by identity or items when nothing
-    changes, else by length and then by one tuple."""
-    if got is ctx:
-        return drop is None and not adds
-    if drop is None and not adds:
-        return got.items == ctx.items
-    if len(got.items) != len(ctx.items) - (drop is not None) + len(adds):
-        return False
-    return got.items == _edited(ctx.items, drop, adds, ops)
+#: per logical rule, ``SCHEMA`` as ``_fits`` reads it: the connective, a right
+#: rule's polarity (None for a left rule), and per premise its polarity and
+#: succedent, and per context the operands it adds and if it drops the principal
+_MATCH = {r: (s.connective, None if isinstance(s.at, Side) else s.at, tuple(
+    (t.polarity, t.succedent, t.gamma, s.at is Side.A and not t.keeps,
+     t.delta, s.at is Side.C and not t.keeps) for t in s.premises)) for r, s in SCHEMA.items()}
 
 
 def _fits(s: Sequent, rule: RuleId, principal: Formula,
@@ -666,28 +664,29 @@ def _fits(s: Sequent, rule: RuleId, principal: Formula,
     """Whether ``premises_for(s, rule, principal) == tuple(premises)`` for a
     logical rule, decided by matching each premise against its template in
     place, so that no premise is built."""
-    schema = SCHEMA[rule]
-    if not isinstance(principal, schema.connective) or len(premises) != len(schema.premises):
+    connective, right_at, templates = _MATCH[rule]
+    if not isinstance(principal, connective) or len(premises) != len(templates):
         return False
-    at, pol, succ = schema.at, s.polarity, s.succedent
-    # every left rule has a premise that drops the principal, and that
-    # premise does not match when the principal is missing
-    drop_g = principal if at is Side.A else None
-    drop_d = principal if at is Side.C else None
-    if isinstance(at, Polarity) and (pol is not at or (principal is not succ
-                                                      and principal != succ)):
+    pol, succ = s.polarity, s.succedent
+    if right_at is not None and (pol is not right_at or (principal is not succ
+                                                         and principal != succ)):
         return False
     ops = (principal.left, principal.right)  # type: ignore[attr-defined]
     gamma, delta = s.gamma, s.delta
-    for t, p in zip(schema.premises, premises):
-        c = succ if t.succedent is None else ops[t.succedent]
-        if (p.polarity is not (pol if t.polarity is None else t.polarity)
+    for (t_pol, t_succ, adds_g, drop_g, adds_d, drop_d), p in zip(templates, premises):
+        c = succ if t_succ is None else ops[t_succ]
+        if (p.polarity is not (pol if t_pol is None else t_pol)
                 or (p.succedent is not c and p.succedent != c)):
             return False
-        keeps = t.keeps
-        if not (_context_fits(gamma, p.gamma, None if keeps else drop_g, t.gamma, ops)
-                and _context_fits(delta, p.delta, None if keeps else drop_d, t.delta, ops)):
-            return False
+        for ctx, got, drop, adds in ((gamma, p.gamma, drop_g, adds_g),
+                                     (delta, p.delta, drop_d, adds_d)):
+            if drop or adds:
+                if (got is ctx or len(got.items) != len(ctx.items) - drop + len(adds)
+                        or got.items != _edited(ctx.items, principal if drop else None,
+                                                adds, ops)):
+                    return False
+            elif got is not ctx and got.items != ctx.items:
+                return False
     return True
 
 
@@ -907,23 +906,35 @@ DUAL_RULE = {
 }
 
 
+class _Duals(dict):
+    """formula -> its dual, built on an explicit stack from its operands' duals,
+    which are kept too: each distinct subformula is dualized once."""
+
+    def __missing__(self, f: Formula) -> Formula:
+        stack = [f]
+        while stack:
+            x = stack.pop()
+            if x in self:
+                continue
+            dual = _DUAL_CONNECTIVE.get(x.__class__)
+            if dual is None:
+                if not isinstance(x, (Atom, Bottom, Top)):
+                    raise TypeError(f"not a formula: {x!r}")
+                self[x] = TOP if isinstance(x, Bottom) else BOT if isinstance(x, Top) else x
+                continue
+            # an arrow's operands trade places
+            a, b = (x.right, x.left) if dual is Imp or dual is Coimp else (x.left, x.right)
+            da, db = self.get(a), self.get(b)
+            if da is None or db is None:
+                stack += (x, a, b)
+            else:
+                self[x] = dual(da, db)
+        return self[f]
+
+
 def dual_formula(f: Formula) -> Formula:
-    match f:
-        case Atom():
-            return f
-        case Bottom():
-            return TOP
-        case Top():
-            return BOT
-        case And(l, r):
-            return Or(dual_formula(l), dual_formula(r))
-        case Or(l, r):
-            return And(dual_formula(l), dual_formula(r))
-        case Imp(l, r):
-            return Coimp(dual_formula(r), dual_formula(l))
-        case Coimp(l, r):
-            return Imp(dual_formula(r), dual_formula(l))
-    raise TypeError(f"not a formula: {f!r}")
+    """The dual of ``f``, a formula of any depth."""
+    return _Duals()[f]
 
 
 def dual_context(ctx: Context) -> Context:
@@ -948,9 +959,9 @@ class _Memo(dict):
 
 
 def dual_derivation(d: Derivation) -> Derivation:
-    """The dual of ``d``, a tree of any height.  Each distinct formula, context,
-    sequent and node object (``fold``) is dualized once."""
-    formula = _Memo(dual_formula)
+    """The dual of ``d``, a tree of any height.  Each distinct formula and
+    subformula, context, sequent and node object (``fold``) is dualized once."""
+    formula = _Duals()
     context = _Memo(lambda ctx: Context.from_iter(map(formula.__getitem__, ctx.items)))
     sequent = _Memo(lambda s: Sequent(context[s.delta], context[s.gamma], s.polarity.flip(),
                                       formula[s.succedent]))

@@ -120,6 +120,7 @@ class _Writer:
 
 
 _JSON_TYPE_NAMES = {dict: "object", list: "list", str: "string"}
+_RULE_IDS = {r.value: r for r in RuleId}
 
 
 def _expect(value: Any, kind: type, what: str) -> Any:
@@ -138,9 +139,9 @@ class _Reader:
         formula = self.formula = _Memo(parse_formula).__getitem__
 
         def context(text: str) -> Context:
-            if not text.strip():
-                return EMPTY
-            return Context.from_iter([formula(t.strip()) for t in text.split(",")])
+            # split at the writer's ", "; other spacing fails, and goes to parse_sequent
+            text = text.strip()
+            return Context.from_iter(map(formula, text.split(", "))) if text else EMPTY
 
         # the text of a context, before ';' or between ';' and the turnstile
         # -> the context: a left rule's premise changes one context of its
@@ -175,10 +176,10 @@ class _Reader:
 
     def derivation(self, data: Any) -> Derivation:
         _expect(data, dict, "a derivation")
-        try:
-            rule = RuleId(data["rule"])
-        except (KeyError, ValueError) as e:
-            raise DerivationFormatError(f"bad or missing rule id: {e}") from e
+        name = data.get("rule")
+        rule = _RULE_IDS.get(name) if isinstance(name, str) else None
+        if rule is None:
+            raise DerivationFormatError(f"bad or missing rule id: {name!r}")
         if "conclusion" not in data:
             raise DerivationFormatError("missing conclusion")
         conclusion = self.sequent(_expect(data["conclusion"], str, "conclusion"))

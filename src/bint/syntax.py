@@ -6,6 +6,11 @@ the bottom.  All binary connectives associate to the right; mixing ``->`` and
 ``-<`` at the same level without parentheses is rejected rather than silently
 resolved.
 
+Formulas are immutable, and each is built in one call: a binary formula's
+constructor writes its operands, its ``key`` and its hash at once.  Atoms
+are interned: there is one atom per name, so equal atoms are one object and
+compare by identity.
+
 One lexer (``scan``) and one reader (``read_formula``) serve the text of a
 formula here and of a sequent in ``bint.kernel``: the reader stops at the
 first lexeme outside every parenthesis that is not a connective, where a
@@ -28,12 +33,13 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-_formula = dataclass(frozen=True, eq=False, repr=False, slots=True)
+_formula = dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
+_set = object.__setattr__
 
 
 @_formula
 class Formula:
-    """A formula tree.  Each formula computes two things once, when it is
+    """A formula tree.  Each formula holds two things, written when it is
     built: ``key``, a total structural order used to keep contexts sorted,
     and its hash.  Equality and hashing read them instead of walking the
     tree."""
@@ -42,12 +48,9 @@ class Formula:
     _hash: int = field(init=False)
     _tag = -1   # the first component of ``key``: the connective
 
-    def __post_init__(self):    # the constants; atoms and binaries override it
-        self._seal((self._tag,), hash(self._tag))
-
-    def _seal(self, key: tuple, h: int) -> None:
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", h)
+    def __init__(self):     # the constants; atoms and binaries have their own
+        _set(self, "key", (self._tag,))
+        _set(self, "_hash", hash(self._tag))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):
@@ -71,13 +74,33 @@ class Top(Formula):
     _tag = 1
 
 
+#: name -> the atom of that name, kept for the life of the process
+_ATOMS: dict[str, "Atom"] = {}
+
+
 @_formula
 class Atom(Formula):
+    """An atom.  There is one per name, so equal atoms are one object and
+    compare by identity; copies and pickles are that object too."""
+
     name: str
     _tag = 2
+    __eq__ = object.__eq__
+    __hash__ = Formula.__hash__
+    __init__ = object.__init__      # ``__new__`` builds the atom
 
-    def __post_init__(self):
-        self._seal((self._tag, self.name), hash(self.name))
+    def __new__(cls, name: str):
+        atom = _ATOMS.get(name)
+        if atom is None:
+            atom = object.__new__(cls)
+            _set(atom, "name", name)
+            _set(atom, "key", (cls._tag, name))
+            _set(atom, "_hash", hash(name))
+            atom = _ATOMS.setdefault(name, atom)    # one atom, even when two threads race
+        return atom
+
+    def __reduce__(self):
+        return Atom, (self.name,)
 
 
 @_formula
@@ -85,9 +108,12 @@ class _Binary(Formula):
     left: Formula
     right: Formula
 
-    def __post_init__(self):
-        l, r, tag = self.left, self.right, self._tag
-        self._seal((tag, l.key, r.key), hash((tag, l._hash, r._hash)))
+    def __init__(self, left: Formula, right: Formula):
+        tag = self._tag
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "key", (tag, left.key, right.key))
+        _set(self, "_hash", hash((tag, left._hash, right._hash)))
 
 
 @_formula
@@ -119,15 +145,17 @@ BINARY = (And, Or, Imp, Coimp)
 
 
 def weight(f: Formula) -> int:
-    """Inductive size measure: constants 0, atoms 1, binaries w(l)+w(r)+1."""
-    match f:
-        case Bottom() | Top():
-            return 0
-        case Atom():
-            return 1
-        case And(l, r) | Or(l, r) | Imp(l, r) | Coimp(l, r):
-            return weight(l) + weight(r) + 1
-    raise TypeError(f"not a formula: {f!r}")
+    """Inductive size measure: constants 0, atoms 1, binaries w(l)+w(r)+1,
+    summed on its own stack, so a formula of any depth is measured."""
+    n, stack = 0, [f]
+    while stack:
+        x = stack.pop()
+        if not isinstance(x, Formula):
+            raise TypeError(f"not a formula: {x!r}")
+        if isinstance(x, _Binary):
+            stack += (x.left, x.right)
+        n += not isinstance(x, (Bottom, Top))
+    return n
 
 
 # --- parser ----------------------------------------------------------------
@@ -207,7 +235,7 @@ def read_formula(text: str, found: list[str], i: int) -> tuple[Formula, int]:
         if f is None:
             if lexeme[:1] not in _LETTERS:
                 raise error(text, "expected a formula", i)
-            f = Atom(lexeme)
+            f = _ATOMS.get(lexeme) or Atom(lexeme)
         operands.append(f)
         i += 1
         # after an operand: a connective, or the end of the current level

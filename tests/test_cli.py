@@ -137,8 +137,10 @@ _DEEP = 3000
     b"\xff\xfe not UTF-8",
     ('{"rule": "RfPlus", "conclusion": "p ; |-+ p", "premises": [' * _DEEP
      + json.dumps(_RF) + "]}" * _DEEP).encode(),
+    *(json.dumps({**_RF, "rule": rule}).encode() for rule in (["RfPlus"], 3, None)),
 ], ids=["not-json", "list-of-ints", "conclusion-int", "premises-object",
-        "cut-empty-split", "principal-int", "not-utf8", "nested-too-deeply"])
+        "cut-empty-split", "principal-int", "not-utf8", "nested-too-deeply",
+        "rule-list", "rule-int", "rule-null"])
 def test_check_malformed_file_is_a_format_error(capsys, tmp_path, content):
     path = tmp_path / "bad.deriv"
     path.write_bytes(content)

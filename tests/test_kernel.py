@@ -13,7 +13,7 @@ from bint.kernel import (
     cut_height, dual_context, dual_derivation, dual_formula, dual_sequent, format_sequent,
     infer_principal, node, parse_sequent, _zero_premise_failure,
 )
-from bint import corpus, kernel
+from bint import corpus, kernel, syntax
 from bint.serialize import dumps_derivation, load_derivation, loads_derivation
 from bint.transform import TransformError, derive_identity, weaken
 from conftest import SEED, contexts, formulas, polarities, random_sequent, sequents, tower
@@ -408,6 +408,14 @@ def test_infer_principal():
     assert infer_principal(d) == And(p, q)
 
 
+def test_formulas_and_derivations_are_frozen():
+    d = node(R.RfPlus, parse_sequent("p ; |-+ p"))
+    for obj, name in ((p, "name"), (Imp(p, q), "left"), (Imp(p, q), "key"), (d, "rule"),
+                      (d, "valid")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, q)
+
+
 # --- duality ---------------------------------------------------------------------------
 
 def test_dual_formula_table():
@@ -509,40 +517,39 @@ def _nodes(d: Derivation):
 
 
 def test_dual_derivation_dualizes_each_part_once(monkeypatch, derivation_corpus):
-    calls = Counter()
-    real = kernel.dual_formula
-    depth = 0
+    built = Counter()
+    init = syntax._Binary.__init__
 
-    def counted(f):     # counts the calls for whole formulas, not their subformulas
-        nonlocal depth
-        if depth == 0:
-            calls[f] += 1
-        depth += 1
-        try:
-            return real(f)
-        finally:
-            depth -= 1
+    def counted_formula(self, left, right):
+        init(self, left, right)
+        built[self] += 1
 
-    monkeypatch.setattr(kernel, "dual_formula", counted)
+    monkeypatch.setattr(syntax._Binary, "__init__", counted_formula)
+    compounds = 0
     for d in derivation_corpus:
-        calls.clear()
+        built.clear()
         dd = dual_derivation(d)
-        assert max(calls.values()) == 1
+        # only dualizing builds formulas here: each distinct formula and
+        # subformula is dualized once, so each compound of the dual is built once
+        assert max(built.values(), default=1) == 1
+        compounds += len(built)
         # equal parts of the dual are one object
         parts = {}
         for x in _nodes(dd):
-            for part in (x.conclusion, x.conclusion.gamma, x.conclusion.delta):
+            s = x.conclusion
+            for part in (s, s.gamma, s.delta, s.succedent, *s.gamma.items, *s.delta.items):
                 assert parts.setdefault(part, part) is part
+    assert compounds > 500
     made = []
+    make = Derivation.__init__
 
-    class Counted(Derivation):
-        def __post_init__(self):
-            made.append(self)
-            super().__post_init__()
+    def counted_node(self, *args):
+        made.append(self)
+        make(self, *args)
 
     rf = node(R.RfPlus, parse_sequent("p ; |-+ p"))
     d = node(R.AndRPlus, parse_sequent("p ; |-+ p /\\ p"), [rf, rf])
-    monkeypatch.setattr(kernel, "Derivation", Counted)
+    monkeypatch.setattr(Derivation, "__init__", counted_node)
     dd = dual_derivation(d)
     assert dd.premises[0] is dd.premises[1] and len(made) == 2
 

@@ -20,7 +20,8 @@ from bint.kernel import (
 )
 from random_derivations import random_derivation
 from bint.serialize import (
-    dumps_derivation, dumps_derivations, load_derivations, loads_derivation,
+    DerivationFormatError, dumps_derivation, dumps_derivations, load_derivations,
+    loads_derivation,
 )
 from bint.syntax import FormulaSyntaxError, format_formula, parse_formula
 
@@ -169,10 +170,21 @@ def test_an_irregular_context_text_fails_as_parse_sequent_does(below):
 
 @pytest.mark.parametrize("text", [
     "p ; q |-+ r", "  p ,q;r|--s ", "p \\/ q, r ;|-+ r", ";|-+ T", " ;  |-- F", "q, p, q ; p |-+ q",
+    "p,q ; |-+ q", "p ,  q ; r,s |-- q", "p, q,r ; q ,p |-+ r",
 ])
 def test_a_regular_text_in_any_spacing_reads_as_parse_sequent_does(text):
     d = loads_derivation(_two_levels("p, q ; r |-- q", text))
     assert d.premises[0].conclusion == parse_sequent(text)
+
+
+@pytest.mark.parametrize("rule", [["RfPlus"], 3, None, "rfplus", "missing"],
+                         ids=["list", "int", "null", "lowercase", "missing"])
+def test_a_bad_or_missing_rule_id_is_a_format_error(rule):
+    data = {"conclusion": "p ; |-+ p", "premises": []}
+    if rule != "missing":
+        data["rule"] = rule
+    with pytest.raises(DerivationFormatError, match="^bad or missing rule id"):
+        loads_derivation(json.dumps(data))
 
 
 def _contexts_in(d: Derivation, side: str) -> list[Context]:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from collections import Counter
@@ -479,6 +481,17 @@ def test_round_trip(f):
 def test_format_is_idempotent_on_outputs(f):
     text = format_formula(f)
     assert format_formula(parse_formula(text)) == text
+
+
+def test_an_interned_atom_survives_copies_and_pickles():
+    p = Atom("p")
+    assert Atom("p") is p and parse_formula("p") is p
+    for copied in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert copied is p
+    f = Imp(p, And(Atom("q"), BOT))
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f and hash(g) == hash(f) and g.left is p
+        assert type(g.right.right) is Bottom and g.right.right == BOT
 
 
 def test_weight_base_cases():

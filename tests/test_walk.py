@@ -21,12 +21,12 @@ from bint.corpus import DATA_DIR, _rules_in
 from bint import transform
 from bint.kernel import (
     LEFT_RULE_BY_SHAPE, PLUS, SCHEMA, Annotation, Context, ContextSplit, Derivation,
-    RuleId as R, Sequent, Side, dual_derivation, fold, format_sequent, node, parse_sequent,
-    premise_of,
+    RuleId as R, Sequent, Side, dual_derivation, dual_formula, fold, format_sequent, node,
+    parse_sequent, premise_of,
 )
 from random_derivations import random_derivation
 from bint.serialize import dumps_derivation, load_derivation
-from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or, format_formula
+from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or, format_formula, weight
 from bint.transform import (
     SpecialWeakening, TransformError, _drop_one, _inverse, _map_conclusions, _node,
     _principal_here, _require_input, contract, invert, unweaken_special, weaken, weaken_context,
@@ -637,10 +637,9 @@ def test_rules_in_equals_the_recursive_definition(derivation_corpus, corpus_file
 RECURSIVE = {
     "cli._latex_formula",
     "decide._decide", "decide._sequent", "decide.derives", "decide.signed",
-    "kernel.dual_formula",
     "search._apply", "search.build",
     "serialize.derivation", "serialize.node", "serialize.premises",
-    "syntax.format_formula", "syntax.weight",
+    "syntax.format_formula",
     "transform._contract_principal", "transform._identity_step",
     "transform._permute_left", "transform._permute_right", "transform._principal",
     "transform._select", "transform._contract", "transform.derive_identity", "transform.rec",
@@ -683,6 +682,25 @@ def test_the_recursive_functions_are_pinned():
              for name in _on_cycles(path)}
     assert not found - RECURSIVE, f"new recursion: {sorted(found - RECURSIVE)}"
     assert not RECURSIVE - found, f"no longer recursive, unpin: {sorted(RECURSIVE - found)}"
+
+
+def test_weight_and_dual_formula_take_a_formula_of_any_depth():
+    assert sys.getrecursionlimit() == 1000
+    f = p
+    for i in range(10_000):
+        f = (Imp, Coimp, And, Or)[i % 4](f, q)
+    assert weight(f) == 20_001
+    dual = {Imp: Coimp, Coimp: Imp, And: Or, Or: And}
+    x, y = f, dual_formula(f)
+    while x is not p:
+        assert type(y) is dual[type(x)]
+        if isinstance(x, (Imp, Coimp)):    # an arrow's operands trade places
+            assert y.left is q
+            x, y = x.left, y.right
+        else:
+            assert y.right is q
+            x, y = x.left, y.left
+    assert y is p
 
 
 def test_the_cycle_finder_sees_direct_and_mutual_recursion(tmp_path):
