@@ -1,5 +1,9 @@
 """Command-line front end: parse, check, prove, transform, export.
 
+The operations' arguments carry the golden manifest's names, and
+``corpus.run_operation``, the runner the golden corpus uses, decodes and runs
+them; this module reads the command line and writes what comes back.
+
 Both renderers walk with their own stack, so a derivation of any height prints.
 
 Exit codes: 0 success / proved; 1 refuted or invalid input derivation; 2 usage
@@ -12,23 +16,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .syntax import (
-    And, Atom, Bottom, Coimp, Formula, FormulaSyntaxError, Imp, Or, Top,
-    parse_formula,
-)
-from .kernel import (
-    Derivation, Polarity, RuleId, Side, check_derivation, format_sequent,
-    parse_context_pair, parse_sequent,
-)
-from .serialize import (
-    DerivationFormatError, dumps_derivations, load_derivations,
-)
-from .transform import (
-    CutTrace, SpecialWeakening, TransformError, contract, derive_identity,
-    eliminate_cut, invert, unweaken_special, weaken,
-)
-from .search import Proved, prove
+from .syntax import And, Atom, Bottom, Coimp, Formula, FormulaSyntaxError, Imp, Or, Top
+from .kernel import Derivation, RuleId, check_derivation, format_sequent
+from .serialize import DerivationFormatError, dumps_derivations, load_derivations
+from .transform import CutTrace, TransformError
 from . import corpus
+
+#: the subcommand whose name is not the kind of golden case it runs
+KIND = {"cut-eliminate": "cutelim"}
 
 
 def render_text(d: Derivation) -> str:
@@ -179,6 +174,8 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     if args.command == "check":
         ds = load_derivations(args.file)
+        if not ds:
+            raise DerivationFormatError(f"{args.file} holds no derivation")
         worst = 0
         for d in ds:
             report = check_derivation(d)
@@ -186,52 +183,6 @@ def _dispatch(args) -> int:
             if not report.valid:
                 worst = 1
         return worst
-
-    if args.command == "prove":
-        outcome = prove(parse_sequent(args.sequent))
-        if isinstance(outcome, Proved):
-            _emit([outcome.derivation], args)
-            return 0
-        print("refuted: no derivation exists")
-        return 1
-
-    if args.command == "identity":
-        gamma, delta = parse_context_pair(args.context)
-        pol = Polarity(args.polarity)
-        _emit([derive_identity(gamma, delta, parse_formula(args.formula), pol)], args)
-        return 0
-
-    if args.command == "weaken":
-        d = _load_single(args.file)
-        _emit([weaken(d, parse_formula(args.formula), Side(args.side))], args)
-        return 0
-
-    if args.command == "unweaken":
-        _emit([unweaken_special(_load_single(args.file), SpecialWeakening(args.which))], args)
-        return 0
-
-    if args.command == "contract":
-        d = _load_single(args.file)
-        _emit([contract(d, parse_formula(args.formula), Side(args.side))], args)
-        return 0
-
-    if args.command == "invert":
-        d = _load_single(args.file)
-        outs = invert(d, Side(args.side), parse_formula(args.target))
-        _emit(list(outs), args)
-        return 0
-
-    if args.command == "cut-eliminate":
-        left = _load_single(args.left)
-        right = _load_single(args.right)
-        trace = CutTrace() if args.trace else None
-        variant = RuleId.CutA if args.variant == "a" else RuleId.CutC
-        out = eliminate_cut(left, right, parse_formula(args.cut_formula), variant, trace)
-        if trace is not None:
-            for line in trace.lines():
-                print(line, file=sys.stderr)
-        _emit([out], args)
-        return 0
 
     if args.command == "golden":
         results, coverage = corpus.run_all(args.corpus_dir)
@@ -244,7 +195,16 @@ def _dispatch(args) -> int:
         print(f"{len(results) - failures}/{len(results)} golden cases passed")
         return 0 if failures == 0 and coverage.ok else 1
 
-    raise AssertionError(f"unhandled command {args.command}")
+    trace = CutTrace() if getattr(args, "trace", False) else None
+    outs = corpus.run_operation(KIND.get(args.command, args.command), vars(args),
+                                _load_single, trace)
+    for line in (trace.lines() if trace is not None else ()):
+        print(line, file=sys.stderr)
+    if not outs:
+        print("refuted: no derivation exists")
+        return 1
+    _emit(outs, args)
+    return 0
 
 
 def _load_single(path: Path) -> Derivation:

@@ -4,7 +4,9 @@ outcomes, plus the coverage ledger over rules and elimination cases.
 Cases live under ``corpus_data/`` as canonical derivation files with a
 ``manifest.json`` mapping each case id to its inputs and expectations; they
 are data, not test code, so the same corpus backs the test suite, the
-``golden`` CLI subcommand, and documentation diffs.
+``golden`` CLI subcommand, and documentation diffs.  ``run_operation`` turns
+an operation's text arguments into an engine call, for the corpus and the CLI
+alike.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .kernel import (
     PRIMITIVE_RULES, Derivation, Polarity, RuleId, Side,
@@ -73,10 +75,6 @@ def load_manifest(data_dir: Path = DATA_DIR) -> list[GoldenCase]:
     return [GoldenCase(**entry) for entry in raw["cases"]]
 
 
-def _load(data_dir: Path, name: str) -> Derivation:
-    return load_derivation(data_dir / name)
-
-
 def _diff_derivations(expected: Derivation, produced: Derivation) -> Optional[str]:
     want, got = dumps_derivation(expected), dumps_derivation(produced)
     if want == got:
@@ -89,6 +87,34 @@ def _diff_derivations(expected: Derivation, produced: Derivation) -> Optional[st
     return f"dump lengths differ: expected {len(want_lines)} lines, got {len(got_lines)}"
 
 
+def run_operation(kind: str, inputs: dict[str, Any], load: Callable[[Any], Derivation],
+                  trace: Optional[CutTrace] = None) -> list[Derivation]:
+    """Decode the text arguments of one operation of the engine and run it:
+    the derivations it produces, none for a refuted ``prove``.  ``load``
+    reads a derivation file; each file is loaded before the formula after it
+    is parsed.  The engine is called through this module's names, which the
+    benchmark's traced run wraps."""
+    i = inputs
+    if kind == "identity":
+        gamma, delta = parse_context_pair(i["context"])
+        return [derive_identity(gamma, delta, parse_formula(i["formula"]),
+                                Polarity(i["polarity"]))]
+    if kind in ("weaken", "contract"):
+        op = weaken if kind == "weaken" else contract
+        return [op(load(i["file"]), parse_formula(i["formula"]), Side(i["side"]))]
+    if kind == "unweaken":
+        return [unweaken_special(load(i["file"]), SpecialWeakening(i["which"]))]
+    if kind == "invert":
+        return list(invert(load(i["file"]), Side(i["side"]), parse_formula(i["target"])))
+    if kind == "cutelim":
+        return [eliminate_cut(load(i["left"]), load(i["right"]), parse_formula(i["cut_formula"]),
+                              RuleId.CutA if i["variant"] == "a" else RuleId.CutC, trace)]
+    if kind == "prove":
+        outcome = _search.prove(parse_sequent(i["sequent"]))
+        return [outcome.derivation] if isinstance(outcome, _search.Proved) else []
+    raise ValueError(f"unknown case kind {kind!r}")
+
+
 def run_golden(case: GoldenCase, data_dir: Path = DATA_DIR) -> GoldenResult:
     """Execute one golden case and diff the engine's answer against it."""
     try:
@@ -98,58 +124,32 @@ def run_golden(case: GoldenCase, data_dir: Path = DATA_DIR) -> GoldenResult:
 
 
 def _run(case: GoldenCase, data_dir: Path) -> GoldenResult:
-    kind = case.kind
-    inp, exp = case.input, case.expected
+    kind, exp = case.kind, case.expected
 
-    if kind == "identity":
-        gamma, delta = parse_context_pair(inp["context"])
-        produced = derive_identity(gamma, delta, parse_formula(inp["formula"]),
-                                   Polarity(inp["polarity"]))
-        expected = _load(data_dir, exp["file"])
-        diff = _diff_derivations(expected, produced)
-        if diff is None and produced.height != exp["height"]:
-            diff = f"height: expected {exp['height']}, got {produced.height}"
-        return GoldenResult(case, diff is None, diff, produced)
+    def load(name: str) -> Derivation:
+        return load_derivation(data_dir / name)
 
-    if kind == "weaken":
-        produced = weaken(_load(data_dir, inp["file"]),
-                          parse_formula(inp["formula"]), Side(inp["side"]))
-        diff = _diff_derivations(_load(data_dir, exp["file"]), produced)
-        return GoldenResult(case, diff is None, diff, produced)
+    trace = CutTrace() if kind == "cutelim" else None
+    outs = run_operation(kind, case.input, load, trace)
+    produced = outs[0] if outs else None
 
-    if kind == "unweaken":
-        produced = unweaken_special(_load(data_dir, inp["file"]),
-                                    SpecialWeakening(inp["which"]))
-        diff = _diff_derivations(_load(data_dir, exp["file"]), produced)
-        return GoldenResult(case, diff is None, diff, produced)
+    if kind == "prove":
+        got = "proved" if outs else "refuted"
+        ok = got == exp["outcome"]
+        return GoldenResult(case, ok, None if ok else f"expected {exp['outcome']}, got {got}",
+                            produced)
 
     if kind == "invert":
-        outs = invert(_load(data_dir, inp["file"]), Side(inp["side"]),
-                      parse_formula(inp["target"]))
-        expected_files = exp["files"]
-        if len(outs) != len(expected_files):
+        if len(outs) != len(exp["files"]):
             return GoldenResult(case, False,
-                                f"expected {len(expected_files)} outputs, got {len(outs)}")
-        for name, produced in zip(expected_files, outs):
-            diff = _diff_derivations(_load(data_dir, name), produced)
+                                f"expected {len(exp['files'])} outputs, got {len(outs)}")
+        for name, out in zip(exp["files"], outs):
+            diff = _diff_derivations(load(name), out)
             if diff is not None:
                 return GoldenResult(case, False, f"{name}: {diff}")
-        return GoldenResult(case, True, None, outs[0])
-
-    if kind == "contract":
-        produced = contract(_load(data_dir, inp["file"]),
-                            parse_formula(inp["formula"]), Side(inp["side"]))
-        diff = _diff_derivations(_load(data_dir, exp["file"]), produced)
-        return GoldenResult(case, diff is None, diff, produced)
+        return GoldenResult(case, True, None, produced)
 
     if kind == "cutelim":
-        trace = CutTrace()
-        produced = eliminate_cut(
-            _load(data_dir, inp["left"]), _load(data_dir, inp["right"]),
-            parse_formula(inp["cut_formula"]),
-            RuleId.CutA if inp["variant"] == "a" else RuleId.CutC,
-            trace,
-        )
         diff = None
         if not produced.valid or produced.cut_count:
             diff = f"output not cut-free valid: {check_derivation(produced)}"
@@ -161,22 +161,17 @@ def _run(case: GoldenCase, data_dir: Path) -> GoldenResult:
         elif "root_rule" in exp and produced.rule.value != exp["root_rule"]:
             diff = f"root rule: expected {exp['root_rule']}, got {produced.rule.value}"
         elif "result_file" in exp:
-            diff = _diff_derivations(_load(data_dir, exp["result_file"]), produced)
+            diff = _diff_derivations(load(exp["result_file"]), produced)
         if diff is None and "cases_include" in exp:
             missing = set(exp["cases_include"]) - trace.cases()
             if missing:
                 diff = f"trace missing cases: {sorted(missing)}"
         return GoldenResult(case, diff is None, diff, produced, trace)
 
-    if kind == "prove":
-        outcome = _search.prove(parse_sequent(inp["sequent"]))
-        got = "proved" if isinstance(outcome, _search.Proved) else "refuted"
-        ok = got == exp["outcome"]
-        produced = outcome.derivation if isinstance(outcome, _search.Proved) else None
-        return GoldenResult(case, ok, None if ok else f"expected {exp['outcome']}, got {got}",
-                            produced)
-
-    return GoldenResult(case, False, f"unknown case kind {kind!r}")
+    diff = _diff_derivations(load(exp["file"]), produced)
+    if diff is None and "height" in exp and produced.height != exp["height"]:
+        diff = f"height: expected {exp['height']}, got {produced.height}"
+    return GoldenResult(case, diff is None, diff, produced)
 
 
 def run_all(data_dir: Path = DATA_DIR) -> tuple[list[GoldenResult], CoverageReport]:

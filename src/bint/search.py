@@ -23,6 +23,7 @@ disagree, and ``prove`` raises.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,13 +50,13 @@ class Refuted(SearchOutcome):
     """The decision procedure rejects the sequent: no proof of any height exists."""
 
 
-#: the rules committed to without asking the oracle: under the translation of
-#: ``bint.decide`` each one is an invertible rule of G3ip (conjunction left
-#: and right, disjunction left, implication right)
-_INVERTIBLE = frozenset((
-    R.AndLa, R.OrLc, R.ImpLc, R.CoimpLa, R.ImpRPlus, R.CoimpRMinus,
-    R.AndRPlus, R.OrRMinus, R.OrLa, R.AndLc, R.ImpRMinus, R.CoimpRPlus,
-))
+#: the rules committed to without asking the oracle: those with no premise that
+#: keeps the principal and no other rule for the same connective at the same
+#: place.  Under the translation of ``bint.decide`` each one is an invertible
+#: rule of G3ip (conjunction left and right, disjunction left, implication right)
+_PLACES = Counter((s.connective, s.at) for s in SCHEMA.values())
+_INVERTIBLE = frozenset(r for r, s in SCHEMA.items() if _PLACES[s.connective, s.at] == 1
+                        and not any(t.keeps for t in s.premises))
 #: ``ImpLa`` and ``CoimpLc``, whose first premise keeps the principal: the
 #: principal's side and that premise's template
 _KEEPING = {r: (s.at, s.premises[0]) for r, s in SCHEMA.items() if s.premises[0].keeps}

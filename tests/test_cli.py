@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import bint
-from bint import serialize
-from bint.cli import main, render_text
+from bint import corpus, serialize
+from bint.cli import KIND, main, render_text
 from bint.kernel import RuleId as R, check_derivation, format_sequent, node, parse_sequent
 from bint.serialize import (
     dumps_derivation, dumps_derivations, load_derivation, loads_derivation, save_derivation,
@@ -147,6 +147,14 @@ def test_check_malformed_file_is_a_format_error(capsys, tmp_path, content):
     code, out, err = run(capsys, "check", str(path))
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+def test_check_on_a_file_with_no_derivation_is_a_format_error(capsys, tmp_path):
+    path = tmp_path / "empty.deriv"
+    path.write_text("[]")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", ["", "missing.deriv"], ids=["directory", "missing"])
@@ -300,3 +308,36 @@ def test_each_distinct_formula_is_printed_once_per_document(monkeypatch):
     monkeypatch.setattr(serialize, "format_formula", counting_format)
     assert dumps_derivation(d) == text
     assert printed == Counter(distinct)
+
+
+#: each subcommand's positional arguments, in order, by their manifest names
+_POSITIONALS = {
+    "identity": ("context", "formula", "polarity"), "weaken": ("file", "formula", "side"),
+    "unweaken": ("file", "which"), "contract": ("file", "formula", "side"),
+    "invert": ("file", "target", "side"), "prove": ("sequent",),
+    "cut-eliminate": ("left", "right", "cut_formula", "variant"),
+}
+
+
+@pytest.mark.parametrize("case", corpus.load_manifest(), ids=lambda c: c.id)
+def test_cli_agrees_with_the_golden_corpus(capsys, case):
+    command = {kind: c for c, kind in KIND.items()}.get(case.kind, case.kind)
+    data = corpus.DATA_DIR
+    argv = [str(data / case.input[k]) if k in ("file", "left", "right") else case.input[k]
+            for k in _POSITIONALS[command]]
+    trace = ["--trace"] if command == "cut-eliminate" else []
+    code, out, err = run(capsys, "--format", "data", command, *argv, *trace)
+    exp = case.expected
+    if command == "prove":
+        assert code == {"proved": 0, "refuted": 1}[exp["outcome"]]
+        return
+    assert code == 0
+    if command == "invert":
+        assert out == dumps_derivations([load_derivation(data / f) for f in exp["files"]])
+    elif command == "cut-eliminate":
+        assert err.split("\n")[0].startswith(f"case={exp['first_case']} ")
+        assert format_sequent(loads_derivation(out).conclusion) == exp["endsequent"]
+        if "result_file" in exp:
+            assert out == (data / exp["result_file"]).read_text()
+    else:
+        assert out == (data / exp["file"]).read_text()

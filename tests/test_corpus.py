@@ -52,6 +52,13 @@ def test_a_bad_manifest_value_fails_its_case(field, value):
     assert not result.ok and result.diff.startswith("ValueError: ")
 
 
+def test_an_unknown_case_kind_fails_its_case():
+    case = corpus.load_manifest()[0]
+    bad = corpus.GoldenCase(case.id, case.description, "transmute", case.input, case.expected)
+    result = corpus.run_golden(bad)
+    assert not result.ok and "unknown case kind 'transmute'" in result.diff
+
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 

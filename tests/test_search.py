@@ -182,6 +182,14 @@ def test_implication_left_is_invertible_in_its_right_premise(derivation_corpus):
     assert seen >= 40
 
 
+def test_invertible_rules_are_derived_from_the_schema():
+    # the rules the constructor commits to without an oracle call
+    assert search._INVERTIBLE == {
+        R.AndLa, R.OrLc, R.ImpLc, R.CoimpLa, R.ImpRPlus, R.CoimpRMinus,
+        R.AndRPlus, R.OrRMinus, R.OrLa, R.AndLc, R.ImpRMinus, R.CoimpRPlus,
+    }
+
+
 def test_noninvertible_premise_witnesses():
     assert isinstance(prove(parse_sequent("F -> F ; |-+ F -> F")), Proved)
     assert isinstance(prove(parse_sequent("F -> F ; |-+ F")), Refuted)

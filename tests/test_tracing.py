@@ -2,6 +2,7 @@
 at run time with span-recording wrappers, so those names must exist and be
 the ones the engine calls."""
 
+from bint import corpus
 from bint.serialize import dumps_derivation, loads_derivation
 from bint.transform import derive_identity
 from bint.kernel import PLUS, Context
@@ -26,3 +27,17 @@ def test_serialize_reaches_the_syntax_layer_through_the_traced_names():
         spans.uninstall(saved)
     calls = tracer.totals()[0]
     assert calls["syntax.parse"] > 0 and calls["syntax.format"] > 0
+
+
+def test_the_golden_corpus_reaches_the_engine_through_the_traced_names():
+    tracer = spans.Tracer()
+    saved = spans.install(tracer)
+    try:
+        results, _ = corpus.run_all()
+    finally:
+        spans.uninstall(saved)
+    assert all(r.ok for r in results)
+    calls = tracer.totals()[0]
+    for name in ("transform.other", "transform.elim", "search.prove", "serialize.loads",
+                 "syntax.parse"):
+        assert calls[name] > 0, name
