@@ -7,13 +7,15 @@
 ``bint`` and ``perfbench`` are imported from its own tree, with both purged
 from ``sys.modules`` in between, so the two engines live side by side.  Each
 builds the same seeded passes of the workload's operations, and the
-operations run interleaved: an operation of the first checkout, then the same
-operation of the second.  Both sides therefore meet the same machine load.
+operations run interleaved: each operation runs on one checkout, then at once
+on the other.  Both sides therefore meet the same machine load.  Which side
+runs first alternates from one operation to the next: the side that runs
+first pays for some of the garbage the other leaves behind, and alternating
+makes both sides pay it equally, so one invocation gives an unbiased ratio.
 
 Printed per operation kind: how many ran, each side's busy seconds and how
-many of its operations failed, and the ratio of the first side's busy time to
-the second's.  The side that runs first pays for some of the garbage the other
-leaves behind, so run the script both ways round and report both ratios.
+many of its operations failed, and the ratio of the first checkout's busy
+time to the second's.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ def load(root: Path):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("first", type=Path, help="root of the checkout that runs first")
-    ap.add_argument("second", type=Path, help="root of the checkout that runs second")
+    ap.add_argument("first", type=Path, help="root of the first checkout")
+    ap.add_argument("second", type=Path, help="root of the second checkout")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--passes", type=int, default=4)
     ap.add_argument("--seed", type=int, default=1)
@@ -66,14 +68,15 @@ def main(argv=None) -> int:
         for ops in zip(*passes):
             kinds = (ops[0].kind, "all")
             count.update(kinds)
-            for i, ((_, run), op) in enumerate(zip(sides, ops)):
-                dt, (end, _) = run.attempt(op)
+            # the first checkout leads on the first operation, the second on the next
+            for i in (0, 1) if count["all"] % 2 else (1, 0):
+                dt, (end, _) = sides[i][1].attempt(ops[i])
                 for kind in kinds:
                     busy[i][kind] += dt
                     failed[i][kind] += end != "ok"
 
     print(f"{args.workload} seed={args.seed} passes={args.passes}: "
-          f"{args.first} runs first, then {args.second}")
+          f"first {args.first}, second {args.second}, leading in turn")
     print(f"{'kind':<12}{'ops':>7}{'first_s':>10}{'second_s':>10}{'failed':>10}{'ratio':>8}")
     for kind in sorted(count, key=lambda k: (k == "all", k)):
         a, b = busy[0][kind], busy[1][kind]

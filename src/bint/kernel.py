@@ -9,8 +9,9 @@ Every ``Derivation`` is checked once, when it is built, by the one call that
 writes its fields: ``valid`` says that its premises are valid and that it
 instantiates its rule schema.  No construction path skips the check, so a
 tree is never re-checked, and ``check_derivation`` walks only an invalid tree.
-A node is matched in place against ``_MATCH``, ``SCHEMA`` flattened at import;
-the premises the schema expects are built only to word a violation.
+A node is decided by ``_VALID[rule]``, one predicate per rule built from
+``SCHEMA`` at import: it matches the premises in place and words nothing.
+``check_rule_instance`` builds the expected premises only to word a violation.
 
 The 18 logical rules are one data table, ``SCHEMA``: per rule, the connective
 it decomposes, where its principal sits, and one template per premise.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
@@ -119,14 +120,9 @@ class Context:
     def from_iter(formulas: Iterable[Formula]) -> "Context":
         return Context(tuple(sorted(formulas, key=_KEY)))
 
-    def _span(self, f: Formula) -> tuple[int, int]:
-        """Where the occurrences of ``f`` begin and end."""
-        return (bisect_left(self.items, f.key, key=_KEY),
-                bisect_right(self.items, f.key, key=_KEY))
-
     def count(self, f: Formula) -> int:
-        lo, hi = self._span(f)
-        return hi - lo
+        return (bisect_right(self.items, f.key, key=_KEY)
+                - bisect_left(self.items, f.key, key=_KEY))
 
     def __contains__(self, f: Formula) -> bool:
         i = bisect_left(self.items, f.key, key=_KEY)
@@ -391,7 +387,7 @@ ARITY = {**dict.fromkeys(ZERO_PREMISE, 0), **dict.fromkeys(CUT_RULES, 2),
          **{r: len(s.premises) for r, s in SCHEMA.items()}}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextSplit:
     """The (gamma, delta) / (gamma', delta') partition of a cut conclusion;
     not recoverable from the conclusion alone, so cut nodes must carry it."""
@@ -402,14 +398,14 @@ class ContextSplit:
     delta_prime: Context
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     principal: Optional[Formula] = None
     cut_formula: Optional[Formula] = None
     context_split: Optional[ContextSplit] = None
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Derivation:
     """A derivation tree.  ``valid`` is decided once, when the node is built:
     every premise is valid and the node instantiates its rule schema."""
@@ -429,15 +425,13 @@ class Derivation:
                 h = p.height + 1
             c += p.cut_count
             valid = valid and p.valid
-        _set = object.__setattr__
-        _set(self, "conclusion", conclusion)
-        _set(self, "rule", rule)
-        _set(self, "premises", premises)
-        _set(self, "annotation", annotation)
-        _set(self, "height", h)
-        _set(self, "cut_count", c)
-        _set(self, "valid", valid and check_rule_instance(
-            conclusion, rule, [p.conclusion for p in premises], annotation) is None)
+        _set_conclusion(self, conclusion)
+        _set_rule(self, rule)
+        _set_premises(self, premises)
+        _set_annotation(self, annotation)
+        _set_height(self, h)
+        _set_cut_count(self, c)
+        _set_valid(self, valid and _VALID[rule](conclusion, premises, annotation))
 
     def __eq__(self, other: object) -> bool:
         """The dataclass's equality of conclusion, rule, premises and
@@ -467,6 +461,12 @@ class Derivation:
         # the root only, so no walk: a tall or shared tree prints as one line
         return (f"Derivation({self.rule.value}, {format_sequent(self.conclusion)!r}, "
                 f"height={self.height})")
+
+
+# The writers of a node's slots, by field: the frozen record is written once,
+# in ``__init__``, through them, at half the cost of ``object.__setattr__``.
+(_set_conclusion, _set_rule, _set_premises, _set_annotation, _set_height, _set_cut_count,
+ _set_valid) = (getattr(Derivation, f.name).__set__ for f in fields(Derivation))
 
 
 def node(rule: RuleId, conclusion: Sequent, premises: Iterable[Derivation] = (),
@@ -622,72 +622,106 @@ def premise_of(s: Sequent, at: Side | Polarity, principal: Formula, t: Template)
                    s.succedent if t.succedent is None else ops[t.succedent])
 
 
-def _edited(items: tuple, drop: Optional[Formula], adds: tuple[int, ...],
-            ops: tuple[Formula, Formula]) -> Optional[tuple]:
-    """``items`` less one occurrence of ``drop`` (when set) and with the
-    operands ``ops[i]``, ``i`` in ``adds``, inserted where they sort, as one
-    tuple; None when ``drop`` is missing."""
-    n = lo = len(items)
-    if drop is not None:
-        lo = bisect_left(items, drop.key, key=_KEY)
-        if lo == n or items[lo] != drop:
-            return None
-    fs = [ops[i] for i in adds]
-    if len(fs) > 1:
-        fs.sort(key=_KEY)
-    out, start = [], 0
-    for f in fs:
-        i = bisect_right(items, f.key, key=_KEY)
-        if lo < i:              # the dropped occurrence sorts before f
-            out += items[start:lo]
-            start, lo = lo + 1, n
-        out += items[start:i]
-        out.append(f)
-        start = i
-    if lo < n:
-        out += items[start:lo]
-        start = lo + 1
-    out += items[start:]
-    return tuple(out)
+def _context_fit(drop: bool, adds: tuple[int, ...]) -> Optional[Callable]:
+    """``fit(items, got, principal)``: whether ``got`` is ``items`` less one
+    ``principal`` when ``drop`` and with the operands ``adds`` inserted where
+    they sort, as ``premise_of`` edits a context; None if it leaves it alone."""
+    if not drop and not adds:
+        return None
+    change = len(adds) - drop
+
+    def fit(items: tuple, got: tuple, principal) -> bool:
+        if len(got) != len(items) + change:
+            return False
+        if drop:
+            i = bisect_left(items, principal.key, key=_KEY)
+            if i == len(items) or items[i] != principal:
+                return False
+            items = items[:i] + items[i + 1:]
+        for a in adds:
+            f = principal.right if a else principal.left
+            i = bisect_right(items, f.key, key=_KEY)
+            items = items[:i] + (f,) + items[i:]
+        return got == items
+    return fit
 
 
-#: per logical rule, ``SCHEMA`` as ``_fits`` reads it: the connective, a right
-#: rule's polarity (None for a left rule), and per premise its polarity and
-#: succedent, and per context the operands it adds and if it drops the principal
-_MATCH = {r: (s.connective, None if isinstance(s.at, Side) else s.at, tuple(
-    (t.polarity, t.succedent, t.gamma, s.at is Side.A and not t.keeps,
-     t.delta, s.at is Side.C and not t.keeps) for t in s.premises)) for r, s in SCHEMA.items()}
+def _premise_fit(at: Side | Polarity, t: Template) -> Callable:
+    """``fit(s, principal, p)``: whether ``p`` is ``premise_of(s, at, principal,
+    t)``; a context the template leaves alone is compared by identity first."""
+    pol, succ = t.polarity, t.succedent
+    gamma = _context_fit(at is Side.A and not t.keeps, t.gamma)
+    delta = _context_fit(at is Side.C and not t.keeps, t.delta)
+
+    def fit(s: Sequent, principal, p: Sequent) -> bool:
+        c = s.succedent if succ is None else principal.right if succ else principal.left
+        return (p.polarity is (s.polarity if pol is None else pol)
+                and (p.succedent is c or p.succedent == c)
+                and (p.gamma is s.gamma or p.gamma.items == s.gamma.items if gamma is None
+                     else gamma(s.gamma.items, p.gamma.items, principal))
+                and (p.delta is s.delta or p.delta.items == s.delta.items if delta is None
+                     else delta(s.delta.items, p.delta.items, principal)))
+    return fit
+
+
+def _rule_fit(schema: Schema) -> Callable:
+    """``fit(s, principal, p0, p1=None)``: whether ``schema`` builds the premise
+    conclusions ``p0`` (and ``p1`` for two premises) from ``s`` and ``principal``."""
+    connective, at = schema.connective, schema.at
+    right_at = None if isinstance(at, Side) else at
+    first, *rest = [_premise_fit(at, t) for t in schema.premises]
+    second = rest[0] if rest else None
+
+    def fit(s: Sequent, principal, p0: Sequent, p1: Optional[Sequent] = None) -> bool:
+        return (isinstance(principal, connective)
+                and (right_at is None or s.polarity is right_at
+                     and (principal is s.succedent or principal == s.succedent))
+                and first(s, principal, p0)
+                and (second is None or second(s, principal, p1)))
+    return fit
+
+
+_FIT = {r: _rule_fit(s) for r, s in SCHEMA.items()}
 
 
 def _fits(s: Sequent, rule: RuleId, principal: Formula,
           premises: tuple[Sequent, ...] | list[Sequent]) -> bool:
     """Whether ``premises_for(s, rule, principal) == tuple(premises)`` for a
-    logical rule, decided by matching each premise against its template in
-    place, so that no premise is built."""
-    connective, right_at, templates = _MATCH[rule]
-    if not isinstance(principal, connective) or len(premises) != len(templates):
-        return False
-    pol, succ = s.polarity, s.succedent
-    if right_at is not None and (pol is not right_at or (principal is not succ
-                                                         and principal != succ)):
-        return False
-    ops = (principal.left, principal.right)  # type: ignore[attr-defined]
-    gamma, delta = s.gamma, s.delta
-    for (t_pol, t_succ, adds_g, drop_g, adds_d, drop_d), p in zip(templates, premises):
-        c = succ if t_succ is None else ops[t_succ]
-        if (p.polarity is not (pol if t_pol is None else t_pol)
-                or (p.succedent is not c and p.succedent != c)):
+    logical rule, decided in place by the rule's ``_FIT``."""
+    return len(premises) == ARITY[rule] and _FIT[rule](s, principal, *premises)
+
+
+def _logical_valid(rule: RuleId) -> Callable:
+    """``valid`` of a logical rule: some principal the node offers (the
+    annotated one, a right rule's succedent, or each occurrence of the
+    connective on a left rule's side) fits the premises."""
+    schema = SCHEMA[rule]
+    fit, connective, two = _FIT[rule], schema.connective, len(schema.premises) == 2
+    side = None if not isinstance(schema.at, Side) else attrgetter(
+        "gamma.items" if schema.at is Side.A else "delta.items")
+
+    def valid(s: Sequent, premises: tuple, annotation: Optional[Annotation]) -> bool:
+        if len(premises) != 1 + two:
             return False
-        for ctx, got, drop, adds in ((gamma, p.gamma, drop_g, adds_g),
-                                     (delta, p.delta, drop_d, adds_d)):
-            if drop or adds:
-                if (got is ctx or len(got.items) != len(ctx.items) - drop + len(adds)
-                        or got.items != _edited(ctx.items, principal if drop else None,
-                                                adds, ops)):
-                    return False
-            elif got is not ctx and got.items != ctx.items:
-                return False
-    return True
+        p0 = premises[0].conclusion
+        p1 = premises[1].conclusion if two else None
+        if annotation is not None and annotation.principal is not None:
+            return fit(s, annotation.principal, p0, p1)
+        if side is None:
+            return fit(s, s.succedent, p0, p1)
+        return any(isinstance(f, connective) and fit(s, f, p0, p1) for f in side(s))
+    return valid
+
+
+#: per rule, ``valid(conclusion, premises, annotation)``: whether a node with
+#: these premise derivations instantiates the rule, decided without wording
+#: a violation; ``Derivation`` calls it on every node it builds
+_VALID = {
+    **{r: lambda s, ps, a, r=r: not ps and _zero_premise_failure(s, r) is None
+       for r in ZERO_PREMISE},
+    **{r: lambda s, ps, a, r=r: len(ps) == 2 and _check_cut(
+        s, r, (ps[0].conclusion, ps[1].conclusion), a) is None for r in CUT_RULES},
+    **{r: _logical_valid(r) for r in SCHEMA}}
 
 
 def check_rule_instance(conclusion: Sequent, rule: RuleId,

@@ -175,16 +175,22 @@ class _Reader:
         return self.formula(_expect(ann[key], str, key)) if key in ann else None
 
     def derivation(self, data: Any) -> Derivation:
-        _expect(data, dict, "a derivation")
+        # a node's types are checked inline; ``_expect`` only words an error
+        if not isinstance(data, dict):
+            _expect(data, dict, "a derivation")
         name = data.get("rule")
         rule = _RULE_IDS.get(name) if isinstance(name, str) else None
         if rule is None:
             raise DerivationFormatError(f"bad or missing rule id: {name!r}")
         if "conclusion" not in data:
             raise DerivationFormatError("missing conclusion")
-        conclusion = self.sequent(_expect(data["conclusion"], str, "conclusion"))
-        premises = tuple(self.derivation(p)
-                         for p in _expect(data.get("premises", []), list, "premises"))
+        text, premises = data["conclusion"], data.get("premises", [])
+        if not isinstance(text, str):
+            _expect(text, str, "conclusion")
+        conclusion = self.sequent(text)
+        if not isinstance(premises, list):
+            _expect(premises, list, "premises")
+        premises = tuple([self.derivation(p) for p in premises])
         ann_data = data.get("annotation")
         annotation = None
         if ann_data is not None and _expect(ann_data, dict, "annotation"):

@@ -80,6 +80,18 @@ def test_check_valid_file(capsys, identity_file):
     assert "valid, height 2" in out
 
 
+@pytest.mark.parametrize("command, target, message", [
+    ("contract", "p", "contract: fewer than two occurrences of p on side a"),
+    ("invert", "p", "invert: unsupported target p (must be compound)"),
+    ("invert", "p /\\ q", "invert: p /\\ q does not occur on side a"),
+])
+def test_a_failed_transform_precondition_exits_1(tmp_path, command, target, message):
+    # the derivation of p ; |-+ p holds one p and no compound
+    path = tmp_path / "p.deriv"
+    save_derivation(derive_identity(Context(), Context(), Atom("p"), bint.PLUS), path)
+    assert _bint(command, str(path), target, "a") == (1, "", f"error: {message}\n")
+
+
 def test_check_invalid_file(capsys, tmp_path):
     bad = node(R.RfPlus, parse_sequent("; |-+ p"))
     path = tmp_path / "bad.deriv"

@@ -5,21 +5,23 @@ It is compared with what it replaced, building the expected premises with
 ``premises_for`` and comparing them, on every node of the golden corpus files,
 of the random derivation corpora and of their duals, and on single-field
 mutations of those nodes.  The whole checker is compared with its former
-definition, violation text included.  A last test counts that building valid
-nodes builds no premise for the check.
+definition, violation text included.  The last tests count that building
+valid nodes builds no premise for the check, and that building invalid ones
+words no violation.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 import pytest
 
 from bint import kernel
 from bint.corpus import DATA_DIR
 from bint.kernel import (
-    ARITY, CUT_RULES, RIGHT_RULES, SCHEMA, ZERO_PREMISE, Annotation, RuleId as R, Sequent,
-    Side, Violation,
+    ARITY, CUT_RULES, RIGHT_RULES, SCHEMA, ZERO_PREMISE, Annotation, Derivation, RuleId as R,
+    Sequent, Side, Violation,
     _check_cut, _fits, _zero_premise_failure, check_rule_instance, dual_derivation,
     format_sequent, infer_principal, parse_sequent, premises_for,
 )
@@ -295,6 +297,41 @@ def test_building_valid_nodes_builds_no_premise(cut_pairs, builders):
     assert not [c for c in builders if c[0] == "premises_for"]
     # the expansions of prove build their premises, once each; nothing else does
     assert {caller for _, caller in builders} <= {"premises"}
+
+
+def valid_premise(s: Sequent) -> Derivation:
+    """A valid premise concluding ``s``, made without a check: a node built
+    on such premises is valid exactly when the node itself fits its rule."""
+    x = object.__new__(Derivation)
+    for name, value in (("conclusion", s), ("rule", R.RfPlus), ("premises", ()),
+                        ("annotation", None), ("height", 0), ("cut_count", 0), ("valid", True)):
+        object.__setattr__(x, name, value)
+    return x
+
+
+def test_building_a_node_words_no_violation(nodes, monkeypatch):
+    # the mutated nodes are nearly all invalid, and building them formats no
+    # sequent and builds no expected premise; check_rule_instance, asked
+    # afterwards, gives the same verdict on each
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("format_sequent", "premises_for"):
+        monkeypatch.setattr(kernel, name, counted(getattr(kernel, name)))
+    built = [(conclusion, rule, mutated, ann,
+              Derivation(conclusion, rule, tuple(map(valid_premise, mutated)), ann).valid)
+             for s, rule, premises, annotation in nodes if rule in SCHEMA
+             for conclusion, mutated, ann in _mutations(s, rule, premises, annotation)]
+    assert not calls
+    monkeypatch.undo()
+    for conclusion, rule, mutated, ann, valid in built:
+        assert valid == (check_rule_instance(conclusion, rule, mutated, ann) is None)
+    assert sum(not b[-1] for b in built) > 100_000
 
 
 def test_a_violation_is_worded_from_built_premises(builders):
