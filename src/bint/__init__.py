@@ -16,8 +16,7 @@ from .syntax import (
 from .kernel import (
     Annotation, Context, ContextSplit, Derivation, Polarity, RuleId, Sequent, Side,
     PLUS, MINUS, backward_expansions, check_derivation, check_rule_instance,
-    cut_height, dual_derivation, dual_formula, dual_sequent, format_sequent,
-    node, parse_sequent,
+    dual_derivation, dual_formula, dual_sequent, format_sequent, node, parse_sequent,
 )
 from .transform import (
     CutTrace, SpecialWeakening, TransformError, contract, derive_identity,

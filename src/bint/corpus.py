@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from .kernel import (
-    PRIMITIVE_RULES, Derivation, Polarity, RuleId, Side,
+    PRIMITIVE_RULES, Derivation, Polarity, RuleId, Side, _Memo,
     check_derivation, fold, format_sequent, parse_context_pair, parse_sequent,
 )
 from .syntax import parse_formula
@@ -117,17 +117,23 @@ def run_operation(kind: str, inputs: dict[str, Any], load: Callable[[Any], Deriv
 
 def run_golden(case: GoldenCase, data_dir: Path = DATA_DIR) -> GoldenResult:
     """Execute one golden case and diff the engine's answer against it."""
+    return _golden(case, data_dir, _Memo(lambda path: load_derivation(path)))
+
+
+def _golden(case: GoldenCase, data_dir: Path, loaded: _Memo) -> GoldenResult:
+    """``run_golden``, reading each file once through ``loaded`` (path -> derivation,
+    shared by the cases of one run) and this module's ``load_derivation``."""
     try:
-        return _run(case, data_dir)
+        return _run(case, data_dir, loaded)
     except Exception as e:  # a crash is a diff, not a test-harness error
         return GoldenResult(case, False, f"{type(e).__name__}: {e}")
 
 
-def _run(case: GoldenCase, data_dir: Path) -> GoldenResult:
+def _run(case: GoldenCase, data_dir: Path, loaded: _Memo) -> GoldenResult:
     kind, exp = case.kind, case.expected
 
     def load(name: str) -> Derivation:
-        return load_derivation(data_dir / name)
+        return loaded[data_dir / name]
 
     trace = CutTrace() if kind == "cutelim" else None
     outs = run_operation(kind, case.input, load, trace)
@@ -175,11 +181,11 @@ def _run(case: GoldenCase, data_dir: Path) -> GoldenResult:
 
 
 def run_all(data_dir: Path = DATA_DIR) -> tuple[list[GoldenResult], CoverageReport]:
-    cases = load_manifest(data_dir)
-    results = [run_golden(c, data_dir) for c in cases]
+    cases, loaded = load_manifest(data_dir), _Memo(lambda path: load_derivation(path))
+    results = [_golden(c, data_dir, loaded) for c in cases]
 
     trees = [r.produced for r in results if r.produced is not None]
-    trees += map(load_derivation, sorted(data_dir.glob("*.deriv")))
+    trees += map(loaded.__getitem__, sorted(data_dir.glob("*.deriv")))
     rules_seen = set().union(*map(_rules_in, trees))
     cases_seen = set().union(*(r.trace.cases() for r in results if r.trace is not None))
 

@@ -9,8 +9,9 @@ Every ``Derivation`` is checked once, when it is built, by the one call that
 writes its fields: ``valid`` says that its premises are valid and that it
 instantiates its rule schema.  No construction path skips the check, so a
 tree is never re-checked, and ``check_derivation`` walks only an invalid tree.
-A node is decided by ``_VALID[rule]``, one predicate per rule built from
-``SCHEMA`` at import: it matches the premises in place and words nothing.
+A node is decided by ``_VALID[rule]``: for a logical rule, one straight-line
+function generated from ``SCHEMA`` (``_SOURCE[rule]``) that matches the
+premises in place and words nothing; ``_fits`` offers it one principal.
 ``check_rule_instance`` builds the expected premises only to word a violation.
 
 The 18 logical rules are one data table, ``SCHEMA``: per rule, the connective
@@ -35,8 +36,9 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .syntax import (
@@ -50,6 +52,7 @@ from .syntax import (
     Imp,
     Or,
     Top,
+    _setters,
     error,
     format_formula,
     read_formula,
@@ -180,28 +183,37 @@ class Context:
 EMPTY = Context()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Sequent:
     gamma: Context
     delta: Context
     polarity: Polarity
     succedent: Formula
+    # Not compared: ``__hash__`` stores the hash here on first use.  Most
+    # sequents built by the transforms are never hashed.  It hashes the
+    # contexts' items, not the contexts: the search hashes each sequent once,
+    # and most of its contexts only there.
+    _hash: Optional[int] = field(init=False, default=None, compare=False, repr=False)
 
-    # Not a field, so not compared: ``__hash__`` stores the hash here on first
-    # use.  Most sequents built by the transforms are never hashed.  It hashes
-    # the contexts' items, not the contexts: the search hashes each sequent
-    # once, and most of its contexts only there.
-    _hash = None
+    def __init__(self, gamma: Context, delta: Context, polarity: Polarity, succedent: Formula):
+        _set_gamma(self, gamma)
+        _set_delta(self, delta)
+        _set_polarity(self, polarity)
+        _set_succedent(self, succedent)
+        _set_sequent_hash(self, None)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash((self.gamma.items, self.delta.items, self.polarity, self.succedent))
-            object.__setattr__(self, "_hash", h)
+            _set_sequent_hash(self, h)
         return h
 
     def __str__(self) -> str:
         return format_sequent(self)
+
+
+_set_gamma, _set_delta, _set_polarity, _set_succedent, _set_sequent_hash = _setters(Sequent)
 
 
 def sequent(gamma: Iterable[Formula], delta: Iterable[Formula], polarity: Polarity,
@@ -387,7 +399,7 @@ ARITY = {**dict.fromkeys(ZERO_PREMISE, 0), **dict.fromkeys(CUT_RULES, 2),
          **{r: len(s.premises) for r, s in SCHEMA.items()}}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False, slots=True)
 class ContextSplit:
     """The (gamma, delta) / (gamma', delta') partition of a cut conclusion;
     not recoverable from the conclusion alone, so cut nodes must carry it."""
@@ -397,12 +409,27 @@ class ContextSplit:
     gamma_prime: Context
     delta_prime: Context
 
+    def __init__(self, gamma, delta, gamma_prime, delta_prime):
+        _set_split_gamma(self, gamma)
+        _set_split_delta(self, delta)
+        _set_gamma_prime(self, gamma_prime)
+        _set_delta_prime(self, delta_prime)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, init=False, slots=True)
 class Annotation:
     principal: Optional[Formula] = None
     cut_formula: Optional[Formula] = None
     context_split: Optional[ContextSplit] = None
+
+    def __init__(self, principal=None, cut_formula=None, context_split=None):
+        _set_principal(self, principal)
+        _set_cut_formula(self, cut_formula)
+        _set_context_split(self, context_split)
+
+
+_set_split_gamma, _set_split_delta, _set_gamma_prime, _set_delta_prime = _setters(ContextSplit)
+_set_principal, _set_cut_formula, _set_context_split = _setters(Annotation)
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -463,10 +490,8 @@ class Derivation:
                 f"height={self.height})")
 
 
-# The writers of a node's slots, by field: the frozen record is written once,
-# in ``__init__``, through them, at half the cost of ``object.__setattr__``.
 (_set_conclusion, _set_rule, _set_premises, _set_annotation, _set_height, _set_cut_count,
- _set_valid) = (getattr(Derivation, f.name).__set__ for f in fields(Derivation))
+ _set_valid) = _setters(Derivation)
 
 
 def node(rule: RuleId, conclusion: Sequent, premises: Iterable[Derivation] = (),
@@ -475,13 +500,6 @@ def node(rule: RuleId, conclusion: Sequent, premises: Iterable[Derivation] = (),
     if annotation is None and principal is not None:
         annotation = Annotation(principal=principal)
     return Derivation(conclusion, rule, tuple(premises), annotation)
-
-
-def cut_height(d: Derivation) -> int:
-    """Sum of the premise heights of a cut node."""
-    if d.rule not in CUT_RULES:
-        raise ValueError(f"cut_height needs a cut node, got {d.rule.value}")
-    return d.premises[0].height + d.premises[1].height
 
 
 _T = TypeVar("_T")
@@ -496,21 +514,22 @@ def fold(d: Derivation, make: Callable[[Derivation, tuple], _T],
     ``stop(x)``, when given, is asked first, once per distinct node: an image
     it returns (not None) stands for ``x``, and the premises of ``x`` are not
     visited."""
-    if not d.premises and stop is None:
-        return make(d, ())
     done: dict[int, _T] = {}     # id of a node -> its image
+    image_of = done.__getitem__
     stack: list = [d]
     while stack:
         x = stack.pop()
         if x is None:           # the premises of the node below are made
             x = stack.pop()
-            done[id(x)] = make(x, tuple([done[id(p)] for p in x.premises]))
+            done[id(x)] = make(x, tuple(map(image_of, map(id, x.premises))))
         elif id(x) not in done:  # a shared premise is pushed again once made
             image = None if stop is None else stop(x)
-            if image is None:
-                stack += (x, None, *x.premises[::-1])
-            else:
+            if image is not None:
                 done[id(x)] = image
+            elif x.premises:
+                stack += (x, None, *x.premises[::-1])
+            else:               # a leaf is made at once
+                done[id(x)] = make(x, ())
     return done[id(d)]
 
 
@@ -622,95 +641,81 @@ def premise_of(s: Sequent, at: Side | Polarity, principal: Formula, t: Template)
                    s.succedent if t.succedent is None else ops[t.succedent])
 
 
-def _context_fit(drop: bool, adds: tuple[int, ...]) -> Optional[Callable]:
-    """``fit(items, got, principal)``: whether ``got`` is ``items`` less one
-    ``principal`` when ``drop`` and with the operands ``adds`` inserted where
-    they sort, as ``premise_of`` edits a context; None if it leaves it alone."""
-    if not drop and not adds:
-        return None
-    change = len(adds) - drop
-
-    def fit(items: tuple, got: tuple, principal) -> bool:
-        if len(got) != len(items) + change:
-            return False
+def _premise_lines(at: Side | Polarity, t: Template, i: int, fail: str) -> list[str]:
+    """Source lines that do ``fail`` unless premise ``p<i>`` is ``premise_of(s,
+    at, f, t)``: its polarity, its succedent, then each context.  A context the
+    template leaves alone is compared by identity first; an edited one by its
+    length, then by one edit of the conclusion's (drop the principal, insert
+    each operand where it sorts)."""
+    p, ops = f"p{i}", ("f.left", "f.right")
+    c = "s.succedent" if t.succedent is None else ops[t.succedent]
+    pol = "s.polarity" if t.polarity is None else t.polarity.name
+    out = [f"if {p}.polarity is not {pol}: {fail}",
+           f"if {p}.succedent is not {c} and {p}.succedent != {c}: {fail}"]
+    for ctx, side, adds in (("gamma", Side.A, t.gamma), ("delta", Side.C, t.delta)):
+        got, drop = f"{p}.{ctx}.items", at is side and not t.keeps
+        if not drop and not adds:
+            out.append(f"if {p}.{ctx} is not s.{ctx} and {got} != s.{ctx}.items: {fail}")
+            continue
+        grow = len(adds) - drop
+        size = f"len(x) + {grow}" if grow else "len(x)"
+        out += [f"x = s.{ctx}.items", f"if len({got}) != {size}: {fail}"]
         if drop:
-            i = bisect_left(items, principal.key, key=_KEY)
-            if i == len(items) or items[i] != principal:
-                return False
-            items = items[:i] + items[i + 1:]
+            out += ["i = bisect_left(x, f.key, key=_KEY)",
+                    f"if i == len(x) or x[i] is not f and x[i] != f: {fail}",
+                    "x = x[:i] + x[i + 1:]"]
         for a in adds:
-            f = principal.right if a else principal.left
-            i = bisect_right(items, f.key, key=_KEY)
-            items = items[:i] + (f,) + items[i:]
-        return got == items
-    return fit
+            out += [f"i = bisect_right(x, {ops[a]}.key, key=_KEY)",
+                    f"x = x[:i] + ({ops[a]},) + x[i:]"]
+        out.append(f"if {got} != x: {fail}")
+    return out
 
 
-def _premise_fit(at: Side | Polarity, t: Template) -> Callable:
-    """``fit(s, principal, p)``: whether ``p`` is ``premise_of(s, at, principal,
-    t)``; a context the template leaves alone is compared by identity first."""
-    pol, succ = t.polarity, t.succedent
-    gamma = _context_fit(at is Side.A and not t.keeps, t.gamma)
-    delta = _context_fit(at is Side.C and not t.keeps, t.delta)
-
-    def fit(s: Sequent, principal, p: Sequent) -> bool:
-        c = s.succedent if succ is None else principal.right if succ else principal.left
-        return (p.polarity is (s.polarity if pol is None else pol)
-                and (p.succedent is c or p.succedent == c)
-                and (p.gamma is s.gamma or p.gamma.items == s.gamma.items if gamma is None
-                     else gamma(s.gamma.items, p.gamma.items, principal))
-                and (p.delta is s.delta or p.delta.items == s.delta.items if delta is None
-                     else delta(s.delta.items, p.delta.items, principal)))
-    return fit
-
-
-def _rule_fit(schema: Schema) -> Callable:
-    """``fit(s, principal, p0, p1=None)``: whether ``schema`` builds the premise
-    conclusions ``p0`` (and ``p1`` for two premises) from ``s`` and ``principal``."""
-    connective, at = schema.connective, schema.at
-    right_at = None if isinstance(at, Side) else at
-    first, *rest = [_premise_fit(at, t) for t in schema.premises]
-    second = rest[0] if rest else None
-
-    def fit(s: Sequent, principal, p0: Sequent, p1: Optional[Sequent] = None) -> bool:
-        return (isinstance(principal, connective)
-                and (right_at is None or s.polarity is right_at
-                     and (principal is s.succedent or principal == s.succedent))
-                and first(s, principal, p0)
-                and (second is None or second(s, principal, p1)))
-    return fit
+def _rule_source(rule: RuleId, schema: Schema) -> str:
+    """The source of ``valid_<rule>(s, ps, a)``: whether some principal the
+    node offers fits its premise derivations ``ps``: the annotated one, a right
+    rule's succedent, or each occurrence on a left rule's side.  It is
+    straight-line code over the rule's templates."""
+    at, n, right = schema.at, len(schema.premises), isinstance(schema.at, Polarity)
+    fail, indent = ("return False", "    ") if right else ("continue", "        ")
+    checks = [f"if not isinstance(f, {schema.connective.__name__}): {fail}"]
+    if right:
+        checks.append(f"if s.polarity is not {at.name} or f is not s.succedent"
+                      f" and f != s.succedent: {fail}")
+    for i, t in enumerate(schema.premises):
+        checks += _premise_lines(at, t, i, fail)
+    offered = "s.succedent" if right else f"s.{'gamma' if at is Side.A else 'delta'}.items"
+    offered += " if a is None or a.principal is None else"
+    lines = [f"def valid_{rule.value}(s, ps, a):", f"    if len(ps) != {n}: return False",
+             *(f"    p{i} = ps[{i}].conclusion" for i in range(n)),
+             f"    f = {offered} a.principal" if right
+             else f"    for f in {offered} (a.principal,):",
+             *(indent + line for line in checks),
+             *(["    return True"] if right else ["        return True", "    return False"])]
+    return "\n".join(lines) + "\n"
 
 
-_FIT = {r: _rule_fit(s) for r, s in SCHEMA.items()}
+#: per logical rule, the source text of its ``valid_<rule>``
+_SOURCE = {r: _rule_source(r, s) for r, s in SCHEMA.items()}
+_GENERATED = {"bisect_left": bisect_left, "bisect_right": bisect_right, "_KEY": _KEY,
+              "PLUS": PLUS, "MINUS": MINUS, "And": And, "Or": Or, "Imp": Imp, "Coimp": Coimp}
+
+
+def _compiled(rule: RuleId) -> Callable:
+    """Compile ``rule``'s ``valid`` into ``_VALID``, in place of the stub that
+    asked: a rule is compiled when its first node is built, not at import."""
+    exec(compile(_SOURCE[rule], f"<bint.kernel._SOURCE[{rule}]>", "exec"), _GENERATED)
+    valid = _VALID[rule] = _GENERATED[f"valid_{rule.value}"]
+    return valid
 
 
 def _fits(s: Sequent, rule: RuleId, principal: Formula,
           premises: tuple[Sequent, ...] | list[Sequent]) -> bool:
     """Whether ``premises_for(s, rule, principal) == tuple(premises)`` for a
-    logical rule, decided in place by the rule's ``_FIT``."""
-    return len(premises) == ARITY[rule] and _FIT[rule](s, principal, *premises)
-
-
-def _logical_valid(rule: RuleId) -> Callable:
-    """``valid`` of a logical rule: some principal the node offers (the
-    annotated one, a right rule's succedent, or each occurrence of the
-    connective on a left rule's side) fits the premises."""
-    schema = SCHEMA[rule]
-    fit, connective, two = _FIT[rule], schema.connective, len(schema.premises) == 2
-    side = None if not isinstance(schema.at, Side) else attrgetter(
-        "gamma.items" if schema.at is Side.A else "delta.items")
-
-    def valid(s: Sequent, premises: tuple, annotation: Optional[Annotation]) -> bool:
-        if len(premises) != 1 + two:
-            return False
-        p0 = premises[0].conclusion
-        p1 = premises[1].conclusion if two else None
-        if annotation is not None and annotation.principal is not None:
-            return fit(s, annotation.principal, p0, p1)
-        if side is None:
-            return fit(s, s.succedent, p0, p1)
-        return any(isinstance(f, connective) and fit(s, f, p0, p1) for f in side(s))
-    return valid
+    logical rule: the rule's ``_VALID``, offered ``principal`` alone, on
+    stand-ins for premise derivations that conclude ``premises``."""
+    return principal is not None and _VALID[rule](
+        s, [SimpleNamespace(conclusion=p) for p in premises], Annotation(principal))
 
 
 #: per rule, ``valid(conclusion, premises, annotation)``: whether a node with
@@ -721,7 +726,7 @@ _VALID = {
        for r in ZERO_PREMISE},
     **{r: lambda s, ps, a, r=r: len(ps) == 2 and _check_cut(
         s, r, (ps[0].conclusion, ps[1].conclusion), a) is None for r in CUT_RULES},
-    **{r: _logical_valid(r) for r in SCHEMA}}
+    **{r: lambda s, ps, a, r=r: _compiled(r)(s, ps, a) for r in SCHEMA}}
 
 
 def check_rule_instance(conclusion: Sequent, rule: RuleId,
@@ -997,12 +1002,20 @@ def dual_derivation(d: Derivation) -> Derivation:
     subformula, context, sequent and node object (``fold``) is dualized once."""
     formula = _Duals()
     context = _Memo(lambda ctx: Context.from_iter(map(formula.__getitem__, ctx.items)))
-    sequent = _Memo(lambda s: Sequent(context[s.delta], context[s.gamma], s.polarity.flip(),
-                                      formula[s.succedent]))
+    # a conclusion is looked up by its object, then by the objects of its dual
+    # parts, one per value: a sequent seen once hashes none of its formulas
+    by_id: dict[int, Sequent] = {}      # the nodes of ``d`` keep the keys alive
+    by_parts: dict[tuple, Sequent] = {}
 
     def make(x: Derivation, premises: tuple) -> Derivation:
         if x.rule in _DUAL_SWAPS_PREMISES:
             premises = premises[::-1]
+        c = x.conclusion
+        s = by_id.get(id(c))
+        if s is None:
+            parts = context[c.delta], context[c.gamma], c.polarity.flip(), formula[c.succedent]
+            key = tuple(map(id, parts))
+            s = by_id[id(c)] = by_parts.get(key) or by_parts.setdefault(key, Sequent(*parts))
         a = x.annotation
         if a is not None:
             sp = a.context_split
@@ -1012,6 +1025,6 @@ def dual_derivation(d: Derivation) -> Derivation:
                 None if sp is None else ContextSplit(context[sp.delta], context[sp.gamma],
                                                      context[sp.delta_prime],
                                                      context[sp.gamma_prime]))
-        return Derivation(sequent[x.conclusion], DUAL_RULE[x.rule], premises, a)
+        return Derivation(s, DUAL_RULE[x.rule], premises, a)
 
     return fold(d, make)

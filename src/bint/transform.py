@@ -42,7 +42,7 @@ from .syntax import BOT, TOP, And, Coimp, Formula, Imp, Or, format_formula, weig
 from .kernel import (
     _RIGHT_BY_SHAPE, CUT_AT, CUT_RULES, EMPTY, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS,
     SCHEMA, ZERO_PREMISE, Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side,
-    _Memo, backward_expansions, check_derivation, closing_rules, fold, infer_principal, node,
+    _Memo, backward_expansions, check_derivation, closing_rules, fold, infer_principal,
     premise_of, premises_for,
 )
 
@@ -62,7 +62,9 @@ def _node(rule: R, conclusion: Sequent, premises: Iterable[Derivation] = (),
     when it is built."""
     if rule in CUT_RULES:
         raise InternalCheckError(f"a transformation built a {rule.value} node")
-    d = node(rule, conclusion, premises, principal, annotation)
+    if annotation is None and principal is not None:
+        annotation = Annotation(principal)
+    d = Derivation(conclusion, rule, tuple(premises), annotation)
     if not d.valid:
         raise InternalCheckError(f"built an invalid node {conclusion}: "
                                  f"{check_derivation(d).first_violation[1]}")

@@ -10,7 +10,7 @@ from bint.syntax import BOT, And, Atom, FormulaSyntaxError, Imp, parse_formula
 from bint.kernel import (
     CLOSERS, MINUS, Annotation, Context, ContextSplit, Derivation, RuleId as R, Sequent,
     Side, Violation, backward_expansions, check_derivation, check_rule_instance, closing_rules,
-    cut_height, dual_context, dual_derivation, dual_formula, dual_sequent, format_sequent,
+    dual_context, dual_derivation, dual_formula, dual_sequent, format_sequent,
     infer_principal, node, parse_sequent, _zero_premise_failure,
 )
 from bint import corpus, kernel, syntax
@@ -255,12 +255,6 @@ def test_cut_node_checks_and_counts():
     d = _cut_node()
     report = check_derivation(d)
     assert report.valid and report.cut_count == 1
-    assert cut_height(d) == 0
-
-
-def test_cut_height_requires_cut():
-    with pytest.raises(ValueError):
-        cut_height(node(R.RfPlus, parse_sequent("p ; |-+ p")))
 
 
 def test_cut_without_split_rejected():

@@ -6,8 +6,8 @@ It is compared with what it replaced, building the expected premises with
 of the random derivation corpora and of their duals, and on single-field
 mutations of those nodes.  The whole checker is compared with its former
 definition, violation text included.  The last tests count that building
-valid nodes builds no premise for the check, and that building invalid ones
-words no violation.
+valid nodes builds no premise for the check, that building invalid ones
+words no violation, and that building a node makes few Python calls.
 """
 
 from __future__ import annotations
@@ -332,6 +332,44 @@ def test_building_a_node_words_no_violation(nodes, monkeypatch):
     for conclusion, rule, mutated, ann, valid in built:
         assert valid == (check_rule_instance(conclusion, rule, mutated, ann) is None)
     assert sum(not b[-1] for b in built) > 100_000
+
+
+def test_building_a_node_makes_few_python_calls():
+    # the first node of each non-cut rule in the corpus files, rebuilt under
+    # a profiler: its constructor and its rule's check are a few Python frames
+    firsts = {}
+    for path in sorted(DATA_DIR.glob("*.deriv")):
+        stack = load_derivations(path)[::-1]
+        while stack:
+            x = stack.pop()
+            firsts.setdefault(x.rule, x)
+            stack += x.premises[::-1]
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[rule] += 1
+
+    for rule, x in firsts.items():
+        if rule in CUT_RULES:
+            continue
+        sys.setprofile(profile)
+        try:
+            d = Derivation(x.conclusion, rule, x.premises, x.annotation)
+        finally:
+            sys.setprofile(None)
+        assert d.valid
+    assert set(calls) == set(R) - CUT_RULES
+    assert max(calls.values()) <= 5 and sum(calls.values()) <= 90, calls
+
+
+def test_each_logical_rule_is_checked_by_its_own_generated_function(nodes):
+    # every rule has a node in the corpus, so each check has been compiled
+    for rule in SCHEMA:
+        source = kernel._SOURCE[rule]
+        assert source.startswith(f"def valid_{rule.value}(s, ps, a):\n")
+        assert source.count("def ") == 1 and "premise_of" not in source
+        assert kernel._VALID[rule].__name__ == f"valid_{rule.value}"
 
 
 def test_a_violation_is_worded_from_built_premises(builders):
