@@ -72,7 +72,7 @@ def _latex_formula(f: Formula) -> str:
 def _latex_sequent(s) -> str:
     g = ", ".join(_latex_formula(f) for f in s.gamma.expand()) or r"\emptyset"
     d = ", ".join(_latex_formula(f) for f in s.delta.expand()) or r"\emptyset"
-    return rf"({g}; {d}) \vdash^{{{s.polarity.sign}}} {_latex_formula(s.succedent)}"
+    return rf"({g}; {d}) \vdash^{{{s.polarity.value}}} {_latex_formula(s.succedent)}"
 
 
 def render_latex(d: Derivation) -> str:

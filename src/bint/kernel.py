@@ -68,16 +68,14 @@ class Polarity(enum.Enum):
     # ``Enum.__hash__``'s Python-level ``hash(self._name_)``.
     __hash__ = object.__hash__
 
-    @property
-    def sign(self) -> str:
-        return self.value
-
     def flip(self) -> "Polarity":
         return Polarity.MINUS if self is Polarity.PLUS else Polarity.PLUS
 
 
 PLUS = Polarity.PLUS
 MINUS = Polarity.MINUS
+#: each polarity's sign, read without the Python frame of ``Enum.value``
+_SIGN = {p: p.value for p in Polarity}
 
 
 class Side(enum.Enum):
@@ -128,8 +126,9 @@ class Context:
                 - bisect_left(self.items, f.key, key=_KEY))
 
     def __contains__(self, f: Formula) -> bool:
-        i = bisect_left(self.items, f.key, key=_KEY)
-        return i < len(self.items) and self.items[i] == f
+        items = self.items
+        i = bisect_left(items, f.key, key=_KEY)
+        return i < len(items) and (items[i] is f or items[i] == f)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -179,6 +178,9 @@ class Context:
     def __str__(self) -> str:
         return ", ".join(format_formula(f) for f in self.items)
 
+    def __reduce__(self):   # rebuilt, so no hash of another process comes along
+        return Context, (self.items,)
+
 
 EMPTY = Context()
 
@@ -212,6 +214,9 @@ class Sequent:
     def __str__(self) -> str:
         return format_sequent(self)
 
+    def __reduce__(self):   # as for Context
+        return Sequent, (self.gamma, self.delta, self.polarity, self.succedent)
+
 
 _set_gamma, _set_delta, _set_polarity, _set_succedent, _set_sequent_hash = _setters(Sequent)
 
@@ -234,7 +239,7 @@ def format_sequent(s: Sequent, write: Callable[[Formula], str] = format_formula,
     left = f"{g} ;" if g else ";"
     if d:
         left = f"{left} {d}"
-    return f"{left} |-{s.polarity.sign} {write(s.succedent)}"
+    return f"{left} |-{_SIGN[s.polarity]} {write(s.succedent)}"
 
 
 def parse_sequent(text: str) -> Sequent:

@@ -30,6 +30,8 @@ class DerivationFormatError(ValueError):
 
 
 _SPLIT_KEYS = ("gamma", "delta", "gamma_prime", "delta_prime")
+#: each rule's name as a JSON string, escaped once
+_RULE_TEXT = {r: _escape(r.value) for r in RuleId}
 
 
 class _Writer:
@@ -70,7 +72,7 @@ class _Writer:
         conclusion = format_sequent(d.conclusion, self.texts.__getitem__, self.context)
         out += (nl, '"conclusion": ', _escape(conclusion), ",", nl, '"premises": ')
         self.premises(d.premises, depth + 1)
-        out += (",", nl, '"rule": ', _escape(d.rule.value), indents[depth], "}")
+        out += (",", nl, '"rule": ', _RULE_TEXT[d.rule], indents[depth], "}")
 
     def premises(self, ds, depth: int) -> None:
         out = self.out

@@ -121,6 +121,9 @@ class _Binary(Formula):
         _set_key(self, (tag, left.key, right.key))
         _set_hash(self, hash((tag, left._hash, right._hash)))
 
+    def __reduce__(self):   # rebuilt: the hash derives from the hashes of names
+        return type(self), (self.left, self.right)
+
 
 _set_key, _set_hash, _set_left, _set_right = _setters(_Binary)
 

@@ -21,12 +21,12 @@ walk at a node that decomposes their formula, where contraction calls itself
 on the premises.  The weakenings and contraction edit each distinct context
 once per call (the contractions nested in one call share its memos), and cut
 elimination computes each step's contexts once per distinct pair of premise
-contexts, with memos that live for the call, so contexts that the input
-shares stay shared in the output.  Identity expansion reads the rule table:
-a formula of weight <= 1 gets the first backward expansion of its bare
-sequent whose premises close at once, closed by the rules of one tie-break
-table, ``_IDENTITY_CLOSERS``; a heavier one gets its rule pair from
-``SCHEMA``, and it and cut elimination recurse.
+context objects, found by identity, with memos that live for the call, so
+contexts that the input shares stay shared in the output.  Identity
+expansion reads the rule table: a formula of weight <= 1 gets the first
+backward expansion of its bare sequent whose premises close at once, closed
+by the rules of one tie-break table, ``_IDENTITY_CLOSERS``; a heavier one
+gets its rule pair from ``SCHEMA``, and it and cut elimination recurse.
 Every node goes through one constructor, which refuses cuts and raises
 ``InternalCheckError`` where an invalid node is built; by induction every
 output is valid and cut-free.
@@ -401,10 +401,11 @@ _VARIANT = {at: variant for variant, pair in CUT_AT.items() for at in pair}
 _AXIOM_PRIORITY = (R.BotLa, R.TopLc, R.TopRPlus, R.BotRMinus, R.RfPlus, R.RfMinus)
 
 
-def _cut_contexts(key: tuple) -> tuple[Context, Context, Context, Context]:
+def _cut_contexts(lg: Context, ld: Context, gp: Context, dp: Context, dfm: Formula,
+                  variant: R) -> tuple[Context, Context, Context, Context]:
     """Gamma', Delta', and the target's Gamma and Delta, of a cut with the
-    premise contexts, cut formula and variant of ``key``."""
-    lg, ld, gp, dp, dfm, variant = key
+    left premise's contexts ``lg``, ``ld``, the right premise's ``gp``, ``dp``,
+    cut formula ``dfm`` and ``variant``."""
     if CUT_AT[variant][0] is Side.A:
         gp = gp.remove(dfm)
     else:
@@ -430,7 +431,7 @@ def eliminate_cut(left: Derivation, right: Derivation, cut_formula: Formula,
     side, want_pol = CUT_AT[variant]
     if left.conclusion.polarity is not want_pol or left.conclusion.succedent != cut_formula:
         raise TransformError(
-            f"eliminate_cut: left premise must conclude |-{want_pol.sign} "
+            f"eliminate_cut: left premise must conclude |-{want_pol.value} "
             f"{format_formula(cut_formula)}, got {left.conclusion}")
     on_a = side is Side.A
     if cut_formula not in (right.conclusion.gamma if on_a else right.conclusion.delta):
@@ -448,23 +449,30 @@ def eliminate_cut(left: Derivation, right: Derivation, cut_formula: Formula,
 
 
 class _Eliminator:
-    """One elimination.  It computes each cut formula's weight, and each
-    step's contexts from the premises' contexts, once per elimination, so a
-    context shared by the premises stays one object in the output."""
+    """One elimination.  It computes each cut formula's weight once, and each
+    step's contexts once per distinct pair of premise context objects, found
+    by identity: a context's first hash makes one Python call per formula.
+    A context shared by the premises stays one object in the output."""
 
     def __init__(self, trace: Optional[CutTrace]):
         self.trace = trace
         self._counter = 0
         self.weight = _Memo(weight)
-        # (Gamma, Delta of the left premise, of the right premise, cut formula,
-        # variant) -> Gamma', Delta' and the target's Gamma, Delta
-        self._contexts = _Memo(_cut_contexts)
+        # ids of the premises' contexts and of the cut formula, variant -> the
+        # conclusions and the cut formula, kept so that no id is reused while
+        # the memo lives, and ``_cut_contexts`` of them
+        self._contexts: dict[tuple, tuple] = {}
 
     def contexts(self, left: Derivation, right: Derivation, dfm: Formula,
                  variant: R) -> tuple[Context, Context, Context, Context]:
         """``_cut_contexts`` of the cut of ``left`` into ``right`` on ``dfm``."""
         l, r = left.conclusion, right.conclusion
-        return self._contexts[l.gamma, l.delta, r.gamma, r.delta, dfm, variant]
+        key = (id(l.gamma), id(l.delta), id(r.gamma), id(r.delta), id(dfm), variant)
+        hit = self._contexts.get(key)
+        if hit is None:
+            hit = self._contexts[key] = (
+                l, r, dfm, _cut_contexts(l.gamma, l.delta, r.gamma, r.delta, dfm, variant))
+        return hit[3]
 
     def target(self, left: Derivation, right: Derivation, dfm: Formula, variant: R) -> Sequent:
         """The endsequent of the cut of ``left`` into ``right`` on ``dfm``."""

@@ -1,7 +1,10 @@
 import dataclasses
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from bint.kernel import (
     dual_context, dual_derivation, dual_formula, dual_sequent, format_sequent,
     infer_principal, node, parse_sequent, _zero_premise_failure,
 )
+import bint
 from bint import corpus, kernel, syntax
 from bint.serialize import dumps_derivation, load_derivation, loads_derivation
 from bint.transform import TransformError, derive_identity, weaken
@@ -120,6 +124,57 @@ def test_the_cached_hash_is_not_a_field():
     assert a == b and repr(a) == repr(b) and "_hash" not in repr(a)
     object.__setattr__(b, "_hash", hash(a) + 1)     # a stored hash is not compared
     assert a == b
+
+
+def test_a_context_finds_the_object_it_holds_without_comparing():
+    f = parse_formula("p -> q")
+    ctx = Context.of(parse_formula("q /\\ p"), f, p, parse_formula("p -> r"))
+    eq_calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "__eq__":
+            eq_calls.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        found = f in ctx
+    finally:
+        sys.setprofile(None)
+    assert found and eq_calls == []
+    # an equal formula that is another object is found by ``==``
+    g = parse_formula("p -> q")
+    assert g is not f and g in ctx and parse_formula("q -> p") not in ctx
+
+
+#: dumps a formula and a sequent, with the sequent's and its Gamma's hashes
+#: cached, or loads them and compares them with fresh parses
+_PICKLE_SCRIPT = """
+import pickle, sys
+from bint.syntax import parse_formula
+from bint.kernel import parse_sequent
+f, s = parse_formula("p -> q"), parse_sequent("p -> q ; |-+ p -> q")
+if sys.argv[1] == "dump":
+    hash(s), hash(s.gamma)
+    sys.stdout.buffer.write(pickle.dumps((f, s)))
+else:
+    g, t = pickle.loads(sys.stdin.buffer.read())
+    print(g == f, hash(g) == hash(f), t == s, hash(t) == hash(s),
+          t.gamma == s.gamma, hash(t.gamma) == hash(s.gamma))
+"""
+
+
+def test_a_pickle_is_read_under_another_hash_seed():
+    # the cached hashes derive from the atoms' names' string hashes, which
+    # change with the hash seed: a pickle rebuilds each record instead
+    src = str(Path(bint.__file__).parents[1])
+
+    def run(seed: int, *args: str, data: bytes = b"") -> bytes:
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        return subprocess.run([sys.executable, "-c", _PICKLE_SCRIPT, *args], input=data,
+                              env=env, capture_output=True, check=True).stdout
+
+    assert run(2, "load", data=run(1, "dump")).split() == [b"True"] * 6
 
 
 # --- sequent text ----------------------------------------------------------------

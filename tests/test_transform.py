@@ -590,6 +590,20 @@ def test_tall_chain_eliminations_keep_their_contexts_shared(chain_eliminations):
         assert _context_objects(out) <= 52 and out.height == right.height
 
 
+def test_cut_elimination_hashes_no_context(monkeypatch):
+    # each step finds its contexts by the identity of its premises' context
+    # objects; a context's first hash makes one Python call per formula, and
+    # each height of a loaded chain holds contexts never hashed before
+    pair = next(pair for pair in gen.chain_set(0, 0) if pair.tag == "L30a")
+    left, right = loads_derivation(pair.left), loads_derivation(pair.right)
+    hashed = []
+    context_hash = Context.__hash__
+    monkeypatch.setattr(Context, "__hash__", lambda ctx: hashed.append(ctx) or context_hash(ctx))
+    out = eliminate_cut(left, right, parse_formula(pair.cut_formula), R.CutA)
+    assert len(hashed) == 0
+    assert str(out.conclusion) == pair.endsequent and out.height == right.height
+
+
 def test_cut_on_two_axioms_untraced():
     rf = node(R.RfPlus, parse_sequent("p ; |-+ p"))
     assert eliminate_cut(rf, rf, p, R.CutA) == rf
