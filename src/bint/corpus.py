@@ -12,15 +12,14 @@ alike.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .kernel import (
     PRIMITIVE_RULES, Derivation, Polarity, RuleId, Side, _Memo,
     check_derivation, fold, format_sequent, parse_context_pair, parse_sequent,
 )
-from .syntax import parse_formula
+from .syntax import _Record, parse_formula
 from .serialize import dumps_derivation, load_derivation
 from .transform import (
     CutTrace, ELIMINATION_CASES, SpecialWeakening, contract, derive_identity,
@@ -31,8 +30,7 @@ from . import search as _search
 DATA_DIR = Path(__file__).resolve().parent / "corpus_data"
 
 
-@dataclass(frozen=True)
-class GoldenCase:
+class GoldenCase(NamedTuple):
     id: str
     description: str
     kind: str
@@ -40,8 +38,7 @@ class GoldenCase:
     expected: dict[str, Any]
 
 
-@dataclass
-class GoldenResult:
+class GoldenResult(NamedTuple):
     case: GoldenCase
     ok: bool
     diff: Optional[str] = None
@@ -49,10 +46,13 @@ class GoldenResult:
     trace: Optional[CutTrace] = None
 
 
-@dataclass
 class CoverageReport:
-    missing_rules: list[str] = field(default_factory=list)
-    missing_cases: list[str] = field(default_factory=list)
+    __match_args__ = ("missing_rules", "missing_cases")     # as for CutTrace
+    __eq__, __hash__, __repr__ = _Record.__eq__, None, _Record.__repr__
+
+    def __init__(self, missing_rules: list[str], missing_cases: list[str]):
+        self.missing_rules = missing_rules
+        self.missing_cases = missing_cases
 
     @property
     def ok(self) -> bool:

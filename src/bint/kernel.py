@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 from .syntax import (
     BOT,
@@ -52,6 +51,7 @@ from .syntax import (
     Imp,
     Or,
     Top,
+    _Record,
     _setters,
     error,
     format_formula,
@@ -96,21 +96,28 @@ _KEY = attrgetter("key")
 _SHORT = 4
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(_Record):
     """Finite multiset of formulas: the tuple of every occurrence, sorted by
     ``Formula.key``, so that equality and hashing are multiset equality."""
 
-    items: tuple[Formula, ...] = ()
+    # as for Sequent: ``_hash`` is not an argument, so neither compared nor printed
+    __slots__ = ("items", "_hash")
+    __match_args__ = ("items",)
 
-    # as for Sequent: not a field, so neither compared nor printed
-    _hash = None
+    def __init__(self, items: tuple[Formula, ...] = ()):
+        _set_items(self, items)
+        _set_context_hash(self, None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash((self.items,))
-            object.__setattr__(self, "_hash", h)
+            _set_context_hash(self, h)
         return h
 
     @staticmethod
@@ -178,24 +185,18 @@ class Context:
     def __str__(self) -> str:
         return ", ".join(format_formula(f) for f in self.items)
 
-    def __reduce__(self):   # rebuilt, so no hash of another process comes along
-        return Context, (self.items,)
 
-
+_set_items, _set_context_hash = _setters(Context)
 EMPTY = Context()
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class Sequent:
-    gamma: Context
-    delta: Context
-    polarity: Polarity
-    succedent: Formula
-    # Not compared: ``__hash__`` stores the hash here on first use.  Most
-    # sequents built by the transforms are never hashed.  It hashes the
-    # contexts' items, not the contexts: the search hashes each sequent once,
-    # and most of its contexts only there.
-    _hash: Optional[int] = field(init=False, default=None, compare=False, repr=False)
+class Sequent(_Record):
+    # ``_hash`` is not compared: ``__hash__`` stores the hash there on first
+    # use.  Most sequents built by the transforms are never hashed.  It hashes
+    # the contexts' items, not the contexts: the search hashes each sequent
+    # once, and most of its contexts only there.
+    __slots__ = ("gamma", "delta", "polarity", "succedent", "_hash")
+    __match_args__ = ("gamma", "delta", "polarity", "succedent")
 
     def __init__(self, gamma: Context, delta: Context, polarity: Polarity, succedent: Formula):
         _set_gamma(self, gamma)
@@ -203,6 +204,12 @@ class Sequent:
         _set_polarity(self, polarity)
         _set_succedent(self, succedent)
         _set_sequent_hash(self, None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.gamma, self.delta, self.polarity, self.succedent)
+                == (other.gamma, other.delta, other.polarity, other.succedent))
 
     def __hash__(self) -> int:
         h = self._hash
@@ -213,9 +220,6 @@ class Sequent:
 
     def __str__(self) -> str:
         return format_sequent(self)
-
-    def __reduce__(self):   # as for Context
-        return Sequent, (self.gamma, self.delta, self.polarity, self.succedent)
 
 
 _set_gamma, _set_delta, _set_polarity, _set_succedent, _set_sequent_hash = _setters(Sequent)
@@ -340,8 +344,7 @@ CUT_AT = {R.CutA: (Side.A, PLUS), R.CutC: (Side.C, MINUS)}
 CUT_RULES = frozenset(CUT_AT)
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     """How one premise of a logical rule is built from the rule's conclusion.
 
     ``gamma`` and ``delta`` list the principal's operands (0 its left, 1 its
@@ -357,8 +360,7 @@ class Template:
     keeps: bool = False
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(NamedTuple):
     """One logical rule: the connective it decomposes, where its principal
     sits (``Side.A``/``Side.C`` for a left rule, the succedent at this polarity
     for a right rule), and one template per premise, in premise order."""
@@ -404,15 +406,11 @@ ARITY = {**dict.fromkeys(ZERO_PREMISE, 0), **dict.fromkeys(CUT_RULES, 2),
          **{r: len(s.premises) for r, s in SCHEMA.items()}}
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class ContextSplit:
+class ContextSplit(_Record):
     """The (gamma, delta) / (gamma', delta') partition of a cut conclusion;
     not recoverable from the conclusion alone, so cut nodes must carry it."""
 
-    gamma: Context
-    delta: Context
-    gamma_prime: Context
-    delta_prime: Context
+    __slots__ = __match_args__ = ("gamma", "delta", "gamma_prime", "delta_prime")
 
     def __init__(self, gamma, delta, gamma_prime, delta_prime):
         _set_split_gamma(self, gamma)
@@ -421,34 +419,35 @@ class ContextSplit:
         _set_delta_prime(self, delta_prime)
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class Annotation:
-    principal: Optional[Formula] = None
-    cut_formula: Optional[Formula] = None
-    context_split: Optional[ContextSplit] = None
+class Annotation(_Record):
+    __slots__ = __match_args__ = ("principal", "cut_formula", "context_split")
 
     def __init__(self, principal=None, cut_formula=None, context_split=None):
         _set_principal(self, principal)
         _set_cut_formula(self, cut_formula)
         _set_context_split(self, context_split)
 
+    # written out: ``Derivation`` compares and hashes the annotation of each node
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.principal, self.cut_formula, self.context_split)
+                == (other.principal, other.cut_formula, other.context_split))
+
+    def __hash__(self) -> int:
+        return hash((self.principal, self.cut_formula, self.context_split))
+
 
 _set_split_gamma, _set_split_delta, _set_gamma_prime, _set_delta_prime = _setters(ContextSplit)
 _set_principal, _set_cut_formula, _set_context_split = _setters(Annotation)
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class Derivation:
+class Derivation(_Record):
     """A derivation tree.  ``valid`` is decided once, when the node is built:
     every premise is valid and the node instantiates its rule schema."""
 
-    conclusion: Sequent
-    rule: RuleId
-    premises: tuple["Derivation", ...] = ()
-    annotation: Optional[Annotation] = None
-    height: int = field(init=False, compare=False, repr=False, default=0)
-    cut_count: int = field(init=False, compare=False, repr=False, default=0)
-    valid: bool = field(init=False, compare=False, repr=False, default=False)
+    __slots__ = ("conclusion", "rule", "premises", "annotation", "height", "cut_count", "valid")
+    __match_args__ = ("conclusion", "rule", "premises", "annotation")
 
     def __init__(self, conclusion: Sequent, rule: RuleId, premises=(), annotation=None):
         h, c, valid = 0, 1 if rule in CUT_RULES else 0, True
@@ -466,8 +465,9 @@ class Derivation:
         _set_valid(self, valid and _VALID[rule](conclusion, premises, annotation))
 
     def __eq__(self, other: object) -> bool:
-        """The dataclass's equality of conclusion, rule, premises and
-        annotation, on its own stack; a pair of node objects is compared once."""
+        """Equality of conclusion, rule, premises and annotation (the
+        constructor's arguments), on its own stack; a pair of node objects is
+        compared once."""
         if self is other:
             return True
         if other.__class__ is not self.__class__:
@@ -540,8 +540,7 @@ def fold(d: Derivation, make: Callable[[Derivation, tuple], _T],
 
 # --- schema machinery ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: RuleId
     message: str
 
@@ -806,8 +805,7 @@ def _check_cut(conclusion: Sequent, rule: RuleId,
     return None
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     valid: bool
     height: int
     cut_count: int
@@ -944,7 +942,7 @@ DUAL_RULE = {
     R.BotLa: R.TopLc, R.TopLc: R.BotLa,
     R.BotRMinus: R.TopRPlus, R.TopRPlus: R.BotRMinus,
     R.CutA: R.CutC, R.CutC: R.CutA,
-    **{r: _RULE_BY_SCHEMA[replace(d, premises=d.premises[::-1])
+    **{r: _RULE_BY_SCHEMA[d._replace(premises=d.premises[::-1])
                           if r in _DUAL_SWAPS_PREMISES else d]
        for r, d in _DUAL_SCHEMA.items()},
 }

@@ -24,7 +24,6 @@ disagree, and ``prove`` raises.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
 from .kernel import (
@@ -33,21 +32,25 @@ from .kernel import (
 )
 from .kernel import check_derivation  # noqa: F401  # a name the benchmark's traced run wraps
 from .decide import derivable
+from .syntax import _Record
 from .transform import InternalCheckError, _node, weaken_context
 
 
-class SearchOutcome:
+class SearchOutcome(_Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Proved(SearchOutcome):
-    derivation: Derivation
+    __slots__ = __match_args__ = ("derivation",)
+
+    def __init__(self, derivation: Derivation):
+        object.__setattr__(self, "derivation", derivation)
 
 
-@dataclass(frozen=True)
 class Refuted(SearchOutcome):
     """The decision procedure rejects the sequent: no proof of any height exists."""
+
+    __slots__ = ()
 
 
 #: the rules committed to without asking the oracle: those with no premise that

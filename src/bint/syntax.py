@@ -20,8 +20,6 @@ formula's text must end and a sequent's lists go on.
 from __future__ import annotations
 
 import re
-import string
-from dataclasses import dataclass, field, fields
 
 
 class FormulaSyntaxError(ValueError):
@@ -33,25 +31,64 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-_formula = dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 _set = object.__setattr__
 
 
 def _setters(cls: type) -> tuple:
-    """The writers of a slotted record's fields, in field order: a frozen record
-    is written once, in ``__init__``, through them, at about half of ``_set``'s cost."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+    """The writers of a slotted record's fields: the base class's first, each
+    class's in the order of its ``__slots__``.  A frozen record is written
+    once, in ``__init__``, through them, at about half of ``_set``'s cost."""
+    return tuple(getattr(c, name).__set__ for c in reversed(cls.__mro__)
+                 for name in c.__dict__.get("__slots__", ()))
 
 
-@_formula
-class Formula:
+def _values(r: "_Record") -> tuple:
+    return tuple([getattr(r, name) for name in r.__match_args__])
+
+
+class _Record:
+    """Base of the engine's frozen records: slotted classes, not dataclasses,
+    since decorating a class costs far more at import.  ``__match_args__``
+    names the constructor's arguments, in order.  Pattern matching reads them,
+    and so do ``==``, ``hash`` and ``repr`` where a class has none of its own.
+    A copy or a pickle is rebuilt by the constructor from them, so the rest
+    (a hash that derives from string hashes, a validity verdict) is derived
+    again, not restored."""
+
+    __slots__ = ()
+    __match_args__: tuple = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError     # only here: it imports ``inspect``
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), _values(self)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _values(self) == _values(other)
+
+    def __hash__(self) -> int:
+        return hash(_values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Formula(_Record):
     """A formula tree.  Each formula holds two things, written when it is
     built: ``key``, a total structural order used to keep contexts sorted,
     and its hash.  Equality and hashing read them instead of walking the
     tree."""
 
-    key: tuple = field(init=False)
-    _hash: int = field(init=False)
+    __slots__ = ("key", "_hash")
     _tag = -1   # the first component of ``key``: the connective
 
     def __init__(self):     # the constants; atoms and binaries have their own
@@ -70,13 +107,13 @@ class Formula:
         return f"<{format_formula(self)}>"
 
 
-@_formula
 class Bottom(Formula):
+    __slots__ = ()
     _tag = 0
 
 
-@_formula
 class Top(Formula):
+    __slots__ = ()
     _tag = 1
 
 
@@ -84,12 +121,11 @@ class Top(Formula):
 _ATOMS: dict[str, "Atom"] = {}
 
 
-@_formula
 class Atom(Formula):
     """An atom.  There is one per name, so equal atoms are one object and
     compare by identity; copies and pickles are that object too."""
 
-    name: str
+    __slots__ = __match_args__ = ("name",)
     _tag = 2
     __eq__ = object.__eq__
     __hash__ = Formula.__hash__
@@ -105,14 +141,9 @@ class Atom(Formula):
             atom = _ATOMS.setdefault(name, atom)    # one atom, even when two threads race
         return atom
 
-    def __reduce__(self):
-        return Atom, (self.name,)
 
-
-@_formula
 class _Binary(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
         tag = self._tag
@@ -121,32 +152,29 @@ class _Binary(Formula):
         _set_key(self, (tag, left.key, right.key))
         _set_hash(self, hash((tag, left._hash, right._hash)))
 
-    def __reduce__(self):   # rebuilt: the hash derives from the hashes of names
-        return type(self), (self.left, self.right)
-
 
 _set_key, _set_hash, _set_left, _set_right = _setters(_Binary)
 
 
-@_formula
 class And(_Binary):
+    __slots__ = ()
     _tag = 3
 
 
-@_formula
 class Or(_Binary):
+    __slots__ = ()
     _tag = 4
 
 
-@_formula
 class Imp(_Binary):
+    __slots__ = ()
     _tag = 5
 
 
-@_formula
 class Coimp(_Binary):
     """``Coimp(a, b)`` is the co-implication "b co-implies a" (text ``a -< b``)."""
 
+    __slots__ = ()
     _tag = 6
 
 
@@ -178,7 +206,7 @@ def weight(f: Formula) -> int:
 # of a sequent scans, and a formula's text holding one has trailing input.
 _LEXEME = re.compile(r"\s*(/\\|\\/|->|-<|\|-\+|\|--|[(),;]|[a-zA-Z][a-zA-Z0-9_]*|\S)")
 _PUNCTUATION = frozenset(("/\\", "\\/", "->", "-<", "|-+", "|--", "(", ")", ",", ";"))
-_LETTERS = frozenset(string.ascii_letters)
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 _PREC = {And: 3, Or: 2, Imp: 1, Coimp: 1}
 _OP_TEXT = {And: "/\\", Or: "\\/", Imp: "->", Coimp: "-<"}

@@ -35,10 +35,9 @@ output is valid and cut-free.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .syntax import BOT, TOP, And, Coimp, Formula, Imp, Or, format_formula, weight
+from .syntax import BOT, TOP, And, Coimp, Formula, Imp, Or, _Record, format_formula, weight
 from .kernel import (
     _RIGHT_BY_SHAPE, CUT_AT, CUT_RULES, EMPTY, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS,
     SCHEMA, ZERO_PREMISE, Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side,
@@ -341,8 +340,7 @@ def _contract_principal(d: Derivation, dup: Formula, side: Side, drop: tuple,
 
 # --- cut elimination --------------------------------------------------------------
 
-@dataclass
-class TraceStep:
+class TraceStep(NamedTuple):
     """One dispatch of the elimination machine, linked to its parent cut."""
 
     index: int
@@ -357,9 +355,14 @@ class TraceStep:
                 f"cutheight={self.cut_height} variant={self.variant}")
 
 
-@dataclass
 class CutTrace:
-    steps: list[TraceStep] = field(default_factory=list)
+    """The steps of one elimination, in the order the machine dispatched them."""
+
+    __match_args__ = ("steps",)     # compared and printed as a record is; appended to
+    __eq__, __hash__, __repr__ = _Record.__eq__, None, _Record.__repr__
+
+    def __init__(self):
+        self.steps: list[TraceStep] = []
 
     def edges(self) -> list[tuple[TraceStep, TraceStep]]:
         by_index = {s.index: s for s in self.steps}

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bint.syntax import BOT, And, Atom, FormulaSyntaxError, Imp, parse_formula
+from bint.syntax import BOT, TOP, And, Atom, FormulaSyntaxError, Imp, parse_formula
 from bint.kernel import (
     CLOSERS, MINUS, Annotation, Context, ContextSplit, Derivation, RuleId as R, Sequent,
     Side, Violation, backward_expansions, check_derivation, check_rule_instance, closing_rules,
@@ -18,6 +20,7 @@ from bint.kernel import (
 )
 import bint
 from bint import corpus, kernel, syntax
+from bint.search import Refuted, prove
 from bint.serialize import dumps_derivation, load_derivation, loads_derivation
 from bint.transform import TransformError, derive_identity, weaken
 from conftest import SEED, contexts, formulas, polarities, random_sequent, sequents, tower
@@ -120,7 +123,8 @@ def test_the_cached_hash_is_not_a_field():
     a, b = Context.of(p, q), Context.of(q, p)
     hash(a)
     assert a._hash is not None and b._hash is None
-    assert "_hash" not in {f.name for f in dataclasses.fields(Context)}
+    with pytest.raises(TypeError):      # not a constructor argument
+        Context((), _hash=0)
     assert a == b and repr(a) == repr(b) and "_hash" not in repr(a)
     object.__setattr__(b, "_hash", hash(a) + 1)     # a stored hash is not compared
     assert a == b
@@ -175,6 +179,56 @@ def test_a_pickle_is_read_under_another_hash_seed():
                               env=env, capture_output=True, check=True).stdout
 
     assert run(2, "load", data=run(1, "dump")).split() == [b"True"] * 6
+
+
+def test_the_engine_imports_without_dataclasses():
+    # decorating its records, and importing ``dataclasses`` (which imports
+    # ``inspect``) and ``string``, would cost each command's start-up
+    src = str(Path(bint.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    script = ("import bint, bint.serialize, bint.corpus, bint.cli, sys; "
+              "print(*sorted({'dataclasses', 'inspect', 'string'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          check=True, text=True)
+    assert done.stdout.split() == []
+
+
+def test_copies_and_pickles_rebuild_each_node(monkeypatch):
+    # a copied node is built by its constructor, so its ``valid`` comes from
+    # its own check, not from the state of its source
+    proof = prove(parse_sequent("p, q ; |-+ (p /\\ q) /\\ (p /\\ q)"))
+    shared, cut = proof.derivation, _cut_node()
+    assert shared.premises[0] is shared.premises[1] and cut.premises[0] is cut.premises[1]
+
+    def distinct(d: Derivation) -> int:
+        seen: list = []
+        kernel.fold(d, lambda x, images: seen.append(x))
+        return len(seen)
+
+    built = []
+    init = Derivation.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Derivation, "__init__", counted)
+    # (object, a field, nodes built by a shallow copy, and by a deep one)
+    cases = [(shared, "valid", 1, distinct(shared)), (cut, "annotation", 1, distinct(cut)),
+             (proof, "derivation", 0, distinct(shared)), (BOT, "key", 0, 0), (TOP, "key", 0, 0),
+             (Refuted(), "x", 0, 0)]
+    for obj, name, shallow, deep in cases:
+        for copier, n in ((copy.copy, shallow), (copy.deepcopy, deep),
+                          (lambda x: pickle.loads(pickle.dumps(x)), deep)):
+            built.clear()
+            c = copier(obj)
+            assert type(c) is type(obj) and c == obj and hash(c) == hash(obj)
+            assert len(built) == n
+            if isinstance(c, Derivation):
+                assert c.valid and c.premises[0] is c.premises[1]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(c, name)
 
 
 # --- sequent text ----------------------------------------------------------------
