@@ -57,16 +57,25 @@ _LATEX_RULE = {
 }
 
 
+_LATEX_OP = {And: r" \wedge ", Or: r" \vee ", Imp: r" \rightarrow ", Coimp: r" \Yleft "}
+_LATEX_CONSTANT = {Bottom: r"\bot", Top: r"\top"}
+
+
 def _latex_formula(f: Formula) -> str:
-    match f:
-        case Atom(name):
-            return name
-        case Bottom():
-            return r"\bot"
-        case Top():
-            return r"\top"
-    op = {And: r"\wedge", Or: r"\vee", Imp: r"\rightarrow", Coimp: r"\Yleft"}[type(f)]
-    return f"({_latex_formula(f.left)} {op} {_latex_formula(f.right)})"
+    """Every binary formula in parentheses, walked on its own stack, so a
+    formula of any depth renders."""
+    out, stack = [], [f]    # pieces of text and formulas still to render, in reverse order
+    while stack:
+        x = stack.pop()
+        if x.__class__ is str:
+            out.append(x)
+        elif x.__class__ is Atom:
+            out.append(x.name)
+        elif x.__class__ in _LATEX_CONSTANT:
+            out.append(_LATEX_CONSTANT[x.__class__])
+        else:
+            stack += (")", x.right, _LATEX_OP[x.__class__], x.left, "(")
+    return "".join(out)
 
 
 def _latex_sequent(s) -> str:

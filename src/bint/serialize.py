@@ -6,15 +6,19 @@ canonical (sorted keys, two-space indent, ASCII escapes, trailing newline), so
 files round-trip bit-exact through load/dump.  The text is exactly what
 Python's ``json`` module writes with ``indent=2, sort_keys=True``; the writer
 here emits it directly.  Every node repeats its whole conclusion, so one
-document holds the same formulas many times: each distinct formula text is
-parsed, and each distinct formula printed, once per document.  So is each
-distinct text of a conclusion's Gamma or Delta read, and each distinct
-context object written.
+document holds the same formulas many times, and documents over the same
+atoms hold the same formulas again.  Each distinct formula text is therefore
+parsed once per process, up to the bound of ``parse_formula``'s cache, and
+once per document beyond it; each formula object is printed once per
+process, since it keeps its text (``syntax.format_formula``).  Each distinct
+text of a conclusion's Gamma or Delta is read, and each distinct context
+object written, once per document.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Optional
 
@@ -29,20 +33,30 @@ class DerivationFormatError(ValueError):
     pass
 
 
+#: formula text -> the formula, shared by every document the process reads.
+#: Bounded, so a long run over ever new atoms keeps at most this many; a
+#: text that does not parse raises each time, since errors are not cached.
+parse_formula = lru_cache(maxsize=1024)(parse_formula)
+
+
+def _text(f: Formula) -> str:
+    return f._text or format_formula(f)
+
+
 _SPLIT_KEYS = ("gamma", "delta", "gamma_prime", "delta_prime")
 #: each rule's name as a JSON string, escaped once
 _RULE_TEXT = {r: _escape(r.value) for r in RuleId}
 
 
 class _Writer:
-    """Writes one document, printing each distinct formula once.  The text is
-    the one Python's JSON encoder gives with a two-space indent and sorted
-    keys: the keys in that order, strings escaped by the encoder's own C
-    function, and each depth's indentation built once.  It nests two calls
-    per derivation level, node and premise list, as the loader does."""
+    """Writes one document, reading each formula's kept text and printing
+    only a formula that has none yet.  The text is the one Python's JSON
+    encoder gives with a two-space indent and sorted keys: the keys in that
+    order, strings escaped by the encoder's own C function, and each depth's
+    indentation built once.  It nests two calls per derivation level, node
+    and premise list, as the loader does."""
 
     def __init__(self):
-        self.texts: dict[Formula, str] = _Memo(format_formula)
         # id of a context -> the context, kept alive so that its id is not
         # reused, and its formulas' texts joined
         self.contexts: dict[int, tuple[Context, str]] = {}
@@ -56,7 +70,8 @@ class _Writer:
     def context(self, ctx: Context) -> str:
         hit = self.contexts.get(id(ctx))
         if hit is None:
-            hit = self.contexts[id(ctx)] = (ctx, ", ".join(map(self.texts.__getitem__, ctx.items)))
+            hit = self.contexts[id(ctx)] = (
+                ctx, ", ".join([f._text or format_formula(f) for f in ctx.items]))
         return hit[1]
 
     def node(self, d: Derivation, depth: int) -> None:
@@ -69,7 +84,7 @@ class _Writer:
             out += (nl, '"annotation": ')
             self.annotation(a, depth + 1)
             out.append(",")
-        conclusion = format_sequent(d.conclusion, self.texts.__getitem__, self.context)
+        conclusion = format_sequent(d.conclusion, _text, self.context)
         out += (nl, '"conclusion": ', _escape(conclusion), ",", nl, '"premises": ')
         self.premises(d.premises, depth + 1)
         out += (",", nl, '"rule": ', _RULE_TEXT[d.rule], indents[depth], "}")
@@ -104,7 +119,7 @@ class _Writer:
             sep = ","
         for key, f in (("cut_formula", a.cut_formula), ("principal", a.principal)):
             if f is not None:
-                out += (sep, nl, f'"{key}": ', _escape(self.texts[f]))
+                out += (sep, nl, f'"{key}": ', _escape(_text(f)))
                 sep = ","
         out += (indents[depth], "}")
 
@@ -116,7 +131,7 @@ class _Writer:
         nl = self.indents[depth + 1]
         sep = "["
         for f in fs:
-            out += (sep, nl, _escape(self.texts[f]))
+            out += (sep, nl, _escape(_text(f)))
             sep = ","
         out += (self.indents[depth], "]")
 
@@ -133,9 +148,10 @@ def _expect(value: Any, kind: type, what: str) -> Any:
 
 
 class _Reader:
-    """Reads one document, parsing each distinct formula text once, so equal
-    formulas in what it reads are one object, and reading each distinct text
-    of a conclusion's Gamma or Delta once, so equal contexts are one object."""
+    """Reads one document, looking each distinct formula text up once, so
+    equal formulas in what it reads are one object even where the shared
+    cache has dropped a text, and reading each distinct text of a
+    conclusion's Gamma or Delta once, so equal contexts are one object."""
 
     def __init__(self):
         formula = self.formula = _Memo(parse_formula).__getitem__

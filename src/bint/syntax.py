@@ -11,6 +11,11 @@ constructor writes its operands, its ``key`` and its hash at once.  Atoms
 are interned: there is one atom per name, so equal atoms are one object and
 compare by identity.
 
+A formula keeps its own text once it has one: atoms and constants from their
+creation, a binary formula from its first ``format_formula``.  So each
+formula object is printed once per process, however many documents, contexts
+or messages show it.
+
 One lexer (``scan``) and one reader (``read_formula``) serve the text of a
 formula here and of a sequent in ``bint.kernel``: the reader stops at the
 first lexeme outside every parenthesis that is not a connective, where a
@@ -86,14 +91,17 @@ class Formula(_Record):
     """A formula tree.  Each formula holds two things, written when it is
     built: ``key``, a total structural order used to keep contexts sorted,
     and its hash.  Equality and hashing read them instead of walking the
-    tree."""
+    tree.  A third, ``_text``, is the formula's text once ``format_formula``
+    has made it (None before); like ``_hash`` it is not an argument, so it is
+    neither compared, hashed, printed nor pickled."""
 
-    __slots__ = ("key", "_hash")
+    __slots__ = ("key", "_hash", "_text")
     _tag = -1   # the first component of ``key``: the connective
 
     def __init__(self):     # the constants; atoms and binaries have their own
         _set(self, "key", (self._tag,))
         _set(self, "_hash", hash(self._tag))
+        _set(self, "_text", self._symbol)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):
@@ -110,11 +118,13 @@ class Formula(_Record):
 class Bottom(Formula):
     __slots__ = ()
     _tag = 0
+    _symbol = "F"
 
 
 class Top(Formula):
     __slots__ = ()
     _tag = 1
+    _symbol = "T"
 
 
 #: name -> the atom of that name, kept for the life of the process
@@ -138,6 +148,7 @@ class Atom(Formula):
             _set(atom, "name", name)
             _set(atom, "key", (cls._tag, name))
             _set(atom, "_hash", hash(name))
+            _set(atom, "_text", name)
             atom = _ATOMS.setdefault(name, atom)    # one atom, even when two threads race
         return atom
 
@@ -151,9 +162,10 @@ class _Binary(Formula):
         _set_right(self, right)
         _set_key(self, (tag, left.key, right.key))
         _set_hash(self, hash((tag, left._hash, right._hash)))
+        _set_text(self, None)
 
 
-_set_key, _set_hash, _set_left, _set_right = _setters(_Binary)
+_set_key, _set_hash, _set_text, _set_left, _set_right = _setters(_Binary)
 
 
 class And(_Binary):
@@ -310,27 +322,53 @@ def read_formula(text: str, found: list[str], i: int) -> tuple[Formula, int]:
 # --- printer ---------------------------------------------------------------
 
 
-def format_formula(f: Formula) -> str:
-    """Minimal-parenthesization text that reparses to a structurally equal tree."""
-    match f:
-        case Atom(name):
-            return name
-        case Bottom():
-            return "F"
-        case Top():
-            return "T"
-    cls = type(f)
+def _shape(cls: type) -> tuple:
     prec = _PREC[cls]
-    left, right = f.left, f.right  # type: ignore[attr-defined]
-    left_txt = format_formula(left)
-    # right-associative: a left child at the same level always needs parens
-    if isinstance(left, BINARY) and _PREC[type(left)] <= prec:
-        left_txt = f"({left_txt})"
-    right_txt = format_formula(right)
-    if isinstance(right, BINARY):
-        rp = _PREC[type(right)]
-        # the two arrows share a level but may not chain unparenthesized
-        if rp < prec or (rp == prec and type(right) is not cls):
-            right_txt = f"({right_txt})"
-    return f"{left_txt} {_OP_TEXT[cls]} {right_txt}"
+    # right-associative: a left operand at the same level always needs
+    # parentheses; the two arrows share a level but may not chain without them
+    return (f" {_OP_TEXT[cls]} ",
+            frozenset(c for c in BINARY if _PREC[c] <= prec),
+            frozenset(c for c in BINARY if _PREC[c] < prec or (_PREC[c] == prec and c is not cls)))
 
+
+#: per connective: its text with a space on each side, and the connectives of
+#: the operands that take parentheses on its left and on its right
+_SHAPE = {c: _shape(c) for c in BINARY}
+
+
+def format_formula(f: Formula) -> str:
+    """Minimal-parenthesization text that reparses to a structurally equal tree.
+
+    The text is kept on ``f``, so each formula object is printed once.  The
+    walk has its own stack, so a formula of any depth prints.  An operand
+    that has its text already is not walked, and only ``f`` keeps the text
+    made here, so a deep formula does not keep the text of every subformula."""
+    text = f._text
+    if text is not None:
+        return text
+    op, wrap_left, wrap_right = _SHAPE[f.__class__]
+    left, right = f.left, f.right  # type: ignore[attr-defined]
+    lt, rt = left._text, right._text
+    if lt is not None and rt is not None:       # operands printed already: no walk
+        if left.__class__ in wrap_left:
+            lt = f"({lt})"
+        if right.__class__ in wrap_right:
+            rt = f"({rt})"
+        text = lt + op + rt
+    else:
+        # pieces of text, and formulas still to print, in reverse order
+        out, stack = [], [f]
+        while stack:
+            x = stack.pop()
+            if x.__class__ is str:
+                out.append(x)
+            elif x._text is not None:
+                out.append(x._text)
+            else:
+                op, wrap_left, wrap_right = _SHAPE[x.__class__]
+                stack += (")", x.right, "(") if x.right.__class__ in wrap_right else (x.right,)
+                stack.append(op)
+                stack += (")", x.left, "(") if x.left.__class__ in wrap_left else (x.left,)
+        text = "".join(out)
+    _set_text(f, text)
+    return text

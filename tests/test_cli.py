@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bint
-from bint import corpus, serialize
+from bint import corpus, serialize, syntax
 from bint.cli import KIND, main, render_text
 from bint.kernel import RuleId as R, check_derivation, format_sequent, node, parse_sequent
 from bint.serialize import (
@@ -308,18 +308,29 @@ def test_each_distinct_formula_is_parsed_once_per_document(monkeypatch):
     assert len(one) == len(distinct)
 
 
-def test_each_distinct_formula_is_printed_once_per_document(monkeypatch):
-    d, distinct = _horn_chain(50)
-    text = dumps_derivation(d)
-    printed = Counter()
+def test_each_distinct_formula_is_printed_once_per_document():
+    """Counted by the formatter itself, whatever name it is called through:
+    the first dump makes the text of each freshly built formula object once
+    and keeps it on the object, so a second dump makes none."""
+    d, _ = _horn_chain(50)
+    fresh = {id(f): f for f in _formulas_in(d) if f._text is None}
+    assert len(fresh) == 2 * 50     # each link in Gamma, and again as a principal
+    made, code = [], syntax.format_formula.__code__
 
-    def counting_format(f):
-        printed[f] += 1
-        return format_formula(f)
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code and frame.f_locals["f"]._text is None:
+            made.append(id(frame.f_locals["f"]))
 
-    monkeypatch.setattr(serialize, "format_formula", counting_format)
-    assert dumps_derivation(d) == text
-    assert printed == Counter(distinct)
+    sys.setprofile(count)
+    try:
+        text = dumps_derivation(d)
+        first = made[:]
+        del made[:]
+        again = dumps_derivation(d)
+    finally:
+        sys.setprofile(None)
+    assert sorted(first) == sorted(fresh) and made == [] and again == text
+    assert all(f._text == f"{f.left.name} -> {f.right.name}" for f in fresh.values())
 
 
 #: each subcommand's positional arguments, in order, by their manifest names

@@ -1,5 +1,6 @@
 """The derivation writer against the JSON module it replaced, the loader's
-and the writer's memos of contexts, and dumps that overflow the stack."""
+and the writer's memos of contexts, the loader's shared cache of formulas,
+and dumps that overflow the stack."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import pytest
 
 from bint import corpus, serialize
 from bint.kernel import (
-    Annotation, Context, ContextSplit, Derivation, RuleId as R, dual_derivation,
+    PLUS, Annotation, Context, ContextSplit, Derivation, RuleId as R, Sequent, dual_derivation,
     format_sequent, node, parse_sequent,
 )
 from random_derivations import random_derivation
@@ -213,6 +214,45 @@ def test_each_distinct_context_object_is_joined_once():
     assert writer.text() == dumps_derivation(d)
     assert writer.contexts.keys() == {id(c) for c in contexts}
     assert all(writer.contexts[id(c)][0] is c for c in contexts)
+
+
+# --- the shared cache of formulas -----------------------------------------------------------
+
+def test_a_document_over_more_formulas_than_the_cache_holds_keeps_equal_ones_one_object():
+    bound = serialize.parse_formula.cache_info().maxsize
+    rng = random.Random(SEED)
+    distinct = {}
+    while len(distinct) < bound + 300:
+        f = random_formula(rng, 8)
+        distinct.setdefault(format_formula(f), f)
+    p = parse_formula("p")
+    nodes = [node(R.RfPlus, Sequent(Context.of(p, f), Context.of(f), PLUS, p))
+             for f in distinct.values()]
+    # every formula comes again after all the others, long after the cache dropped it
+    loaded = serialize._derivations_from_text(dumps_derivations(nodes + nodes))
+    assert loaded == nodes + nodes and all(d.valid for d in loaded)
+    one = {}
+    assert all(one.setdefault(f, f) is f
+               for d in loaded for f in d.conclusion.gamma.items + d.conclusion.delta.items)
+    assert len(one) == len(distinct) + 1
+    info = serialize.parse_formula.cache_info()
+    assert info.currsize == info.maxsize == bound
+    first = loaded[0].conclusion.delta.items[0]
+    assert serialize.parse_formula(format_formula(first)) is not first
+
+
+def test_a_malformed_formula_fails_alike_every_time():
+    text = json.dumps({"rule": "RfPlus", "conclusion": "p ; |-+ p",
+                       "annotation": {"principal": "p -> $"}})
+    for _ in range(2):
+        with pytest.raises(FormulaSyntaxError) as e:
+            loads_derivation(text)
+        assert (e.value.message, e.value.position) == ("unknown token '$'", 5)
+        before = serialize.parse_formula.cache_info()
+        with pytest.raises(FormulaSyntaxError):
+            serialize.parse_formula("p -> $")
+        after = serialize.parse_formula.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)  # not cached
 
 
 # --- dumps that overflow the stack --------------------------------------------------------

@@ -494,6 +494,19 @@ def test_an_interned_atom_survives_copies_and_pickles():
         assert type(g.right.right) is Bottom and g.right.right == BOT
 
 
+def test_a_kept_text_is_not_compared_hashed_printed_or_pickled():
+    f, g = parse_formula("p -> q /\\ r"), parse_formula("p -> q /\\ r")
+    assert f is not g and f._text is None and g._text is None
+    h = hash(f)
+    text = format_formula(f)
+    assert f._text is text and g._text is None
+    assert f == g and g == f and hash(f) == hash(g) == h
+    assert f.__reduce__() == (Imp, (f.left, f.right))
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied == f and copied._text is None
+    assert repr(g) == repr(f) == "<p -> q /\\ r>"
+
+
 def test_weight_base_cases():
     assert weight(BOT) == 0
     assert weight(TOP) == 0

@@ -1,14 +1,15 @@
 """The shared derivation walk: ``kernel.fold`` and the maps built on it.
 
 The three weakenings, inversion, contraction, duality and rule coverage are
-folds; the two renderers are pre-order walks with their own stacks, and so is
-the equality of two derivations.  Each is checked against the recursive
-definition it replaced, on tall towers at the default recursion limit, and for
-the sharing of premise objects.  A last test pins the functions of ``bint``
-that still recurse.
+folds; the two renderers are pre-order walks with their own stacks, and so are
+the equality of two derivations and the two formula printers.  Each is
+checked against the recursive definition it replaced, on tall towers or deep
+formulas at the default recursion limit, and for the sharing of premise
+objects.  A last test pins the functions of ``bint`` that still recurse.
 """
 
 import ast
+import random
 import sys
 from pathlib import Path
 
@@ -26,12 +27,14 @@ from bint.kernel import (
 )
 from random_derivations import random_derivation
 from bint.serialize import dumps_derivation, load_derivation
-from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or, format_formula, weight
+from bint.syntax import (
+    BINARY, BOT, TOP, And, Atom, Bottom, Coimp, Imp, Or, Top, format_formula, parse_formula, weight,
+)
 from bint.transform import (
     SpecialWeakening, TransformError, _drop_one, _inverse, _map_conclusions, _node,
     _principal_here, _require_input, contract, invert, unweaken_special, weaken, weaken_context,
 )
-from conftest import tower
+from conftest import SEED, random_formula, tower
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 TOP_IN_GAMMA, BOT_IN_DELTA = SpecialWeakening.TOP_IN_GAMMA, SpecialWeakening.BOT_IN_DELTA
@@ -140,13 +143,54 @@ def ref_render_text(d, indent=0):
     return "\n".join(lines)
 
 
+def ref_format_formula(f):
+    match f:
+        case Atom(name):
+            return name
+        case Bottom():
+            return "F"
+        case Top():
+            return "T"
+    cls = type(f)
+    prec = {And: 3, Or: 2, Imp: 1, Coimp: 1}
+    op = {And: "/\\", Or: "\\/", Imp: "->", Coimp: "-<"}[cls]
+    left, right = f.left, f.right
+    left_txt = ref_format_formula(left)
+    if isinstance(left, BINARY) and prec[type(left)] <= prec[cls]:
+        left_txt = f"({left_txt})"
+    right_txt = ref_format_formula(right)
+    if isinstance(right, BINARY):
+        rp = prec[type(right)]
+        if rp < prec[cls] or (rp == prec[cls] and type(right) is not cls):
+            right_txt = f"({right_txt})"
+    return f"{left_txt} {op} {right_txt}"
+
+
+def ref_latex_formula(f):
+    match f:
+        case Atom(name):
+            return name
+        case Bottom():
+            return r"\bot"
+        case Top():
+            return r"\top"
+    op = {And: r"\wedge", Or: r"\vee", Imp: r"\rightarrow", Coimp: r"\Yleft"}[type(f)]
+    return f"({ref_latex_formula(f.left)} {op} {ref_latex_formula(f.right)})"
+
+
+def ref_latex_sequent(s):
+    g = ", ".join(ref_latex_formula(f) for f in s.gamma.expand()) or r"\emptyset"
+    d = ", ".join(ref_latex_formula(f) for f in s.delta.expand()) or r"\emptyset"
+    return rf"({g}; {d}) \vdash^{{{s.polarity.value}}} {ref_latex_formula(s.succedent)}"
+
+
 def ref_render_latex(d):
     if not d.premises:
         body = "{}"
     else:
         body = "{" + r" \quad ".join(ref_render_latex(p) for p in d.premises) + "}"
     return (rf"\infer[\scriptstyle {_LATEX_RULE[d.rule]}]"
-            + "{" + _latex_sequent(d.conclusion) + "}" + body)
+            + "{" + ref_latex_sequent(d.conclusion) + "}" + body)
 
 
 def outcome(fn, *args):
@@ -635,11 +679,9 @@ def test_rules_in_equals_the_recursive_definition(derivation_corpus, corpus_file
 #: the cut eliminator, the proof constructor and the decider.  Remove an entry
 #: when its recursion goes; a new entry is a new recursion.
 RECURSIVE = {
-    "cli._latex_formula",
     "decide._decide", "decide._sequent", "decide.derives", "decide.signed",
     "search._apply", "search.build",
     "serialize.derivation", "serialize.node", "serialize.premises",
-    "syntax.format_formula",
     "transform._contract_principal", "transform._identity_step",
     "transform._permute_left", "transform._permute_right", "transform._principal",
     "transform._select", "transform._contract", "transform.derive_identity", "transform.rec",
@@ -701,6 +743,52 @@ def test_weight_and_dual_formula_take_a_formula_of_any_depth():
             assert y.right is q
             x, y = x.left, y.left
     assert y is p
+
+
+def _same_tree(f, g) -> bool:
+    """``f == g``, compared on a stack: ``==`` on formulas thousands deep
+    compares their nested ``key`` tuples in C, which overflows."""
+    stack = [(f, g)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, BINARY):
+            stack += ((x.left, y.left), (x.right, y.right))
+        elif x != y:
+            return False
+    return True
+
+
+def test_a_formula_of_any_depth_prints_as_text_and_as_latex():
+    assert sys.getrecursionlimit() == 1000
+    f = p
+    for i in range(10_000):     # every connective, on the left and on the right
+        cls = (Imp, Coimp, And, Or)[i % 4]
+        f = cls(f, q) if i % 8 < 4 else cls(q, f)
+    text = format_formula(f)
+    below = f.right     # the last level nests on the right
+    assert f._text is text and below._text is None     # kept on the root only
+    back = parse_formula(text)
+    assert _same_tree(back, f) and not _same_tree(back, below)
+    latex = cli._latex_formula(f)
+    assert latex.count("(") == latex.count(")") == 10_000
+    assert all(latex.count(op) == 2_500 for op in (r"\wedge", r"\vee", r"\rightarrow", r"\Yleft"))
+
+
+def test_the_formula_printers_equal_the_recursive_definitions():
+    rng = random.Random(SEED)
+    for _ in range(2_000):
+        f = random_formula(rng, rng.randint(1, 12))
+        sub = f     # printed first, a subformula is a leaf of the walk that prints f
+        while isinstance(sub, BINARY) and rng.random() < 0.7:
+            sub = rng.choice((sub.left, sub.right))
+        if rng.random() < 0.5:
+            assert format_formula(sub) == ref_format_formula(sub)
+        text = format_formula(f)
+        assert text == ref_format_formula(f)
+        assert format_formula(f) is text == f._text    # the second call reads the kept text
+        assert cli._latex_formula(f) == ref_latex_formula(f)
 
 
 def test_the_cycle_finder_sees_direct_and_mutual_recursion(tmp_path):
