@@ -19,7 +19,7 @@ from .kernel import (
     PRIMITIVE_RULES, Derivation, Polarity, RuleId, Side, _Memo,
     check_derivation, fold, format_sequent, parse_context_pair, parse_sequent,
 )
-from .syntax import _Record, parse_formula
+from .syntax import parse_formula
 from .serialize import dumps_derivation, load_derivation
 from .transform import (
     CutTrace, ELIMINATION_CASES, SpecialWeakening, contract, derive_identity,
@@ -46,13 +46,9 @@ class GoldenResult(NamedTuple):
     trace: Optional[CutTrace] = None
 
 
-class CoverageReport:
-    __match_args__ = ("missing_rules", "missing_cases")     # as for CutTrace
-    __eq__, __hash__, __repr__ = _Record.__eq__, None, _Record.__repr__
-
-    def __init__(self, missing_rules: list[str], missing_cases: list[str]):
-        self.missing_rules = missing_rules
-        self.missing_cases = missing_cases
+class CoverageReport(NamedTuple):
+    missing_rules: list[str]
+    missing_cases: list[str]
 
     @property
     def ok(self) -> bool:

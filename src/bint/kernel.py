@@ -230,20 +230,18 @@ def sequent(gamma: Iterable[Formula], delta: Iterable[Formula], polarity: Polari
     return Sequent(Context.from_iter(gamma), Context.from_iter(delta), polarity, succedent)
 
 
-def format_sequent(s: Sequent, write: Callable[[Formula], str] = format_formula,
-                   context: Optional[Callable[[Context], str]] = None) -> str:
-    """The text of ``s``; ``write`` gives the text of each formula, and
-    ``context``, when set, the text of each context (its formulas' texts
-    joined by ", ")."""
+def format_sequent(s: Sequent, context: Optional[Callable[[Context], str]] = None) -> str:
+    """The text of ``s``; ``context``, when set, gives the text of each
+    context (its formulas' texts joined by ", ")."""
     if context is None:
-        g = ", ".join(map(write, s.gamma.items))
-        d = ", ".join(map(write, s.delta.items))
+        g = ", ".join(map(format_formula, s.gamma.items))
+        d = ", ".join(map(format_formula, s.delta.items))
     else:
         g, d = context(s.gamma), context(s.delta)
     left = f"{g} ;" if g else ";"
     if d:
         left = f"{left} {d}"
-    return f"{left} |-{_SIGN[s.polarity]} {write(s.succedent)}"
+    return f"{left} |-{_SIGN[s.polarity]} {format_formula(s.succedent)}"
 
 
 def parse_sequent(text: str) -> Sequent:

@@ -39,10 +39,6 @@ class DerivationFormatError(ValueError):
 parse_formula = lru_cache(maxsize=1024)(parse_formula)
 
 
-def _text(f: Formula) -> str:
-    return f._text or format_formula(f)
-
-
 _SPLIT_KEYS = ("gamma", "delta", "gamma_prime", "delta_prime")
 #: each rule's name as a JSON string, escaped once
 _RULE_TEXT = {r: _escape(r.value) for r in RuleId}
@@ -84,7 +80,7 @@ class _Writer:
             out += (nl, '"annotation": ')
             self.annotation(a, depth + 1)
             out.append(",")
-        conclusion = format_sequent(d.conclusion, _text, self.context)
+        conclusion = format_sequent(d.conclusion, self.context)
         out += (nl, '"conclusion": ', _escape(conclusion), ",", nl, '"premises": ')
         self.premises(d.premises, depth + 1)
         out += (",", nl, '"rule": ', _RULE_TEXT[d.rule], indents[depth], "}")
@@ -119,7 +115,7 @@ class _Writer:
             sep = ","
         for key, f in (("cut_formula", a.cut_formula), ("principal", a.principal)):
             if f is not None:
-                out += (sep, nl, f'"{key}": ', _escape(_text(f)))
+                out += (sep, nl, f'"{key}": ', _escape(f._text or format_formula(f)))
                 sep = ","
         out += (indents[depth], "}")
 
@@ -131,7 +127,7 @@ class _Writer:
         nl = self.indents[depth + 1]
         sep = "["
         for f in fs:
-            out += (sep, nl, _escape(_text(f)))
+            out += (sep, nl, _escape(f._text or format_formula(f)))
             sep = ","
         out += (self.indents[depth], "]")
 

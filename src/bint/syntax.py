@@ -346,29 +346,19 @@ def format_formula(f: Formula) -> str:
     text = f._text
     if text is not None:
         return text
-    op, wrap_left, wrap_right = _SHAPE[f.__class__]
-    left, right = f.left, f.right  # type: ignore[attr-defined]
-    lt, rt = left._text, right._text
-    if lt is not None and rt is not None:       # operands printed already: no walk
-        if left.__class__ in wrap_left:
-            lt = f"({lt})"
-        if right.__class__ in wrap_right:
-            rt = f"({rt})"
-        text = lt + op + rt
-    else:
-        # pieces of text, and formulas still to print, in reverse order
-        out, stack = [], [f]
-        while stack:
-            x = stack.pop()
-            if x.__class__ is str:
-                out.append(x)
-            elif x._text is not None:
-                out.append(x._text)
-            else:
-                op, wrap_left, wrap_right = _SHAPE[x.__class__]
-                stack += (")", x.right, "(") if x.right.__class__ in wrap_right else (x.right,)
-                stack.append(op)
-                stack += (")", x.left, "(") if x.left.__class__ in wrap_left else (x.left,)
-        text = "".join(out)
+    # pieces of text, and formulas still to print, in reverse order
+    out, stack = [], [f]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is str:
+            out.append(x)
+        elif x._text is not None:
+            out.append(x._text)
+        else:
+            op, wrap_left, wrap_right = _SHAPE[x.__class__]
+            stack += (")", x.right, "(") if x.right.__class__ in wrap_right else (x.right,)
+            stack.append(op)
+            stack += (")", x.left, "(") if x.left.__class__ in wrap_left else (x.left,)
+    text = "".join(out)
     _set_text(f, text)
     return text

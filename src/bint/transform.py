@@ -11,7 +11,9 @@ checker-valid, cut-free derivation with the advertised endsequent:
 * ``eliminate_cut`` -- the full cut-elimination case machine.  It reads its
   principal (``-5.x-``) reductions from the schemas of the two premises' root
   rules and each variant's side and polarity from ``kernel.CUT_AT``, so each
-  case is written once for both cut variants.
+  case is written once for both cut variants.  One method, ``run``, picks
+  each step's case, records it and builds it, and every sub-cut comes back
+  through it.
 
 Every node is checked once, when it is built (``Derivation.valid``), so an
 entry point reads its input's validity and cut count without a walk.  The
@@ -404,18 +406,6 @@ _VARIANT = {at: variant for variant, pair in CUT_AT.items() for at in pair}
 _AXIOM_PRIORITY = (R.BotLa, R.TopLc, R.TopRPlus, R.BotRMinus, R.RfPlus, R.RfMinus)
 
 
-def _cut_contexts(lg: Context, ld: Context, gp: Context, dp: Context, dfm: Formula,
-                  variant: R) -> tuple[Context, Context, Context, Context]:
-    """Gamma', Delta', and the target's Gamma and Delta, of a cut with the
-    left premise's contexts ``lg``, ``ld``, the right premise's ``gp``, ``dp``,
-    cut formula ``dfm`` and ``variant``."""
-    if CUT_AT[variant][0] is Side.A:
-        gp = gp.remove(dfm)
-    else:
-        dp = dp.remove(dfm)
-    return gp, dp, lg.union(gp), ld.union(dp)
-
-
 def eliminate_cut(left: Derivation, right: Derivation, cut_formula: Formula,
                   variant: R, trace: Optional[CutTrace] = None) -> Derivation:
     """Eliminate one cut between two cut-free derivations.
@@ -463,18 +453,24 @@ class _Eliminator:
         self.weight = _Memo(weight)
         # ids of the premises' contexts and of the cut formula, variant -> the
         # conclusions and the cut formula, kept so that no id is reused while
-        # the memo lives, and ``_cut_contexts`` of them
+        # the memo lives, and the four contexts
         self._contexts: dict[tuple, tuple] = {}
 
     def contexts(self, left: Derivation, right: Derivation, dfm: Formula,
                  variant: R) -> tuple[Context, Context, Context, Context]:
-        """``_cut_contexts`` of the cut of ``left`` into ``right`` on ``dfm``."""
+        """Gamma', Delta', and the target's Gamma and Delta, of the cut of
+        ``left`` into ``right`` on ``dfm``."""
         l, r = left.conclusion, right.conclusion
         key = (id(l.gamma), id(l.delta), id(r.gamma), id(r.delta), id(dfm), variant)
         hit = self._contexts.get(key)
         if hit is None:
+            gp, dp = r.gamma, r.delta
+            if CUT_AT[variant][0] is Side.A:
+                gp = gp.remove(dfm)
+            else:
+                dp = dp.remove(dfm)
             hit = self._contexts[key] = (
-                l, r, dfm, _cut_contexts(l.gamma, l.delta, r.gamma, r.delta, dfm, variant))
+                l, r, dfm, (gp, dp, l.gamma.union(gp), l.delta.union(dp)))
         return hit[3]
 
     def target(self, left: Derivation, right: Derivation, dfm: Formula, variant: R) -> Sequent:
@@ -484,32 +480,28 @@ class _Eliminator:
 
     def run(self, left: Derivation, right: Derivation, dfm: Formula, variant: R,
             parent: Optional[int], parent_measure: Optional[tuple[int, int]]) -> Derivation:
+        """One step, and the only method the elimination recurses through:
+        check that the measure fell, pick the case, record it, and build.  The
+        cases that cut again call ``run`` with this step's index and
+        measure."""
         measure = (self.weight[dfm], left.height + right.height)
         if parent_measure is not None and not measure < parent_measure:
             raise InternalCheckError(
                 f"elimination measure did not decrease: {parent_measure} -> {measure}")
         index = self._counter
         self._counter += 1
-        case, build = self._select(left, right, dfm, variant)
-        if self.trace is not None:
-            self.trace.steps.append(TraceStep(index, parent, case, CUT_AT[variant][0].value,
-                                              *measure))
-        return build(index, measure)
-
-    def _select(self, left: Derivation, right: Derivation, dfm: Formula,
-                variant: R) -> tuple[str, Callable[[int, tuple[int, int]], Derivation]]:
         target = self.target(left, right, dfm, variant)
         side, pol = CUT_AT[variant]
         family = "-1." if side is Side.A else "-2."
-
         if right.rule in ZERO_PREMISE:
             case = family + ("2-" if right.conclusion.polarity is PLUS else "3-")
             closer = _first_closer(target, _AXIOM_PRIORITY)
-            if closer is not None:
-                return case, lambda i, m: _node(closer, target)
-            if target.succedent == dfm and target.polarity is pol:
+            if closer is not None or (target.succedent == dfm and target.polarity is pol):
+                self._record(case, index, parent, side, measure)
+                if closer is not None:
+                    return _node(closer, target)
                 gp, dp, _, _ = self.contexts(left, right, dfm, variant)
-                return case, lambda i, m: weaken_context(left, gp, dp)
+                return weaken_context(left, gp, dp)
             # the right axiom closed through the cut occurrence itself
             # (D = F via BotLa under CutA, D = T via TopLc under CutC); the
             # left premise then necessarily ends in a left rule, so the cut
@@ -518,16 +510,21 @@ class _Eliminator:
                 raise InternalCheckError(
                     f"fall-through with a non-left-rule left premise {left.rule}")
         elif left.rule in ZERO_PREMISE:
-            return family + "1-", lambda i, m: self._left_axiom(left, right, dfm, variant, target)
-
+            self._record(family + "1-", index, parent, side, measure)
+            return self._left_axiom(left, right, dfm, variant, target)
         if left.rule in LEFT_RULES:
-            case = _CASE_BY_LEFT_RULE[left.rule]
-            return case, lambda i, m: self._permute_left(i, m, left, right, dfm, variant, target)
+            self._record(_CASE_BY_LEFT_RULE[left.rule], index, parent, side, measure)
+            return self._permute_left(index, measure, left, right, dfm, variant, target)
         if not _principal_here(right, side, dfm):
-            case = _CASE_BY_RIGHT_RULE[right.rule]
-            return case, lambda i, m: self._permute_right(i, m, left, right, dfm, variant, target)
-        case = _CASE_PRINCIPAL[type(dfm)]
-        return case, lambda i, m: self._principal(i, m, left, right, dfm, variant, target)
+            self._record(_CASE_BY_RIGHT_RULE[right.rule], index, parent, side, measure)
+            return self._permute_right(index, measure, left, right, dfm, variant, target)
+        self._record(_CASE_PRINCIPAL[type(dfm)], index, parent, side, measure)
+        return self._principal(index, measure, left, right, dfm, variant, target)
+
+    def _record(self, case: str, index: int, parent: Optional[int], side: Side,
+                measure: tuple[int, int]) -> None:
+        if self.trace is not None:
+            self.trace.steps.append(TraceStep(index, parent, case, side.value, *measure))
 
     # -1.1- / -2.1-: the left premise is an axiom
     def _left_axiom(self, left: Derivation, right: Derivation, dfm: Formula,
@@ -554,13 +551,10 @@ class _Eliminator:
         principal = infer_principal(left)
         if principal is None:
             raise InternalCheckError(f"cannot identify the principal of {left.rule}")
-
-        def rec(premise: Derivation) -> Derivation:
-            return self.run(premise, right, dfm, variant, index, measure)
-
         # a premise with a succedent of its own does not conclude the cut
         # formula; it is only weakened by the carried-over context
-        new_premises = [rec(p) if t.succedent is None else weaken_context(p, gp, dp)
+        new_premises = [self.run(p, right, dfm, variant, index, measure) if t.succedent is None
+                        else weaken_context(p, gp, dp)
                         for p, t in zip(left.premises, SCHEMA[left.rule].premises)]
         return _node(left.rule, target, new_premises, principal=principal)
 
@@ -585,27 +579,25 @@ class _Eliminator:
         ops = (dfm.left, dfm.right)  # type: ignore[attr-defined]
         templates = SCHEMA[right.rule].premises
         lg, ld = left.conclusion.gamma, left.conclusion.delta
-
-        def rec(l: Derivation, r: Derivation, f: Formula, v: R) -> Derivation:
-            return self.run(l, r, f, v, index, measure)
-
         if templates[0].keeps:                  # ImpLa / CoimpLc
             kept, i = templates[0], proves.premises[0].succedent
-            first = rec(left, right.premises[0], dfm, variant)
-            second = rec(left.premises[0], right.premises[1], ops[i], variant)
-            out = rec(first, second, ops[kept.succedent], _VARIANT[kept.polarity])
+            first = self.run(left, right.premises[0], dfm, variant, index, measure)
+            second = self.run(left.premises[0], right.premises[1], ops[i], variant, index, measure)
+            out = self.run(first, second, ops[kept.succedent], _VARIANT[kept.polarity],
+                           index, measure)
             lg, ld = target.gamma, target.delta
         elif len(templates) == 2:               # OrLa / AndLc: one operand, no close
             i = proves.premises[0].succedent
             adds = [t.gamma + t.delta for t in templates]
-            return rec(left.premises[0], right.premises[adds.index((i,))], ops[i], variant)
+            return self.run(left.premises[0], right.premises[adds.index((i,))], ops[i], variant,
+                            index, measure)
         else:                                   # one premise: cut each operand it adds
             (t,) = templates
             proof = {lt.succedent: p for p, lt in zip(left.premises, proves.premises)}
             out = right.premises[0]
             for v, adds in ((_VARIANT[Side.A], t.gamma), (_VARIANT[Side.C], t.delta)):
                 for i in adds:
-                    out = rec(proof[i], out, ops[i], v)
+                    out = self.run(proof[i], out, ops[i], v, index, measure)
         # the C^{a/c} closing steps: contract each doubled occurrence
         for ctx, side in ((lg, Side.A), (ld, Side.C)):
             for f in ctx.expand():

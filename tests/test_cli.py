@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -226,6 +227,25 @@ def test_golden_subcommand(capsys):
     code, out, _ = run(capsys, "golden")
     assert code == 0
     assert "coverage complete" in out
+
+
+def test_golden_on_a_tampered_corpus_names_the_first_difference(capsys, tmp_path):
+    # the root rule of one stored output is changed: the case fails at the
+    # dump's last but one line, and the run exits 1
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(corpus.DATA_DIR, corpus_dir)
+    stored = corpus_dir / "contract-and-a-out.deriv"
+    lines = stored.read_text(encoding="utf-8").splitlines()
+    assert lines[-2] == '  "rule": "AndLa"'
+    stored.write_text("\n".join(lines[:-2] + ['  "rule": "AndLc"', lines[-1]]) + "\n",
+                      encoding="utf-8")
+    code, out, _ = run(capsys, "golden", "--corpus-dir", str(corpus_dir))
+    assert code == 1
+    failed = [line for line in out.splitlines() if "FAIL" in line]
+    assert failed == [
+        f"contract-and-a: FAIL (first difference at dump line {len(lines) - 1}: "
+        f"expected '  \"rule\": \"AndLc\"', got '  \"rule\": \"AndLa\"')"]
+    assert out.splitlines()[-1] == "124/125 golden cases passed"
 
 
 def test_latex_rendering(capsys):

@@ -382,6 +382,23 @@ def test_cut_with_wrong_split_rejected():
     assert "recompose" in report.first_violation[1].message
 
 
+def test_a_cut_with_wrong_counterassumptions_or_premises_is_named():
+    rf = node(R.RfPlus, parse_sequent("p ; |-+ p"))
+    wide = node(R.RfPlus, parse_sequent("p, p ; |-+ p"))
+    split = ContextSplit(Context.of(p), Context(), Context(), Context())
+    q_split = ContextSplit(Context.of(p), Context(), Context(), Context.of(Atom("q")))
+    cases = [
+        (q_split, [rf, rf], "context split does not recompose the counterassumptions"),
+        (split, [wide, rf], "left premise must be p ; |-+ p, got p, p ; |-+ p"),
+        (split, [rf, wide], "right premise must be p ; |-+ p, got p, p ; |-+ p"),
+    ]
+    for context_split, premises, message in cases:
+        d = node(R.CutA, parse_sequent("p ; |-+ p"), premises,
+                 annotation=Annotation(cut_formula=p, context_split=context_split))
+        assert not d.valid
+        assert check_derivation(d).first_violation == ("", Violation(R.CutA, message))
+
+
 def test_violation_path_reported():
     bad = node(R.AndRPlus, parse_sequent("; |-+ p /\\ q"),
                [node(R.RfPlus, parse_sequent("; |-+ p")),

@@ -188,6 +188,19 @@ def test_a_bad_or_missing_rule_id_is_a_format_error(rule):
         loads_derivation(json.dumps(data))
 
 
+def test_a_node_without_a_conclusion_is_a_format_error():
+    with pytest.raises(DerivationFormatError, match="^missing conclusion$"):
+        loads_derivation(json.dumps({"rule": "RfPlus", "premises": []}))
+
+
+@pytest.mark.parametrize("text", ['"p ; |-+ p"', "3", "null"])
+def test_a_file_of_neither_object_nor_list_is_a_format_error(tmp_path, text):
+    path = tmp_path / "scalar.deriv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DerivationFormatError, match="^expected a JSON object or list$"):
+        load_derivations(path)
+
+
 def _contexts_in(d: Derivation, side: str) -> list[Context]:
     out, stack = [], [d]
     while stack:

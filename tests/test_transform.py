@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -9,8 +10,8 @@ from bint.syntax import (
     BOT, TOP, And, Atom, Bottom, Coimp, Formula, Imp, Or, Top, parse_formula, weight,
 )
 from bint.kernel import (
-    MINUS, PLUS, Context, Derivation, Polarity, RuleId as R, Sequent, Side, check_derivation,
-    fold, node, parse_sequent,
+    MINUS, PLUS, Annotation, Context, ContextSplit, Derivation, Polarity, RuleId as R, Sequent,
+    Side, check_derivation, fold, node, parse_sequent,
 )
 from bint.transform import (
     CutTrace, SpecialWeakening, TransformError, _node, contract, derive_identity,
@@ -681,6 +682,47 @@ def test_internal_check_error_is_loud():
     rf = node(R.RfPlus, parse_sequent("p ; |-+ p"))
     with pytest.raises(TransformError):
         eliminate_cut(bad, rf, p, R.CutA)
+
+
+def test_eliminate_cut_refuses_bad_inputs_by_name():
+    rf = node(R.RfPlus, parse_sequent("p ; |-+ p"))
+    rq = node(R.RfPlus, parse_sequent("q ; |-+ q"))
+    rf_minus = node(R.RfMinus, parse_sequent("; p |-- p"))
+    cases = [
+        ((rf, rf, p, R.RfPlus), "variant must be CutA or CutC, got "),
+        ((rf, rq, q, R.CutA), "eliminate_cut: left premise must conclude |-+ q, got p ; |-+ p"),
+        ((rf, rq, p, R.CutA),
+         "eliminate_cut: cut formula p missing from the right premise's assumptions"),
+        ((rf_minus, rq, p, R.CutC),
+         "eliminate_cut: cut formula p missing from the right premise's counterassumptions"),
+    ]
+    for args, message in cases:
+        with pytest.raises(TransformError) as info:
+            eliminate_cut(*args)
+        assert str(info.value).startswith(message)
+
+
+def test_a_transform_refuses_an_input_with_a_cut():
+    split = ContextSplit(Context.of(p), EMPTY, EMPTY, EMPTY)
+    rf = node(R.RfPlus, parse_sequent("p ; |-+ p"))
+    cut = node(R.CutA, rf.conclusion, [rf, rf],
+               annotation=Annotation(cut_formula=p, context_split=split))
+    assert cut.valid and cut.cut_count == 1
+    with pytest.raises(TransformError) as info:
+        weaken(cut, q, Side.A)
+    assert str(info.value) == "weaken: input contains 1 cut(s)"
+
+
+def test_a_tall_chain_cut_eliminates_at_the_default_recursion_limit():
+    # each level of the -4.x- permutation up the chain costs the eliminator
+    # three frames: ``run``, ``_permute_right`` and its generator
+    assert sys.getrecursionlimit() == 1000
+    left, right, dfm = _tall_chain_pair(300)
+    out = eliminate_cut(left, right, dfm, R.CutA)
+    assert out.valid and out.cut_count == 0 and out.height == right.height
+    s = right.conclusion
+    assert out.conclusion == Sequent(s.gamma.remove(dfm).union(left.conclusion.gamma), s.delta,
+                                     s.polarity, s.succedent)
 
 
 def test_trace_line_format():

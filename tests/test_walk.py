@@ -338,6 +338,34 @@ def test_invert_and_contract_a_tower_at_the_default_recursion_limit():
     assert c.height == 10_000 and c.valid and c.conclusion == d.conclusion
 
 
+def _implication_tower(height: int) -> Derivation:
+    """``ImpLa`` on ``p -> q`` stacked ``height`` times on
+    ``p -> q, p -> q, p ; |-+ p``, each node the kept premise of the one
+    below, with its other premise closed on ``p -> q, q, p ; |-+ p``."""
+    pq = Imp(p, q)
+    top = parse_sequent("p -> q, p -> q, p ; |-+ p")
+    d = node(R.RfPlus, top)
+    for _ in range(height):
+        d = node(R.ImpLa, top, (d, node(R.RfPlus, parse_sequent("p -> q, q, p ; |-+ p"))),
+                 principal=pq)
+    return d
+
+
+def test_contraction_rebuilds_a_run_of_principal_nodes_in_one_loop():
+    # the doubled formula is principal at every level of the tower, so one
+    # call of ``_contract_principal`` rebuilds the whole run
+    pq, once = Imp(p, q), parse_sequent("p -> q, p ; |-+ p")
+    for height in range(2, 6):
+        d = _implication_tower(height)
+        assert contract(d, pq, Side.A) == ref_contract(d, pq, Side.A)
+    assert sys.getrecursionlimit() == 1000
+    c = contract(_implication_tower(3_000), pq, Side.A)
+    assert c.valid and c.cut_count == 0 and c.height == 3_000 and c.conclusion == once
+    for _ in range(3_000):
+        c, closed = c.premises
+        assert c.conclusion == once and closed.conclusion == parse_sequent("q, p ; |-+ p")
+
+
 def test_repr_of_a_tower_at_the_default_recursion_limit():
     # the root's rule, conclusion and height: no walk, and one line
     assert sys.getrecursionlimit() == 1000
@@ -684,8 +712,7 @@ RECURSIVE = {
     "serialize.derivation", "serialize.node", "serialize.premises",
     "transform._contract_principal", "transform._identity_step",
     "transform._permute_left", "transform._permute_right", "transform._principal",
-    "transform._select", "transform._contract", "transform.derive_identity", "transform.rec",
-    "transform.run",
+    "transform._contract", "transform.derive_identity", "transform.run",
 }
 
 
