@@ -13,17 +13,20 @@ runs first alternates from one operation to the next: the side that runs
 first pays for some of the garbage the other leaves behind, and alternating
 makes both sides pay it equally, so one invocation gives an unbiased ratio.
 
-Printed per operation kind: how many ran, each side's busy seconds and how
-many of its operations failed, and the ratio of the first checkout's busy
-time to the second's.
+Printed per operation kind: how many ran, each side's busy seconds, each
+side's median operation latency in milliseconds (the benchmark's
+``op_p50_ms``, which a busy-time ratio can hide), how many of each side's
+operations failed, and the ratio of the first checkout's busy time to the
+second's.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import statistics
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 _PACKAGES = ("bint", "perfbench")
@@ -60,6 +63,7 @@ def main(argv=None) -> int:
         ap.error(f"unknown workload {args.workload!r}")
     busy = [Counter(), Counter()]       # per side: seconds per kind, and in all
     failed = [Counter(), Counter()]
+    took = [defaultdict(list), defaultdict(list)]   # per side: each operation's seconds, per kind
     count = Counter()
     for index in range(args.passes):
         passes = [wl.WORKLOADS[args.workload].make_pass(args.seed, index)[0] for wl, _ in sides]
@@ -73,14 +77,17 @@ def main(argv=None) -> int:
                 dt, (end, _) = sides[i][1].attempt(ops[i])
                 for kind in kinds:
                     busy[i][kind] += dt
+                    took[i][kind].append(dt)
                     failed[i][kind] += end != "ok"
 
     print(f"{args.workload} seed={args.seed} passes={args.passes}: "
           f"first {args.first}, second {args.second}, leading in turn")
-    print(f"{'kind':<12}{'ops':>7}{'first_s':>10}{'second_s':>10}{'failed':>10}{'ratio':>8}")
+    print(f"{'kind':<12}{'ops':>7}{'first_s':>10}{'second_s':>10}"
+          f"{'first_p50':>11}{'second_p50':>11}{'failed':>10}{'ratio':>8}")
     for kind in sorted(count, key=lambda k: (k == "all", k)):
         a, b = busy[0][kind], busy[1][kind]
-        print(f"{kind:<12}{count[kind]:>7}{a:>10.3f}{b:>10.3f}"
+        p50 = [1e3 * statistics.median(side[kind]) for side in took]
+        print(f"{kind:<12}{count[kind]:>7}{a:>10.3f}{b:>10.3f}{p50[0]:>11.4f}{p50[1]:>11.4f}"
               f"{f'{failed[0][kind]}/{failed[1][kind]}':>10}{a / b:>8.3f}")
     return 0
 

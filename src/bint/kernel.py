@@ -3,7 +3,7 @@ the derivation checker, backward rule enumeration, the duality mapping, and
 ``fold``, the stack-free walk that duality, weakening, inversion, contraction
 and coverage share.  Its ``stop`` hook gives a node an image without visiting
 its premises, which is how inversion and contraction end at a principal node.
-Duality dualizes each distinct subformula once per call, on its own stack.
+Each formula keeps its dual, made once on its own stack, and the dual keeps it.
 
 Every ``Derivation`` is checked once, when it is built, by the one call that
 writes its fields: ``valid`` says that its premises are valid and that it
@@ -52,6 +52,7 @@ from .syntax import (
     Or,
     Top,
     _Record,
+    _set_dual,
     _setters,
     error,
     format_formula,
@@ -133,9 +134,8 @@ class Context(_Record):
                 - bisect_left(self.items, f.key, key=_KEY))
 
     def __contains__(self, f: Formula) -> bool:
-        items = self.items
-        i = bisect_left(items, f.key, key=_KEY)
-        return i < len(items) and (items[i] is f or items[i] == f)
+        i = bisect_left(self.items, f.key, key=_KEY)
+        return i < len(self.items) and self.items[i] is f
 
     def __len__(self) -> int:
         return len(self.items)
@@ -653,7 +653,7 @@ def _premise_lines(at: Side | Polarity, t: Template, i: int, fail: str) -> list[
     c = "s.succedent" if t.succedent is None else ops[t.succedent]
     pol = "s.polarity" if t.polarity is None else t.polarity.name
     out = [f"if {p}.polarity is not {pol}: {fail}",
-           f"if {p}.succedent is not {c} and {p}.succedent != {c}: {fail}"]
+           f"if {p}.succedent is not {c}: {fail}"]
     for ctx, side, adds in (("gamma", Side.A, t.gamma), ("delta", Side.C, t.delta)):
         got, drop = f"{p}.{ctx}.items", at is side and not t.keeps
         if not drop and not adds:
@@ -664,7 +664,7 @@ def _premise_lines(at: Side | Polarity, t: Template, i: int, fail: str) -> list[
         out += [f"x = s.{ctx}.items", f"if len({got}) != {size}: {fail}"]
         if drop:
             out += ["i = bisect_left(x, f.key, key=_KEY)",
-                    f"if i == len(x) or x[i] is not f and x[i] != f: {fail}",
+                    f"if i == len(x) or x[i] is not f: {fail}",
                     "x = x[:i] + x[i + 1:]"]
         for a in adds:
             out += [f"i = bisect_right(x, {ops[a]}.key, key=_KEY)",
@@ -682,8 +682,7 @@ def _rule_source(rule: RuleId, schema: Schema) -> str:
     fail, indent = ("return False", "    ") if right else ("continue", "        ")
     checks = [f"if not isinstance(f, {schema.connective.__name__}): {fail}"]
     if right:
-        checks.append(f"if s.polarity is not {at.name} or f is not s.succedent"
-                      f" and f != s.succedent: {fail}")
+        checks.append(f"if s.polarity is not {at.name} or f is not s.succedent: {fail}")
     for i, t in enumerate(schema.premises):
         checks += _premise_lines(at, t, i, fail)
     offered = "s.succedent" if right else f"s.{'gamma' if at is Side.A else 'delta'}.items"
@@ -769,13 +768,9 @@ def check_rule_instance(conclusion: Sequent, rule: RuleId,
     if expected is None:
         return Violation(rule, "conclusion does not fit the rule schema "
                                f"(principal {format_formula(cand)})")
-    return Violation(
-        rule,
-        "premises do not match the schema: expected "
-        + " | ".join(format_sequent(e) for e in expected)
-        + ", got "
-        + " | ".join(format_sequent(p) for p in premise_conclusions),
-    )
+    got = " | ".join(map(format_sequent, premise_conclusions))
+    return Violation(rule, "premises do not match the schema: expected "
+                           f"{' | '.join(map(format_sequent, expected))}, got {got}")
 
 
 def _check_cut(conclusion: Sequent, rule: RuleId,
@@ -946,39 +941,30 @@ DUAL_RULE = {
 }
 
 
-class _Duals(dict):
-    """formula -> its dual, built on an explicit stack from its operands' duals,
-    which are kept too: each distinct subformula is dualized once."""
-
-    def __missing__(self, f: Formula) -> Formula:
-        stack = [f]
-        while stack:
-            x = stack.pop()
-            if x in self:
-                continue
-            dual = _DUAL_CONNECTIVE.get(x.__class__)
-            if dual is None:
-                if not isinstance(x, (Atom, Bottom, Top)):
-                    raise TypeError(f"not a formula: {x!r}")
-                self[x] = TOP if isinstance(x, Bottom) else BOT if isinstance(x, Top) else x
-                continue
+def dual_formula(f: Formula) -> Formula:
+    """The dual of ``f``, a formula of any depth.  A formula keeps its dual and
+    the dual keeps it, so each dual is built once while they live, on an
+    explicit stack from the operands' duals."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    stack = [f]
+    while stack:
+        x = stack.pop()
+        if x._dual is None:
+            dual = _DUAL_CONNECTIVE[x.__class__]
             # an arrow's operands trade places
             a, b = (x.right, x.left) if dual is Imp or dual is Coimp else (x.left, x.right)
-            da, db = self.get(a), self.get(b)
-            if da is None or db is None:
+            if a._dual is None or b._dual is None:
                 stack += (x, a, b)
             else:
-                self[x] = dual(da, db)
-        return self[f]
-
-
-def dual_formula(f: Formula) -> Formula:
-    """The dual of ``f``, a formula of any depth."""
-    return _Duals()[f]
+                dual = dual(a._dual, b._dual)
+                _set_dual(x, dual)
+                _set_dual(dual, x)
+    return f._dual
 
 
 def dual_context(ctx: Context) -> Context:
-    return Context.from_iter(dual_formula(f) for f in ctx.expand())
+    return Context.from_iter([f._dual or dual_formula(f) for f in ctx.items])
 
 
 def dual_sequent(s: Sequent) -> Sequent:
@@ -999,10 +985,10 @@ class _Memo(dict):
 
 
 def dual_derivation(d: Derivation) -> Derivation:
-    """The dual of ``d``, a tree of any height.  Each distinct formula and
-    subformula, context, sequent and node object (``fold``) is dualized once."""
-    formula = _Duals()
-    context = _Memo(lambda ctx: Context.from_iter(map(formula.__getitem__, ctx.items)))
+    """The dual of ``d``, a tree of any height.  Each distinct context,
+    sequent and node object (``fold``) is dualized once per call, and each
+    formula once per process (``dual_formula``)."""
+    context = _Memo(dual_context)
     # a conclusion is looked up by its object, then by the objects of its dual
     # parts, one per value: a sequent seen once hashes none of its formulas
     by_id: dict[int, Sequent] = {}      # the nodes of ``d`` keep the keys alive
@@ -1014,15 +1000,16 @@ def dual_derivation(d: Derivation) -> Derivation:
         c = x.conclusion
         s = by_id.get(id(c))
         if s is None:
-            parts = context[c.delta], context[c.gamma], c.polarity.flip(), formula[c.succedent]
+            parts = (context[c.delta], context[c.gamma], c.polarity.flip(),
+                     c.succedent._dual or dual_formula(c.succedent))
             key = tuple(map(id, parts))
             s = by_id[id(c)] = by_parts.get(key) or by_parts.setdefault(key, Sequent(*parts))
         a = x.annotation
         if a is not None:
             sp = a.context_split
             a = Annotation(
-                None if a.principal is None else formula[a.principal],
-                None if a.cut_formula is None else formula[a.cut_formula],
+                None if a.principal is None else dual_formula(a.principal),
+                None if a.cut_formula is None else dual_formula(a.cut_formula),
                 None if sp is None else ContextSplit(context[sp.delta], context[sp.gamma],
                                                      context[sp.delta_prime],
                                                      context[sp.gamma_prime]))

@@ -9,10 +9,11 @@ here emits it directly.  Every node repeats its whole conclusion, so one
 document holds the same formulas many times, and documents over the same
 atoms hold the same formulas again.  Each distinct formula text is therefore
 parsed once per process, up to the bound of ``parse_formula``'s cache, and
-once per document beyond it; each formula object is printed once per
-process, since it keeps its text (``syntax.format_formula``).  Each distinct
-text of a conclusion's Gamma or Delta is read, and each distinct context
-object written, once per document.
+once per document beyond it, and equal formulas are one object either way
+(formulas are hash-consed); each formula object is printed once per process,
+since it keeps its text (``syntax.format_formula``).  Each distinct text of a
+conclusion's Gamma or Delta is read, and each distinct context object
+written, once per document.
 """
 
 from __future__ import annotations
@@ -144,9 +145,8 @@ def _expect(value: Any, kind: type, what: str) -> Any:
 
 
 class _Reader:
-    """Reads one document, looking each distinct formula text up once, so
-    equal formulas in what it reads are one object even where the shared
-    cache has dropped a text, and reading each distinct text of a
+    """Reads one document, parsing each distinct formula text at most once
+    (the shared cache may have dropped it) and each distinct text of a
     conclusion's Gamma or Delta once, so equal contexts are one object."""
 
     def __init__(self):

@@ -6,10 +6,10 @@ the bottom.  All binary connectives associate to the right; mixing ``->`` and
 ``-<`` at the same level without parentheses is rejected rather than silently
 resolved.
 
-Formulas are immutable, and each is built in one call: a binary formula's
-constructor writes its operands, its ``key`` and its hash at once.  Atoms
-are interned: there is one atom per name, so equal atoms are one object and
-compare by identity.
+Formulas are immutable and hash-consed: there is one live object per
+formula, so equal formulas are one object, and ``==`` and ``hash`` are
+identity.  Atoms are kept for the life of the process; a binary formula is
+held by a weak table, so one that nothing else holds is freed.
 
 A formula keeps its own text once it has one: atoms and constants from their
 creation, a binary formula from its first ``format_formula``.  So each
@@ -25,6 +25,8 @@ formula's text must end and a sequent's lists go on.
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 
 
 class FormulaSyntaxError(ValueError):
@@ -44,7 +46,7 @@ def _setters(cls: type) -> tuple:
     class's in the order of its ``__slots__``.  A frozen record is written
     once, in ``__init__``, through them, at about half of ``_set``'s cost."""
     return tuple(getattr(c, name).__set__ for c in reversed(cls.__mro__)
-                 for name in c.__dict__.get("__slots__", ()))
+                 for name in c.__dict__.get("__slots__", ()) if name != "__weakref__")
 
 
 def _values(r: "_Record") -> tuple:
@@ -57,8 +59,7 @@ class _Record:
     names the constructor's arguments, in order.  Pattern matching reads them,
     and so do ``==``, ``hash`` and ``repr`` where a class has none of its own.
     A copy or a pickle is rebuilt by the constructor from them, so the rest
-    (a hash that derives from string hashes, a validity verdict) is derived
-    again, not restored."""
+    (a cached hash, a validity verdict) is derived again, not restored."""
 
     __slots__ = ()
     __match_args__: tuple = ()
@@ -88,28 +89,19 @@ class _Record:
 
 
 class Formula(_Record):
-    """A formula tree.  Each formula holds two things, written when it is
-    built: ``key``, a total structural order used to keep contexts sorted,
-    and its hash.  Equality and hashing read them instead of walking the
-    tree.  A third, ``_text``, is the formula's text once ``format_formula``
-    has made it (None before); like ``_hash`` it is not an argument, so it is
-    neither compared, hashed, printed nor pickled."""
+    """A formula tree, hash-consed: one live object per formula, so ``==`` and
+    ``hash`` are identity, O(1) at any depth.  ``key``, a total structural
+    order that keeps contexts sorted, is written when it is built; ``_text``
+    and ``_dual`` once ``format_formula`` and ``kernel.dual_formula`` make the
+    formula's text and dual (None before).  Neither is printed or pickled."""
 
-    __slots__ = ("key", "_hash", "_text")
+    __slots__ = ("key", "_text", "_dual")
     _tag = -1   # the first component of ``key``: the connective
+    __eq__, __hash__ = object.__eq__, object.__hash__
+    __init__ = object.__init__      # each class's ``__new__`` builds or finds the formula
 
-    def __init__(self):     # the constants; atoms and binaries have their own
-        _set(self, "key", (self._tag,))
-        _set(self, "_hash", hash(self._tag))
-        _set(self, "_text", self._symbol)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return self is other or (self._hash == other._hash and self.key == other.key)
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls):       # the constants, one object each
+        return cls._one
 
     def __repr__(self) -> str:
         return f"<{format_formula(self)}>"
@@ -132,14 +124,10 @@ _ATOMS: dict[str, "Atom"] = {}
 
 
 class Atom(Formula):
-    """An atom.  There is one per name, so equal atoms are one object and
-    compare by identity; copies and pickles are that object too."""
+    """An atom: one per name, its own dual."""
 
     __slots__ = __match_args__ = ("name",)
     _tag = 2
-    __eq__ = object.__eq__
-    __hash__ = Formula.__hash__
-    __init__ = object.__init__      # ``__new__`` builds the atom
 
     def __new__(cls, name: str):
         atom = _ATOMS.get(name)
@@ -147,25 +135,48 @@ class Atom(Formula):
             atom = object.__new__(cls)
             _set(atom, "name", name)
             _set(atom, "key", (cls._tag, name))
-            _set(atom, "_hash", hash(name))
             _set(atom, "_text", name)
+            _set(atom, "_dual", atom)
             atom = _ATOMS.setdefault(name, atom)    # one atom, even when two threads race
         return atom
 
 
+#: (connective, id of each operand) -> a weak reference, with no callback, to the
+#: live formula of those parts, which holds them, so the ids are theirs; a dead
+#: reference is a miss, and the dead entries are dropped as the table doubles
+_BINARIES: dict[tuple, weakref.ref] = {}
+_sweep_at, _lock = 1024, threading.RLock()   # reentrant: the collector may run code in it
+
+
 class _Binary(Formula):
-    __slots__ = __match_args__ = ("left", "right")
+    __slots__ = ("left", "right", "__weakref__")
+    __match_args__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        tag = self._tag
-        _set_left(self, left)
-        _set_right(self, right)
-        _set_key(self, (tag, left.key, right.key))
-        _set_hash(self, hash((tag, left._hash, right._hash)))
-        _set_text(self, None)
+    def __new__(cls, left: Formula, right: Formula):
+        global _sweep_at
+        key = (cls._tag, id(left), id(right))
+        ref = _BINARIES.get(key)
+        f = ref and ref()
+        if f is None:
+            with _lock:     # one formula per key, even when two threads race
+                ref = _BINARIES.get(key)
+                f = ref and ref()
+                if f is None:
+                    f = object.__new__(cls)
+                    _set_left(f, left)
+                    _set_right(f, right)
+                    _set_key(f, (cls._tag, left.key, right.key))
+                    _set_text(f, None)
+                    _set_dual(f, None)
+                    _BINARIES[key] = weakref.ref(f)
+                    if len(_BINARIES) >= _sweep_at:
+                        for k in [k for k, r in _BINARIES.items() if r() is None]:
+                            del _BINARIES[k]
+                        _sweep_at = max(1024, 2 * len(_BINARIES))
+        return f
 
 
-_set_key, _set_hash, _set_text, _set_left, _set_right = _setters(_Binary)
+_set_key, _set_text, _set_dual, _set_left, _set_right = _setters(_Binary)
 
 
 class And(_Binary):
@@ -190,9 +201,11 @@ class Coimp(_Binary):
     _tag = 6
 
 
-BOT = Bottom()
-TOP = Top()
-
+BOT, TOP = Bottom._one, Top._one = object.__new__(Bottom), object.__new__(Top)
+for _c, _d in ((BOT, TOP), (TOP, BOT)):
+    _set(_c, "key", (_c._tag,))
+    _set(_c, "_text", _c._symbol)
+    _set(_c, "_dual", _d)
 BINARY = (And, Or, Imp, Coimp)
 
 

@@ -418,7 +418,7 @@ def eliminate_cut(left: Derivation, right: Derivation, cut_formula: Formula,
     pass ``trace`` to record the dispatched case per rewrite.
     """
     if variant not in CUT_AT:
-        raise TransformError(f"variant must be CutA or CutC, got {variant}")
+        raise TransformError(f"eliminate_cut: variant must be CutA or CutC, got {variant.value}")
     _require_input(left, "eliminate_cut(left)")
     _require_input(right, "eliminate_cut(right)")
     side, want_pol = CUT_AT[variant]

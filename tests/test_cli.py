@@ -291,8 +291,8 @@ def test_cut_node_round_trips():
     assert report.valid and report.cut_count == 1
 
 
-def _horn_chain(height: int):
-    atoms = [Atom(f"a{i}") for i in range(height + 1)]
+def _horn_chain(height: int, name: str = "a"):
+    atoms = [Atom(f"{name}{i}") for i in range(height + 1)]
     links = [Imp(lo, hi) for lo, hi in zip(atoms, atoms[1:])]
     return chain_proof(Context.from_iter([atoms[0]] + links), atoms), atoms + links
 
@@ -331,10 +331,11 @@ def test_each_distinct_formula_is_parsed_once_per_document(monkeypatch):
 def test_each_distinct_formula_is_printed_once_per_document():
     """Counted by the formatter itself, whatever name it is called through:
     the first dump makes the text of each freshly built formula object once
-    and keeps it on the object, so a second dump makes none."""
-    d, _ = _horn_chain(50)
+    and keeps it on the object, so a second dump makes none.  The chain's
+    atoms are named as in no other test, so its links are new formulas."""
+    d, _ = _horn_chain(50, "printed")
     fresh = {id(f): f for f in _formulas_in(d) if f._text is None}
-    assert len(fresh) == 2 * 50     # each link in Gamma, and again as a principal
+    assert len(fresh) == 50     # each link, in Gamma and as a principal one object
     made, code = [], syntax.format_formula.__code__
 
     def count(frame, event, arg):

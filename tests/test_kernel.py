@@ -139,15 +139,14 @@ def test_a_context_finds_the_object_it_holds_without_comparing():
         if event == "call" and frame.f_code.co_name == "__eq__":
             eq_calls.append(frame.f_code)
 
+    # an equal formula parsed again is the same object, and is found as one
+    g, other = parse_formula("p -> q"), parse_formula("q -> p")
     sys.setprofile(profile)
     try:
-        found = f in ctx
+        found = f in ctx, g in ctx, other in ctx
     finally:
         sys.setprofile(None)
-    assert found and eq_calls == []
-    # an equal formula that is another object is found by ``==``
-    g = parse_formula("p -> q")
-    assert g is not f and g in ctx and parse_formula("q -> p") not in ctx
+    assert g is f and found == (True, True, False) and eq_calls == []
 
 
 #: dumps a formula and a sequent, with the sequent's and its Gamma's hashes
@@ -548,6 +547,13 @@ def test_dual_formula_involution(f):
     assert dual_formula(dual_formula(f)) == f
 
 
+@given(formulas())
+def test_a_formula_keeps_its_dual_and_the_dual_keeps_it(f):
+    dual = dual_formula(f)
+    assert f._dual is dual and dual._dual is f and dual_formula(dual) is f
+    assert dual_formula(f) is dual and (dual is f) == isinstance(f, Atom)
+
+
 @given(sequents)
 def test_dual_sequent_involution(s):
     assert dual_sequent(dual_sequent(s)) == s
@@ -638,28 +644,35 @@ def _nodes(d: Derivation):
 
 def test_dual_derivation_dualizes_each_part_once(monkeypatch, derivation_corpus):
     built = Counter()
-    init = syntax._Binary.__init__
+    new = syntax._Binary.__new__
 
-    def counted_formula(self, left, right):
-        init(self, left, right)
-        built[self] += 1
+    def counted_formula(cls, left, right):
+        f = new(cls, left, right)
+        built[f] += 1
+        return f
 
-    monkeypatch.setattr(syntax._Binary, "__init__", counted_formula)
-    compounds = 0
+    monkeypatch.setattr(syntax._Binary, "__new__", counted_formula)
+    compounds = set()
     for d in derivation_corpus:
         built.clear()
         dd = dual_derivation(d)
-        # only dualizing builds formulas here: each distinct formula and
-        # subformula is dualized once, so each compound of the dual is built once
+        # only dualizing builds formulas here, and each formula keeps its dual:
+        # each compound of the dual is built at most once, and dualizing
+        # again builds none
         assert max(built.values(), default=1) == 1
-        compounds += len(built)
+        built.clear()
+        assert dual_derivation(dd) == d and dual_derivation(d) == dd and not built
         # equal parts of the dual are one object
         parts = {}
         for x in _nodes(dd):
             s = x.conclusion
             for part in (s, s.gamma, s.delta, s.succedent, *s.gamma.items, *s.delta.items):
                 assert parts.setdefault(part, part) is part
-    assert compounds > 500
+            for f in (s.succedent, *s.gamma.items, *s.delta.items):
+                assert f._dual._dual is f
+                if isinstance(f, syntax._Binary):
+                    compounds.add(f)
+    assert len(compounds) > 500
     made = []
     make = Derivation.__init__
 

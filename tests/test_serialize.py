@@ -250,8 +250,10 @@ def test_a_document_over_more_formulas_than_the_cache_holds_keeps_equal_ones_one
     assert len(one) == len(distinct) + 1
     info = serialize.parse_formula.cache_info()
     assert info.currsize == info.maxsize == bound
+    # a text the cache has dropped parses again, to the same object
     first = loaded[0].conclusion.delta.items[0]
-    assert serialize.parse_formula(format_formula(first)) is not first
+    assert serialize.parse_formula(format_formula(first)) is first
+    assert serialize.parse_formula.cache_info().misses == info.misses + 1
 
 
 def test_a_malformed_formula_fails_alike_every_time():

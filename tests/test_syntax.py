@@ -1,20 +1,29 @@
 import copy
+import gc
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
+import threading
+import weakref
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import pytest
 from hypothesis import given
 
+from bint import syntax
 from bint.syntax import (
     _CONSTANT, _INFIX, _LETTERS, _LEXEME, _PREC, BOT, TOP, And, Atom, Bottom, Coimp, Formula,
-    FormulaSyntaxError, Imp, Or, format_formula, lexemes, parse_formula, weight,
+    FormulaSyntaxError, Imp, Or, Top, format_formula, lexemes, parse_formula, weight,
 )
 from bint.kernel import (
-    MINUS, PLUS, Context, Sequent, format_sequent, parse_context_pair, parse_sequent,
+    MINUS, PLUS, Context, Sequent, dual_formula, format_sequent, parse_context_pair,
+    parse_sequent,
 )
 from conftest import SEED, formulas, random_formula, random_sequent
 
@@ -495,16 +504,113 @@ def test_an_interned_atom_survives_copies_and_pickles():
 
 
 def test_a_kept_text_is_not_compared_hashed_printed_or_pickled():
-    f, g = parse_formula("p -> q /\\ r"), parse_formula("p -> q /\\ r")
-    assert f is not g and f._text is None and g._text is None
+    # atoms no other test names, so the formula is new and has no text yet
+    f = parse_formula("kept_p -> kept_q /\\ kept_r")
+    assert f._text is None and f._dual is None
     h = hash(f)
     text = format_formula(f)
-    assert f._text is text and g._text is None
-    assert f == g and g == f and hash(f) == hash(g) == h
+    assert f._text is text and hash(f) == h and parse_formula(text) is f
     assert f.__reduce__() == (Imp, (f.left, f.right))
-    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
-        assert copied == f and copied._text is None
-    assert repr(g) == repr(f) == "<p -> q /\\ r>"
+    assert text.encode() not in pickle.dumps(f)
+    assert repr(f) == "<kept_p -> kept_q /\\ kept_r>"
+
+
+def test_a_formula_is_one_object_however_it_is_made_again():
+    f = parse_formula("p -> (q -< F) /\\ (T \\/ r)")
+    assert Imp(Atom("p"), And(Coimp(Atom("q"), BOT), Or(TOP, Atom("r")))) is f
+    assert Bottom() is BOT and Top() is TOP
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f)),
+              parse_formula(format_formula(f))):
+        assert g is f
+    assert (And(f, f) == And(f, f)) and (And(f, f) != Or(f, f))
+
+
+def test_formulas_of_any_depth_built_apart_are_one_object():
+    assert sys.getrecursionlimit() == 1000
+
+    def tower(n):
+        f = Atom("p")
+        for i in range(n):
+            f = (Imp, Coimp, And, Or)[i % 4](f, Atom("q"))
+        return f
+
+    f, g = tower(10_000), tower(10_000)
+    assert f is g and f == g and not f != g and hash(f) == hash(g)
+    assert f != tower(9_999) and f.left is tower(9_999)
+    s = Sequent(Context.of(f, f.left), Context.of(g), PLUS, g)
+    t = Sequent(Context.of(g.left, g), Context.of(f), PLUS, f)
+    assert s == t and hash(s) == hash(t) and f in t.gamma and f.left in s.gamma
+
+
+def test_a_formula_nothing_holds_is_freed():
+    f = parse_formula("freed_p -> freed_q \\/ freed_r")
+    dual = dual_formula(f)      # the two keep each other
+    refs = [weakref.ref(f), weakref.ref(f.right), weakref.ref(dual)]
+    del f, dual
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+    assert parse_formula("freed_p -> freed_q \\/ freed_r")._text is None    # built anew
+
+
+#: in a fresh interpreter, builds and drops 10**5 distinct formulas, ten
+#: chains of 10**4, and prints the size of the table of formulas at its largest
+_TABLE_SCRIPT = """
+import gc
+from bint import syntax
+p, largest = syntax.Atom("p"), 0
+for _ in range(10):
+    f = p
+    for _ in range(10_000):
+        f = syntax.Imp(f, p)
+        largest = max(largest, len(syntax._BINARIES))
+    del f
+    gc.collect()
+print(largest, len(syntax._BINARIES), sum(r() is not None for r in syntax._BINARIES.values()))
+"""
+
+
+def test_the_table_of_formulas_stays_bounded():
+    src = str(Path(syntax.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", _TABLE_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    largest, size, live = map(int, out.split())
+    # at most twice the live formulas, 10**4 at a time, and never all 10**5
+    assert live == 0 and size <= largest <= 2 * 10_000 + 2
+
+
+def test_threads_that_race_build_one_object_per_formula():
+    """Each round, the threads build the same formulas at once, check that they
+    hold one object per formula, and drop them all, so that the next round
+    finds each entry of the table dead and replaces it."""
+    n, rounds = 8, 300
+    texts = [f"race{i} -> race{i + 1} /\\ (race{i + 2} -< race{i})" for i in range(6)]
+    barrier = threading.Barrier(n, timeout=60)
+    held, split = [None] * n, []
+
+    def build(k):
+        for _ in range(rounds):
+            barrier.wait()
+            held[k] = [parse_formula(t) for t in texts]
+            barrier.wait()
+            if k == 0:
+                split.extend(x for h in held for x, y in zip(h, held[0]) if x is not y)
+            barrier.wait()
+            held[k] = None
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not barrier.broken
+    assert split == []
 
 
 def test_weight_base_cases():

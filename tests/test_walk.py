@@ -772,21 +772,6 @@ def test_weight_and_dual_formula_take_a_formula_of_any_depth():
     assert y is p
 
 
-def _same_tree(f, g) -> bool:
-    """``f == g``, compared on a stack: ``==`` on formulas thousands deep
-    compares their nested ``key`` tuples in C, which overflows."""
-    stack = [(f, g)]
-    while stack:
-        x, y = stack.pop()
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, BINARY):
-            stack += ((x.left, y.left), (x.right, y.right))
-        elif x != y:
-            return False
-    return True
-
-
 def test_a_formula_of_any_depth_prints_as_text_and_as_latex():
     assert sys.getrecursionlimit() == 1000
     f = p
@@ -797,7 +782,7 @@ def test_a_formula_of_any_depth_prints_as_text_and_as_latex():
     below = f.right     # the last level nests on the right
     assert f._text is text and below._text is None     # kept on the root only
     back = parse_formula(text)
-    assert _same_tree(back, f) and not _same_tree(back, below)
+    assert back is f     # one object per formula, so ``is`` compares the trees
     latex = cli._latex_formula(f)
     assert latex.count("(") == latex.count(")") == 10_000
     assert all(latex.count(op) == 2_500 for op in (r"\wedge", r"\vee", r"\rightarrow", r"\Yleft"))
