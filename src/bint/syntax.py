@@ -44,7 +44,7 @@ _set = object.__setattr__
 def _setters(cls: type) -> tuple:
     """The writers of a slotted record's fields: the base class's first, each
     class's in the order of its ``__slots__``.  A frozen record is written
-    once, in ``__init__``, through them, at about half of ``_set``'s cost."""
+    once, in its constructor, through them, at about half of ``_set``'s cost."""
     return tuple(getattr(c, name).__set__ for c in reversed(cls.__mro__)
                  for name in c.__dict__.get("__slots__", ()) if name != "__weakref__")
 
