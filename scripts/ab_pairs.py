@@ -14,16 +14,18 @@ first pays for some of the garbage the other leaves behind, and alternating
 makes both sides pay it equally, so one invocation gives an unbiased ratio.
 
 Printed per operation kind: how many ran, each side's busy seconds, each
-side's median operation latency in milliseconds (the benchmark's
-``op_p50_ms``, which a busy-time ratio can hide), how many of each side's
-operations failed, and the ratio of the first checkout's busy time to the
-second's.
+side's median and tail latency in milliseconds over the operations that
+succeeded (the benchmark's ``op_p50_ms`` and ``op_tail_ms``, the tail at the
+workload's own ``tail_pct``, nearest rank; a busy-time ratio can hide
+either), how many of each side's operations failed, and the ratio of the
+first checkout's busy time to the second's.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import statistics
 import sys
 from collections import Counter, defaultdict
@@ -63,7 +65,7 @@ def main(argv=None) -> int:
         ap.error(f"unknown workload {args.workload!r}")
     busy = [Counter(), Counter()]       # per side: seconds per kind, and in all
     failed = [Counter(), Counter()]
-    took = [defaultdict(list), defaultdict(list)]   # per side: each operation's seconds, per kind
+    took = [defaultdict(list), defaultdict(list)]   # per side: each success's seconds, per kind
     count = Counter()
     for index in range(args.passes):
         passes = [wl.WORKLOADS[args.workload].make_pass(args.seed, index)[0] for wl, _ in sides]
@@ -77,17 +79,26 @@ def main(argv=None) -> int:
                 dt, (end, _) = sides[i][1].attempt(ops[i])
                 for kind in kinds:
                     busy[i][kind] += dt
-                    took[i][kind].append(dt)
-                    failed[i][kind] += end != "ok"
+                    if end == "ok":
+                        took[i][kind].append(dt)
+                    else:
+                        failed[i][kind] += 1
 
+    pct = sides[0][0].WORKLOADS[args.workload].tail_pct
+    tail = f"p{pct:g}"
     print(f"{args.workload} seed={args.seed} passes={args.passes}: "
           f"first {args.first}, second {args.second}, leading in turn")
-    print(f"{'kind':<12}{'ops':>7}{'first_s':>10}{'second_s':>10}"
-          f"{'first_p50':>11}{'second_p50':>11}{'failed':>10}{'ratio':>8}")
+    print(f"{'kind':<12}{'ops':>7}{'first_s':>10}{'second_s':>10}{'first_p50':>11}"
+          f"{'second_p50':>11}{'first_' + tail:>11}{'second_' + tail:>12}{'failed':>10}"
+          f"{'ratio':>8}")
     for kind in sorted(count, key=lambda k: (k == "all", k)):
         a, b = busy[0][kind], busy[1][kind]
-        p50 = [1e3 * statistics.median(side[kind]) for side in took]
+        ms = [sorted(side[kind]) for side in took]
+        p50 = [1e3 * statistics.median(x) if x else math.nan for x in ms]
+        p_tail = [1e3 * run.percentile(x, pct) if x else math.nan
+                  for x, (_, run) in zip(ms, sides)]
         print(f"{kind:<12}{count[kind]:>7}{a:>10.3f}{b:>10.3f}{p50[0]:>11.4f}{p50[1]:>11.4f}"
+              f"{p_tail[0]:>11.4f}{p_tail[1]:>12.4f}"
               f"{f'{failed[0][kind]}/{failed[1][kind]}':>10}{a / b:>8.3f}")
     return 0
 

@@ -79,8 +79,8 @@ def _latex_formula(f: Formula) -> str:
 
 
 def _latex_sequent(s) -> str:
-    g = ", ".join(_latex_formula(f) for f in s.gamma.expand()) or r"\emptyset"
-    d = ", ".join(_latex_formula(f) for f in s.delta.expand()) or r"\emptyset"
+    g = ", ".join(_latex_formula(f) for f in s.gamma) or r"\emptyset"
+    d = ", ".join(_latex_formula(f) for f in s.delta) or r"\emptyset"
     return rf"({g}; {d}) \vdash^{{{s.polarity.value}}} {_latex_formula(s.succedent)}"
 
 

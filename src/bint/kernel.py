@@ -20,9 +20,10 @@ Checking, backward expansion, the rule sets and the duality table here, and
 identity expansion, inversion, contraction and the principal cases of cut
 elimination in ``bint.transform``, all read it.
 
-A context caches its hash, as a sequent does, and a union with a short side
-inserts that side's occurrences by bisection, so editing a long context never
-sorts it again.
+A context is a tuple, its occurrences in canonical order, and a sequent,
+an annotation and a context split are named tuples, so their equality and
+hashing run in C.  A union with a short side inserts that side's occurrences
+by bisection, so editing a long context never sorts it again.
 
 Sequent text is read from one ``bint.syntax.scan``: ``read_formula`` reads
 each formula, and the lists, ``;`` and turnstile between them are read here.
@@ -97,29 +98,11 @@ _KEY = attrgetter("key")
 _SHORT = 4
 
 
-class Context(_Record):
+class Context(tuple):
     """Finite multiset of formulas: the tuple of every occurrence, sorted by
-    ``Formula.key``, so that equality and hashing are multiset equality."""
+    ``Formula.key``, so that tuple equality and hashing are multiset equality."""
 
-    # as for Sequent: ``_hash`` is not an argument, so neither compared nor printed
-    __slots__ = ("items", "_hash")
-    __match_args__ = ("items",)
-
-    def __init__(self, items: tuple[Formula, ...] = ()):
-        _set_items(self, items)
-        _set_context_hash(self, None)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.items == other.items
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.items,))
-            _set_context_hash(self, h)
-        return h
+    __slots__ = ()
 
     @staticmethod
     def of(*formulas: Formula) -> "Context":
@@ -127,36 +110,21 @@ class Context(_Record):
 
     @staticmethod
     def from_iter(formulas: Iterable[Formula]) -> "Context":
-        return Context(tuple(sorted(formulas, key=_KEY)))
-
-    def count(self, f: Formula) -> int:
-        return (bisect_right(self.items, f.key, key=_KEY)
-                - bisect_left(self.items, f.key, key=_KEY))
-
-    def __contains__(self, f: Formula) -> bool:
-        i = bisect_left(self.items, f.key, key=_KEY)
-        return i < len(self.items) and self.items[i] is f
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def is_empty(self) -> bool:
-        return not self.items
+        return Context(sorted(formulas, key=_KEY))
 
     def add(self, f: Formula, n: int = 1) -> "Context":
-        i = bisect_right(self.items, f.key, key=_KEY)
-        return Context(self.items[:i] + (f,) * n + self.items[i:])
+        i = bisect_right(self, f.key, key=_KEY)
+        return Context(self[:i] + (f,) * n + self[i:])
 
     def remove(self, f: Formula, n: int = 1) -> "Context":
-        items = self.items
-        lo = bisect_left(items, f.key, key=_KEY)
-        if items[lo:lo + n].count(f) < n:   # the occurrences of f are adjacent
+        lo = bisect_left(self, f.key, key=_KEY)
+        if self[lo:lo + n].count(f) < n:    # the occurrences of f are adjacent
             raise KeyError(f"{format_formula(f)} not present {n} time(s)")
-        return Context(items[:lo] + items[lo + n:])
+        return Context(self[:lo] + self[lo + n:])
 
     def union(self, other: "Context") -> "Context":
         """Both multisets; an empty side gives the other context itself."""
-        a, b = self.items, other.items
+        a, b = self, other
         if not b:
             return self
         if not a:
@@ -176,53 +144,26 @@ class Context(_Record):
 
     def distinct(self) -> Iterator[Formula]:
         """The first occurrence of each formula, in canonical order."""
-        return iter(dict.fromkeys(self.items))
-
-    def expand(self) -> tuple[Formula, ...]:
-        """Every occurrence, in canonical order."""
-        return self.items
+        return iter(dict.fromkeys(self))
 
     def __str__(self) -> str:
-        return ", ".join(format_formula(f) for f in self.items)
+        return ", ".join(map(format_formula, self))
+
+    def __repr__(self) -> str:
+        return f"Context({tuple.__repr__(self)})"
 
 
-_set_items, _set_context_hash = _setters(Context)
 EMPTY = Context()
 
 
-class Sequent(_Record):
-    # ``_hash`` is not compared: ``__hash__`` stores the hash there on first
-    # use.  Most sequents built by the transforms are never hashed.  It hashes
-    # the contexts' items, not the contexts: the search hashes each sequent
-    # once, and most of its contexts only there.
-    __slots__ = ("gamma", "delta", "polarity", "succedent", "_hash")
-    __match_args__ = ("gamma", "delta", "polarity", "succedent")
-
-    def __init__(self, gamma: Context, delta: Context, polarity: Polarity, succedent: Formula):
-        _set_gamma(self, gamma)
-        _set_delta(self, delta)
-        _set_polarity(self, polarity)
-        _set_succedent(self, succedent)
-        _set_sequent_hash(self, None)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.gamma, self.delta, self.polarity, self.succedent)
-                == (other.gamma, other.delta, other.polarity, other.succedent))
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.gamma.items, self.delta.items, self.polarity, self.succedent))
-            _set_sequent_hash(self, h)
-        return h
+class Sequent(NamedTuple):
+    gamma: Context
+    delta: Context
+    polarity: Polarity
+    succedent: Formula
 
     def __str__(self) -> str:
         return format_sequent(self)
-
-
-_set_gamma, _set_delta, _set_polarity, _set_succedent, _set_sequent_hash = _setters(Sequent)
 
 
 def sequent(gamma: Iterable[Formula], delta: Iterable[Formula], polarity: Polarity,
@@ -234,8 +175,8 @@ def format_sequent(s: Sequent, context: Optional[Callable[[Context], str]] = Non
     """The text of ``s``; ``context``, when set, gives the text of each
     context (its formulas' texts joined by ", ")."""
     if context is None:
-        g = ", ".join(map(format_formula, s.gamma.items))
-        d = ", ".join(map(format_formula, s.delta.items))
+        g = ", ".join(map(format_formula, s.gamma))
+        d = ", ".join(map(format_formula, s.delta))
     else:
         g, d = context(s.gamma), context(s.delta)
     left = f"{g} ;" if g else ";"
@@ -404,40 +345,20 @@ ARITY = {**dict.fromkeys(ZERO_PREMISE, 0), **dict.fromkeys(CUT_RULES, 2),
          **{r: len(s.premises) for r, s in SCHEMA.items()}}
 
 
-class ContextSplit(_Record):
+class ContextSplit(NamedTuple):
     """The (gamma, delta) / (gamma', delta') partition of a cut conclusion;
     not recoverable from the conclusion alone, so cut nodes must carry it."""
 
-    __slots__ = __match_args__ = ("gamma", "delta", "gamma_prime", "delta_prime")
-
-    def __init__(self, gamma, delta, gamma_prime, delta_prime):
-        _set_split_gamma(self, gamma)
-        _set_split_delta(self, delta)
-        _set_gamma_prime(self, gamma_prime)
-        _set_delta_prime(self, delta_prime)
+    gamma: Context
+    delta: Context
+    gamma_prime: Context
+    delta_prime: Context
 
 
-class Annotation(_Record):
-    __slots__ = __match_args__ = ("principal", "cut_formula", "context_split")
-
-    def __init__(self, principal=None, cut_formula=None, context_split=None):
-        _set_principal(self, principal)
-        _set_cut_formula(self, cut_formula)
-        _set_context_split(self, context_split)
-
-    # written out: ``Derivation`` compares and hashes the annotation of each node
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.principal, self.cut_formula, self.context_split)
-                == (other.principal, other.cut_formula, other.context_split))
-
-    def __hash__(self) -> int:
-        return hash((self.principal, self.cut_formula, self.context_split))
-
-
-_set_split_gamma, _set_split_delta, _set_gamma_prime, _set_delta_prime = _setters(ContextSplit)
-_set_principal, _set_cut_formula, _set_context_split = _setters(Annotation)
+class Annotation(NamedTuple):
+    principal: Optional[Formula] = None
+    cut_formula: Optional[Formula] = None
+    context_split: Optional[ContextSplit] = None
 
 
 class Derivation(_Record):
@@ -655,13 +576,13 @@ def _premise_lines(at: Side | Polarity, t: Template, i: int, fail: str) -> list[
     out = [f"if {p}.polarity is not {pol}: {fail}",
            f"if {p}.succedent is not {c}: {fail}"]
     for ctx, side, adds in (("gamma", Side.A, t.gamma), ("delta", Side.C, t.delta)):
-        got, drop = f"{p}.{ctx}.items", at is side and not t.keeps
+        got, drop = f"{p}.{ctx}", at is side and not t.keeps
         if not drop and not adds:
-            out.append(f"if {p}.{ctx} is not s.{ctx} and {got} != s.{ctx}.items: {fail}")
+            out.append(f"if {got} is not s.{ctx} and {got} != s.{ctx}: {fail}")
             continue
         grow = len(adds) - drop
         size = f"len(x) + {grow}" if grow else "len(x)"
-        out += [f"x = s.{ctx}.items", f"if len({got}) != {size}: {fail}"]
+        out += [f"x = s.{ctx}", f"if len({got}) != {size}: {fail}"]
         if drop:
             out += ["i = bisect_left(x, f.key, key=_KEY)",
                     f"if i == len(x) or x[i] is not f: {fail}",
@@ -685,7 +606,7 @@ def _rule_source(rule: RuleId, schema: Schema) -> str:
         checks.append(f"if s.polarity is not {at.name} or f is not s.succedent: {fail}")
     for i, t in enumerate(schema.premises):
         checks += _premise_lines(at, t, i, fail)
-    offered = "s.succedent" if right else f"s.{'gamma' if at is Side.A else 'delta'}.items"
+    offered = "s.succedent" if right else f"s.{'gamma' if at is Side.A else 'delta'}"
     offered += " if a is None or a.principal is None else"
     lines = [f"def valid_{rule.value}(s, ps, a):", f"    if len(ps) != {n}: return False",
              *(f"    p{i} = ps[{i}].conclusion" for i in range(n)),
@@ -964,7 +885,7 @@ def dual_formula(f: Formula) -> Formula:
 
 
 def dual_context(ctx: Context) -> Context:
-    return Context.from_iter([f._dual or dual_formula(f) for f in ctx.items])
+    return Context.from_iter([f._dual or dual_formula(f) for f in ctx])
 
 
 def dual_sequent(s: Sequent) -> Sequent:

@@ -80,17 +80,16 @@ def _normalize(s: Sequent) -> Sequent:
     Height-preserving contraction and weakening are admissible, so this
     preserves derivability while making the sequent space reachable from a
     goal finite (backward expansion only introduces subformulas of the goal)."""
-    gamma, delta = dict.fromkeys(s.gamma.items), dict.fromkeys(s.delta.items)
+    gamma, delta = dict.fromkeys(s.gamma), dict.fromkeys(s.delta)
     if len(gamma) == len(s.gamma) and len(delta) == len(s.delta):
         return s
     # the first occurrences keep the sorted order
-    return Sequent(Context(tuple(gamma)), Context(tuple(delta)), s.polarity, s.succedent)
+    return Sequent(Context(gamma), Context(delta), s.polarity, s.succedent)
 
 
 def _repeats(ctx: Context) -> Context:
     """The occurrences of ``ctx`` after the first of each formula."""
-    items = ctx.items
-    return Context(tuple(f for f, before in zip(items[1:], items) if f == before))
+    return Context(f for f, before in zip(ctx[1:], ctx) if f == before)
 
 
 def _lift(d: Derivation, to: Sequent) -> Derivation:

@@ -68,7 +68,7 @@ class _Writer:
         hit = self.contexts.get(id(ctx))
         if hit is None:
             hit = self.contexts[id(ctx)] = (
-                ctx, ", ".join([f._text or format_formula(f) for f in ctx.items]))
+                ctx, ", ".join([f._text or format_formula(f) for f in ctx]))
         return hit[1]
 
     def node(self, d: Derivation, depth: int) -> None:
@@ -110,7 +110,7 @@ class _Writer:
             sep = "{"
             for key in sorted(_SPLIT_KEYS):
                 out += (sep, inner, f'"{key}": ')
-                self.formulas(getattr(sp, key).items, depth + 2)
+                self.formulas(getattr(sp, key), depth + 2)
                 sep = ","
             out += (nl, "}")
             sep = ","

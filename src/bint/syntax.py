@@ -59,7 +59,7 @@ class _Record:
     names the constructor's arguments, in order.  Pattern matching reads them,
     and so do ``==``, ``hash`` and ``repr`` where a class has none of its own.
     A copy or a pickle is rebuilt by the constructor from them, so the rest
-    (a cached hash, a validity verdict) is derived again, not restored."""
+    (a derivation's validity verdict, say) is derived again, not restored."""
 
     __slots__ = ()
     __match_args__: tuple = ()

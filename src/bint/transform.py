@@ -197,11 +197,11 @@ def weaken_context(d: Derivation, gamma_extra: Context = Context(),
     """Multiset fold of ``weaken`` over both sides (the W^{a/c} steps), in
     one walk that adds every extra occurrence at each node."""
     _require_input(d, "weaken_context")
-    if gamma_extra.is_empty() and delta_extra.is_empty():
+    if not gamma_extra and not delta_extra:
         return d
     return _map_contexts(
-        d, None if gamma_extra.is_empty() else _Memo(lambda g: g.union(gamma_extra)),
-        None if delta_extra.is_empty() else _Memo(lambda c: c.union(delta_extra)))
+        d, _Memo(lambda g: g.union(gamma_extra)) if gamma_extra else None,
+        _Memo(lambda c: c.union(delta_extra)) if delta_extra else None)
 
 
 class SpecialWeakening(enum.Enum):
@@ -444,8 +444,9 @@ def eliminate_cut(left: Derivation, right: Derivation, cut_formula: Formula,
 class _Eliminator:
     """One elimination.  It computes each cut formula's weight once, and each
     step's contexts once per distinct pair of premise context objects, found
-    by identity: a context's first hash makes one Python call per formula.
-    A context shared by the premises stays one object in the output."""
+    by identity: hashing a context reads every formula in it, O(L) per context
+    on a chain of height L.  A context shared by the premises stays one object
+    in the output."""
 
     def __init__(self, trace: Optional[CutTrace]):
         self.trace = trace
@@ -600,6 +601,6 @@ class _Eliminator:
                     out = self.run(proof[i], out, ops[i], v, index, measure)
         # the C^{a/c} closing steps: contract each doubled occurrence
         for ctx, side in ((lg, Side.A), (ld, Side.C)):
-            for f in ctx.expand():
+            for f in ctx:
                 out = contract(out, f, side)
         return out

@@ -144,7 +144,7 @@ def random_cut_pair(rng: random.Random, variant: R):
     else:
         right = random_derivation(rng.randrange(10 ** 9), rng.randrange(3, 9))
         side_ctx = right.conclusion.gamma if variant is R.CutA else right.conclusion.delta
-        if side_ctx.is_empty() or rng.random() < 0.25:
+        if not side_ctx or rng.random() < 0.25:
             dfm = rng.choice(_SMALL)
             right = weaken(right, dfm, side)
         else:
@@ -160,14 +160,14 @@ def random_cut_pair(rng: random.Random, variant: R):
     if rng.random() < 0.4:
         g, d = left.conclusion.gamma, left.conclusion.delta
         if len(g) >= 2:
-            a = rng.choice(list(g.expand()))
-            b = rng.choice(list(g.remove(a).expand()))
+            a = rng.choice(list(g))
+            b = rng.choice(list(g.remove(a)))
             conc = Sequent(g.remove(a).remove(b).add(And(a, b)), d,
                            left.conclusion.polarity, left.conclusion.succedent)
             left = node(R.AndLa, conc, [left], principal=And(a, b))
-        elif not g.is_empty() and not d.is_empty():
-            a = rng.choice(list(g.expand()))
-            b = rng.choice(list(d.expand()))
+        elif g and d:
+            a = rng.choice(list(g))
+            b = rng.choice(list(d))
             conc = Sequent(g.remove(a).add(Coimp(a, b)), d.remove(b),
                            left.conclusion.polarity, left.conclusion.succedent)
             left = node(R.CoimpLa, conc, [left], principal=Coimp(a, b))

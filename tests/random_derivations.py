@@ -54,7 +54,7 @@ def _random_axiom(rng: random.Random) -> Derivation:
 
 
 def _pick(rng: random.Random, ctx: Context) -> Formula:
-    return rng.choice(list(ctx.expand()))
+    return rng.choice(list(ctx))
 
 
 def _extend_once(d: Derivation, rng: random.Random) -> Optional[Derivation]:

@@ -20,7 +20,7 @@ _CONNECTIVES = (("Coimp", Coimp), ("And", And), ("Imp", Imp), ("Or", Or))
 
 def sequent(s) -> tuple:
     """``s`` as ``(gamma, delta, sign, succedent)``, its contexts as Counters."""
-    return Counter(s.gamma.items), Counter(s.delta.items), s.polarity.value, s.succedent
+    return Counter(s.gamma), Counter(s.delta), s.polarity.value, s.succedent
 
 
 def _with(ctx: Counter, *fs) -> Counter:
@@ -99,7 +99,7 @@ def _cut_fits(rule: str, g: Counter, d: Counter, sign: str, c, premises: list,
     if annotation is None or annotation.cut_formula is None or annotation.context_split is None:
         return False
     cut, sp = annotation.cut_formula, annotation.context_split
-    g1, d1, g2, d2 = (Counter(x.items) for x in (sp.gamma, sp.delta, sp.gamma_prime,
+    g1, d1, g2, d2 = (Counter(x) for x in (sp.gamma, sp.delta, sp.gamma_prime,
                                                  sp.delta_prime))
     if g != g1 + g2 or d != d1 + d2:
         return False

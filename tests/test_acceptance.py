@@ -44,8 +44,8 @@ def _ok(name: str, detail: str = "") -> None:
 
 def naive_expansions(s: Sequent) -> set:
     out = set()
-    g = tuple(s.gamma.expand())
-    d = tuple(s.delta.expand())
+    g = tuple(s.gamma)
+    d = tuple(s.delta)
     pol, c = s.polarity, s.succedent
     plus = pol is PLUS
 
@@ -471,8 +471,8 @@ def test_criterion_8_regression_suite():
 
 def _formulas_in(s: Sequent):
     yield s.succedent
-    yield from s.gamma.expand()
-    yield from s.delta.expand()
+    yield from s.gamma
+    yield from s.delta
 
 
 def test_criterion_9_round_trips(derivation_corpus):

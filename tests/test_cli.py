@@ -303,8 +303,8 @@ def _formulas_in(d):
         x = stack.pop()
         stack.extend(x.premises)
         s = x.conclusion
-        yield from s.gamma.expand()
-        yield from s.delta.expand()
+        yield from s.gamma
+        yield from s.delta
         yield s.succedent
         if x.annotation is not None and x.annotation.principal is not None:
             yield x.annotation.principal

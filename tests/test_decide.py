@@ -48,8 +48,8 @@ def _text(g4, i):
 
 
 def _image(g4, s: Sequent):
-    antecedent = [g4.signed(f, True) for f in s.gamma.expand()]
-    antecedent += [g4.signed(f, False) for f in s.delta.expand()]
+    antecedent = [g4.signed(f, True) for f in s.gamma]
+    antecedent += [g4.signed(f, False) for f in s.delta]
     return (frozenset(_text(g4, i) for i in antecedent),
             _text(g4, g4.signed(s.succedent, s.polarity is PLUS)))
 

@@ -57,7 +57,7 @@ _occurrences = st.lists(formulas(max_leaves=2), max_size=5)
 def test_context_matches_a_counter_model(xs, ys, f, n):
     a, b = Context.from_iter(xs), Context.from_iter(ys)
     ma, mb = Counter(xs), Counter(ys)
-    model = lambda ctx: Counter(ctx.expand())
+    model = lambda ctx: Counter(ctx)
     assert model(a) == ma and len(a) == len(xs)
     for g in xs + ys + [f]:
         assert a.count(g) == ma[g] and (g in a) == (ma[g] > 0)
@@ -71,10 +71,10 @@ def test_context_matches_a_counter_model(xs, ys, f, n):
     assert (a == b) == (ma == mb)
     same = Context.from_iter(reversed(xs))
     assert a == same and hash(a) == hash(same)
-    keys = [g.key for g in a.expand()]
+    keys = [g.key for g in a]
     assert keys == sorted(keys)
-    assert list(a.distinct()) == [g for i, g in enumerate(a.expand())
-                                  if i == 0 or a.expand()[i - 1] != g]
+    assert list(a.distinct()) == [g for i, g in enumerate(a)
+                                  if i == 0 or a[i - 1] != g]
 
 
 def test_union_equals_the_sorted_concatenation():
@@ -92,8 +92,8 @@ def test_union_equals_the_sorted_concatenation():
         ys = [parse_formula(rng.choice(texts)) for _ in range(rng.choice(sizes))]
         a, b = Context.from_iter(xs), Context.from_iter(ys)
         for x, y in ((a, b), (b, a)):
-            got, want = x.union(y), Context.from_iter(x.items + y.items)
-            assert got == want and all(g is w for g, w in zip(got.items, want.items))
+            got, want = x.union(y), Context.from_iter(x + y)
+            assert got == want and all(g is w for g, w in zip(got, want))
         short, long = sorted((len(xs), len(ys)))
         inserted = short <= kernel._SHORT and 4 * short <= long
         seen["an empty side"] += short == 0
@@ -119,15 +119,11 @@ def test_equal_contexts_hash_equal():
     assert hash(a) == hash(b) == hash(c) == hash(a) and {a: 1}[c] == 1
 
 
-def test_the_cached_hash_is_not_a_field():
+def test_contexts_built_in_either_order_are_one_value():
     a, b = Context.of(p, q), Context.of(q, p)
-    hash(a)
-    assert a._hash is not None and b._hash is None
-    with pytest.raises(TypeError):      # not a constructor argument
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b) and str(a) == str(b)
+    with pytest.raises(TypeError):      # a context holds its occurrences and nothing else
         Context((), _hash=0)
-    assert a == b and repr(a) == repr(b) and "_hash" not in repr(a)
-    object.__setattr__(b, "_hash", hash(a) + 1)     # a stored hash is not compared
-    assert a == b
 
 
 def test_a_context_finds_the_object_it_holds_without_comparing():
@@ -149,8 +145,42 @@ def test_a_context_finds_the_object_it_holds_without_comparing():
     assert g is f and found == (True, True, False) and eq_calls == []
 
 
-#: dumps a formula and a sequent, with the sequent's and its Gamma's hashes
-#: cached, or loads them and compares them with fresh parses
+def _two_of_each():
+    """Two equal sequents, annotations and context splits, built apart: no
+    context of the one is an object of the other."""
+    f, g = parse_formula("p -> q"), parse_formula("q /\\ p")
+    out = []
+    for order in (1, -1):
+        gamma, delta = Context.of(*(p, f, p)[::order]), Context.of(*(g, q)[::order])
+        split = ContextSplit(gamma, delta, Context.of(*(q, f)[::order]), Context())
+        out.append((Sequent(gamma, delta, MINUS, f), Annotation(f, g, split), split))
+    return zip(*out)
+
+
+def test_records_built_apart_compare_and_hash_with_no_python_call():
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    for a, b in _two_of_each():
+        parts = [(getattr(a, name), getattr(b, name)) for name in a.__match_args__]
+        assert all(x is not y for x, y in parts if isinstance(x, (Context, ContextSplit)) and x)
+        sys.setprofile(profile)
+        try:
+            same = a == b, not a != b, hash(a) == hash(b), b in {a}
+        finally:
+            sys.setprofile(None)
+        assert same == (True, True, True, True) and calls == []
+        for copier in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            c = copier(a)
+            assert type(c) is type(a) and c == a and hash(c) == hash(a)
+            assert [type(getattr(c, name)) for name in a.__match_args__] == [type(x) for x, _ in parts]
+
+
+#: dumps a formula and a sequent, once both are hashed, or loads them and
+#: compares them with fresh parses
 _PICKLE_SCRIPT = """
 import pickle, sys
 from bint.syntax import parse_formula
@@ -167,8 +197,8 @@ else:
 
 
 def test_a_pickle_is_read_under_another_hash_seed():
-    # the cached hashes derive from the atoms' names' string hashes, which
-    # change with the hash seed: a pickle rebuilds each record instead
+    # a hash derives from addresses and string hashes, which change with the
+    # process and its hash seed: a pickle holds no hash, and rebuilds each record
     src = str(Path(bint.__file__).parents[1])
 
     def run(seed: int, *args: str, data: bytes = b"") -> bytes:
@@ -240,7 +270,7 @@ def test_sequent_round_trip():
 
 def test_empty_sides():
     s = parse_sequent("; |-- F")
-    assert s.gamma.is_empty() and s.delta.is_empty() and s.polarity is MINUS
+    assert not s.gamma and not s.delta and s.polarity is MINUS
 
 
 @given(sequents)
@@ -666,9 +696,9 @@ def test_dual_derivation_dualizes_each_part_once(monkeypatch, derivation_corpus)
         parts = {}
         for x in _nodes(dd):
             s = x.conclusion
-            for part in (s, s.gamma, s.delta, s.succedent, *s.gamma.items, *s.delta.items):
+            for part in (s, s.gamma, s.delta, s.succedent, *s.gamma, *s.delta):
                 assert parts.setdefault(part, part) is part
-            for f in (s.succedent, *s.gamma.items, *s.delta.items):
+            for f in (s.succedent, *s.gamma, *s.delta):
                 assert f._dual._dual is f
                 if isinstance(f, syntax._Binary):
                     compounds.add(f)

@@ -181,7 +181,7 @@ def _mutations(s, rule, premises, annotation):
             return s, premises[:i] + (q,) + premises[i + 1:], annotation
         for side in ("gamma", "delta"):
             ctx = getattr(p, side)
-            for f in (zz, *ops, *ctx.items[:1]):
+            for f in (zz, *ops, *ctx[:1]):
                 yield at(_changed(p, **{side: ctx.add(f)}))
             for f in ctx.distinct():
                 yield at(_changed(p, **{side: ctx.remove(f)}))

@@ -156,9 +156,9 @@ def _right_premise_by_cut(d, principal, side):
         left = node(R.CoimpRMinus, Sequent(g, dl.add(a), MINUS, principal),
                     [derive_identity(g, dl.add(b), a, MINUS)])
         out = eliminate_cut(left, d, principal, R.CutC)
-    for f in g.expand():
+    for f in g:
         out = contract(out, f, Side.A)
-    for f in dl.expand():
+    for f in dl:
         out = contract(out, f, Side.C)
     return out
 

@@ -45,7 +45,7 @@ def _reference_data(d: Derivation) -> dict[str, Any]:
             ann["cut_formula"] = format_formula(d.annotation.cut_formula)
         if d.annotation.context_split is not None:
             sp = d.annotation.context_split
-            ann["context_split"] = {k: [format_formula(f) for f in getattr(sp, k).expand()]
+            ann["context_split"] = {k: [format_formula(f) for f in getattr(sp, k)]
                                     for k in ("gamma", "delta", "gamma_prime", "delta_prime")}
         if ann:
             out["annotation"] = ann
@@ -246,12 +246,12 @@ def test_a_document_over_more_formulas_than_the_cache_holds_keeps_equal_ones_one
     assert loaded == nodes + nodes and all(d.valid for d in loaded)
     one = {}
     assert all(one.setdefault(f, f) is f
-               for d in loaded for f in d.conclusion.gamma.items + d.conclusion.delta.items)
+               for d in loaded for f in d.conclusion.gamma + d.conclusion.delta)
     assert len(one) == len(distinct) + 1
     info = serialize.parse_formula.cache_info()
     assert info.currsize == info.maxsize == bound
     # a text the cache has dropped parses again, to the same object
-    first = loaded[0].conclusion.delta.items[0]
+    first = loaded[0].conclusion.delta[0]
     assert serialize.parse_formula(format_formula(first)) is first
     assert serialize.parse_formula.cache_info().misses == info.misses + 1
 

@@ -593,8 +593,8 @@ def test_tall_chain_eliminations_keep_their_contexts_shared(chain_eliminations):
 
 def test_cut_elimination_hashes_no_context(monkeypatch):
     # each step finds its contexts by the identity of its premises' context
-    # objects; a context's first hash makes one Python call per formula, and
-    # each height of a loaded chain holds contexts never hashed before
+    # objects: hashing a context reads every formula in it, O(L) per context
+    # on a chain of height L, so O(L^2) per elimination
     pair = next(pair for pair in gen.chain_set(0, 0) if pair.tag == "L30a")
     left, right = loads_derivation(pair.left), loads_derivation(pair.right)
     hashed = []

@@ -54,7 +54,7 @@ def ref_weaken(d, extra, side):
 
 def ref_weaken_context(d, gamma_extra=Context(), delta_extra=Context()):
     _require_input(d, "weaken_context")
-    if gamma_extra.is_empty() and delta_extra.is_empty():
+    if not gamma_extra and not delta_extra:
         return d
     s = d.conclusion
     conc = Sequent(s.gamma.union(gamma_extra), s.delta.union(delta_extra), s.polarity,
@@ -179,8 +179,8 @@ def ref_latex_formula(f):
 
 
 def ref_latex_sequent(s):
-    g = ", ".join(ref_latex_formula(f) for f in s.gamma.expand()) or r"\emptyset"
-    d = ", ".join(ref_latex_formula(f) for f in s.delta.expand()) or r"\emptyset"
+    g = ", ".join(ref_latex_formula(f) for f in s.gamma) or r"\emptyset"
+    d = ", ".join(ref_latex_formula(f) for f in s.delta) or r"\emptyset"
     return rf"({g}; {d}) \vdash^{{{s.polarity.value}}} {ref_latex_formula(s.succedent)}"
 
 
@@ -481,7 +481,7 @@ def test_weakenings_equal_the_recursive_definitions(derivation_corpus, corpus_fi
 # that sorts every occurrence
 
 def sorting_union(a, b):
-    return a if b.is_empty() else Context.from_iter(a.items + b.items)
+    return a if not b else Context.from_iter(a + b)
 
 
 def map_weaken(d, extra, side):
@@ -495,7 +495,7 @@ def map_weaken(d, extra, side):
 
 def map_weaken_context(d, gamma_extra=Context(), delta_extra=Context()):
     _require_input(d, "weaken_context")
-    if gamma_extra.is_empty() and delta_extra.is_empty():
+    if not gamma_extra and not delta_extra:
         return d
     return _map_conclusions(d, lambda s: Sequent(sorting_union(s.gamma, gamma_extra),
                                                  sorting_union(s.delta, delta_extra),
