@@ -21,8 +21,9 @@ valid: the verification/falsification embedding of 2Int (Wansing, J. Logic
 Comput. 2016).  The image is decided by G4ip (Dyckhoff, JSL 57(3), 1992),
 which terminates with no loop check and no depth bound.
 
-This module reads neither the rule table's backward expansion nor the checker,
-so its verdicts are independent of the search they gate.
+One ``_G4ip``, its images and its memo serve a whole ``bint.search`` query.
+This module reads neither the rule table's backward expansion nor the
+checker, so its verdicts are independent of the search they gate.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .kernel import PLUS, Sequent
 from .syntax import And, Atom, Bottom, Coimp, Formula, Imp, Or, Top
 
 # the connectives of the intuitionistic image; a formula of the image is an
-# integer id, numbered per call, and ``_BOT``/``_TOP`` are also the ids of
+# integer id, numbered per ``_G4ip``, and ``_BOT``/``_TOP`` are also the ids of
 # the two constants
 _BOT, _TOP, _ATOM, _AND, _OR, _IMP = range(6)
 
@@ -54,15 +55,12 @@ _SIGNED = {
 
 def derivable(s: Sequent) -> bool:
     """Whether ``s`` has a cut-free derivation of any height."""
-    g4 = _G4ip()
-    antecedent = [g4.signed(f, True) for f in s.gamma.distinct()]
-    antecedent += [g4.signed(f, False) for f in s.delta.distinct()]
-    return g4.derives(frozenset(), antecedent, g4.signed(s.succedent, s.polarity is PLUS))
+    return _G4ip().derivable(s)
 
 
 class _G4ip:
-    """The formulas of one image, interned as integer ids, and the G4ip
-    search over them with its memo.  Both live for one ``derivable`` call.
+    """The formulas of images, interned as integer ids, and the G4ip search
+    over them with its memo.  Both live for one ``prove`` query.
 
     An antecedent is a frozenset of ids: contraction is admissible, so
     multiplicities do not matter.  It is kept *saturated*: closed under the
@@ -77,6 +75,11 @@ class _G4ip:
         self.ids: dict[tuple, int] = {}
         self.images: dict[tuple[Formula, bool], int] = {}
         self.memo: dict[tuple[frozenset, int], bool] = {}
+
+    def derivable(self, s: Sequent) -> bool:
+        antecedent = [self.signed(f, True) for f in s.gamma.distinct()]
+        antecedent += [self.signed(f, False) for f in s.delta.distinct()]
+        return self.derives(frozenset(), antecedent, self.signed(s.succedent, s.polarity is PLUS))
 
     def make(self, kind: int, left, right) -> int:
         key = (kind, left, right)

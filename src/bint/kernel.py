@@ -25,8 +25,9 @@ an annotation and a context split are named tuples, so their equality and
 hashing run in C.  A union with a short side inserts that side's occurrences
 by bisection, so editing a long context never sorts it again.
 
-Sequent text is read from one ``bint.syntax.scan``: ``read_formula`` reads
-each formula, and the lists, ``;`` and turnstile between them are read here.
+Sequent text is read by its pieces through ``parse_formula``, the bounded
+process-wide cache of formula texts, and irregular text by one scan
+(``bint.syntax.scan`` and ``read_formula``), which words every error.
 
 A sequent ``(gamma; delta) |-* C`` reads: from the verification of everything
 in gamma and the falsification of everything in delta, derive the verification
@@ -37,10 +38,12 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
+from . import syntax
 from .syntax import (
     BOT,
     TOP,
@@ -49,6 +52,7 @@ from .syntax import (
     Bottom,
     Coimp,
     Formula,
+    FormulaSyntaxError,
     Imp,
     Or,
     Top,
@@ -185,9 +189,39 @@ def format_sequent(s: Sequent, context: Optional[Callable[[Context], str]] = Non
     return f"{left} |-{_SIGN[s.polarity]} {format_formula(s.succedent)}"
 
 
-def parse_sequent(text: str) -> Sequent:
+#: formula text -> the formula, shared by every reader of the process.
+#: Bounded, so a long run over ever new atoms keeps at most this many; a
+#: text that does not parse raises each time, since errors are not cached.
+parse_formula = lru_cache(maxsize=1024)(syntax.parse_formula)
+
+
+def _context_of(text: str, formula: Callable[[str], Formula] = parse_formula) -> Context:
+    """The context whose formulas' texts ``text`` joins by ", ", each read by
+    ``formula``; other spacing raises FormulaSyntaxError."""
+    text = text.strip()
+    return Context.from_iter(map(formula, text.split(", "))) if text else EMPTY
+
+
+def parse_sequent(text: str, formula: Callable[[str], Formula] = parse_formula,
+                  context: Callable[[str], Context] = _context_of) -> Sequent:
     """Parse ``Gamma ; Delta |-+ C`` / ``|--``; empty sides are allowed and
-    duplicate list entries produce multiset counts."""
+    duplicate list entries produce multiset counts.  The text is split at its
+    first ';' and the turnstile after it, and read by ``context`` and
+    ``formula``; text that does not split or parse so goes to the scanner."""
+    semi = text.find(";")
+    turn = text.find("|-", semi)
+    sign = text[turn + 2:turn + 3]
+    if semi >= 0 and turn >= 0 and (sign == "+" or sign == "-"):
+        # no formula's text holds a separator: the pieces that parse are the scanner's
+        try:
+            return Sequent(context(text[:semi]), context(text[semi + 1:turn]),
+                           PLUS if sign == "+" else MINUS, formula(text[turn + 3:].strip()))
+        except FormulaSyntaxError:
+            pass
+    return _scan_sequent(text)
+
+
+def _scan_sequent(text: str) -> Sequent:
     found = scan(text)
     gamma, delta, i = _contexts(text, found, _TURNSTILES)
     if found[i] not in _TURNSTILES:

@@ -2,8 +2,9 @@
 
 ``prove`` asks the decision procedure of ``bint.decide`` first: a sequent it
 rejects is ``Refuted``.  For an accepted sequent a constructor builds the
-proof without a depth bound, checking every node as it builds it.  It works
-over normalized sequents and takes the first step that applies, in order:
+proof without a depth bound, checking every node as it builds it.  One
+``_G4ip`` gives every verdict of the query.  The constructor works over
+normalized sequents and takes the first step that applies, in order:
 
 1. a zero-premise rule that closes the sequent;
 2. an invertible rule, with no oracle call: its premises are derivable
@@ -31,7 +32,7 @@ from .kernel import (
     closing_rules, premise_of,
 )
 from .kernel import check_derivation  # noqa: F401  # a name the benchmark's traced run wraps
-from .decide import derivable
+from .decide import _G4ip, derivable, derivable as _decides
 from .syntax import _Record
 from .transform import InternalCheckError, _node, weaken_context
 
@@ -100,12 +101,14 @@ def _lift(d: Derivation, to: Sequent) -> Derivation:
 
 
 class _Constructor:
-    """Builds proofs of accepted normalized sequents, for one query.
-    ``proved`` and ``accepted`` memoize finished subproofs and oracle
-    verdicts; ``path`` holds the sequents on the current branch; ``backtracks``
-    counts the step-4 choices that got stuck."""
+    """Builds proofs of accepted normalized sequents, for one query, whose
+    verdicts ``oracle`` gives: one ``_G4ip`` unless ``derivable`` is replaced.
+    ``proved`` and ``accepted`` memoize finished subproofs and verdicts;
+    ``path`` holds the sequents on the current branch; ``backtracks`` counts
+    the step-4 choices that got stuck."""
 
     def __init__(self):
+        self.oracle = _G4ip().derivable if derivable is _decides else derivable
         self.proved: dict[Sequent, Derivation] = {}
         self.accepted: dict[Sequent, bool] = {}
         self.path: set[Sequent] = set()
@@ -143,7 +146,7 @@ class _Constructor:
     def _accepts(self, s: Sequent) -> bool:
         verdict = self.accepted.get(s)
         if verdict is None:
-            verdict = self.accepted[s] = derivable(s)
+            verdict = self.accepted[s] = self.oracle(s)
         return verdict
 
     def _apply(self, s: Sequent, e: Expansion) -> Optional[Derivation]:
@@ -165,9 +168,10 @@ def prove(s: Sequent) -> SearchOutcome:
     the decision procedure accepts: the two disagree, and neither verdict can
     be trusted.
     """
-    if not derivable(s):
+    constructor = _Constructor()
+    if not constructor.oracle(s):
         return Refuted()
-    d = _Constructor().build(_normalize(s))
+    d = constructor.build(_normalize(s))
     if d is None:
         raise InternalCheckError(f"bint.decide accepts {s}, but no proof of it was built")
     return Proved(_lift(d, s))

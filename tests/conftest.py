@@ -1,8 +1,9 @@
 """Shared strategies and corpus builders for the test suite.
 
 The randomized corpora are seeded (override with BINT_SEED) so failures
-reproduce; session-scoped fixtures keep the 200-derivation corpus shared
-across test modules.
+reproduce; session-scoped fixtures keep the 200-derivation corpus, the
+checker's corpus of nodes and their single-field mutations shared across test
+modules.
 """
 
 from __future__ import annotations
@@ -13,8 +14,13 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from bint.corpus import DATA_DIR
 from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or
-from bint.kernel import MINUS, PLUS, Context, RuleId as R, Sequent, Side, node, parse_sequent
+from bint.kernel import (
+    MINUS, PLUS, RIGHT_RULES, SCHEMA, Annotation, Context, RuleId as R, Sequent, Side,
+    dual_derivation, node, parse_sequent, premises_for,
+)
+from bint.serialize import load_derivations
 from bint.transform import derive_identity, weaken
 from random_derivations import random_derivation
 
@@ -73,6 +79,104 @@ def horn_chain(length: int, with_start: bool):
 def derivation_corpus() -> list:
     """200 seeded random cut-free derivations (the regression corpus)."""
     return [random_derivation(SEED * 1000 + i, 10) for i in range(200)]
+
+
+# --- the nodes of the checker's tests, and their mutations ---------------------------
+
+RANDOM_DERIVATIONS = 1_000
+_ZZ = Atom("zz")
+
+
+def _nodes(roots):
+    """Each distinct node of ``roots``, as (conclusion, rule, premise conclusions,
+    annotation), once per value."""
+    seen, visited, out, stack = set(), set(), [], list(roots)
+    while stack:
+        x = stack.pop()
+        if id(x) in visited:
+            continue
+        visited.add(id(x))
+        key = (x.conclusion, x.rule, tuple(p.conclusion for p in x.premises), x.annotation)
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+        stack.extend(x.premises)
+    return out
+
+
+@pytest.fixture(scope="session")
+def nodes(derivation_corpus):
+    """The distinct nodes of the corpus files, of the session corpus, and of
+    1,000 more random derivations and their duals."""
+    roots = [d for path in sorted(DATA_DIR.glob("*.deriv")) for d in load_derivations(path)]
+    roots += derivation_corpus
+    rand = [random_derivation(SEED * 1000 + 50_000 + i, 8) for i in range(RANDOM_DERIVATIONS)]
+    roots += rand + [dual_derivation(d) for d in rand]
+    return _nodes(roots)
+
+
+@pytest.fixture(scope="session")
+def mutated_nodes(nodes):
+    """Every single-field mutation of every logical node of ``nodes``, as
+    (rule, conclusion, premises, annotation), in one list: the checker's
+    tests read it three times, and making it costs more than reading it."""
+    return [(rule, *m) for s, rule, premises, annotation in nodes if rule in SCHEMA
+            for m in _mutations(s, rule, premises, annotation)]
+
+
+def principals(s: Sequent, rule, annotation):
+    """The principals the checker tries: the annotated one, a right rule's
+    succedent, or each context formula a left rule could decompose."""
+    if annotation is not None and annotation.principal is not None:
+        return [annotation.principal]
+    if rule in RIGHT_RULES:
+        return [s.succedent]
+    schema = SCHEMA[rule]
+    side = s.gamma if schema.at is Side.A else s.delta
+    return [f for f in side.distinct() if isinstance(f, schema.connective)]
+
+
+def _changed(s: Sequent, **fields) -> Sequent:
+    return Sequent(**{"gamma": s.gamma, "delta": s.delta, "polarity": s.polarity,
+                      "succedent": s.succedent, **fields})
+
+
+def _mutations(s, rule, premises, annotation):
+    """Single-field mutations of one node, as (conclusion, premises,
+    annotation): one context formula added to, dropped from or replaced in
+    either side of a premise, a premise's polarity flipped, the principal's
+    other operand as a premise's succedent, the premises swapped, a wrong
+    principal in the annotation, and every polarity flipped."""
+    principal = _principal_of(s, rule, premises, annotation)
+    ops = () if principal is None else (principal.left, principal.right)
+    for i, p in enumerate(premises):
+        def at(q):
+            return s, premises[:i] + (q,) + premises[i + 1:], annotation
+        for side in ("gamma", "delta"):
+            ctx = getattr(p, side)
+            for f in (_ZZ, *ops, *ctx[:1]):
+                yield at(_changed(p, **{side: ctx.add(f)}))
+            for f in ctx.distinct():
+                yield at(_changed(p, **{side: ctx.remove(f)}))
+                yield at(_changed(p, **{side: ctx.remove(f).add(_ZZ)}))
+        yield at(_changed(p, polarity=p.polarity.flip()))
+        for f in ops:
+            if f != p.succedent:
+                yield at(_changed(p, succedent=f))
+    if len(premises) == 2:
+        yield s, premises[::-1], annotation
+    connective = SCHEMA[rule].connective
+    wrong = [f for f in (*s.gamma.distinct(), *s.delta.distinct(), s.succedent)
+             if isinstance(f, connective) and f != principal]
+    for f in wrong + [connective(_ZZ, _ZZ)]:
+        yield s, premises, Annotation(principal=f)
+    yield (_changed(s, polarity=s.polarity.flip()),
+           tuple(_changed(p, polarity=p.polarity.flip()) for p in premises), annotation)
+
+
+def _principal_of(s, rule, premises, annotation):
+    return next((f for f in principals(s, rule, annotation)
+                 if premises_for(s, rule, f) == premises), None)
 
 
 _SMALL = [Atom("p"), Atom("q"), Atom("r"), BOT, TOP,

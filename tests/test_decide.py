@@ -15,7 +15,7 @@ from bint.kernel import (
     parse_sequent, premises_for, sequent,
 )
 from bint.syntax import BOT, TOP, Atom
-from bint.search import Refuted, prove
+from bint.search import Proved, Refuted, prove
 from bint.transform import InternalCheckError
 from conftest import REPRODUCER, SEED, horn_chain, random_sequent
 
@@ -201,6 +201,25 @@ def test_prove_refutes_without_searching(monkeypatch):
     for text in ("F -> F ; |-+ F", "; T -< T |-- T", "; |-+ ((p -> q) -> p) -> p"):
         assert isinstance(prove(parse_sequent(text)), Refuted)
     assert isinstance(prove(horn_chain(40, False)), Refuted)
+
+
+def test_one_g4ip_gives_every_verdict_of_a_prove_query(monkeypatch):
+    made, asked = [], []
+    init, ask = decide._G4ip.__init__, decide._G4ip.derivable
+
+    def counted_init(self):
+        made.append(self)
+        init(self)
+
+    def counted_ask(self, s):
+        asked.append(self)
+        return ask(self, s)
+
+    monkeypatch.setattr(decide._G4ip, "__init__", counted_init)
+    monkeypatch.setattr(decide._G4ip, "derivable", counted_ask)
+    # no rule of step 1, 2 or 3 applies: the right disjunction rules ask the oracle
+    assert isinstance(prove(parse_sequent("p ; |-+ q \\/ (p \\/ r)")), Proved)
+    assert len(made) == 1 and len(asked) > 1 and set(map(id, asked)) == {id(made[0])}
 
 
 def test_prove_raises_when_the_search_exhausts_an_accepted_sequent(monkeypatch):

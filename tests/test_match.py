@@ -20,20 +20,18 @@ import pytest
 from bint import kernel
 from bint.corpus import DATA_DIR
 from bint.kernel import (
-    ARITY, CUT_RULES, RIGHT_RULES, SCHEMA, ZERO_PREMISE, Annotation, Derivation, RuleId as R,
+    ARITY, CUT_RULES, RIGHT_RULES, SCHEMA, ZERO_PREMISE, Derivation, RuleId as R,
     Sequent, Side, Violation,
     _check_cut, _fits, _zero_premise_failure, check_rule_instance, dual_derivation,
     format_sequent, infer_principal, parse_sequent, premises_for,
 )
 from bint.search import prove
-from random_derivations import random_derivation
 from bint.serialize import load_derivation, load_derivations
 from bint.syntax import And, Atom, Coimp, Imp, Or, format_formula
 from bint.transform import eliminate_cut, weaken
 
-from conftest import SEED, horn_chain
+from conftest import horn_chain, principals
 
-RANDOM_DERIVATIONS = 1_000
 _CONNECTIVES = (And, Or, Imp, Coimp)
 q, zz = Atom("q"), Atom("zz")
 
@@ -95,34 +93,6 @@ def ref_infer_principal(d):
     return None
 
 
-# --- the nodes compared ----------------------------------------------------------
-
-def _nodes(roots):
-    """Each distinct node of ``roots``, as (conclusion, rule, premise conclusions,
-    annotation), once per value."""
-    seen, visited, out, stack = set(), set(), [], list(roots)
-    while stack:
-        x = stack.pop()
-        if id(x) in visited:
-            continue
-        visited.add(id(x))
-        key = (x.conclusion, x.rule, tuple(p.conclusion for p in x.premises), x.annotation)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-        stack.extend(x.premises)
-    return out
-
-
-@pytest.fixture(scope="module")
-def nodes(derivation_corpus):
-    roots = [d for path in sorted(DATA_DIR.glob("*.deriv")) for d in load_derivations(path)]
-    roots += derivation_corpus
-    rand = [random_derivation(SEED * 1000 + 50_000 + i, 8) for i in range(RANDOM_DERIVATIONS)]
-    roots += rand + [dual_derivation(d) for d in rand]
-    return _nodes(roots)
-
-
 def _candidates(s: Sequent, annotation):
     """Every formula that could be offered as the principal: the annotated one,
     the succedent, each context formula and each operand."""
@@ -131,18 +101,6 @@ def _candidates(s: Sequent, annotation):
         out.append(annotation.principal)
     out += [x for f in list(out) if isinstance(f, _CONNECTIVES) for x in (f.left, f.right)]
     return list(dict.fromkeys(out))
-
-
-def _principals(s: Sequent, rule, annotation):
-    """The principals the checker tries: the annotated one, a right rule's
-    succedent, or each context formula a left rule could decompose."""
-    if annotation is not None and annotation.principal is not None:
-        return [annotation.principal]
-    if rule in RIGHT_RULES:
-        return [s.succedent]
-    schema = SCHEMA[rule]
-    side = s.gamma if schema.at is Side.A else s.delta
-    return [f for f in side.distinct() if isinstance(f, schema.connective)]
 
 
 def _agree(s, rule, premises, annotation, candidates, worded=True):
@@ -163,49 +121,6 @@ def _agree(s, rule, premises, annotation, candidates, worded=True):
     return got is None
 
 
-def _changed(s: Sequent, **fields) -> Sequent:
-    return Sequent(**{"gamma": s.gamma, "delta": s.delta, "polarity": s.polarity,
-                      "succedent": s.succedent, **fields})
-
-
-def _mutations(s, rule, premises, annotation):
-    """Single-field mutations of one node, as (conclusion, premises,
-    annotation): one context formula added to, dropped from or replaced in
-    either side of a premise, a premise's polarity flipped, the principal's
-    other operand as a premise's succedent, the premises swapped, a wrong
-    principal in the annotation, and every polarity flipped."""
-    principal = _principal_of(s, rule, premises, annotation)
-    ops = () if principal is None else (principal.left, principal.right)
-    for i, p in enumerate(premises):
-        def at(q):
-            return s, premises[:i] + (q,) + premises[i + 1:], annotation
-        for side in ("gamma", "delta"):
-            ctx = getattr(p, side)
-            for f in (zz, *ops, *ctx[:1]):
-                yield at(_changed(p, **{side: ctx.add(f)}))
-            for f in ctx.distinct():
-                yield at(_changed(p, **{side: ctx.remove(f)}))
-                yield at(_changed(p, **{side: ctx.remove(f).add(zz)}))
-        yield at(_changed(p, polarity=p.polarity.flip()))
-        for f in ops:
-            if f != p.succedent:
-                yield at(_changed(p, succedent=f))
-    if len(premises) == 2:
-        yield s, premises[::-1], annotation
-    connective = SCHEMA[rule].connective
-    wrong = [f for f in (*s.gamma.distinct(), *s.delta.distinct(), s.succedent)
-             if isinstance(f, connective) and f != principal]
-    for f in wrong + [connective(zz, zz)]:
-        yield s, premises, Annotation(principal=f)
-    yield (_changed(s, polarity=s.polarity.flip()),
-           tuple(_changed(p, polarity=p.polarity.flip()) for p in premises), annotation)
-
-
-def _principal_of(s, rule, premises, annotation):
-    return next((f for f in _principals(s, rule, annotation)
-                 if premises_for(s, rule, f) == premises), None)
-
-
 # --- the matcher against premises_for ------------------------------------------------
 
 def test_the_matcher_agrees_with_premises_for_on_every_node(nodes):
@@ -215,19 +130,15 @@ def test_the_matcher_agrees_with_premises_for_on_every_node(nodes):
     assert all(_agree(*n, _candidates(n[0], n[3])) for n in logical)    # all are valid
 
 
-def test_the_matcher_agrees_with_premises_for_on_mutated_nodes(nodes):
+def test_the_matcher_agrees_with_premises_for_on_mutated_nodes(mutated_nodes):
     accepted = rejected = 0
-    for s, rule, premises, annotation in nodes:
-        if rule not in SCHEMA:
-            continue
-        for conclusion, mutated, ann in _mutations(s, rule, premises, annotation):
-            # formatting dominates, so every eighth violation is worded
-            worded = (accepted + rejected) % 8 == 0
-            if _agree(conclusion, rule, mutated, ann, _principals(conclusion, rule, ann),
-                      worded):
-                accepted += 1
-            else:
-                rejected += 1
+    for rule, conclusion, mutated, ann in mutated_nodes:
+        # formatting dominates, so every eighth violation is worded
+        worded = (accepted + rejected) % 8 == 0
+        if _agree(conclusion, rule, mutated, ann, principals(conclusion, rule, ann), worded):
+            accepted += 1
+        else:
+            rejected += 1
     # a mutation is nearly always a violation; a few still fit: by another
     # principal, by an equal premise, or a left rule at the other polarity
     assert rejected > 100_000 and accepted < rejected // 20
@@ -309,7 +220,7 @@ def valid_premise(s: Sequent) -> Derivation:
     return x
 
 
-def test_building_a_node_words_no_violation(nodes, monkeypatch):
+def test_building_a_node_words_no_violation(mutated_nodes, monkeypatch):
     # the mutated nodes are nearly all invalid, and building them formats no
     # sequent and builds no expected premise; check_rule_instance, asked
     # afterwards, gives the same verdict on each
@@ -325,8 +236,7 @@ def test_building_a_node_words_no_violation(nodes, monkeypatch):
         monkeypatch.setattr(kernel, name, counted(getattr(kernel, name)))
     built = [(conclusion, rule, mutated, ann,
               Derivation(conclusion, rule, tuple(map(valid_premise, mutated)), ann).valid)
-             for s, rule, premises, annotation in nodes if rule in SCHEMA
-             for conclusion, mutated, ann in _mutations(s, rule, premises, annotation)]
+             for rule, conclusion, mutated, ann in mutated_nodes]
     assert not calls
     monkeypatch.undo()
     for conclusion, rule, mutated, ann, valid in built:

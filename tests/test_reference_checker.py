@@ -4,7 +4,7 @@ Its verdict must equal ``Derivation.valid``: on every node of the corpus
 files, of the prove-pin proofs, of the pinned cut eliminations and the
 tall-chain ones, of what dualizing, weakening, contracting, inverting and
 unweakening make of the corpus files, and of identity expansions; and on
-``test_match.py``'s single-field mutations of the nodes of its corpus.
+the single-field mutations of ``conftest.py``'s corpus of nodes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from bint import corpus
 from bint.corpus import DATA_DIR
 from bint.decide import derivable
 from bint.kernel import (
-    SCHEMA, Derivation, Polarity, RuleId as R, Side, dual_derivation, dual_sequent, parse_sequent,
+    Derivation, Polarity, RuleId as R, Side, dual_derivation, dual_sequent, parse_sequent,
 )
 from bint.search import Proved, prove
 from bint.serialize import load_derivation, load_derivations, loads_derivation
@@ -26,7 +26,7 @@ from bint.transform import (
 )
 from conftest import SEED, horn_chain, random_sequent
 from perfbench import gen
-from test_match import _mutations, nodes, valid_premise  # noqa: F401  (a fixture)
+from test_match import valid_premise
 
 
 def _agree(roots) -> tuple[int, int]:
@@ -89,16 +89,13 @@ def test_the_reference_agrees_on_the_pinned_cut_eliminations(cut_pairs):
     assert len(outputs) == 450 and good > 4000 and bad == 0
 
 
-def test_the_reference_agrees_on_mutated_nodes(nodes):   # noqa: F811
+def test_the_reference_agrees_on_mutated_nodes(mutated_nodes):
     counts = [0, 0]
-    for s, rule, premises, annotation in nodes:
-        if rule not in SCHEMA:
-            continue
-        for conclusion, mutated, ann in _mutations(s, rule, premises, annotation):
-            kernel = Derivation(conclusion, rule, tuple(map(valid_premise, mutated)), ann).valid
-            assert reference.node_fits(rule.value, conclusion, mutated, ann) == kernel, \
-                (conclusion, rule, mutated, ann)
-            counts[kernel] += 1
+    for rule, conclusion, mutated, ann in mutated_nodes:
+        kernel = Derivation(conclusion, rule, tuple(map(valid_premise, mutated)), ann).valid
+        assert reference.node_fits(rule.value, conclusion, mutated, ann) == kernel, \
+            (conclusion, rule, mutated, ann)
+        counts[kernel] += 1
     assert counts[0] > 100_000 and 0 < counts[1] < counts[0] // 20
 
 

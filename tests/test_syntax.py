@@ -16,7 +16,7 @@ from typing import Callable
 import pytest
 from hypothesis import given
 
-from bint import syntax
+from bint import kernel, serialize, syntax
 from bint.syntax import (
     _CONSTANT, _INFIX, _LETTERS, _LEXEME, _PREC, BOT, TOP, And, Atom, Bottom, Coimp, Formula,
     FormulaSyntaxError, Imp, Or, Top, format_formula, lexemes, parse_formula, weight,
@@ -419,6 +419,52 @@ def test_sequent_readers_match_the_references_on_fuzzed_text():
         assert min(seen[name, kind] for kind in kinds) >= 100, name
     # "expected ';'" and "expected '|-+' or '|--'"
     assert min(seen["parse_sequent", "expected '"], seen["parse_context_pair", "expected '"]) >= 1000
+
+
+# --- sequent text read by its pieces --------------------------------------------------
+
+def test_a_sequent_read_again_is_read_from_the_shared_cache():
+    text = "cached_a, cached_a -> cached_b ; cached_c |-- cached_b /\\ cached_c"
+    first = parse_sequent(text)
+    before = kernel.parse_formula.cache_info()
+    again = parse_sequent(text)
+    after = kernel.parse_formula.cache_info()
+    assert again == first and after.misses == before.misses and after.hits == before.hits + 4
+    assert all(x is y for x, y in zip(first.gamma + first.delta, again.gamma + again.delta))
+    assert again.succedent is first.succedent
+    assert serialize.parse_formula is kernel.parse_formula
+
+
+@pytest.mark.parametrize("text", [
+    "p,q ; |-+ r",              # a comma with no space: read by the scanner, and valid
+    "p ,q ; r ,s |-- t",
+    "p ; q ; |-+ r",            # two ';'
+    "p ; |-+ q ; r",
+    "p |-+ q ; |-+ r",          # a turnstile inside Gamma
+    "p |- q ; |-+ r",
+    "p ; |- + q",               # a turnstile split by a space
+    "p ; |-+ q, r",             # a ',' in the succedent
+    "p ; |-+ q,",
+    "; |-+ p",                  # empty sides
+    "  ;   |-- p",
+    ";|-+p",
+    "; |-+",
+    "p ; |-+ ",
+    "p, ; |-+ q",
+    "p, , q ; |-+ r",
+    ", p ; |-+ q",
+    "p ; q, |-+ r",
+    "p ; |-+ q r",              # trailing text
+    "p ; |-+ q )",
+    "p ; |-+ q @",
+    "p @ q ; |-+ r",
+    "p ; q -> |-+ r",
+    "(p ; |-+ q",
+])
+def test_irregular_sequent_text_is_read_as_the_scanner_reads_it(text):
+    got = outcome_or_error(parse_sequent, text)
+    assert got == outcome_or_error(kernel._scan_sequent, text)
+    assert got == outcome_or_error(ref_parse_sequent, text)
 
 
 def test_deep_parentheses_parse_without_recursion():

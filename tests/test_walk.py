@@ -601,9 +601,10 @@ def test_mapping_transforms_equal_the_conclusion_maps(derivation_corpus, corpus_
 
 
 def test_mapping_transforms_edit_each_distinct_context_once():
-    # a tower holds four context objects at any height, two of them equal
-    # (the empty Deltas), and each map of it no more; a side that a map leaves
-    # alone keeps its objects
+    # a tower holds three context objects at any height: its two Gammas and
+    # its one Delta, since parse_sequent reads every empty side as the one
+    # EMPTY; each map of it holds no more, and a side that a map leaves alone
+    # keeps its objects
     d = tower(200)
     n = context_objects(d)
     pp = Imp(p, p)
@@ -612,7 +613,7 @@ def test_mapping_transforms_edit_each_distinct_context_once():
             unweaken_special(weaken(d, TOP, Side.A), TOP_IN_GAMMA),
             contract(weaken(weaken(d, q, Side.C), q, Side.C), q, Side.C),
             contract(weaken(d, pp, Side.A), pp, Side.A)]
-    assert n == context_objects(tower(3)) == 4
+    assert n == context_objects(tower(3)) == 3
     for out in outs:
         assert out.height == 200 and context_objects(out) <= n
     assert all(x.conclusion.gamma is y.conclusion.gamma
