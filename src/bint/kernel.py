@@ -929,7 +929,9 @@ def dual_sequent(s: Sequent) -> Sequent:
 
 class _Memo(dict):
     """``key -> make(key)``, each value made on first use.  A hit is a plain
-    dict lookup, with no Python frame."""
+    dict lookup, with no Python frame.  Formulas, contexts and sequents are
+    keyed by value (``hash`` and ``==`` run in C), derivation nodes by ``id``:
+    a node's ``hash`` is a Python call and its ``==`` walks the tree."""
 
     def __init__(self, make: Callable):
         self.make = make
@@ -940,25 +942,16 @@ class _Memo(dict):
 
 
 def dual_derivation(d: Derivation) -> Derivation:
-    """The dual of ``d``, a tree of any height.  Each distinct context,
-    sequent and node object (``fold``) is dualized once per call, and each
-    formula once per process (``dual_formula``)."""
+    """The dual of ``d``, a tree of any height.  Each distinct context and
+    sequent and each node object (``fold``) is dualized once per call, and
+    each formula once per process (``dual_formula``)."""
     context = _Memo(dual_context)
-    # a conclusion is looked up by its object, then by the objects of its dual
-    # parts, one per value: a sequent seen once hashes none of its formulas
-    by_id: dict[int, Sequent] = {}      # the nodes of ``d`` keep the keys alive
-    by_parts: dict[tuple, Sequent] = {}
+    sequent = _Memo(lambda c: Sequent(context[c.delta], context[c.gamma], c.polarity.flip(),
+                                      c.succedent._dual or dual_formula(c.succedent)))
 
     def make(x: Derivation, premises: tuple) -> Derivation:
         if x.rule in _DUAL_SWAPS_PREMISES:
             premises = premises[::-1]
-        c = x.conclusion
-        s = by_id.get(id(c))
-        if s is None:
-            parts = (context[c.delta], context[c.gamma], c.polarity.flip(),
-                     c.succedent._dual or dual_formula(c.succedent))
-            key = tuple(map(id, parts))
-            s = by_id[id(c)] = by_parts.get(key) or by_parts.setdefault(key, Sequent(*parts))
         a = x.annotation
         if a is not None:
             sp = a.context_split
@@ -968,6 +961,6 @@ def dual_derivation(d: Derivation) -> Derivation:
                 None if sp is None else ContextSplit(context[sp.delta], context[sp.gamma],
                                                      context[sp.delta_prime],
                                                      context[sp.gamma_prime]))
-        return Derivation(s, DUAL_RULE[x.rule], premises, a)
+        return Derivation(sequent[x.conclusion], DUAL_RULE[x.rule], premises, a)
 
     return fold(d, make)

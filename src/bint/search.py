@@ -28,7 +28,7 @@ from collections import Counter
 from typing import Optional
 
 from .kernel import (
-    SCHEMA, Context, Derivation, Expansion, RuleId as R, Sequent, backward_expansions,
+    SCHEMA, Context, Derivation, Expansion, RuleId as R, Sequent, _Memo, backward_expansions,
     closing_rules, premise_of,
 )
 from .kernel import check_derivation  # noqa: F401  # a name the benchmark's traced run wraps
@@ -103,14 +103,14 @@ def _lift(d: Derivation, to: Sequent) -> Derivation:
 class _Constructor:
     """Builds proofs of accepted normalized sequents, for one query, whose
     verdicts ``oracle`` gives: one ``_G4ip`` unless ``derivable`` is replaced.
-    ``proved`` and ``accepted`` memoize finished subproofs and verdicts;
-    ``path`` holds the sequents on the current branch; ``backtracks`` counts
-    the step-4 choices that got stuck."""
+    ``proved`` memoizes finished subproofs, and ``accepted`` asks ``oracle``
+    once per sequent; ``path`` holds the sequents on the current branch;
+    ``backtracks`` counts the step-4 choices that got stuck."""
 
     def __init__(self):
         self.oracle = _G4ip().derivable if derivable is _decides else derivable
         self.proved: dict[Sequent, Derivation] = {}
-        self.accepted: dict[Sequent, bool] = {}
+        self.accepted: dict[Sequent, bool] = _Memo(self.oracle)
         self.path: set[Sequent] = set()
         self.backtracks = 0
 
@@ -132,7 +132,7 @@ class _Constructor:
             found = self._apply(s, committed)
         else:
             for e in expansions:
-                if not all(self._accepts(_normalize(p)) for p in e.premises):
+                if not all(self.accepted[_normalize(p)] for p in e.premises):
                     continue
                 found = self._apply(s, e)
                 if found is not None:
@@ -142,12 +142,6 @@ class _Constructor:
         if found is not None:
             self.proved[s] = found
         return found
-
-    def _accepts(self, s: Sequent) -> bool:
-        verdict = self.accepted.get(s)
-        if verdict is None:
-            verdict = self.accepted[s] = self.oracle(s)
-        return verdict
 
     def _apply(self, s: Sequent, e: Expansion) -> Optional[Derivation]:
         children = []

@@ -13,8 +13,8 @@ one ``kernel.parse_sequent`` reads sequent text through), and once per
 document beyond it, and equal formulas are one object either way (formulas
 are hash-consed); each formula object is printed once per process, since it
 keeps its text (``syntax.format_formula``).  Each distinct text of a
-conclusion's Gamma or Delta is read, and each distinct context object
-written, once per document.
+conclusion's Gamma or Delta is read, and each distinct context written, once
+per document.
 """
 
 from __future__ import annotations
@@ -43,29 +43,22 @@ _RULE_TEXT = {r: _escape(r.value) for r in RuleId}
 
 class _Writer:
     """Writes one document, reading each formula's kept text and printing
-    only a formula that has none yet.  The text is the one Python's JSON
+    only a formula that has none yet, and joining each distinct context's
+    texts once (``contexts``).  The text is the one Python's JSON
     encoder gives with a two-space indent and sorted keys: the keys in that
     order, strings escaped by the encoder's own C function, and each depth's
     indentation built once.  It nests two calls per derivation level, node
     and premise list, as the loader does."""
 
     def __init__(self):
-        # id of a context -> the context, kept alive so that its id is not
-        # reused, and its formulas' texts joined
-        self.contexts: dict[int, tuple[Context, str]] = {}
+        self.contexts: dict[Context, str] = _Memo(
+            lambda ctx: ", ".join([f._text or format_formula(f) for f in ctx]))
         self.out: list[str] = []
         self.indents: dict[int, str] = _Memo(lambda depth: "\n" + "  " * depth)
 
     def text(self) -> str:
         self.out.append("\n")
         return "".join(self.out)
-
-    def context(self, ctx: Context) -> str:
-        hit = self.contexts.get(id(ctx))
-        if hit is None:
-            hit = self.contexts[id(ctx)] = (
-                ctx, ", ".join([f._text or format_formula(f) for f in ctx]))
-        return hit[1]
 
     def node(self, d: Derivation, depth: int) -> None:
         out, indents = self.out, self.indents
@@ -77,7 +70,7 @@ class _Writer:
             out += (nl, '"annotation": ')
             self.annotation(a, depth + 1)
             out.append(",")
-        conclusion = format_sequent(d.conclusion, self.context)
+        conclusion = format_sequent(d.conclusion, self.contexts.__getitem__)
         out += (nl, '"conclusion": ', _escape(conclusion), ",", nl, '"premises": ')
         self.premises(d.premises, depth + 1)
         out += (",", nl, '"rule": ', _RULE_TEXT[d.rule], indents[depth], "}")

@@ -22,9 +22,9 @@ that gives every node a new conclusion; inversion and contraction stop the
 walk at a node that decomposes their formula, where contraction calls itself
 on the premises.  The weakenings and contraction edit each distinct context
 once per call (the contractions nested in one call share its memos), and cut
-elimination computes each step's contexts once per distinct pair of premise
-context objects, found by identity, with memos that live for the call, so
-contexts that the input shares stay shared in the output.  Identity
+elimination computes each step's contexts once per distinct premise contexts,
+cut formula and variant; these memos live for the call and are keyed by value
+(``kernel._Memo``), so equal contexts are one object in the output.  Identity
 expansion reads the rule table: a formula of weight <= 1 gets the first
 backward expansion of its bare sequent whose premises close at once, closed
 by the rules of one tie-break table, ``_IDENTITY_CLOSERS``; a heavier one
@@ -441,38 +441,35 @@ def eliminate_cut(left: Derivation, right: Derivation, cut_formula: Formula,
     return out
 
 
+def _cut_contexts(key: tuple) -> tuple[Context, Context, Context, Context]:
+    """The cut on ``dfm`` under ``variant`` of a premise over ``lg``, ``ld``
+    into one over ``gp``, ``dp``: Gamma' and Delta' (``gp`` and ``dp`` less
+    the cut occurrence), and the target's Gamma and Delta."""
+    lg, ld, gp, dp, dfm, variant = key
+    if CUT_AT[variant][0] is Side.A:
+        gp = gp.remove(dfm)
+    else:
+        dp = dp.remove(dfm)
+    return gp, dp, lg.union(gp), ld.union(dp)
+
+
 class _Eliminator:
     """One elimination.  It computes each cut formula's weight once, and each
-    step's contexts once per distinct pair of premise context objects, found
-    by identity: hashing a context reads every formula in it, O(L) per context
-    on a chain of height L.  A context shared by the premises stays one object
-    in the output."""
+    step's contexts once per distinct premise contexts, cut formula and
+    variant, so equal contexts in the premises give one object in the
+    output."""
 
     def __init__(self, trace: Optional[CutTrace]):
         self.trace = trace
         self._counter = 0
         self.weight = _Memo(weight)
-        # ids of the premises' contexts and of the cut formula, variant -> the
-        # conclusions and the cut formula, kept so that no id is reused while
-        # the memo lives, and the four contexts
-        self._contexts: dict[tuple, tuple] = {}
+        self._contexts = _Memo(_cut_contexts)
 
     def contexts(self, left: Derivation, right: Derivation, dfm: Formula,
                  variant: R) -> tuple[Context, Context, Context, Context]:
-        """Gamma', Delta', and the target's Gamma and Delta, of the cut of
-        ``left`` into ``right`` on ``dfm``."""
+        """``_cut_contexts`` of the cut of ``left`` into ``right`` on ``dfm``."""
         l, r = left.conclusion, right.conclusion
-        key = (id(l.gamma), id(l.delta), id(r.gamma), id(r.delta), id(dfm), variant)
-        hit = self._contexts.get(key)
-        if hit is None:
-            gp, dp = r.gamma, r.delta
-            if CUT_AT[variant][0] is Side.A:
-                gp = gp.remove(dfm)
-            else:
-                dp = dp.remove(dfm)
-            hit = self._contexts[key] = (
-                l, r, dfm, (gp, dp, l.gamma.union(gp), l.delta.union(dp)))
-        return hit[3]
+        return self._contexts[l.gamma, l.delta, r.gamma, r.delta, dfm, variant]
 
     def target(self, left: Derivation, right: Derivation, dfm: Formula, variant: R) -> Sequent:
         """The endsequent of the cut of ``left`` into ``right`` on ``dfm``."""

@@ -39,6 +39,12 @@ def test_coverage_tracks_gaps(tmp_path):
     assert not coverage.ok
     assert len(coverage.missing_rules) == 24
     assert "-5.4-" in coverage.missing_cases
+    # the report names both kinds of gap, rules first
+    assert str(coverage) == ("rules never exercised: " + ", ".join(coverage.missing_rules)
+                             + "; elimination cases never hit: "
+                             + ", ".join(coverage.missing_cases))
+    assert str(coverage).startswith("rules never exercised: AndLa, AndLc, AndRMinus1, ")
+    assert ", TopRPlus; elimination cases never hit: -1.1-, -1.2-, " in str(coverage)
 
 
 @pytest.mark.parametrize("field, value", [("side", "x"), ("which", "TopInDelta"),
@@ -57,6 +63,18 @@ def test_an_unknown_case_kind_fails_its_case():
     bad = corpus.GoldenCase(case.id, case.description, "transmute", case.input, case.expected)
     result = corpus.run_golden(bad)
     assert not result.ok and "unknown case kind 'transmute'" in result.diff
+
+
+def test_a_dump_that_stops_early_is_worded_by_its_length(monkeypatch):
+    # of two whole dumps neither is a prefix of the other, so the dumper is
+    # replaced: one text is the other and two more lines
+    dumps = {"short": '{\n  "rule": "Rf+"\n}\n'}
+    dumps["long"] = dumps["short"] + "{\n}\n"
+    monkeypatch.setattr(corpus, "dumps_derivation", dumps.__getitem__)
+    assert corpus._diff_derivations("short", "long") == (
+        "dump lengths differ: expected 3 lines, got 5")
+    assert corpus._diff_derivations("long", "short") == (
+        "dump lengths differ: expected 5 lines, got 3")
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"

@@ -591,18 +591,39 @@ def test_tall_chain_eliminations_keep_their_contexts_shared(chain_eliminations):
         assert _context_objects(out) <= 52 and out.height == right.height
 
 
-def test_cut_elimination_hashes_no_context(monkeypatch):
-    # each step finds its contexts by the identity of its premises' context
-    # objects: hashing a context reads every formula in it, O(L) per context
-    # on a chain of height L, so O(L^2) per elimination
+def test_cut_elimination_computes_each_steps_contexts_once(monkeypatch):
+    # each step's contexts are a memo keyed by value: the premises' four
+    # contexts, the cut formula and the variant.  On the chain the steps
+    # share keys, and each distinct key is computed once
     pair = next(pair for pair in gen.chain_set(0, 0) if pair.tag == "L30a")
     left, right = loads_derivation(pair.left), loads_derivation(pair.right)
-    hashed = []
-    context_hash = Context.__hash__
-    monkeypatch.setattr(Context, "__hash__", lambda ctx: hashed.append(ctx) or context_hash(ctx))
-    out = eliminate_cut(left, right, parse_formula(pair.cut_formula), R.CutA)
-    assert len(hashed) == 0
+    made = []
+    make = transform._cut_contexts
+    monkeypatch.setattr(transform, "_cut_contexts", lambda key: made.append(key) or make(key))
+    trace = CutTrace()
+    out = eliminate_cut(left, right, parse_formula(pair.cut_formula), R.CutA, trace)
+    assert len(set(made)) == len(made) < len(trace.steps)
     assert str(out.conclusion) == pair.endsequent and out.height == right.height
+
+
+def test_equal_contexts_built_apart_are_one_object_in_the_output():
+    # the right premise's three equal assumption contexts are separate
+    # objects; a step's contexts are found by value, so the output holds one
+    # object per distinct context
+    dfm, a, b = And(Atom("x"), Atom("y")), Atom("a"), Atom("b")
+    gammas = [Context.from_iter([a, b, dfm]) for _ in range(3)]
+    assert len({id(g) for g in gammas}) == 3
+    right = node(R.AndRPlus, Sequent(gammas[0], EMPTY, PLUS, And(a, b)),
+                 [node(R.RfPlus, Sequent(gammas[1], EMPTY, PLUS, a)),
+                  node(R.RfPlus, Sequent(gammas[2], EMPTY, PLUS, b))])
+    left = node(R.AndRPlus, parse_sequent("x, y ; |-+ x /\\ y"),
+                [node(R.RfPlus, parse_sequent("x, y ; |-+ x")),
+                 node(R.RfPlus, parse_sequent("x, y ; |-+ y"))])
+    out = eliminate_cut(left, right, dfm, R.CutA)
+    assert out.height == 1 and str(out.conclusion) == "a, b, x, y ; |-+ a /\\ b"
+    for side in ("gamma", "delta"):
+        found = [getattr(x.conclusion, side) for x in (out, *out.premises)]
+        assert len({id(c) for c in found}) == len(set(found))
 
 
 def test_cut_on_two_axioms_untraced():
