@@ -8,7 +8,8 @@
 checkout, as ``--workload W --seed i --seconds S --trace 0`` with ``S`` the
 benchmark's ``run_seconds``, one run after the other.  Which checkout runs
 first alternates from pair to pair, so slow drift of the machine's load falls
-on both sides alike.  Each run's last line is its JSON result.
+on both sides alike.  Each run's last line is its JSON result, and each pair
+prints both sides' ``ops_per_s`` and ``op_tail_ms``.
 
 Printed per end-to-end metric of ``BENCHMARK.json``: the median of each side,
 the change of the median, the parent's interquartile spread, whether the
@@ -73,7 +74,9 @@ def main(argv=None) -> int:
         parent, change = (r[-1] for r in results)
         print(f"pair {i + 1} seed={seed} first={'parent' if order[0] == 0 else 'change'}: "
               f"ops_per_s {parent['metrics']['ops_per_s']['value']:.1f} -> "
-              f"{change['metrics']['ops_per_s']['value']:.1f}, correct "
+              f"{change['metrics']['ops_per_s']['value']:.1f}, op_tail_ms "
+              f"{parent['metrics']['op_tail_ms']['value']:.3f} -> "
+              f"{change['metrics']['op_tail_ms']['value']:.3f}, correct "
               f"{parent['correct']}/{change['correct']}, failed "
               f"{parent['failed']}/{change['failed']}", flush=True)
 

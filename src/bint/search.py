@@ -3,8 +3,8 @@
 ``prove`` asks the decision procedure of ``bint.decide`` first: a sequent it
 rejects is ``Refuted``.  For an accepted sequent a constructor builds the
 proof without a depth bound, checking every node as it builds it.  One
-``_G4ip`` gives every verdict of the query.  The constructor works over
-normalized sequents and takes the first step that applies, in order:
+``_G4ip`` gives every verdict of the query.  The constructor chooses over
+normalized sequents, and takes the first step that applies, in order:
 
 1. a zero-premise rule that closes the sequent;
 2. an invertible rule, with no oracle call: its premises are derivable
@@ -19,7 +19,8 @@ A sequent already on its own branch is a loop, and building it gets stuck.
 Steps 2 and 3 shrink the sequent, so every loop passes through step 4, which
 then tries its next choice: construction terminates, with no depth bound.  A
 goal it cannot finish means the constructor and the decision procedure
-disagree, and ``prove`` raises.
+disagree, and ``prove`` raises.  Each node is built once, by the step chosen
+for its normalized sequent, at the sequent it concludes in the proof.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .kernel import (
 from .kernel import check_derivation  # noqa: F401  # a name the benchmark's traced run wraps
 from .decide import _G4ip, derivable, derivable as _decides
 from .syntax import _Record
-from .transform import InternalCheckError, _node, weaken_context
+from .transform import InternalCheckError, _node
 
 
 class SearchOutcome(_Record):
@@ -88,40 +89,35 @@ def _normalize(s: Sequent) -> Sequent:
     return Sequent(Context(gamma), Context(delta), s.polarity, s.succedent)
 
 
-def _repeats(ctx: Context) -> Context:
-    """The occurrences of ``ctx`` after the first of each formula."""
-    return Context(f for f, before in zip(ctx[1:], ctx) if f == before)
-
-
-def _lift(d: Derivation, to: Sequent) -> Derivation:
-    """Weaken a derivation of ``_normalize(to)`` back up to ``to``."""
-    if d.conclusion == to:
-        return d
-    return weaken_context(d, _repeats(to.gamma), _repeats(to.delta))
-
-
 class _Constructor:
-    """Builds proofs of accepted normalized sequents, for one query, whose
-    verdicts ``oracle`` gives: one ``_G4ip`` unless ``derivable`` is replaced.
-    ``proved`` memoizes finished subproofs, and ``accepted`` asks ``oracle``
-    once per sequent; ``path`` holds the sequents on the current branch;
-    ``backtracks`` counts the step-4 choices that got stuck."""
+    """Builds proofs, for one query, whose verdicts ``oracle`` gives: one
+    ``_G4ip`` unless ``derivable`` is replaced.  ``chosen`` holds the step of
+    each finished normalized sequent, replayed with no search wherever it
+    recurs; ``built`` keeps each node with premises by ``(s, to)``;
+    ``accepted`` asks ``oracle`` once per sequent; ``path`` holds the
+    sequents on the current branch; ``backtracks`` counts the step-4 choices
+    that got stuck."""
 
     def __init__(self):
         self.oracle = _G4ip().derivable if derivable is _decides else derivable
-        self.proved: dict[Sequent, Derivation] = {}
+        self.chosen: dict[Sequent, Expansion] = {}
+        self.built: dict[tuple[Sequent, Sequent], Derivation] = {}
         self.accepted: dict[Sequent, bool] = _Memo(self.oracle)
         self.path: set[Sequent] = set()
         self.backtracks = 0
 
-    def build(self, s: Sequent) -> Optional[Derivation]:
-        """A derivation of ``s``, or None when the step-4 choices get stuck."""
-        found = self.proved.get(s)
-        if found is not None or s in self.path:     # proved, or a loop
+    def build(self, s: Sequent, to: Sequent) -> Optional[Derivation]:
+        """A derivation of ``to`` by the steps chosen over ``s``, or None when
+        the step-4 choices get stuck."""
+        found = self.built.get((s, to))
+        if found is not None or s in self.path:     # built, or a loop
+            return found
+        if s in self.chosen:                        # finished: replay its step
+            found = self.built[s, to] = self._apply(s, to, self.chosen[s])
             return found
         rule = _closer(s)
         if rule is not None:
-            return _node(rule, s)
+            return _node(rule, to)
         expansions = backward_expansions(s)
         self.path.add(s)
         committed = next((e for e in expansions if e.rule in _INVERTIBLE), None)
@@ -129,28 +125,31 @@ class _Constructor:
             committed = next((e for e in expansions if e.rule in _KEEPING
                               and _kept_premise_closes(s, e)), None)
         if committed is not None:
-            found = self._apply(s, committed)
+            found = self._apply(s, to, committed)
         else:
-            for e in expansions:
-                if not all(self.accepted[_normalize(p)] for p in e.premises):
+            for committed in expansions:
+                if not all(self.accepted[_normalize(p)] for p in committed.premises):
                     continue
-                found = self._apply(s, e)
+                found = self._apply(s, to, committed)
                 if found is not None:
                     break
                 self.backtracks += 1
         self.path.remove(s)
         if found is not None:
-            self.proved[s] = found
+            self.chosen[s], self.built[s, to] = committed, found
         return found
 
-    def _apply(self, s: Sequent, e: Expansion) -> Optional[Derivation]:
+    def _apply(self, s: Sequent, to: Sequent, e: Expansion) -> Optional[Derivation]:
+        """``e``'s node at ``to``: the same templates build its premises from
+        ``to``, each by the steps chosen over the normalized premise of ``s``."""
+        lifted = e.premises if to is s else Expansion(e.rule, e.annotation, conclusion=to).premises
         children = []
-        for premise in e.premises:
-            d = self.build(_normalize(premise))
+        for p, q in zip(e.premises, lifted):
+            d = self.build(_normalize(p), q)
             if d is None:
                 return None
-            children.append(_lift(d, premise))
-        return _node(e.rule, s, children, annotation=e.annotation)
+            children.append(d)
+        return _node(e.rule, to, children, annotation=e.annotation)
 
 
 def prove(s: Sequent) -> SearchOutcome:
@@ -165,7 +164,7 @@ def prove(s: Sequent) -> SearchOutcome:
     constructor = _Constructor()
     if not constructor.oracle(s):
         return Refuted()
-    d = constructor.build(_normalize(s))
+    d = constructor.build(_normalize(s), s)
     if d is None:
         raise InternalCheckError(f"bint.decide accepts {s}, but no proof of it was built")
-    return Proved(_lift(d, s))
+    return Proved(d)

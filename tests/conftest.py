@@ -23,6 +23,7 @@ from bint.kernel import (
 from bint.serialize import load_derivations
 from bint.transform import derive_identity, weaken
 from random_derivations import random_derivation
+from scripts import families
 
 SEED = int(os.environ.get("BINT_SEED", "0"))
 
@@ -70,9 +71,8 @@ REPRODUCER = parse_sequent(
 
 
 def horn_chain(length: int, with_start: bool):
-    """``a0, a0 -> a1, ..., a(L-1) -> aL ; |-+ aL``; derivable iff ``a0`` is there."""
-    links = [f"a{i} -> a{i + 1}" for i in range(length)]
-    return parse_sequent(", ".join(links + ["a0"] * with_start) + f" ; |-+ a{length}")
+    """The sequent of ``scripts.families.horn_chain``."""
+    return parse_sequent(families.horn_chain(length, with_start))
 
 
 @pytest.fixture(scope="session")
