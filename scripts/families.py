@@ -2,7 +2,7 @@
 """The intuitionistic benchmark families, as bint sequent text, and a table of
 what ``bint.search.prove`` does on them.
 
-    python3 scripts/families.py [--ladder small|full] [--json PATH]
+    python3 scripts/families.py [--ladder small|full]
 
 The families follow their published definitions (Dyckhoff, "Some benchmark
 formulae for intuitionistic propositional logic", 1997; the ILTP library,
@@ -24,18 +24,19 @@ each instance of the ladder and its dual, checks each verdict against the
 known one and each proof, and prints one row per sequent: the decision
 time and the ``prove`` time (one run each), the oracle calls and the
 ``Derivation`` nodes constructed in a second, counted run, and the proof's
-distinct (by object) and tree nodes.  ``--json PATH`` writes the same
-rows.  The exit status is 1 when a verdict or a proof is wrong.
+distinct (by object) and tree nodes.  The exit status is 1 when a verdict
+or a proof is wrong.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
+from unittest import mock
 
 
 def _conj(parts) -> str:
@@ -104,10 +105,47 @@ def instances(ladder: str) -> list[tuple[str, str, bool]]:
     return out
 
 
-def measure(s) -> dict:
-    """Prove ``s`` once timed, then once counted: the row of the table, with
-    ``derivation`` the proof (None when refuted)."""
+def counted_prove(s, setattr):
+    """Prove ``s`` with counters that ``setattr(owner, name, value)`` installs
+    and the caller undoes: ``(outcome, oracle calls, Derivation nodes
+    constructed)``."""
     from bint import kernel, search
+
+    constructors, built = [], 0
+    init = kernel.Derivation.__init__
+
+    class Counted(search._Constructor):
+        def __init__(self):
+            super().__init__()
+            constructors.append(self)
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    setattr(kernel.Derivation, "__init__", counting)
+    setattr(search, "_Constructor", Counted)
+    out = search.prove(s)
+    proved = getattr(out, "derivation", None) is not None
+    return out, 1 + len(constructors[0].accepted) if proved else 1, built
+
+
+def sizes(d) -> tuple[int, int]:
+    """The distinct (by object) and tree nodes of ``d``; ``(0, 0)`` for None."""
+    from bint.kernel import fold
+
+    if d is None:
+        return 0, 0
+    distinct = []
+    tree = fold(d, lambda x, images: distinct.append(x) or 1 + sum(images))
+    return len(distinct), tree
+
+
+def measure(s) -> dict:
+    """Decide and prove ``s`` once each timed, then prove it once counted: the
+    row of the table, with ``derivation`` the proof (None when refuted)."""
+    from bint import search
     from bint.decide import derivable
 
     gc.collect()    # so earlier rows' garbage is not collected inside a timing
@@ -117,31 +155,13 @@ def measure(s) -> dict:
     start = time.perf_counter()
     search.prove(s)
     prove_s = time.perf_counter() - start
-
-    constructors, built = [], 0
-
-    class Counted(search._Constructor):
-        def __init__(self):
-            super().__init__()
-            constructors.append(self)
-
-    def counted(self, *args):
-        nonlocal built
-        built += 1
-        init(self, *args)
-
-    init, constructor = kernel.Derivation.__init__, search._Constructor
-    kernel.Derivation.__init__, search._Constructor = counted, Counted
-    try:
-        out = search.prove(s)
-    finally:
-        kernel.Derivation.__init__, search._Constructor = init, constructor
+    with ExitStack() as undo:
+        out, oracle_calls, built = counted_prove(
+            s, lambda *patch: undo.enter_context(mock.patch.object(*patch)))
     d = getattr(out, "derivation", None)
-    distinct = []
-    tree = kernel.fold(d, lambda x, sizes: distinct.append(x) or 1 + sum(sizes)) if d else 0
-    return {"decide_s": decide_s, "prove_s": prove_s,
-            "oracle_calls": 1 + len(constructors[0].accepted) if d else 1,
-            "constructed": built, "distinct": len(distinct), "tree": tree, "derivation": d}
+    distinct, tree = sizes(d)
+    return {"decide_s": decide_s, "prove_s": prove_s, "oracle_calls": oracle_calls,
+            "constructed": built, "distinct": distinct, "tree": tree, "derivation": d}
 
 
 def _fault(s, expected: bool, d) -> str:
@@ -157,12 +177,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--ladder", choices=("small", "full"), default="full")
-    ap.add_argument("--json", type=Path, help="also write the rows to this file")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from bint.kernel import dual_sequent, parse_sequent
 
-    rows, bad = [], 0
+    bad = 0
     print(f"{'instance':34} {'decide ms':>9} {'prove ms':>9} {'oracle':>7} "
           f"{'built':>7} {'distinct':>8} {'tree':>8}")
     for name, text, expected in instances(args.ladder):
@@ -171,12 +190,9 @@ def main(argv=None) -> int:
             row = measure(x)
             fault = _fault(x, expected, row.pop("derivation"))
             bad += bool(fault)
-            rows.append({"instance": label, "derivable": expected, **row})
             print(f"{label:34} {row['decide_s'] * 1e3:9.2f} {row['prove_s'] * 1e3:9.2f} "
                   f"{row['oracle_calls']:7} {row['constructed']:7} {row['distinct']:8} "
                   f"{row['tree']:8}" + (f"  FAULT: {fault}" if fault else ""))
-    if args.json:
-        args.json.write_text(json.dumps(rows, indent=1) + "\n")
     return 1 if bad else 0
 
 
