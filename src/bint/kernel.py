@@ -7,11 +7,13 @@ Each formula keeps its dual, made once on its own stack, and the dual keeps it.
 
 Every ``Derivation`` is checked once, when it is built, by the one call that
 writes its fields: ``valid`` says that its premises are valid and that it
-instantiates its rule schema.  No construction path skips the check, so a
-tree is never re-checked, and ``check_derivation`` walks only an invalid tree.
-A node is decided by ``_VALID[rule]``: for a logical rule, one straight-line
-function generated from ``SCHEMA`` (``_SOURCE[rule]``) that matches the
-premises in place and words nothing; ``_fits`` offers it one principal.
+instantiates its rule schema, and ``principal`` keeps the formula it
+decomposes.  No construction path skips the check, so a tree is never
+re-checked, nor matched again for its principal, and ``check_derivation``
+walks only an invalid tree.  A node is decided by ``_VALID[rule]``: for a
+logical rule, one straight-line function generated from ``SCHEMA``
+(``_SOURCE[rule]``) that matches the premises in place, words nothing and
+gives the principal that fits; ``_fits`` offers it one principal.
 ``check_rule_instance`` builds the expected premises only to word a violation.
 
 The 18 logical rules are one data table, ``SCHEMA``: per rule, the connective
@@ -116,15 +118,15 @@ class Context(tuple):
     def from_iter(formulas: Iterable[Formula]) -> "Context":
         return Context(sorted(formulas, key=_KEY))
 
-    def add(self, f: Formula, n: int = 1) -> "Context":
+    def add(self, f: Formula) -> "Context":
         i = bisect_right(self, f.key, key=_KEY)
-        return Context(self[:i] + (f,) * n + self[i:])
+        return Context(self[:i] + (f,) + self[i:])
 
-    def remove(self, f: Formula, n: int = 1) -> "Context":
+    def remove(self, f: Formula) -> "Context":
         lo = bisect_left(self, f.key, key=_KEY)
-        if self[lo:lo + n].count(f) < n:    # the occurrences of f are adjacent
-            raise KeyError(f"{format_formula(f)} not present {n} time(s)")
-        return Context(self[:lo] + self[lo + n:])
+        if lo == len(self) or self[lo] is not f:
+            raise KeyError(f"{format_formula(f)} not present")
+        return Context(self[:lo] + self[lo + 1:])
 
     def union(self, other: "Context") -> "Context":
         """Both multisets; an empty side gives the other context itself."""
@@ -397,9 +399,12 @@ class Annotation(NamedTuple):
 
 class Derivation(_Record):
     """A derivation tree.  ``valid`` is decided once, when the node is built:
-    every premise is valid and the node instantiates its rule schema."""
+    every premise is valid and the node instantiates its rule schema.  The
+    same check sets ``principal``, the formula a valid logical rule node
+    decomposes; it is None for a closer, a cut and an invalid node."""
 
-    __slots__ = ("conclusion", "rule", "premises", "annotation", "height", "cut_count", "valid")
+    __slots__ = ("conclusion", "rule", "premises", "annotation", "height", "cut_count", "valid",
+                 "principal")
     __match_args__ = ("conclusion", "rule", "premises", "annotation")
 
     def __init__(self, conclusion: Sequent, rule: RuleId, premises=(), annotation=None):
@@ -415,7 +420,9 @@ class Derivation(_Record):
         _set_annotation(self, annotation)
         _set_height(self, h)
         _set_cut_count(self, c)
-        _set_valid(self, valid and _VALID[rule](conclusion, premises, annotation))
+        fit = _VALID[rule](conclusion, premises, annotation) if valid else None
+        _set_valid(self, fit is not None)
+        _set_principal(self, None if fit is True else fit)
 
     def __eq__(self, other: object) -> bool:
         """Equality of conclusion, rule, premises and annotation (the
@@ -449,7 +456,7 @@ class Derivation(_Record):
 
 
 (_set_conclusion, _set_rule, _set_premises, _set_annotation, _set_height, _set_cut_count,
- _set_valid) = _setters(Derivation)
+ _set_valid, _set_principal) = _setters(Derivation)
 
 
 def node(rule: RuleId, conclusion: Sequent, premises: Iterable[Derivation] = (),
@@ -629,12 +636,12 @@ def _premise_lines(at: Side | Polarity, t: Template, i: int, fail: str) -> list[
 
 
 def _rule_source(rule: RuleId, schema: Schema) -> str:
-    """The source of ``valid_<rule>(s, ps, a)``: whether some principal the
-    node offers fits its premise derivations ``ps``: the annotated one, a right
-    rule's succedent, or each occurrence on a left rule's side.  It is
-    straight-line code over the rule's templates."""
+    """The source of ``valid_<rule>(s, ps, a)``: the first principal the node
+    offers that fits its premise derivations ``ps``, or None: the annotated
+    one, a right rule's succedent, or each occurrence on a left rule's side.
+    It is straight-line code over the rule's templates."""
     at, n, right = schema.at, len(schema.premises), isinstance(schema.at, Polarity)
-    fail, indent = ("return False", "    ") if right else ("continue", "        ")
+    fail, indent = ("return None", "    ") if right else ("continue", "        ")
     checks = [f"if not isinstance(f, {schema.connective.__name__}): {fail}"]
     if right:
         checks.append(f"if s.polarity is not {at.name} or f is not s.succedent: {fail}")
@@ -642,12 +649,12 @@ def _rule_source(rule: RuleId, schema: Schema) -> str:
         checks += _premise_lines(at, t, i, fail)
     offered = "s.succedent" if right else f"s.{'gamma' if at is Side.A else 'delta'}"
     offered += " if a is None or a.principal is None else"
-    lines = [f"def valid_{rule.value}(s, ps, a):", f"    if len(ps) != {n}: return False",
+    lines = [f"def valid_{rule.value}(s, ps, a):", f"    if len(ps) != {n}: return None",
              *(f"    p{i} = ps[{i}].conclusion" for i in range(n)),
              f"    f = {offered} a.principal" if right
              else f"    for f in {offered} (a.principal,):",
              *(indent + line for line in checks),
-             *(["    return True"] if right else ["        return True", "    return False"])]
+             *(["    return f"] if right else ["        return f", "    return None"])]
     return "\n".join(lines) + "\n"
 
 
@@ -671,17 +678,18 @@ def _fits(s: Sequent, rule: RuleId, principal: Formula,
     logical rule: the rule's ``_VALID``, offered ``principal`` alone, on
     stand-ins for premise derivations that conclude ``premises``."""
     return principal is not None and _VALID[rule](
-        s, [SimpleNamespace(conclusion=p) for p in premises], Annotation(principal))
+        s, [SimpleNamespace(conclusion=p) for p in premises], Annotation(principal)) is not None
 
 
 #: per rule, ``valid(conclusion, premises, annotation)``: whether a node with
 #: these premise derivations instantiates the rule, decided without wording
-#: a violation; ``Derivation`` calls it on every node it builds
+#: a violation; None when it does not, else a logical rule's principal, or
+#: True for a closer or a cut.  ``Derivation`` calls it on every node it builds
 _VALID = {
-    **{r: lambda s, ps, a, r=r: not ps and _zero_premise_failure(s, r) is None
+    **{r: lambda s, ps, a, r=r: not ps and _zero_premise_failure(s, r) is None or None
        for r in ZERO_PREMISE},
     **{r: lambda s, ps, a, r=r: len(ps) == 2 and _check_cut(
-        s, r, (ps[0].conclusion, ps[1].conclusion), a) is None for r in CUT_RULES},
+        s, r, (ps[0].conclusion, ps[1].conclusion), a) is None or None for r in CUT_RULES},
     **{r: lambda s, ps, a, r=r: _compiled(r)(s, ps, a) for r in SCHEMA}}
 
 
@@ -788,24 +796,6 @@ def _first_violation(root: Derivation) -> tuple[str, Violation]:
         i = next(i for i, p in enumerate(d.premises) if not p.valid)
         steps.append(f"premises[{i}]")
         d = d.premises[i]
-
-
-def infer_principal(d: Derivation) -> Optional[Formula]:
-    """The formula the root rule introduces: annotated, or the succedent for
-    right rules, or the unique context occurrence whose decomposition matches
-    the premises for left rules."""
-    if d.annotation is not None and d.annotation.principal is not None:
-        return d.annotation.principal
-    if d.rule in RIGHT_RULES:
-        return d.conclusion.succedent
-    if d.rule in LEFT_RULES:
-        schema = SCHEMA[d.rule]
-        side = d.conclusion.gamma if schema.at is Side.A else d.conclusion.delta
-        actual = [p.conclusion for p in d.premises]
-        for f in side.distinct():
-            if isinstance(f, schema.connective) and _fits(d.conclusion, d.rule, f, actual):
-                return f
-    return None
 
 
 # --- backward reading of the rule table ---------------------------------------

@@ -33,7 +33,7 @@ from .kernel import (
     closing_rules, premise_of,
 )
 from .kernel import check_derivation  # noqa: F401  # a name the benchmark's traced run wraps
-from .decide import _G4ip, derivable, derivable as _decides
+from .decide import _G4ip
 from .syntax import _Record
 from .transform import InternalCheckError, _node
 
@@ -90,16 +90,15 @@ def _normalize(s: Sequent) -> Sequent:
 
 
 class _Constructor:
-    """Builds proofs, for one query, whose verdicts ``oracle`` gives: one
-    ``_G4ip`` unless ``derivable`` is replaced.  ``chosen`` holds the step of
-    each finished normalized sequent, replayed with no search wherever it
-    recurs; ``built`` keeps each node with premises by ``(s, to)``;
-    ``accepted`` asks ``oracle`` once per sequent; ``path`` holds the
-    sequents on the current branch; ``backtracks`` counts the step-4 choices
-    that got stuck."""
+    """Builds proofs for one query, whose verdicts ``oracle`` gives, from one
+    ``_G4ip``.  ``chosen`` holds the step of each finished normalized
+    sequent, replayed with no search wherever it recurs; ``built`` keeps each
+    node with premises by ``(s, to)``; ``accepted`` asks ``oracle`` once per
+    sequent; ``path`` holds the sequents on the current branch;
+    ``backtracks`` counts the step-4 choices that got stuck."""
 
     def __init__(self):
-        self.oracle = _G4ip().derivable if derivable is _decides else derivable
+        self.oracle = _G4ip().derivable
         self.chosen: dict[Sequent, Expansion] = {}
         self.built: dict[tuple[Sequent, Sequent], Derivation] = {}
         self.accepted: dict[Sequent, bool] = _Memo(self.oracle)

@@ -16,7 +16,8 @@ checker-valid, cut-free derivation with the advertised endsequent:
   through it.
 
 Every node is checked once, when it is built (``Derivation.valid``), so an
-entry point reads its input's validity and cut count without a walk.  The
+entry point reads its input's validity and cut count without a walk, and
+a case split reads a node's principal (``Derivation.principal``).  The
 weakenings, inversion and contraction are each one stack-free ``kernel.fold``
 that gives every node a new conclusion; inversion and contraction stop the
 walk at a node that decomposes their formula, where contraction calls itself
@@ -43,8 +44,7 @@ from .syntax import BOT, TOP, And, Coimp, Formula, Imp, Or, _Record, format_form
 from .kernel import (
     _RIGHT_BY_SHAPE, CUT_AT, CUT_RULES, EMPTY, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS,
     SCHEMA, ZERO_PREMISE, Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side,
-    _Memo, backward_expansions, check_derivation, closing_rules, fold, infer_principal,
-    premise_of, premises_for,
+    _Memo, backward_expansions, check_derivation, closing_rules, fold, premise_of, premises_for,
 )
 
 
@@ -264,8 +264,7 @@ def _inverse(d: Derivation, side: Side, target: Formula, i: int) -> Derivation:
 def _principal_here(d: Derivation, side: Side, target: Formula) -> bool:
     """Does the root rule decompose an occurrence of ``target`` on ``side``?
     The principal of a valid left-rule node is unique."""
-    return (d.rule is LEFT_RULE_BY_SHAPE[side].get(type(target))
-            and infer_principal(d) == target)
+    return d.rule is LEFT_RULE_BY_SHAPE[side].get(type(target)) and d.principal is target
 
 
 # --- contraction -----------------------------------------------------------------
@@ -546,15 +545,12 @@ class _Eliminator:
                       right: Derivation, dfm: Formula, variant: R,
                       target: Sequent) -> Derivation:
         gp, dp, _, _ = self.contexts(left, right, dfm, variant)
-        principal = infer_principal(left)
-        if principal is None:
-            raise InternalCheckError(f"cannot identify the principal of {left.rule}")
         # a premise with a succedent of its own does not conclude the cut
         # formula; it is only weakened by the carried-over context
         new_premises = [self.run(p, right, dfm, variant, index, measure) if t.succedent is None
                         else weaken_context(p, gp, dp)
                         for p, t in zip(left.premises, SCHEMA[left.rule].premises)]
-        return _node(left.rule, target, new_premises, principal=principal)
+        return _node(left.rule, target, new_premises, principal=left.principal)
 
     # -4.x-: principal on the left only; permute the cut above the right rule
     def _permute_right(self, index: int, measure: tuple[int, int], left: Derivation,

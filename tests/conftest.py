@@ -2,8 +2,8 @@
 
 The randomized corpora are seeded (override with BINT_SEED) so failures
 reproduce; session-scoped fixtures keep the 200-derivation corpus, the
-checker's corpus of nodes and their single-field mutations shared across test
-modules.
+prove-pin proofs, the checker's corpus of nodes and their single-field
+mutations shared across test modules.
 """
 
 from __future__ import annotations
@@ -14,12 +14,15 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from bint import corpus
 from bint.corpus import DATA_DIR
+from bint.decide import derivable
 from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or
 from bint.kernel import (
     MINUS, PLUS, RIGHT_RULES, SCHEMA, Annotation, Context, RuleId as R, Sequent, Side,
-    dual_derivation, node, parse_sequent, premises_for,
+    dual_derivation, dual_sequent, node, parse_sequent, premises_for,
 )
+from bint.search import Proved, prove
 from bint.serialize import load_derivations
 from bint.transform import derive_identity, weaken
 from random_derivations import random_derivation
@@ -79,6 +82,24 @@ def horn_chain(length: int, with_start: bool):
 def derivation_corpus() -> list:
     """200 seeded random cut-free derivations (the regression corpus)."""
     return [random_derivation(SEED * 1000 + i, 10) for i in range(200)]
+
+
+@pytest.fixture(scope="session")
+def prove_pin_proofs() -> list:
+    """The proofs of the queries of test_search.py::test_prove_output_is_pinned
+    and of their duals."""
+    queries = [parse_sequent(c.input["sequent"])
+               for c in corpus.load_manifest() if c.kind == "prove"]
+    rng = random.Random(f"{SEED}/pin")
+    accepted = []
+    while len(accepted) < 1000:
+        s = random_sequent(rng)
+        if derivable(s):
+            accepted.append(s)
+    queries += accepted
+    queries += [horn_chain(n, start) for n in range(4, 51) for start in (True, False)]
+    return [out.derivation for s in queries for x in (s, dual_sequent(s))
+            if isinstance(out := prove(x), Proved)]
 
 
 # --- the nodes of the checker's tests, and their mutations ---------------------------

@@ -223,6 +223,6 @@ def test_one_g4ip_gives_every_verdict_of_a_prove_query(monkeypatch):
 
 
 def test_prove_raises_when_the_search_exhausts_an_accepted_sequent(monkeypatch):
-    monkeypatch.setattr(search, "derivable", lambda s: True)
+    monkeypatch.setattr(decide._G4ip, "derivable", lambda self, s: True)
     with pytest.raises(InternalCheckError):
         prove(parse_sequent("F -> F ; |-+ F"))

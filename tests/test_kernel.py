@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from bint.kernel import (
     CLOSERS, MINUS, Annotation, Context, ContextSplit, Derivation, RuleId as R, Sequent,
     Side, Violation, backward_expansions, check_derivation, check_rule_instance, closing_rules,
     dual_context, dual_derivation, dual_formula, dual_sequent, format_sequent,
-    infer_principal, node, parse_sequent, _zero_premise_failure,
+    node, parse_sequent, _zero_premise_failure,
 )
 import bint
 from bint import corpus, kernel, syntax
@@ -61,13 +62,13 @@ def test_context_matches_a_counter_model(xs, ys, f, n):
     assert model(a) == ma and len(a) == len(xs)
     for g in xs + ys + [f]:
         assert a.count(g) == ma[g] and (g in a) == (ma[g] > 0)
-    assert model(a.add(f, n)) == ma + Counter({f: n})
+    assert model(reduce(Context.add, [f] * n, a)) == ma + Counter({f: n})
     assert model(a.union(b)) == ma + mb
     if ma[f] >= n:
-        assert model(a.remove(f, n)) == ma - Counter({f: n})
+        assert model(reduce(Context.remove, [f] * n, a)) == ma - Counter({f: n})
     else:
         with pytest.raises(KeyError):
-            a.remove(f, n)
+            reduce(Context.remove, [f] * n, a)
     assert (a == b) == (ma == mb)
     same = Context.from_iter(reversed(xs))
     assert a == same and hash(a) == hash(same)
@@ -551,10 +552,25 @@ def test_expansions_pass_the_checker(s):
         assert check_rule_instance(s, e.rule, e.premises, e.annotation) is None
 
 
-def test_infer_principal():
-    d = node(R.AndLa, parse_sequent("p /\\ q ; |-+ p"),
-             [node(R.RfPlus, parse_sequent("p, q ; |-+ p"))])
-    assert infer_principal(d) == And(p, q)
+def test_a_node_keeps_the_principal_its_check_matched():
+    r = Atom("r")
+    rf = lambda text: node(R.RfPlus, parse_sequent(text))
+    # two conjunctions to decompose: the first one in context order does not fit
+    s = parse_sequent("p /\\ q, q /\\ r ; |-+ r")
+    left = node(R.AndLa, s, [rf("p /\\ q, q, r ; |-+ r")])
+    annotated = node(R.AndLa, s, [rf("p /\\ q, q, r ; |-+ r")], principal=And(q, r))
+    right = node(R.AndRPlus, parse_sequent("p, q ; |-+ p /\\ q"),
+                 [rf("p, q ; |-+ p"), rf("p, q ; |-+ q")])
+    assert (left.principal, annotated.principal, right.principal) == (And(q, r), And(q, r),
+                                                                      And(p, q))
+    # closers and cuts decompose nothing; a failed instance, annotated or not, keeps none
+    failed = [node(R.AndLa, s, [rf("r ; |-+ r")]),
+              node(R.AndLa, s, [rf("p /\\ q, q, r ; |-+ r")], principal=And(p, q))]
+    assert not any(d.valid for d in failed)
+    assert [d.principal for d in (rf("p ; |-+ p"), _cut_node(), *failed)] == [None] * 4
+    for d in (left, annotated, right):
+        for copier in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            assert copier(d).principal is d.principal
 
 
 def test_formulas_and_derivations_are_frozen():

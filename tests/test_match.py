@@ -5,9 +5,13 @@ It is compared with what it replaced, building the expected premises with
 ``premises_for`` and comparing them, on every node of the golden corpus files,
 of the random derivation corpora and of their duals, and on single-field
 mutations of those nodes.  The whole checker is compared with its former
-definition, violation text included.  The last tests count that building
-valid nodes builds no premise for the check, that building invalid ones
-words no violation, and that building a node makes few Python calls.
+definition, violation text included, and the principal a node keeps
+(``Derivation.principal``) with the former ``infer_principal``, which
+matched the node again, on every node of the corpus files, of the random
+corpus and its duals and of the prove-pin proofs.  The last tests count
+that building valid nodes builds no premise for the check, that building
+invalid ones words no violation, and that building a node makes few Python
+calls.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from bint.kernel import (
     ARITY, CUT_RULES, RIGHT_RULES, SCHEMA, ZERO_PREMISE, Derivation, RuleId as R,
     Sequent, Side, Violation,
     _check_cut, _fits, _zero_premise_failure, check_rule_instance, dual_derivation,
-    format_sequent, infer_principal, parse_sequent, premises_for,
+    format_sequent, parse_sequent, premises_for,
 )
 from bint.search import prove
 from bint.serialize import load_derivation, load_derivations
@@ -144,15 +148,21 @@ def test_the_matcher_agrees_with_premises_for_on_mutated_nodes(mutated_nodes):
     assert rejected > 100_000 and accepted < rejected // 20
 
 
-def test_infer_principal_agrees_with_the_former_definition(derivation_corpus):
-    roots = derivation_corpus + [dual_derivation(d) for d in derivation_corpus]
-    stack, seen = list(roots), set()
+def test_the_kept_principal_agrees_with_the_former_definition(derivation_corpus,
+                                                               prove_pin_proofs):
+    roots = [d for path in sorted(DATA_DIR.glob("*.deriv")) for d in load_derivations(path)]
+    roots += derivation_corpus + [dual_derivation(d) for d in derivation_corpus]
+    roots += prove_pin_proofs
+    stack, seen, kept = list(roots), set(), 0
     while stack:
         x = stack.pop()
         if id(x) not in seen:
             seen.add(id(x))
-            assert infer_principal(x) == ref_infer_principal(x)
+            assert x.valid and x.principal == (ref_infer_principal(x) if x.rule in SCHEMA
+                                               else None), x
+            kept += x.principal is not None
             stack.extend(x.premises)
+    assert kept > 10_000
 
 
 def test_a_context_that_changes_is_matched_in_sort_order():

@@ -9,22 +9,15 @@ the single-field mutations of ``conftest.py``'s corpus of nodes.
 
 from __future__ import annotations
 
-import random
-
 import reference_checker as reference
 from bint import corpus
 from bint.corpus import DATA_DIR
-from bint.decide import derivable
-from bint.kernel import (
-    Derivation, Polarity, RuleId as R, Side, dual_derivation, dual_sequent, parse_sequent,
-)
-from bint.search import Proved, prove
+from bint.kernel import Derivation, Polarity, RuleId as R, Side, dual_derivation
 from bint.serialize import load_derivation, load_derivations, loads_derivation
 from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or, parse_formula
 from bint.transform import (
     SpecialWeakening, contract, derive_identity, eliminate_cut, invert, unweaken_special, weaken,
 )
-from conftest import SEED, horn_chain, random_sequent
 from perfbench import gen
 from test_match import valid_premise
 
@@ -55,22 +48,9 @@ def test_the_reference_agrees_on_the_corpus_files():
     assert len(roots) > 150 and good > 300 and bad == 0
 
 
-def test_the_reference_agrees_on_the_prove_pin_proofs():
-    # the queries of test_search.py::test_prove_output_is_pinned
-    queries = [parse_sequent(c.input["sequent"])
-               for c in corpus.load_manifest() if c.kind == "prove"]
-    rng = random.Random(f"{SEED}/pin")
-    accepted = []
-    while len(accepted) < 1000:
-        s = random_sequent(rng)
-        if derivable(s):
-            accepted.append(s)
-    queries += accepted
-    queries += [horn_chain(n, start) for n in range(4, 51) for start in (True, False)]
-    proofs = [out.derivation for s in queries for x in (s, dual_sequent(s))
-              if isinstance(out := prove(x), Proved)]
-    good, bad = _agree(proofs)
-    assert len(proofs) > 2000 and good > 10_000 and bad == 0
+def test_the_reference_agrees_on_the_prove_pin_proofs(prove_pin_proofs):
+    good, bad = _agree(prove_pin_proofs)
+    assert len(prove_pin_proofs) > 2000 and good > 10_000 and bad == 0
 
 
 def test_the_reference_agrees_on_the_pinned_cut_eliminations(cut_pairs):
