@@ -104,25 +104,22 @@ def render_latex(d: Derivation) -> str:
     return "".join(out)
 
 
-def _emit(derivations: list[Derivation], args) -> None:
-    if args.format == "data":
+def _emit(derivations: list[Derivation], output: str) -> None:
+    if output == "data":
         sys.stdout.write(dumps_derivations(derivations))
-    elif getattr(args, "latex", False):
-        for d in derivations:
-            print(render_latex(d))
     else:
+        render = render_latex if output == "latex" else render_text
         for d in derivations:
-            print(render_text(d))
+            print(render(d))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bint",
         description="Bi-intuitionistic sequent engine: check, prove, transform.")
-    parser.add_argument("--format", choices=("text", "data"), default="text",
-                        help="output derivations as an indented tree or as JSON")
-    parser.add_argument("--latex", action="store_true",
-                        help="emit inference-style LaTeX instead of the text tree")
+    parser.add_argument("--format", choices=("text", "data", "latex"), default="text",
+                        help="output derivations as an indented tree, as JSON or as "
+                             "inference-style LaTeX")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="validate a derivation file")
@@ -212,7 +209,7 @@ def _dispatch(args) -> int:
     if not outs:
         print("refuted: no derivation exists")
         return 1
-    _emit(outs, args)
+    _emit(outs, args.format)
     return 0
 
 

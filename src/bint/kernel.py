@@ -20,7 +20,9 @@ The 18 logical rules are one data table, ``SCHEMA``: per rule, the connective
 it decomposes, where its principal sits, and one template per premise.
 Checking, backward expansion, the rule sets and the duality table here, and
 identity expansion, inversion, contraction and the principal cases of cut
-elimination in ``bint.transform``, all read it.
+elimination in ``bint.transform``, all read it.  ``CLOSER`` is the table of
+the six zero-premise rules: their violations, duals and ``first_closer`` read
+it, and a test keeps the one-pass scan ``closing_rules`` equal to it.
 
 A context is a tuple, its occurrences in canonical order, and a sequent,
 an annotation and a context split are named tuples, so their equality and
@@ -310,9 +312,29 @@ class RuleId(enum.Enum):
 
 R = RuleId
 
-#: the zero-premise rules, in the order backward expansion lists them
-CLOSERS = (R.RfPlus, R.RfMinus, R.BotLa, R.TopLc, R.BotRMinus, R.TopRPlus)
-ZERO_PREMISE = frozenset(CLOSERS)
+
+class Closer(NamedTuple):
+    """A zero-premise rule: the polarity it needs, the context that must hold
+    ``formula`` (None: the succedent must be it), and the constant (None:
+    the atomic succedent)."""
+
+    polarity: Optional[Polarity]
+    side: Optional[Side]
+    formula: Optional[Formula]
+
+
+#: the six zero-premise rules of the calculus, each beside its dual
+CLOSER: dict[RuleId, Closer] = {
+    R.RfPlus: Closer(PLUS, Side.A, None), R.RfMinus: Closer(MINUS, Side.C, None),
+    R.BotLa: Closer(None, Side.A, BOT), R.TopLc: Closer(None, Side.C, TOP),
+    R.BotRMinus: Closer(MINUS, None, BOT), R.TopRPlus: Closer(PLUS, None, TOP)}
+#: the closers in backward expansion's order, which ``first_closer`` tries by
+#: default to pick the rule of a search leaf.  ``bint.transform`` keeps two
+#: more orders: ``_IDENTITY_CLOSERS`` for an identity figure's leaves and
+#: ``_AXIOM_PRIORITY`` where cut elimination re-closes a conclusion.  This one
+#: in either place changes pinned output (two golden figures; the cut digest)
+CLOSERS = tuple(CLOSER)
+ZERO_PREMISE = frozenset(CLOSER)
 #: per cut variant, the right premise's side that holds the cut formula and the
 #: polarity at which the left premise proves it
 CUT_AT = {R.CutA: (Side.A, PLUS), R.CutC: (Side.C, MINUS)}
@@ -348,8 +370,8 @@ class Schema(NamedTuple):
 _A, _B = 0, 1
 _P = Template
 
-#: the 18 logical rules of the calculus; the zero-premise rules and the cuts
-#: are checked by ``_zero_premise_failure`` and ``_check_cut``
+#: the 18 logical rules of the calculus; the zero-premise rules are ``CLOSER``
+#: and the cuts ``CUT_AT``
 SCHEMA: dict[RuleId, Schema] = {
     R.AndRPlus: Schema(And, PLUS, (_P(succedent=_A), _P(succedent=_B))),
     R.AndRMinus1: Schema(And, MINUS, (_P(succedent=_A),)),
@@ -510,35 +532,17 @@ class Violation(NamedTuple):
 
 def _zero_premise_failure(s: Sequent, rule: RuleId) -> Optional[str]:
     """None if the zero-premise rule closes s, else what is missing."""
-    if rule is R.RfPlus:
-        if s.polarity is not PLUS:
-            return "wrong polarity: needs |-+"
-        if not isinstance(s.succedent, Atom):
-            return "succedent must be atomic"
-        if s.succedent not in s.gamma:
-            return "atomic succedent not among the assumptions"
+    pol, side, f = CLOSER[rule]
+    if pol is not None and s.polarity is not pol:
+        return f"wrong polarity: needs |-{pol.value}"
+    if f is None and not isinstance(s.succedent, Atom):
+        return "succedent must be atomic"
+    if side is None:
+        return None if s.succedent is f else f"succedent must be {format_formula(f)}"
+    if (s.succedent if f is None else f) in (s.gamma if side is Side.A else s.delta):
         return None
-    if rule is R.RfMinus:
-        if s.polarity is not MINUS:
-            return "wrong polarity: needs |--"
-        if not isinstance(s.succedent, Atom):
-            return "succedent must be atomic"
-        if s.succedent not in s.delta:
-            return "atomic succedent not among the counterassumptions"
-        return None
-    if rule is R.BotLa:
-        return None if BOT in s.gamma else "F not among the assumptions"
-    if rule is R.TopLc:
-        return None if TOP in s.delta else "T not among the counterassumptions"
-    if rule is R.TopRPlus:
-        if s.polarity is not PLUS:
-            return "wrong polarity: needs |-+"
-        return None if s.succedent == TOP else "succedent must be T"
-    if rule is R.BotRMinus:
-        if s.polarity is not MINUS:
-            return "wrong polarity: needs |--"
-        return None if s.succedent == BOT else "succedent must be F"
-    raise ValueError(f"not a zero-premise rule: {rule}")
+    what = "atomic succedent" if f is None else format_formula(f)
+    return f"{what} not among the {'assumptions' if side is Side.A else 'counterassumptions'}"
 
 
 def closing_rules(s: Sequent) -> list[RuleId]:
@@ -557,6 +561,16 @@ def closing_rules(s: Sequent) -> list[RuleId]:
     elif plus and isinstance(c, Top):
         out.append(R.TopRPlus)
     return out
+
+
+def first_closer(s: Sequent, order: tuple[RuleId, ...] = CLOSERS) -> Optional[RuleId]:
+    """The first zero-premise rule in ``order`` that closes ``s``, if any."""
+    closers = closing_rules(s)
+    if closers:    # most sequents of a search close by no rule
+        for rule in order:
+            if rule in closers:
+                return rule
+    return None
 
 
 def premises_for(conclusion: Sequent, rule: RuleId,
@@ -855,7 +869,8 @@ def backward_expansions(s: Sequent) -> list[Expansion]:
 # --- duality -------------------------------------------------------------------
 
 _DUAL_CONNECTIVE = {And: Or, Or: And, Imp: Coimp, Coimp: Imp}
-_DUAL_AT = {Side.A: Side.C, Side.C: Side.A, PLUS: MINUS, MINUS: PLUS}
+#: the dual of each side, polarity and constant a rule names
+_DUAL_AT = {Side.A: Side.C, Side.C: Side.A, PLUS: MINUS, MINUS: PLUS, BOT: TOP, TOP: BOT}
 
 
 def _dual_schema(s: Schema) -> Schema:
@@ -874,11 +889,11 @@ _DUAL_SCHEMA = {r: _dual_schema(s) for r, s in SCHEMA.items()}
 # mixed-polarity right rules: the dual schema lists its premises in the
 # opposite order, so the premise tuple is reversed when dualizing
 _DUAL_SWAPS_PREMISES = frozenset(r for r, d in _DUAL_SCHEMA.items() if d not in _RULE_BY_SCHEMA)
+_RULE_BY_CLOSER = {c: r for r, c in CLOSER.items()}
 
 DUAL_RULE = {
-    R.RfPlus: R.RfMinus, R.RfMinus: R.RfPlus,
-    R.BotLa: R.TopLc, R.TopLc: R.BotLa,
-    R.BotRMinus: R.TopRPlus, R.TopRPlus: R.BotRMinus,
+    # a closer's dual flips its polarity and side and dualizes its constant
+    **{r: _RULE_BY_CLOSER[Closer(*map(_DUAL_AT.get, c))] for r, c in CLOSER.items()},
     R.CutA: R.CutC, R.CutC: R.CutA,
     **{r: _RULE_BY_SCHEMA[d._replace(premises=d.premises[::-1])
                           if r in _DUAL_SWAPS_PREMISES else d]

@@ -29,8 +29,8 @@ from collections import Counter
 from typing import Optional
 
 from .kernel import (
-    SCHEMA, Context, Derivation, Expansion, RuleId as R, Sequent, _Memo, backward_expansions,
-    closing_rules, premise_of,
+    SCHEMA, Context, Derivation, Expansion, Sequent, _Memo, backward_expansions, first_closer,
+    premise_of,
 )
 from .kernel import check_derivation  # noqa: F401  # a name the benchmark's traced run wraps
 from .decide import _G4ip
@@ -67,14 +67,9 @@ _INVERTIBLE = frozenset(r for r, s in SCHEMA.items() if _PLACES[s.connective, s.
 _KEEPING = {r: (s.at, s.premises[0]) for r, s in SCHEMA.items() if s.premises[0].keeps}
 
 
-def _closer(s: Sequent) -> Optional[R]:
-    """The first zero-premise rule that closes ``s``, if any."""
-    return next(iter(closing_rules(s)), None)
-
-
 def _kept_premise_closes(s: Sequent, e: Expansion) -> bool:
     side, kept = _KEEPING[e.rule]
-    return _closer(premise_of(s, side, e.annotation.principal, kept)) is not None
+    return first_closer(premise_of(s, side, e.annotation.principal, kept)) is not None
 
 
 def _normalize(s: Sequent) -> Sequent:
@@ -114,7 +109,7 @@ class _Constructor:
         if s in self.chosen:                        # finished: replay its step
             found = self.built[s, to] = self._apply(s, to, self.chosen[s])
             return found
-        rule = _closer(s)
+        rule = first_closer(s)
         if rule is not None:
             return _node(rule, to)
         expansions = backward_expansions(s)

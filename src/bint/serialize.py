@@ -220,11 +220,6 @@ def loads_derivation(text: str) -> Derivation:
     return _Reader().derivation(_parse_json(text))
 
 
-def save_derivation(d: Derivation, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_derivation(d))
-
-
 def _read_text(path) -> str:
     with open(path, encoding="utf-8") as fh:
         try:

@@ -27,9 +27,10 @@ elimination computes each step's contexts once per distinct premise contexts,
 cut formula and variant; these memos live for the call and are keyed by value
 (``kernel._Memo``), so equal contexts are one object in the output.  Identity
 expansion reads the rule table: a formula of weight <= 1 gets the first
-backward expansion of its bare sequent whose premises close at once, closed
-by the rules of one tie-break table, ``_IDENTITY_CLOSERS``; a heavier one
-gets its rule pair from ``SCHEMA``, and it and cut elimination recurse.
+backward expansion of its bare sequent whose premises close at once, each
+closed by ``kernel.first_closer`` in the order ``_IDENTITY_CLOSERS``; a
+heavier one gets its rule pair from ``SCHEMA``, and it and cut elimination
+recurse.
 Every node goes through one constructor, which refuses cuts and raises
 ``InternalCheckError`` where an invalid node is built; by induction every
 output is valid and cut-free.
@@ -44,7 +45,8 @@ from .syntax import BOT, TOP, And, Coimp, Formula, Imp, Or, _Record, format_form
 from .kernel import (
     _RIGHT_BY_SHAPE, CUT_AT, CUT_RULES, EMPTY, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS,
     SCHEMA, ZERO_PREMISE, Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side,
-    _Memo, backward_expansions, check_derivation, closing_rules, fold, premise_of, premises_for,
+    _Memo, backward_expansions, check_derivation, first_closer, fold, node, premise_of,
+    premises_for,
 )
 
 
@@ -63,9 +65,7 @@ def _node(rule: R, conclusion: Sequent, premises: Iterable[Derivation] = (),
     when it is built."""
     if rule in CUT_RULES:
         raise InternalCheckError(f"a transformation built a {rule.value} node")
-    if annotation is None and principal is not None:
-        annotation = Annotation(principal)
-    d = Derivation(conclusion, rule, tuple(premises), annotation)
+    d = node(rule, conclusion, premises, principal, annotation)
     if not d.valid:
         raise InternalCheckError(f"built an invalid node {conclusion}: "
                                  f"{check_derivation(d).first_violation[1]}")
@@ -102,12 +102,6 @@ _IDENTITY_CLOSERS = {PLUS: (R.RfPlus, R.TopRPlus, R.BotLa, R.TopLc),
                      MINUS: (R.RfMinus, R.TopLc, R.BotLa, R.BotRMinus)}
 
 
-def _first_closer(s: Sequent, rules: tuple[R, ...]) -> Optional[R]:
-    """The first of ``rules`` that closes ``s``."""
-    closers = closing_rules(s)
-    return next((rule for rule in rules if rule in closers), None)
-
-
 def _identity_base(g: Context, d: Context, c: Formula, pol: Polarity) -> Derivation:
     """The figure of ``c`` alone in its context, built on ``g`` and ``d``: the
     first backward expansion of that bare sequent whose premises each close,
@@ -118,7 +112,7 @@ def _identity_base(g: Context, d: Context, c: Formula, pol: Polarity) -> Derivat
     alone = Context.of(c)
     bare = Sequent(alone, EMPTY, PLUS, c) if plus else Sequent(EMPTY, alone, MINUS, c)
     for e in backward_expansions(bare):
-        closers = [_first_closer(p, _IDENTITY_CLOSERS[p.polarity]) for p in e.premises]
+        closers = [first_closer(p, _IDENTITY_CLOSERS[p.polarity]) for p in e.premises]
         if None not in closers:
             premises = premises_for(conc, e.rule, c)
             return _node(e.rule, conc, [_node(r, p) for r, p in zip(closers, premises)],
@@ -492,7 +486,7 @@ class _Eliminator:
         family = "-1." if side is Side.A else "-2."
         if right.rule in ZERO_PREMISE:
             case = family + ("2-" if right.conclusion.polarity is PLUS else "3-")
-            closer = _first_closer(target, _AXIOM_PRIORITY)
+            closer = first_closer(target, _AXIOM_PRIORITY)
             if closer is not None or (target.succedent == dfm and target.polarity is pol):
                 self._record(case, index, parent, side, measure)
                 if closer is not None:

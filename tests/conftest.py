@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from bint import corpus
+from bint import corpus, search
 from bint.corpus import DATA_DIR
 from bint.decide import derivable
 from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or
@@ -85,9 +85,10 @@ def derivation_corpus() -> list:
 
 
 @pytest.fixture(scope="session")
-def prove_pin_proofs() -> list:
-    """The proofs of the queries of test_search.py::test_prove_output_is_pinned
-    and of their duals."""
+def prove_pin() -> tuple[list, int]:
+    """The queries of test_search.py::test_prove_output_is_pinned proved: the
+    proof of each query and of its dual, in query order (None when refuted),
+    and the number of ``backward_expansions`` calls that proving them took."""
     queries = [parse_sequent(c.input["sequent"])
                for c in corpus.load_manifest() if c.kind == "prove"]
     rng = random.Random(f"{SEED}/pin")
@@ -98,8 +99,24 @@ def prove_pin_proofs() -> list:
             accepted.append(s)
     queries += accepted
     queries += [horn_chain(n, start) for n in range(4, 51) for start in (True, False)]
-    return [out.derivation for s in queries for x in (s, dual_sequent(s))
-            if isinstance(out := prove(x), Proved)]
+    calls, real = 0, search.backward_expansions
+
+    def expand(s):
+        nonlocal calls
+        calls += 1
+        return real(s)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "backward_expansions", expand)
+        outcomes = [out.derivation if isinstance(out := prove(x), Proved) else None
+                    for s in queries for x in (s, dual_sequent(s))]
+    return outcomes, calls
+
+
+@pytest.fixture(scope="session")
+def prove_pin_proofs(prove_pin) -> list:
+    """The proofs of the prove pin's queries and of their duals."""
+    return [d for d in prove_pin[0] if d is not None]
 
 
 # --- the nodes of the checker's tests, and their mutations ---------------------------

@@ -13,7 +13,7 @@ from bint import corpus, serialize, syntax
 from bint.cli import KIND, main, render_text
 from bint.kernel import RuleId as R, check_derivation, format_sequent, node, parse_sequent
 from bint.serialize import (
-    dumps_derivation, dumps_derivations, load_derivation, loads_derivation, save_derivation,
+    dumps_derivation, dumps_derivations, load_derivation, loads_derivation,
 )
 from bint.transform import derive_identity
 from bint.kernel import Annotation, Context, ContextSplit
@@ -25,7 +25,7 @@ from conftest import chain_proof, horn_chain, tower
 def identity_file(tmp_path):
     d = derive_identity(Context(), Context(), parse_formula("p /\\ q"), __import__("bint").PLUS)
     path = tmp_path / "id.deriv"
-    save_derivation(d, path)
+    path.write_text(dumps_derivation(d), encoding="utf-8")
     return path
 
 
@@ -89,14 +89,15 @@ def test_check_valid_file(capsys, identity_file):
 def test_a_failed_transform_precondition_exits_1(tmp_path, command, target, message):
     # the derivation of p ; |-+ p holds one p and no compound
     path = tmp_path / "p.deriv"
-    save_derivation(derive_identity(Context(), Context(), Atom("p"), bint.PLUS), path)
+    path.write_text(dumps_derivation(derive_identity(Context(), Context(), Atom("p"), bint.PLUS)),
+                    encoding="utf-8")
     assert _bint(command, str(path), target, "a") == (1, "", f"error: {message}\n")
 
 
 def test_check_invalid_file(capsys, tmp_path):
     bad = node(R.RfPlus, parse_sequent("; |-+ p"))
     path = tmp_path / "bad.deriv"
-    save_derivation(bad, path)
+    path.write_text(dumps_derivation(bad), encoding="utf-8")
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1
     assert "INVALID" in out
@@ -205,8 +206,8 @@ def test_outputs_recheck(capsys, tmp_path, identity_file):
 def test_cut_eliminate_with_trace(capsys, tmp_path):
     left = node(R.RfPlus, parse_sequent("p ; |-+ p"))
     lpath, rpath = tmp_path / "l.deriv", tmp_path / "r.deriv"
-    save_derivation(left, lpath)
-    save_derivation(left, rpath)
+    lpath.write_text(dumps_derivation(left), encoding="utf-8")
+    rpath.write_text(dumps_derivation(left), encoding="utf-8")
     code, out, err = run(capsys, "--format", "data", "cut-eliminate",
                          str(lpath), str(rpath), "p", "a", "--trace")
     assert code == 0
@@ -217,7 +218,7 @@ def test_cut_eliminate_with_trace(capsys, tmp_path):
 def test_contract_subcommand(capsys, tmp_path):
     d = node(R.RfPlus, parse_sequent("p, p ; |-+ p"))
     path = tmp_path / "d.deriv"
-    save_derivation(d, path)
+    path.write_text(dumps_derivation(d), encoding="utf-8")
     code, out, _ = run(capsys, "--format", "data", "contract", str(path), "p", "a")
     assert code == 0
     assert loads_derivation(out).conclusion == parse_sequent("p ; |-+ p")
@@ -249,16 +250,21 @@ def test_golden_on_a_tampered_corpus_names_the_first_difference(capsys, tmp_path
 
 
 def test_latex_rendering(capsys):
-    code, out, _ = run(capsys, "--latex", "prove", "; |-+ p -> p")
+    code, out, _ = run(capsys, "--format", "latex", "prove", "; |-+ p -> p")
     assert code == 0
     assert r"\infer[\scriptstyle \rightarrow R^{+}]" in out
     assert r"\vdash^{+}" in out
+    # the output format is one option: there is no flag beside it to ignore
+    with pytest.raises(SystemExit) as info:
+        main(["--format", "data", "--latex", "prove", "; |-+ p -> p"])
+    assert info.value.code == 2 and "unrecognized arguments: --latex" in capsys.readouterr().err
 
 
 def test_latex_proof_of_a_tall_horn_chain():
     # a proof of height about 1,000: LaTeX is written by a walk with its own
     # stack, as the text tree and the data document are
-    code, out, err = _bint("--latex", "prove", format_sequent(horn_chain(480, True)))
+    code, out, err = _bint("--format", "latex", "prove",
+                           format_sequent(horn_chain(480, True)))
     assert code == 0 and err == ""
     assert out.startswith(r"\infer[\scriptstyle ") and out.count("{") == out.count("}")
 

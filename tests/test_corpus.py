@@ -77,6 +77,24 @@ def test_a_dump_that_stops_early_is_worded_by_its_length(monkeypatch):
         "dump lengths differ: expected 5 lines, got 3")
 
 
+@pytest.mark.parametrize("case_id, expected, diff", [
+    ("invert-and-c", {"files": ["invert-and-c-out1.deriv"]}, "expected 1 outputs, got 2"),
+    ("invert-and-c", {"files": ["invert-and-c-out2.deriv", "invert-and-c-out1.deriv"]},
+     r"""invert-and-c-out2.deriv: first difference at dump line 2: expected """
+     r"""'  "conclusion": "; q |-- p /\\\\ q",', got '  "conclusion": "; p |-- p /\\\\ q",'"""),
+    ("elim-11a", {"endsequent": "p ; |-+ s -> s"},
+     "endsequent: expected p ; |-+ s -> s, got p, r ; |-+ s -> s"),
+    ("elim-11a", {"first_case": "-1.2-"}, "first case: expected -1.2-, got -1.1-"),
+    ("elim-11a", {"root_rule": "BotLa"}, "root rule: expected BotLa, got ImpRPlus"),
+    ("elim-11a", {"cases_include": ["-1.1-", "-5.1-"]}, "trace missing cases: ['-5.1-']"),
+    ("identity-and-step-plus", {"height": 3}, "height: expected 3, got 2"),
+])
+def test_a_wrong_expectation_fails_its_case_with_its_diff(case_id, expected, diff):
+    case = next(c for c in corpus.load_manifest() if c.id == case_id)
+    result = corpus.run_golden(case._replace(expected={**case.expected, **expected}))
+    assert not result.ok and result.diff == diff
+
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 

@@ -298,3 +298,6 @@ def test_a_violation_is_worded_from_built_premises(builders):
     assert str(v) == ("AndLa: premises do not match the schema: expected p, q ; |-+ p, "
                       "got p ; |-+ p")
     assert ("premises_for", "check_rule_instance") in builders
+    # with no conjunction among the assumptions there is no candidate to word
+    v = check_rule_instance(parse_sequent("p ; |-+ p"), R.AndLa, [parse_sequent("p ; |-+ p")])
+    assert str(v) == "AndLa: no principal occurrence of the right shape"

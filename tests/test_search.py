@@ -101,42 +101,22 @@ def test_horn_chains_are_built_without_backtracking(monkeypatch):
             assert check_derivation(out.derivation).valid
 
 
-#: SHA-256 over the proof of every pinned query below and of its dual, as
-#: dumped (``refuted`` for none), and the number of ``backward_expansions``
-#: calls they took: any change to a proof, or to what is expanded, changes them
+#: SHA-256 over the proof of every pinned query (``conftest.prove_pin``) and
+#: of its dual, as dumped (``refuted`` for none), and the number of
+#: ``backward_expansions`` calls they took: any change to a proof, or to what
+#: is expanded, changes them
 PROVE_DIGEST = "a3f1655ae3a0160c8310457ee89ab51c87feeadc28ff0fc6025864e84e0e3cc7"
 PROVE_EXPANSIONS = 9975
 
 
-def test_prove_output_is_pinned(monkeypatch):
+def test_prove_output_is_pinned(prove_pin):
     if SEED != 0:
         pytest.skip("the digest pins the random sequents of the default seed")
-    calls = 0
-    real = search.backward_expansions
-
-    def expand(s):
-        nonlocal calls
-        calls += 1
-        return real(s)
-
-    monkeypatch.setattr(search, "backward_expansions", expand)
-    queries = [parse_sequent(c.input["sequent"])
-               for c in corpus.load_manifest() if c.kind == "prove"]
-    rng = random.Random(f"{SEED}/pin")
-    accepted = []
-    while len(accepted) < 1000:
-        s = random_sequent(rng)
-        if derivable(s):
-            accepted.append(s)
-    queries += accepted
-    queries += [horn_chain(n, start) for n in range(4, 51) for start in (True, False)]
-    assert len(queries) == 1101
+    outcomes, calls = prove_pin
+    assert len(outcomes) == 2 * 1101
     digest = hashlib.sha256()
-    for s in queries:
-        for x in (s, dual_sequent(s)):
-            out = prove(x)
-            digest.update(dumps_derivation(out.derivation).encode()
-                          if isinstance(out, Proved) else b"refuted\n")
+    for d in outcomes:
+        digest.update(b"refuted\n" if d is None else dumps_derivation(d).encode())
     assert (digest.hexdigest(), calls) == (PROVE_DIGEST, PROVE_EXPANSIONS)
 
 
