@@ -155,7 +155,8 @@ class Context(tuple):
         return iter(dict.fromkeys(self))
 
     def __str__(self) -> str:
-        return ", ".join(map(format_formula, self))
+        """Its formulas' texts, each the one the formula keeps, joined by ", "."""
+        return ", ".join([f._text or format_formula(f) for f in self])
 
     def __repr__(self) -> str:
         return f"Context({tuple.__repr__(self)})"
@@ -179,14 +180,9 @@ def sequent(gamma: Iterable[Formula], delta: Iterable[Formula], polarity: Polari
     return Sequent(Context.from_iter(gamma), Context.from_iter(delta), polarity, succedent)
 
 
-def format_sequent(s: Sequent, context: Optional[Callable[[Context], str]] = None) -> str:
-    """The text of ``s``; ``context``, when set, gives the text of each
-    context (its formulas' texts joined by ", ")."""
-    if context is None:
-        g = ", ".join(map(format_formula, s.gamma))
-        d = ", ".join(map(format_formula, s.delta))
-    else:
-        g, d = context(s.gamma), context(s.delta)
+def format_sequent(s: Sequent, context: Callable[[Context], str] = Context.__str__) -> str:
+    """The text of ``s``, each context's text given by ``context``."""
+    g, d = context(s.gamma), context(s.delta)
     left = f"{g} ;" if g else ";"
     if d:
         left = f"{left} {d}"

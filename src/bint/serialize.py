@@ -51,8 +51,7 @@ class _Writer:
     and premise list, as the loader does."""
 
     def __init__(self):
-        self.contexts: dict[Context, str] = _Memo(
-            lambda ctx: ", ".join([f._text or format_formula(f) for f in ctx]))
+        self.contexts: dict[Context, str] = _Memo(Context.__str__)
         self.out: list[str] = []
         self.indents: dict[int, str] = _Memo(lambda depth: "\n" + "  " * depth)
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .syntax import BOT, TOP, And, Coimp, Formula, Imp, Or, _Record, format_formula, weight
+from .syntax import BOT, TOP, And, Coimp, Formula, Imp, Or, format_formula, weight
 from .kernel import (
     _RIGHT_BY_SHAPE, CUT_AT, CUT_RULES, EMPTY, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS,
     SCHEMA, ZERO_PREMISE, Annotation, Context, Derivation, Polarity, RuleId as R, Sequent, Side,
@@ -352,9 +352,6 @@ class TraceStep(NamedTuple):
 
 class CutTrace:
     """The steps of one elimination, in the order the machine dispatched them."""
-
-    __match_args__ = ("steps",)     # compared and printed as a record is; appended to
-    __eq__, __hash__, __repr__ = _Record.__eq__, None, _Record.__repr__
 
     def __init__(self):
         self.steps: list[TraceStep] = []

@@ -19,8 +19,8 @@ from bint.corpus import DATA_DIR
 from bint.decide import derivable
 from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or
 from bint.kernel import (
-    MINUS, PLUS, RIGHT_RULES, SCHEMA, Annotation, Context, RuleId as R, Sequent, Side,
-    dual_derivation, dual_sequent, node, parse_sequent, premises_for,
+    MINUS, PLUS, RIGHT_RULES, SCHEMA, Annotation, Context, Derivation, RuleId as R, Sequent,
+    Side, dual_derivation, dual_sequent, node, parse_sequent, premises_for,
 )
 from bint.search import Proved, prove
 from bint.serialize import load_derivations
@@ -340,6 +340,16 @@ def tower(height: int, bad_at: int = -1):
         else:
             d = node(R.ImpLa, top, (d, closer), principal=Imp(Atom("p"), Atom("p")))
     return d
+
+
+def valid_premise(s: Sequent) -> Derivation:
+    """A valid premise concluding ``s``, made without a check: a node built
+    on such premises is valid exactly when the node itself fits its rule."""
+    x = object.__new__(Derivation)
+    for name, value in (("conclusion", s), ("rule", R.RfPlus), ("premises", ()),
+                        ("annotation", None), ("height", 0), ("cut_count", 0), ("valid", True)):
+        object.__setattr__(x, name, value)
+    return x
 
 
 def _bump_pair():

@@ -16,14 +16,14 @@ from bint.serialize import (
     dumps_derivation, dumps_derivations, load_derivation, loads_derivation,
 )
 from bint.transform import derive_identity
-from bint.kernel import Annotation, Context, ContextSplit
+from bint.kernel import PLUS, Annotation, Context, ContextSplit
 from bint.syntax import Atom, Imp, format_formula, parse_formula
 from conftest import chain_proof, horn_chain, tower
 
 
 @pytest.fixture
 def identity_file(tmp_path):
-    d = derive_identity(Context(), Context(), parse_formula("p /\\ q"), __import__("bint").PLUS)
+    d = derive_identity(Context(), Context(), parse_formula("p /\\ q"), PLUS)
     path = tmp_path / "id.deriv"
     path.write_text(dumps_derivation(d), encoding="utf-8")
     return path
@@ -89,7 +89,7 @@ def test_check_valid_file(capsys, identity_file):
 def test_a_failed_transform_precondition_exits_1(tmp_path, command, target, message):
     # the derivation of p ; |-+ p holds one p and no compound
     path = tmp_path / "p.deriv"
-    path.write_text(dumps_derivation(derive_identity(Context(), Context(), Atom("p"), bint.PLUS)),
+    path.write_text(dumps_derivation(derive_identity(Context(), Context(), Atom("p"), PLUS)),
                     encoding="utf-8")
     assert _bint(command, str(path), target, "a") == (1, "", f"error: {message}\n")
 
@@ -169,6 +169,15 @@ def test_check_on_a_file_with_no_derivation_is_a_format_error(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(path))
     assert code == 2
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_an_operation_needs_a_file_with_exactly_one_derivation(capsys, tmp_path, count):
+    d = derive_identity(Context(), Context(), Atom("p"), PLUS)
+    path = tmp_path / "many.deriv"
+    path.write_text(dumps_derivations([d] * count), encoding="utf-8")
+    code, out, err = run(capsys, "weaken", str(path), "q", "a")
+    assert (code, out, err) == (2, "", f"error: {path} holds {count} derivations, need exactly 1\n")
 
 
 @pytest.mark.parametrize("name", ["", "missing.deriv"], ids=["directory", "missing"])
@@ -270,7 +279,7 @@ def test_latex_proof_of_a_tall_horn_chain():
 
 
 def test_render_text_shape():
-    d = derive_identity(Context(), Context(), Atom("p"), __import__("bint").PLUS)
+    d = derive_identity(Context(), Context(), Atom("p"), PLUS)
     assert render_text(d) == "[RfPlus] p ; |-+ p"
 
 

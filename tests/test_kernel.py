@@ -211,17 +211,31 @@ def test_a_pickle_is_read_under_another_hash_seed():
     assert run(2, "load", data=run(1, "dump")).split() == [b"True"] * 6
 
 
-def test_the_engine_imports_without_dataclasses():
-    # decorating its records, and importing ``dataclasses`` (which imports
-    # ``inspect``) and ``string``, would cost each command's start-up
+def _fresh_output(script: str) -> str:
+    """What ``script`` prints in a fresh interpreter that imports this ``bint``."""
     src = str(Path(bint.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          check=True, text=True).stdout
+
+
+def test_the_engine_imports_without_dataclasses():
+    # decorating its records, and importing ``dataclasses`` (which imports
+    # ``inspect``) and ``string``, would cost each command's start-up
     script = ("import bint, bint.serialize, bint.corpus, bint.cli, sys; "
               "print(*sorted({'dataclasses', 'inspect', 'string'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          check=True, text=True)
-    assert done.stdout.split() == []
+    assert _fresh_output(script).split() == []
+
+
+def test_each_layer_imports_only_the_layers_below_it():
+    # the package holds no names of its own, so importing one module loads
+    # that module and what it imports, not the whole engine
+    script = ("import sys\n"
+              "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'bint')\n"
+              "import bint.syntax\nprint(*loaded())\nimport bint.kernel\nprint(*loaded())\n")
+    assert _fresh_output(script).splitlines() == ["bint bint.syntax",
+                                                  "bint bint.kernel bint.syntax"]
 
 
 def test_copies_and_pickles_rebuild_each_node(monkeypatch):
@@ -735,11 +749,7 @@ def test_dual_derivation_dualizes_each_part_once(monkeypatch, derivation_corpus)
 
 def test_tall_tower_dualizes_at_the_default_recursion_limit():
     assert sys.getrecursionlimit() == 1000
-    top = parse_sequent("p, p -> p ; |-+ p")
-    closer = node(R.RfPlus, parse_sequent("p, p ; |-+ p"))
-    d = node(R.RfPlus, top)
-    for _ in range(1200):
-        d = node(R.ImpLa, top, (d, closer), principal=Imp(p, p))
+    d = tower(1200)
     dd = dual_derivation(d)
     assert dd.height == 1200 and check_derivation(dd).valid
     back = dual_derivation(dd)

@@ -34,7 +34,7 @@ from bint.serialize import load_derivation, load_derivations
 from bint.syntax import And, Atom, Coimp, Imp, Or, format_formula
 from bint.transform import eliminate_cut, weaken
 
-from conftest import horn_chain, principals
+from conftest import horn_chain, principals, valid_premise
 
 _CONNECTIVES = (And, Or, Imp, Coimp)
 q, zz = Atom("q"), Atom("zz")
@@ -218,16 +218,6 @@ def test_building_valid_nodes_builds_no_premise(cut_pairs, builders):
     assert not [c for c in builders if c[0] == "premises_for"]
     # the expansions of prove build their premises, once each; nothing else does
     assert {caller for _, caller in builders} <= {"premises"}
-
-
-def valid_premise(s: Sequent) -> Derivation:
-    """A valid premise concluding ``s``, made without a check: a node built
-    on such premises is valid exactly when the node itself fits its rule."""
-    x = object.__new__(Derivation)
-    for name, value in (("conclusion", s), ("rule", R.RfPlus), ("premises", ()),
-                        ("annotation", None), ("height", 0), ("cut_count", 0), ("valid", True)):
-        object.__setattr__(x, name, value)
-    return x
 
 
 def test_building_a_node_words_no_violation(mutated_nodes, monkeypatch):

@@ -19,7 +19,8 @@ from bint.transform import (
     SpecialWeakening, contract, derive_identity, eliminate_cut, invert, unweaken_special, weaken,
 )
 from perfbench import gen
-from test_match import valid_premise
+
+from conftest import valid_premise
 
 
 def _agree(roots) -> tuple[int, int]:

@@ -26,7 +26,7 @@ from bint.serialize import (
 )
 from bint.syntax import FormulaSyntaxError, format_formula, parse_formula
 
-from conftest import SEED, random_formula
+from conftest import SEED, random_formula, tower
 
 
 # --- the reference: the writer as it was, through json.dumps ----------------------------
@@ -272,17 +272,6 @@ def test_a_malformed_formula_fails_alike_every_time():
 
 # --- dumps that overflow the stack --------------------------------------------------------
 
-def _tower(height: int) -> Derivation:
-    """``ImpLa`` stacked ``height`` times on ``p, p -> p ; |-+ p``."""
-    top = parse_sequent("p, p -> p ; |-+ p")
-    closer = node(R.RfPlus, parse_sequent("p, p ; |-+ p"))
-    principal = parse_formula("p -> p")
-    d = node(R.RfPlus, top)
-    for _ in range(height):
-        d = node(R.ImpLa, top, (d, closer), principal=principal)
-    return d
-
-
 def _keep_errors(d: Derivation) -> list[BaseException]:
     """Dump ``d`` and keep what it raises in a list, as a benchmark or a batch
     job might: the list, the error, its traceback and this frame then form a
@@ -296,7 +285,7 @@ def _keep_errors(d: Derivation) -> list[BaseException]:
 
 
 def test_a_failed_dump_keeps_no_frame_or_writer_alive():
-    d = _tower(2000)
+    d = tower(2000)
     gc.collect()
     gc.disable()
     try:
@@ -313,7 +302,7 @@ def test_a_480_high_tower_round_trips_at_the_default_limit():
     """On a fresh stack, as at a program's top level: the test runner's own
     frames take about 30 of the limit's 1,000."""
     assert sys.getrecursionlimit() == 1000
-    d = _tower(480)
+    d = tower(480)
     outcome = []
 
     def round_trip():
