@@ -1,29 +1,35 @@
 #!/usr/bin/env python3
-"""Compare the engines of two checkouts on one benchmark workload, in one process.
+"""Compare the engines of two checkouts on one benchmark workload, each
+operation on both engines in turn.
 
     python3 scripts/ab_pairs.py PARENT CHANGE --workload replay --passes 4
 
-``PARENT`` and ``CHANGE`` are the roots of two checkouts.  Each one's
-``bint`` and ``perfbench`` are imported from its own tree, with both purged
-from ``sys.modules`` in between, so the two engines live side by side.  Each
-builds the same seeded passes of the workload's operations, and the
-operations run interleaved: each operation runs on one checkout, then at once
-on the other.  Both sides therefore meet the same machine load.  Which side
-runs first alternates from one operation to the next, so each side pays
-about equally for the garbage the other leaves behind.  One invocation is
-still biased by the order of its arguments: the checkout named first has
-measured 1.5–3.4 % busier on ``prove`` and up to 2.5 % less busy on
-``cut-chain`` and ``replay`` than the same code named second.  So run both
-orders, with the same seed and passes: r1 from ``PARENT CHANGE`` and r2
-from ``CHANGE PARENT``.  sqrt(r1·r2) is the bias, and sqrt(r2/r1) is the
-change's busy time over the parent's.
+``PARENT`` and ``CHANGE`` are the roots of two checkouts.  The comparison runs
+twice, in a new child process each time: once with ``PARENT`` named first,
+then with ``CHANGE`` named first, with the same seed and passes.  In a child,
+each checkout's ``bint`` and ``perfbench`` are imported from its own tree,
+with both purged from ``sys.modules`` in between, so the two engines live side
+by side.  Each builds the same seeded passes of the workload's operations,
+and the operations run interleaved: each operation runs on one checkout, then
+at once on the other.  Both sides therefore meet the same machine load.
+Which side runs first alternates from one operation to the next, so each side
+pays about equally for the garbage the other leaves behind.
 
-Printed per operation kind: how many ran, each side's busy seconds, each
-side's median and tail latency in milliseconds over the operations that
-succeeded (the benchmark's ``op_p50_ms`` and ``op_tail_ms``, the tail at the
-workload's own ``tail_pct``, nearest rank; a busy-time ratio can hide
-either), how many of each side's operations failed, and the ratio of the
-first checkout's busy time to the second's.
+One order alone is still biased by the order of its arguments: the checkout
+named first has measured 1.5–3.4 % busier on ``prove`` and up to 2.5 % less
+busy on ``cut-chain`` and ``replay`` than the same code named second.  With r1
+the first checkout's busy time over the second's in the order ``PARENT
+CHANGE``, and r2 the same in the order ``CHANGE PARENT``, sqrt(r2/r1) is the
+change's busy time over the parent's, with the bias removed, and sqrt(r1·r2)
+is the bias.
+
+Printed per order and per operation kind: how many ran, each side's busy
+seconds, each side's median and tail latency in milliseconds over the
+operations that succeeded (the benchmark's ``op_p50_ms`` and ``op_tail_ms``,
+the tail at the workload's own ``tail_pct``, nearest rank; a busy-time ratio
+can hide either), how many of each side's operations failed, and the ratio of
+the first checkout's busy time to the second's.  Then per kind: r1, r2,
+sqrt(r2/r1) and sqrt(r1·r2).
 """
 
 from __future__ import annotations
@@ -31,9 +37,11 @@ from __future__ import annotations
 import argparse
 import importlib
 import math
+import multiprocessing
 import statistics
 import sys
 from collections import Counter, defaultdict
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 _PACKAGES = ("bint", "perfbench")
@@ -55,28 +63,23 @@ def load(root: Path):
         del sys.path[:2]
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("first", type=Path, help="root of the first checkout")
-    ap.add_argument("second", type=Path, help="root of the second checkout")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--passes", type=int, default=4)
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args(argv)
-
-    sides = [load(root.resolve()) for root in (args.first, args.second)]
-    if args.workload not in sides[0][0].WORKLOADS:
-        ap.error(f"unknown workload {args.workload!r}")
+def compare(roots: tuple[Path, Path], workload: str, passes: int, seed: int) -> tuple[str, dict]:
+    """One order: the operations of ``passes`` passes of ``workload`` run on
+    both checkouts in turn.  The workload's tail label, and per kind the
+    count, then per side the busy seconds, median and tail milliseconds and
+    failures."""
+    sides = [load(root) for root in roots]
+    if workload not in sides[0][0].WORKLOADS:
+        sys.exit(f"ab_pairs: unknown workload {workload!r}")
     busy = [Counter(), Counter()]       # per side: seconds per kind, and in all
     failed = [Counter(), Counter()]
     took = [defaultdict(list), defaultdict(list)]   # per side: each success's seconds, per kind
     count = Counter()
-    for index in range(args.passes):
-        passes = [wl.WORKLOADS[args.workload].make_pass(args.seed, index)[0] for wl, _ in sides]
-        if [op.kind for op in passes[0]] != [op.kind for op in passes[1]]:
+    for index in range(passes):
+        ops_by_side = [wl.WORKLOADS[workload].make_pass(seed, index)[0] for wl, _ in sides]
+        if [op.kind for op in ops_by_side[0]] != [op.kind for op in ops_by_side[1]]:
             sys.exit("ab_pairs: the two checkouts generate different operations")
-        for ops in zip(*passes):
+        for ops in zip(*ops_by_side):
             kinds = (ops[0].kind, "all")
             count.update(kinds)
             # the first checkout leads on the first operation, the second on the next
@@ -89,22 +92,52 @@ def main(argv=None) -> int:
                     else:
                         failed[i][kind] += 1
 
-    pct = sides[0][0].WORKLOADS[args.workload].tail_pct
-    tail = f"p{pct:g}"
-    print(f"{args.workload} seed={args.seed} passes={args.passes}: "
-          f"first {args.first}, second {args.second}, leading in turn")
-    print(f"{'kind':<12}{'ops':>7}{'first_s':>10}{'second_s':>10}{'first_p50':>11}"
-          f"{'second_p50':>11}{'first_' + tail:>11}{'second_' + tail:>12}{'failed':>10}"
-          f"{'ratio':>8}")
+    pct = sides[0][0].WORKLOADS[workload].tail_pct
+    rows = {}
     for kind in sorted(count, key=lambda k: (k == "all", k)):
-        a, b = busy[0][kind], busy[1][kind]
         ms = [sorted(side[kind]) for side in took]
-        p50 = [1e3 * statistics.median(x) if x else math.nan for x in ms]
-        p_tail = [1e3 * run.percentile(x, pct) if x else math.nan
-                  for x, (_, run) in zip(ms, sides)]
-        print(f"{kind:<12}{count[kind]:>7}{a:>10.3f}{b:>10.3f}{p50[0]:>11.4f}{p50[1]:>11.4f}"
-              f"{p_tail[0]:>11.4f}{p_tail[1]:>12.4f}"
-              f"{f'{failed[0][kind]}/{failed[1][kind]}':>10}{a / b:>8.3f}")
+        rows[kind] = (count[kind], [b[kind] for b in busy],
+                      [1e3 * statistics.median(x) if x else math.nan for x in ms],
+                      [1e3 * run.percentile(x, pct) if x else math.nan
+                       for x, (_, run) in zip(ms, sides)],
+                      [f[kind] for f in failed])
+    return f"p{pct:g}", rows
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", type=Path, help="root of the parent checkout")
+    ap.add_argument("change", type=Path, help="root of the changed checkout")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--passes", type=int, default=4)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+
+    parent, change = args.parent.resolve(), args.change.resolve()
+    ratios = []
+    for roots in ((parent, change), (change, parent)):
+        # each order in a fresh interpreter, so neither inherits the other's heap
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            tail, rows = pool.submit(compare, roots, args.workload, args.passes,
+                                     args.seed).result()
+        print(f"{args.workload} seed={args.seed} passes={args.passes}: "
+              f"first {roots[0]}, second {roots[1]}, leading in turn")
+        print(f"{'kind':<12}{'ops':>7}{'first_s':>10}{'second_s':>10}{'first_p50':>11}"
+              f"{'second_p50':>11}{'first_' + tail:>11}{'second_' + tail:>12}{'failed':>10}"
+              f"{'ratio':>8}")
+        for kind, (n, (a, b), p50, p_tail, fails) in rows.items():
+            print(f"{kind:<12}{n:>7}{a:>10.3f}{b:>10.3f}{p50[0]:>11.4f}{p50[1]:>11.4f}"
+                  f"{p_tail[0]:>11.4f}{p_tail[1]:>12.4f}"
+                  f"{f'{fails[0]}/{fails[1]}':>10}{a / b:>8.3f}")
+        print()
+        ratios.append({kind: busy[0] / busy[1] for kind, (_, busy, *_) in rows.items()})
+
+    r1, r2 = ratios
+    print(f"{'kind':<12}{'r1':>8}{'r2':>8}{'change/parent':>15}{'bias':>8}")
+    for kind in r1:
+        print(f"{kind:<12}{r1[kind]:>8.3f}{r2[kind]:>8.3f}"
+              f"{math.sqrt(r2[kind] / r1[kind]):>15.3f}{math.sqrt(r1[kind] * r2[kind]):>8.3f}")
     return 0
 
 

@@ -13,8 +13,9 @@ re-checked, nor matched again for its principal, and ``check_derivation``
 walks only an invalid tree.  A node is decided by ``_VALID[rule]``: for a
 logical rule, one straight-line function generated from ``SCHEMA``
 (``_SOURCE[rule]``) that matches the premises in place, words nothing and
-gives the principal that fits; ``_fits`` offers it one principal.
-``check_rule_instance`` builds the expected premises only to word a violation.
+gives the principal that fits.  It is the one decider of a node:
+``check_rule_instance`` makes the same call, and ``premise_of`` builds the
+expected premises only to word a violation the call found.
 
 The 18 logical rules are one data table, ``SCHEMA``: per rule, the connective
 it decomposes, where its principal sits, and one template per premise.
@@ -569,34 +570,6 @@ def first_closer(s: Sequent, order: tuple[RuleId, ...] = CLOSERS) -> Optional[Ru
     return None
 
 
-def premises_for(conclusion: Sequent, rule: RuleId,
-                 principal: Optional[Formula] = None) -> Optional[tuple[Sequent, ...]]:
-    """Premise sequents the schema demands of this conclusion, or None when the
-    rule does not apply (wrong polarity / shape / missing principal occurrence).
-
-    A right rule's principal is the succedent; ``principal``, when given, must
-    equal it.  A left rule requires the principal occurrence on its side.
-    """
-    if rule in ZERO_PREMISE:
-        return () if _zero_premise_failure(conclusion, rule) is None else None
-    schema = SCHEMA.get(rule)
-    if schema is None:
-        raise ValueError(f"premises_for does not handle {rule}")
-    at = schema.at
-    if isinstance(at, Side):
-        if (not isinstance(principal, schema.connective)
-                or principal not in (conclusion.gamma if at is Side.A else conclusion.delta)):
-            return None
-    else:
-        c = conclusion.succedent
-        if conclusion.polarity is not at or not isinstance(c, schema.connective):
-            return None
-        if principal is not None and principal != c:
-            return None
-        principal = c
-    return tuple([premise_of(conclusion, at, principal, t) for t in schema.premises])
-
-
 def premise_of(s: Sequent, at: Side | Polarity, principal: Formula, t: Template) -> Sequent:
     """The premise that template ``t`` of a rule with its principal ``at``
     (as in ``Schema``) builds from ``s``."""
@@ -682,15 +655,6 @@ def _compiled(rule: RuleId) -> Callable:
     return valid
 
 
-def _fits(s: Sequent, rule: RuleId, principal: Formula,
-          premises: tuple[Sequent, ...] | list[Sequent]) -> bool:
-    """Whether ``premises_for(s, rule, principal) == tuple(premises)`` for a
-    logical rule: the rule's ``_VALID``, offered ``principal`` alone, on
-    stand-ins for premise derivations that conclude ``premises``."""
-    return principal is not None and _VALID[rule](
-        s, [SimpleNamespace(conclusion=p) for p in premises], Annotation(principal)) is not None
-
-
 #: per rule, ``valid(conclusion, premises, annotation)``: whether a node with
 #: these premise derivations instantiates the rule, decided without wording
 #: a violation; None when it does not, else a logical rule's principal, or
@@ -707,9 +671,10 @@ def check_rule_instance(conclusion: Sequent, rule: RuleId,
                         premise_conclusions: list[Sequent] | tuple[Sequent, ...],
                         annotation: Optional[Annotation] = None) -> Optional[Violation]:
     """None when the node instantiates the rule schema exactly, else the first
-    failed constraint.  A logical rule's premises are matched against their
-    templates in place (``_fits``); the expected premises are built only to
-    word a violation."""
+    failed constraint.  A logical rule is decided by one call of its
+    ``_VALID``, the call ``Derivation`` makes, on stand-ins for the premise
+    derivations; only when it rejects the node are the expected premises
+    built, by ``premise_of``, to word why."""
     premise_conclusions = tuple(premise_conclusions)
     if len(premise_conclusions) != ARITY[rule]:
         return Violation(rule, f"arity: expected {ARITY[rule]} premises, got {len(premise_conclusions)}")
@@ -721,26 +686,29 @@ def check_rule_instance(conclusion: Sequent, rule: RuleId,
     if rule in CUT_RULES:
         return _check_cut(conclusion, rule, premise_conclusions, annotation)
 
-    # logical rule
+    if _VALID[rule](conclusion, [SimpleNamespace(conclusion=p) for p in premise_conclusions],
+                    annotation) is not None:
+        return None
+    # the last principal the check offered words the violation
+    schema = SCHEMA[rule]
+    at, conn = schema.at, schema.connective
+    side = None if at in Polarity else conclusion.gamma if at is Side.A else conclusion.delta
     if annotation is not None and annotation.principal is not None:
-        candidates: list[Formula] = [annotation.principal]
-    elif rule in RIGHT_RULES:
-        candidates = [conclusion.succedent]
+        f = annotation.principal
+    elif side is None:
+        f = conclusion.succedent
     else:
-        schema = SCHEMA[rule]
-        side = conclusion.gamma if schema.at is Side.A else conclusion.delta
-        candidates = [f for f in side.distinct() if isinstance(f, schema.connective)]
-        if not candidates:
+        f = next((f for f in reversed(side) if isinstance(f, conn)), None)
+        if f is None:
             return Violation(rule, "no principal occurrence of the right shape")
-    for cand in candidates:
-        if _fits(conclusion, rule, cand, premise_conclusions):
-            return None
-
-    # every candidate failed: the last one words the violation
-    expected = premises_for(conclusion, rule, cand)
-    if expected is None:
+    if side is None:
+        placed = conclusion.polarity is at and f is conclusion.succedent
+    else:
+        placed = f in side
+    if not (isinstance(f, conn) and placed):
         return Violation(rule, "conclusion does not fit the rule schema "
-                               f"(principal {format_formula(cand)})")
+                               f"(principal {format_formula(f)})")
+    expected = [premise_of(conclusion, at, f, t) for t in schema.premises]
     got = " | ".join(map(format_sequent, premise_conclusions))
     return Violation(rule, "premises do not match the schema: expected "
                            f"{' | '.join(map(format_sequent, expected))}, got {got}")

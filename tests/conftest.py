@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import strategies as st
 
-from bint import corpus, search
+from bint import corpus, kernel, search
 from bint.corpus import DATA_DIR
 from bint.decide import derivable
 from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or
 from bint.kernel import (
-    MINUS, PLUS, RIGHT_RULES, SCHEMA, Annotation, Context, Derivation, RuleId as R, Sequent,
-    Side, dual_derivation, dual_sequent, node, parse_sequent, premises_for,
+    MINUS, PLUS, RIGHT_RULES, SCHEMA, ZERO_PREMISE, Annotation, Context, Derivation, RuleId as R,
+    Sequent, Side, _zero_premise_failure, dual_derivation, dual_sequent, node, parse_sequent,
+    premise_of,
 )
 from bint.search import Proved, prove
 from bint.serialize import load_derivations
@@ -172,6 +174,37 @@ def principals(s: Sequent, rule, annotation):
     schema = SCHEMA[rule]
     side = s.gamma if schema.at is Side.A else s.delta
     return [f for f in side.distinct() if isinstance(f, schema.connective)]
+
+
+def premises_for(conclusion: Sequent, rule, principal=None):
+    """The reference builder: the premise sequents the schema demands of this
+    conclusion, or None when the rule does not apply (wrong polarity or shape,
+    or no principal occurrence).  A right rule's principal is the succedent,
+    which ``principal``, when given, must equal; a left rule's must occur on
+    its side."""
+    if rule in ZERO_PREMISE:
+        return () if _zero_premise_failure(conclusion, rule) is None else None
+    schema = SCHEMA[rule]
+    at = schema.at
+    if isinstance(at, Side):
+        if (not isinstance(principal, schema.connective)
+                or principal not in (conclusion.gamma if at is Side.A else conclusion.delta)):
+            return None
+    else:
+        c = conclusion.succedent
+        if conclusion.polarity is not at or not isinstance(c, schema.connective):
+            return None
+        if principal is not None and principal != c:
+            return None
+        principal = c
+    return tuple([premise_of(conclusion, at, principal, t) for t in schema.premises])
+
+
+def fits(s: Sequent, rule, principal, premises) -> bool:
+    """Whether the rule's ``kernel._VALID``, offered ``principal`` alone,
+    accepts stand-ins for premise derivations that conclude ``premises``."""
+    return principal is not None and kernel._VALID[rule](
+        s, [SimpleNamespace(conclusion=p) for p in premises], Annotation(principal)) is not None
 
 
 def _changed(s: Sequent, **fields) -> Sequent:

@@ -12,12 +12,12 @@ from bint import corpus, decide, search
 from bint.decide import derivable
 from bint.kernel import (
     MINUS, PLUS, SCHEMA, Context, RuleId as R, Sequent, Side, backward_expansions, dual_sequent,
-    parse_sequent, premises_for, sequent,
+    parse_sequent, sequent,
 )
 from bint.syntax import BOT, TOP, Atom
 from bint.search import Proved, Refuted, prove
 from bint.transform import InternalCheckError
-from conftest import REPRODUCER, SEED, horn_chain, random_sequent
+from conftest import REPRODUCER, SEED, horn_chain, premises_for, random_sequent
 
 def sample(n: int, salt: str) -> list:
     rng = random.Random(f"{SEED}/{salt}")
@@ -31,7 +31,7 @@ class _OverBudget(Exception):
 def test_decider_reads_neither_the_search_nor_the_checker():
     used = set(vars(decide))
     assert not used & {"search", "backward_expansions", "premises_for", "check_derivation",
-                       "check_rule_instance", "SCHEMA"}
+                       "check_rule_instance", "SCHEMA", "premise_of", "Expansion", "_VALID"}
 
 
 # --- the translation, rule by rule ------------------------------------------------

@@ -1,17 +1,20 @@
-"""The checker's matcher, ``kernel._fits``: a logical rule instance is decided
-by matching each premise against its template in place.
+"""The checker's one decider, ``kernel._VALID[rule]``: a logical rule
+instance is decided by matching each premise against its template in place,
+by the same call when a node is built and when ``check_rule_instance`` is
+asked; ``premise_of`` builds the expected premises only to word a violation.
 
-It is compared with what it replaced, building the expected premises with
-``premises_for`` and comparing them, on every node of the golden corpus files,
-of the random derivation corpora and of their duals, and on single-field
-mutations of those nodes.  The whole checker is compared with its former
-definition, violation text included, and the principal a node keeps
+The matcher, offered one principal (``conftest.fits``), is compared with the
+reference builder ``conftest.premises_for``, which builds the expected
+premises and compares them, on every node of the golden corpus files, of the
+random derivation corpora and of their duals, and on single-field mutations
+of those nodes.  The whole checker is compared with its former definition,
+violation text included, and the principal a node keeps
 (``Derivation.principal``) with the former ``infer_principal``, which
 matched the node again, on every node of the corpus files, of the random
 corpus and its duals and of the prove-pin proofs.  The last tests count
 that building valid nodes builds no premise for the check, that building
-invalid ones words no violation, and that building a node makes few Python
-calls.
+invalid ones words no violation, that building a node makes few Python
+calls, and that checking a node calls its rule's decider once.
 """
 
 from __future__ import annotations
@@ -26,15 +29,15 @@ from bint.corpus import DATA_DIR
 from bint.kernel import (
     ARITY, CUT_RULES, RIGHT_RULES, SCHEMA, ZERO_PREMISE, Derivation, RuleId as R,
     Sequent, Side, Violation,
-    _check_cut, _fits, _zero_premise_failure, check_rule_instance, dual_derivation,
-    format_sequent, parse_sequent, premises_for,
+    _check_cut, _zero_premise_failure, check_rule_instance, dual_derivation, format_sequent,
+    parse_sequent,
 )
 from bint.search import prove
 from bint.serialize import load_derivation, load_derivations
 from bint.syntax import And, Atom, Coimp, Imp, Or, format_formula
 from bint.transform import eliminate_cut, weaken
 
-from conftest import horn_chain, principals, valid_premise
+from conftest import fits, horn_chain, premises_for, principals, valid_premise
 
 _CONNECTIVES = (And, Or, Imp, Coimp)
 q, zz = Atom("q"), Atom("zz")
@@ -114,7 +117,7 @@ def _agree(s, rule, premises, annotation, candidates, worded=True):
     fit = False
     for f in candidates:
         built = premises_for(s, rule, f) == premises
-        assert _fits(s, rule, f, premises) == built, \
+        assert fits(s, rule, f, premises) == built, \
             (format_sequent(s), rule, format_formula(f), [format_sequent(p) for p in premises])
         fit = fit or built
     if not worded:
@@ -170,24 +173,24 @@ def test_a_context_that_changes_is_matched_in_sort_order():
     s = parse_sequent("a, b /\\ d, c, c, e ; |-+ q")
     ok = (parse_sequent("a, b, c, c, d, e ; |-+ q"),)
     principal = And(Atom("b"), Atom("d"))
-    assert _fits(s, R.AndLa, principal, ok)
+    assert fits(s, R.AndLa, principal, ok)
     for bad in ("a, b, c, d, e ; |-+ q", "a, b, c, c, c, d, e ; |-+ q",
                 "a, b /\\ d, b, c, c, d, e ; |-+ q", "a, b, c, c, d ; |-+ q"):
-        assert not _fits(s, R.AndLa, principal, (parse_sequent(bad),))
+        assert not fits(s, R.AndLa, principal, (parse_sequent(bad),))
         assert premises_for(s, R.AndLa, principal) != (parse_sequent(bad),)
-    assert not _fits(s, R.AndLa, And(Atom("x"), Atom("y")), ok)
+    assert not fits(s, R.AndLa, And(Atom("x"), Atom("y")), ok)
     # a premise that repeats, as the same object, a context the rule changes
-    assert not _fits(s, R.AndLa, principal, (Sequent(s.gamma, s.delta, s.polarity, q),))
+    assert not fits(s, R.AndLa, principal, (Sequent(s.gamma, s.delta, s.polarity, q),))
     t = parse_sequent("a ; |-+ a -> q")
-    assert not _fits(t, R.ImpRPlus, t.succedent, (Sequent(t.gamma, t.delta, t.polarity, q),))
+    assert not fits(t, R.ImpRPlus, t.succedent, (Sequent(t.gamma, t.delta, t.polarity, q),))
 
 
 # --- building valid nodes builds no premise for the check ------------------------------
 
 @pytest.fixture
 def builders(monkeypatch):
-    """Calls of ``premises_for`` and ``premise_of`` made through the kernel, by
-    the name of the calling function."""
+    """Calls of ``premise_of`` made through the kernel, by the name of the
+    calling function."""
     callers = []
 
     def spy(fn):
@@ -199,7 +202,6 @@ def builders(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(kernel, "premises_for", spy(kernel.premises_for))
     monkeypatch.setattr(kernel, "premise_of", spy(kernel.premise_of))
     return callers
 
@@ -215,7 +217,6 @@ def test_building_valid_nodes_builds_no_premise(cut_pairs, builders):
               parse_sequent("; |-+ (p -> q) -> (q -> r) -> p -> r")):
         built.append(prove(s).derivation)
     assert len(loaded) > 100 and all(d.valid for d in loaded + built)
-    assert not [c for c in builders if c[0] == "premises_for"]
     # the expansions of prove build their premises, once each; nothing else does
     assert {caller for _, caller in builders} <= {"premises"}
 
@@ -232,7 +233,7 @@ def test_building_a_node_words_no_violation(mutated_nodes, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("format_sequent", "premises_for"):
+    for name in ("format_sequent", "premise_of"):
         monkeypatch.setattr(kernel, name, counted(getattr(kernel, name)))
     built = [(conclusion, rule, mutated, ann,
               Derivation(conclusion, rule, tuple(map(valid_premise, mutated)), ann).valid)
@@ -287,7 +288,29 @@ def test_a_violation_is_worded_from_built_premises(builders):
     v = check_rule_instance(s, R.AndLa, [parse_sequent("p ; |-+ p")])
     assert str(v) == ("AndLa: premises do not match the schema: expected p, q ; |-+ p, "
                       "got p ; |-+ p")
-    assert ("premises_for", "check_rule_instance") in builders
+    assert ("premise_of", "check_rule_instance") in builders
     # with no conjunction among the assumptions there is no candidate to word
     v = check_rule_instance(parse_sequent("p ; |-+ p"), R.AndLa, [parse_sequent("p ; |-+ p")])
     assert str(v) == "AndLa: no principal occurrence of the right shape"
+
+
+def test_a_rule_instance_is_decided_by_one_call(monkeypatch):
+    # three conjunctions among the assumptions, and a premise that fits only
+    # the last: the decider walks them in one call, whether the node fits or not
+    s = parse_sequent("a /\\ b, c /\\ d, e /\\ f ; |-+ q")
+    ok = [parse_sequent("a /\\ b, c /\\ d, e, f ; |-+ q")]
+    assert check_rule_instance(s, R.AndLa, ok) is None     # compiles the rule's check
+    calls = []
+    valid = kernel._VALID[R.AndLa]
+
+    def counted(*args):
+        calls.append(args)
+        return valid(*args)
+
+    monkeypatch.setitem(kernel._VALID, R.AndLa, counted)
+    assert check_rule_instance(s, R.AndLa, ok) is None
+    assert len(calls) == 1
+    v = check_rule_instance(s, R.AndLa, [parse_sequent("a /\\ b, c /\\ d, e ; |-+ q")])
+    assert str(v) == ("AndLa: premises do not match the schema: expected "
+                      "e, f, a /\\ b, c /\\ d ; |-+ q, got e, a /\\ b, c /\\ d ; |-+ q")
+    assert len(calls) == 2

@@ -9,7 +9,7 @@ from bint import corpus, search
 from bint.decide import derivable
 from bint.kernel import (
     MINUS, PLUS, Expansion, RuleId as R, Sequent, Side, check_derivation, dual_derivation,
-    dual_formula, dual_sequent, node, parse_sequent, premises_for,
+    dual_formula, dual_sequent, node, parse_sequent,
 )
 from bint.search import Proved, Refuted, prove
 from random_derivations import random_derivation
@@ -19,7 +19,7 @@ from bint.transform import (
     InternalCheckError, contract, derive_identity, eliminate_cut, weaken,
 )
 from conftest import (
-    REPRODUCER, SEED, contexts, formulas, horn_chain, polarities, random_sequent,
+    REPRODUCER, SEED, contexts, formulas, horn_chain, polarities, premises_for, random_sequent,
 )
 
 p, q = Atom("p"), Atom("q")
