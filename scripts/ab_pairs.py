@@ -28,8 +28,13 @@ seconds, each side's median and tail latency in milliseconds over the
 operations that succeeded (the benchmark's ``op_p50_ms`` and ``op_tail_ms``,
 the tail at the workload's own ``tail_pct``, nearest rank; a busy-time ratio
 can hide either), how many of each side's operations failed, and the ratio of
-the first checkout's busy time to the second's.  Then per kind: r1, r2,
-sqrt(r2/r1) and sqrt(r1·r2).
+the first checkout's busy time to the second's.  Then per kind: the
+operations a side ran, r1, r2, sqrt(r2/r1), a 90 % bootstrap interval of
+sqrt(r2/r1), and sqrt(r1·r2).  The interval is the 5th to 95th percentile of
+sqrt(r2/r1) over 1,000 resamples with a fixed seed; each resample draws each
+order's paired per-operation busy times of that kind with replacement.  A
+kind with few operations gets a wide interval, so its ratio is read as no
+more precise than that.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import argparse
 import importlib
 import math
 import multiprocessing
+import random
 import statistics
 import sys
 from collections import Counter, defaultdict
@@ -45,6 +51,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 _PACKAGES = ("bint", "perfbench")
+#: bootstrap resamples of each kind's debiased ratio, and their seed
+_RESAMPLES, _BOOTSTRAP_SEED = 1000, 0
 
 
 def load(root: Path):
@@ -67,13 +75,14 @@ def compare(roots: tuple[Path, Path], workload: str, passes: int, seed: int) -> 
     """One order: the operations of ``passes`` passes of ``workload`` run on
     both checkouts in turn.  The workload's tail label, and per kind the
     count, then per side the busy seconds, median and tail milliseconds and
-    failures."""
+    failures, and each operation's pair of busy seconds."""
     sides = [load(root) for root in roots]
     if workload not in sides[0][0].WORKLOADS:
         sys.exit(f"ab_pairs: unknown workload {workload!r}")
     busy = [Counter(), Counter()]       # per side: seconds per kind, and in all
     failed = [Counter(), Counter()]
     took = [defaultdict(list), defaultdict(list)]   # per side: each success's seconds, per kind
+    paired = defaultdict(list)          # per kind: each operation's seconds on both sides
     count = Counter()
     for index in range(passes):
         ops_by_side = [wl.WORKLOADS[workload].make_pass(seed, index)[0] for wl, _ in sides]
@@ -83,14 +92,18 @@ def compare(roots: tuple[Path, Path], workload: str, passes: int, seed: int) -> 
             kinds = (ops[0].kind, "all")
             count.update(kinds)
             # the first checkout leads on the first operation, the second on the next
+            dts = [0.0, 0.0]
             for i in (0, 1) if count["all"] % 2 else (1, 0):
                 dt, (end, _) = sides[i][1].attempt(ops[i])
+                dts[i] = dt
                 for kind in kinds:
                     busy[i][kind] += dt
                     if end == "ok":
                         took[i][kind].append(dt)
                     else:
                         failed[i][kind] += 1
+            for kind in kinds:
+                paired[kind].append(tuple(dts))
 
     pct = sides[0][0].WORKLOADS[workload].tail_pct
     rows = {}
@@ -100,8 +113,22 @@ def compare(roots: tuple[Path, Path], workload: str, passes: int, seed: int) -> 
                       [1e3 * statistics.median(x) if x else math.nan for x in ms],
                       [1e3 * run.percentile(x, pct) if x else math.nan
                        for x, (_, run) in zip(ms, sides)],
-                      [f[kind] for f in failed])
+                      [f[kind] for f in failed], paired[kind])
     return f"p{pct:g}", rows
+
+
+def interval(pairs1: list, pairs2: list) -> tuple[float, float]:
+    """The 90 % bootstrap interval of sqrt(r2/r1) from each order's paired
+    per-operation busy seconds (first checkout, second checkout)."""
+    rng = random.Random(_BOOTSTRAP_SEED)
+
+    def ratio(pairs: list) -> float:
+        sample = rng.choices(pairs, k=len(pairs))
+        return sum(a for a, _ in sample) / sum(b for _, b in sample)
+
+    draws = [math.sqrt(ratio(pairs2) / ratio(pairs1)) for _ in range(_RESAMPLES)]
+    cuts = statistics.quantiles(draws, n=20)
+    return cuts[0], cuts[-1]
 
 
 def main(argv=None) -> int:
@@ -115,7 +142,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     parent, change = args.parent.resolve(), args.change.resolve()
-    ratios = []
+    orders = []
     for roots in ((parent, change), (change, parent)):
         # each order in a fresh interpreter, so neither inherits the other's heap
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
@@ -126,18 +153,22 @@ def main(argv=None) -> int:
         print(f"{'kind':<12}{'ops':>7}{'first_s':>10}{'second_s':>10}{'first_p50':>11}"
               f"{'second_p50':>11}{'first_' + tail:>11}{'second_' + tail:>12}{'failed':>10}"
               f"{'ratio':>8}")
-        for kind, (n, (a, b), p50, p_tail, fails) in rows.items():
+        for kind, (n, (a, b), p50, p_tail, fails, _) in rows.items():
             print(f"{kind:<12}{n:>7}{a:>10.3f}{b:>10.3f}{p50[0]:>11.4f}{p50[1]:>11.4f}"
                   f"{p_tail[0]:>11.4f}{p_tail[1]:>12.4f}"
                   f"{f'{fails[0]}/{fails[1]}':>10}{a / b:>8.3f}")
         print()
-        ratios.append({kind: busy[0] / busy[1] for kind, (_, busy, *_) in rows.items()})
+        orders.append(rows)
 
-    r1, r2 = ratios
-    print(f"{'kind':<12}{'r1':>8}{'r2':>8}{'change/parent':>15}{'bias':>8}")
-    for kind in r1:
-        print(f"{kind:<12}{r1[kind]:>8.3f}{r2[kind]:>8.3f}"
-              f"{math.sqrt(r2[kind] / r1[kind]):>15.3f}{math.sqrt(r1[kind] * r2[kind]):>8.3f}")
+    first, second = orders
+    print(f"{'kind':<12}{'ops':>7}{'r1':>8}{'r2':>8}{'change/parent':>15}{'90% interval':>16}"
+          f"{'bias':>8}")
+    for kind, (n, (a1, b1), *_, pairs1) in first.items():
+        _, (a2, b2), *_, pairs2 = second[kind]
+        r1, r2 = a1 / b1, a2 / b2
+        lo, hi = interval(pairs1, pairs2)
+        print(f"{kind:<12}{n:>7}{r1:>8.3f}{r2:>8.3f}{math.sqrt(r2 / r1):>15.3f}"
+              f"{f'{lo:.3f}-{hi:.3f}':>16}{math.sqrt(r1 * r2):>8.3f}")
     return 0
 
 

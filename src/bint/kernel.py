@@ -24,6 +24,10 @@ identity expansion, inversion, contraction and the principal cases of cut
 elimination in ``bint.transform``, all read it.  ``CLOSER`` is the table of
 the six zero-premise rules: their violations, duals and ``first_closer`` read
 it, and a test keeps the one-pass scan ``closing_rules`` equal to it.
+Read backward, a rule instance is its rule and principal, which the schema
+fixes: ``backward_expansions`` lists the ``(rule, principal)`` pairs that
+conclude a sequent, and ``premises`` builds an instance's premises where they
+are read.  ``node`` alone turns a principal into an ``Annotation``.
 
 A context is a tuple, its occurrences in canonical order, and a sequent,
 an annotation and a context split are named tuples, so their equality and
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
@@ -101,6 +105,32 @@ class Side(enum.Enum):
 # --- multiset contexts -------------------------------------------------------
 
 _KEY = attrgetter("key")
+
+
+def _compare(a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as key ``a`` sorts before, with or after key ``b``, as
+    tuple comparison orders them, but on its own stack: C compares nested
+    tuples recursively, so two deep keys with a long common spine raise
+    RecursionError.  A formula keeps one key object, so identical sub-keys
+    are skipped by ``is``."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if x.__class__ is tuple and y.__class__ is tuple:
+            stack.append((len(x), len(y)))          # a prefix sorts first
+            stack += reversed(tuple(zip(x, y)))
+        elif x != y:
+            return -1 if x < y else 1
+    return 0
+
+
+#: a formula's sort key in the order of ``Formula.key``, compared by ``_compare``:
+#: the key of a sort or bisection whose keys are too deep for C to compare
+_DEEP = cmp_to_key(lambda f, g: _compare(f.key, g.key))
+
+
 #: ``Context.union`` inserts a side of at most this many occurrences, and at
 #: most a quarter of the other side's, by bisection; it sorts longer sides,
 #: where bisecting each occurrence costs more than the sort
@@ -119,14 +149,25 @@ class Context(tuple):
 
     @staticmethod
     def from_iter(formulas: Iterable[Formula]) -> "Context":
-        return Context(sorted(formulas, key=_KEY))
+        out = list(formulas)
+        try:
+            out.sort(key=_KEY)
+        except RecursionError:      # the list still holds every item, in some order
+            out.sort(key=_DEEP)
+        return Context(out)
 
     def add(self, f: Formula) -> "Context":
-        i = bisect_right(self, f.key, key=_KEY)
+        try:
+            i = bisect_right(self, f.key, key=_KEY)
+        except RecursionError:
+            i = bisect_right(self, _DEEP(f), key=_DEEP)
         return Context(self[:i] + (f,) + self[i:])
 
     def remove(self, f: Formula) -> "Context":
-        lo = bisect_left(self, f.key, key=_KEY)
+        try:
+            lo = bisect_left(self, f.key, key=_KEY)
+        except RecursionError:
+            lo = bisect_left(self, _DEEP(f), key=_DEEP)
         if lo == len(self) or self[lo] is not f:
             raise KeyError(f"{format_formula(f)} not present")
         return Context(self[:lo] + self[lo + 1:])
@@ -146,7 +187,10 @@ class Context(tuple):
         # them: after equal ones of ``self``, before equal ones of ``other``
         out, start = (), 0
         for f in short:
-            i = find(long, f.key, key=_KEY)
+            try:
+                i = find(long, f.key, key=_KEY)
+            except RecursionError:
+                i = find(long, _DEEP(f), key=_DEEP)
             out += long[start:i] + (f,)
             start = i
         return Context(out + long[start:])
@@ -778,30 +822,6 @@ def _first_violation(root: Derivation) -> tuple[str, Violation]:
 
 # --- backward reading of the rule table ---------------------------------------
 
-class Expansion:
-    """A primitive-rule instance concluding ``conclusion``.  Its premises are
-    built from the conclusion the first time they are read, and then kept;
-    an expansion made with its premises keeps those."""
-
-    __slots__ = ("rule", "annotation", "conclusion", "_premises")
-
-    def __init__(self, rule: RuleId, annotation: Optional[Annotation] = None,
-                 premises: Optional[tuple] = None, conclusion: Optional[Sequent] = None):
-        self.rule = rule
-        self.annotation = annotation
-        self.conclusion = conclusion
-        self._premises = premises
-
-    @property
-    def premises(self) -> tuple[Sequent, ...]:
-        if self._premises is None:
-            s, schema = self.conclusion, SCHEMA[self.rule]
-            principal = s.succedent if self.annotation is None else self.annotation.principal
-            self._premises = tuple([premise_of(s, schema.at, principal, t)
-                                    for t in schema.premises])
-        return self._premises
-
-
 _RIGHT_BY_SHAPE = {
     (conn, pol): tuple(r for r, s in SCHEMA.items() if s.connective is conn and s.at is pol)
     for conn in (And, Or, Imp, Coimp) for pol in Polarity
@@ -813,21 +833,31 @@ LEFT_RULE_BY_SHAPE = {
 }
 
 
-def backward_expansions(s: Sequent) -> list[Expansion]:
-    """Every primitive-rule instance (no cuts) concluding exactly s: the
-    zero-premise closers, the right rule(s) for the succedent, and one left
-    rule per distinct compound occurrence in either context.  Only the
-    closers come with their premises; the others build them when read."""
-    out = [Expansion(rule, None, ()) for rule in closing_rules(s)]
-    for rule in _RIGHT_BY_SHAPE.get((type(s.succedent), s.polarity), ()):
-        out.append(Expansion(rule, conclusion=s))
+def backward_expansions(s: Sequent) -> list[tuple[RuleId, Optional[Formula]]]:
+    """Every primitive-rule instance (no cuts) concluding exactly s, as its
+    rule and principal: the zero-premise closers and the right rule(s) for the
+    succedent, each with None, then one left rule per distinct compound
+    occurrence in either context, with that occurrence.  ``premises`` builds
+    an instance's premises."""
+    right = _RIGHT_BY_SHAPE.get((type(s.succedent), s.polarity), ())
+    out = [(rule, None) for rule in (*closing_rules(s), *right)]
     for side, ctx in ((Side.A, s.gamma), (Side.C, s.delta)):
         table = LEFT_RULE_BY_SHAPE[side]
         for f in ctx.distinct():
             rule = table.get(type(f))
             if rule is not None:
-                out.append(Expansion(rule, Annotation(principal=f), conclusion=s))
+                out.append((rule, f))
     return out
+
+
+def premises(s: Sequent, rule: RuleId, principal: Optional[Formula] = None) -> tuple[Sequent, ...]:
+    """The premises of ``rule``'s instance concluding ``s`` that decomposes
+    ``principal`` (None: the succedent); a closer has none."""
+    schema = SCHEMA.get(rule)
+    if schema is None:
+        return ()
+    f = s.succedent if principal is None else principal
+    return tuple([premise_of(s, schema.at, f, t) for t in schema.premises])
 
 
 # --- duality -------------------------------------------------------------------

@@ -29,12 +29,12 @@ from collections import Counter
 from typing import Optional
 
 from .kernel import (
-    SCHEMA, Context, Derivation, Expansion, Sequent, _Memo, backward_expansions, first_closer,
-    premise_of,
+    SCHEMA, Context, Derivation, RuleId, Sequent, _Memo, backward_expansions, first_closer,
+    premise_of, premises,
 )
 from .kernel import check_derivation  # noqa: F401  # a name the benchmark's traced run wraps
 from .decide import _G4ip
-from .syntax import _Record
+from .syntax import Formula, _Record
 from .transform import InternalCheckError, _node
 
 
@@ -67,9 +67,9 @@ _INVERTIBLE = frozenset(r for r, s in SCHEMA.items() if _PLACES[s.connective, s.
 _KEEPING = {r: (s.at, s.premises[0]) for r, s in SCHEMA.items() if s.premises[0].keeps}
 
 
-def _kept_premise_closes(s: Sequent, e: Expansion) -> bool:
-    side, kept = _KEEPING[e.rule]
-    return first_closer(premise_of(s, side, e.annotation.principal, kept)) is not None
+def _kept_premise_closes(s: Sequent, rule: RuleId, principal: Formula) -> bool:
+    side, kept = _KEEPING[rule]
+    return first_closer(premise_of(s, side, principal, kept)) is not None
 
 
 def _normalize(s: Sequent) -> Sequent:
@@ -94,7 +94,7 @@ class _Constructor:
 
     def __init__(self):
         self.oracle = _G4ip().derivable
-        self.chosen: dict[Sequent, Expansion] = {}
+        self.chosen: dict[Sequent, tuple[RuleId, Optional[Formula]]] = {}
         self.built: dict[tuple[Sequent, Sequent], Derivation] = {}
         self.accepted: dict[Sequent, bool] = _Memo(self.oracle)
         self.path: set[Sequent] = set()
@@ -107,24 +107,24 @@ class _Constructor:
         if found is not None or s in self.path:     # built, or a loop
             return found
         if s in self.chosen:                        # finished: replay its step
-            found = self.built[s, to] = self._apply(s, to, self.chosen[s])
+            found = self.built[s, to] = self._apply(s, to, *self.chosen[s])
             return found
         rule = first_closer(s)
         if rule is not None:
             return _node(rule, to)
         expansions = backward_expansions(s)
         self.path.add(s)
-        committed = next((e for e in expansions if e.rule in _INVERTIBLE), None)
+        committed = next((e for e in expansions if e[0] in _INVERTIBLE), None)
         if committed is None:
-            committed = next((e for e in expansions if e.rule in _KEEPING
-                              and _kept_premise_closes(s, e)), None)
+            committed = next((e for e in expansions if e[0] in _KEEPING
+                              and _kept_premise_closes(s, *e)), None)
         if committed is not None:
-            found = self._apply(s, to, committed)
+            found = self._apply(s, to, *committed)
         else:
             for committed in expansions:
-                if not all(self.accepted[_normalize(p)] for p in committed.premises):
+                if not all(self.accepted[_normalize(p)] for p in premises(s, *committed)):
                     continue
-                found = self._apply(s, to, committed)
+                found = self._apply(s, to, *committed)
                 if found is not None:
                     break
                 self.backtracks += 1
@@ -133,17 +133,19 @@ class _Constructor:
             self.chosen[s], self.built[s, to] = committed, found
         return found
 
-    def _apply(self, s: Sequent, to: Sequent, e: Expansion) -> Optional[Derivation]:
-        """``e``'s node at ``to``: the same templates build its premises from
-        ``to``, each by the steps chosen over the normalized premise of ``s``."""
-        lifted = e.premises if to is s else Expansion(e.rule, e.annotation, conclusion=to).premises
+    def _apply(self, s: Sequent, to: Sequent, rule: RuleId,
+               principal: Optional[Formula]) -> Optional[Derivation]:
+        """The node of ``rule`` on ``principal`` at ``to``: the same templates
+        build its premises from ``s`` and from ``to``, each premise of ``to``
+        by the steps chosen over the normalized premise of ``s``."""
+        ps = premises(s, rule, principal)
         children = []
-        for p, q in zip(e.premises, lifted):
+        for p, q in zip(ps, ps if to is s else premises(to, rule, principal)):
             d = self.build(_normalize(p), q)
             if d is None:
                 return None
             children.append(d)
-        return _node(e.rule, to, children, annotation=e.annotation)
+        return _node(rule, to, children, principal)
 
 
 def prove(s: Sequent) -> SearchOutcome:

@@ -44,9 +44,9 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .syntax import BOT, TOP, And, Coimp, Formula, Imp, Or, format_formula, weight
 from .kernel import (
     _RIGHT_BY_SHAPE, CUT_AT, CUT_RULES, EMPTY, LEFT_RULE_BY_SHAPE, LEFT_RULES, MINUS, PLUS,
-    SCHEMA, ZERO_PREMISE, Annotation, Context, Derivation, Expansion, Polarity, RuleId as R,
+    SCHEMA, ZERO_PREMISE, Annotation, Context, Derivation, Polarity, RuleId as R,
     Sequent, Side, _Memo, backward_expansions, check_derivation, first_closer, fold, node,
-    premise_of,
+    premise_of, premises,
 )
 
 
@@ -111,12 +111,12 @@ def _identity_base(g: Context, d: Context, c: Formula, pol: Polarity) -> Derivat
     conc = Sequent(g.add(c), d, PLUS, c) if plus else Sequent(g, d.add(c), MINUS, c)
     alone = Context.of(c)
     bare = Sequent(alone, EMPTY, PLUS, c) if plus else Sequent(EMPTY, alone, MINUS, c)
-    for e in backward_expansions(bare):
-        closers = [first_closer(p, _IDENTITY_CLOSERS[p.polarity]) for p in e.premises]
+    for rule, principal in backward_expansions(bare):
+        closers = [first_closer(p, _IDENTITY_CLOSERS[p.polarity])
+                   for p in premises(bare, rule, principal)]
         if None not in closers:
-            lifted = Expansion(e.rule, e.annotation, conclusion=conc).premises if e.premises else ()
-            return _node(e.rule, conc, [_node(r, p) for r, p in zip(closers, lifted)],
-                         annotation=e.annotation)
+            lifted = premises(conc, rule, principal)
+            return _node(rule, conc, [_node(r, p) for r, p in zip(closers, lifted)], principal)
     raise InternalCheckError(f"no base figure for {format_formula(c)}")
 
 

@@ -25,7 +25,7 @@ from bint.serialize import (
 from bint.transform import (
     CutTrace, contract, derive_identity, eliminate_cut, invert, weaken,
 )
-from bint import corpus
+from bint import corpus, kernel
 
 from conftest import SEED
 
@@ -149,10 +149,8 @@ def test_criterion_1_rule_table_completeness():
     probes = 0
     for s in _universe():
         count += 1
-        got = {(e.rule,
-                e.annotation.principal if e.annotation else None,
-                e.premises)
-               for e in backward_expansions(s)}
+        got = {(rule, principal, kernel.premises(s, rule, principal))
+               for rule, principal in backward_expansions(s)}
         want = naive_expansions(s)
         assert got == want, f"disagreement at {format_sequent(s)}"
         for rule, principal, premises in got:

@@ -12,7 +12,7 @@ from bint import corpus, decide, search
 from bint.decide import derivable
 from bint.kernel import (
     MINUS, PLUS, SCHEMA, Context, RuleId as R, Sequent, Side, backward_expansions, dual_sequent,
-    parse_sequent, sequent,
+    parse_sequent, premises, sequent,
 )
 from bint.syntax import BOT, TOP, Atom
 from bint.search import Proved, Refuted, prove
@@ -31,7 +31,7 @@ class _OverBudget(Exception):
 def test_decider_reads_neither_the_search_nor_the_checker():
     used = set(vars(decide))
     assert not used & {"search", "backward_expansions", "premises_for", "check_derivation",
-                       "check_rule_instance", "SCHEMA", "premise_of", "Expansion", "_VALID"}
+                       "check_rule_instance", "SCHEMA", "premise_of", "premises", "_VALID"}
 
 
 # --- the translation, rule by rule ------------------------------------------------
@@ -126,11 +126,12 @@ def test_decider_is_closed_under_the_rules():
     for s in sample(500, "rules"):
         accepted = derivable(s)
         closes = False
-        for e in backward_expansions(s):
-            if all(derivable(p) for p in e.premises):
-                assert accepted, f"{e.rule.value} derives {s} from accepted premises"
+        for rule, principal in backward_expansions(s):
+            ps = premises(s, rule, principal)
+            if all(derivable(p) for p in ps):
+                assert accepted, f"{rule.value} derives {s} from accepted premises"
                 closes = True
-                closers += not e.premises
+                closers += not ps
         assert closes == accepted, f"no rule derives the accepted {s}"
     assert closers > 50
 
@@ -144,7 +145,7 @@ def _searches_to_a_proof(s: Sequent, expand, path: frozenset = frozenset()) -> b
     if s in path:
         return False
     path |= {s}
-    return any(all(_searches_to_a_proof(p, expand, path) for p in e.premises)
+    return any(all(_searches_to_a_proof(p, expand, path) for p in premises(s, *e))
                for e in expand(s))
 
 

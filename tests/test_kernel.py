@@ -12,12 +12,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bint.syntax import BOT, TOP, And, Atom, FormulaSyntaxError, Imp, parse_formula
+from bint.syntax import BOT, TOP, And, Atom, Formula, FormulaSyntaxError, Imp, parse_formula
 from bint.kernel import (
     CLOSERS, MINUS, Annotation, Context, ContextSplit, Derivation, RuleId as R, Sequent,
     Side, Violation, backward_expansions, check_derivation, check_rule_instance, closing_rules,
     dual_context, dual_derivation, dual_formula, dual_sequent, format_sequent,
-    node, parse_sequent, _zero_premise_failure,
+    node, parse_sequent, premises, _zero_premise_failure,
 )
 import bint
 from bint import corpus, kernel, syntax
@@ -125,6 +125,47 @@ def test_contexts_built_in_either_order_are_one_value():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b) and str(a) == str(b)
     with pytest.raises(TypeError):      # a context holds its occurrences and nothing else
         Context((), _hash=0)
+
+
+def _spine(depth: int, end: Formula) -> Formula:
+    """``p -> (p -> ... -> end)``, ``depth`` arrows deep."""
+    f = end
+    for _ in range(depth):
+        f = Imp(p, f)
+    return f
+
+
+def test_contexts_of_deep_common_spine_formulas_at_the_default_limit():
+    # C compares the nested keys recursively, so the two keys, equal down to
+    # depth 10^4, need the comparison on a stack
+    assert sys.getrecursionlimit() == 1000
+    a, b = _spine(10_000, p), _spine(10_000, q)
+    both = Context.of(a, b)
+    assert both == Context.of(b, a) == Context.from_iter(iter((b, a)))
+    assert both.index(a) < both.index(b)        # "p" sorts before "q"
+    for f, other in ((a, b), (b, a)):
+        assert Context.of(other).add(f) == both
+        assert both.remove(f) == Context.of(other)
+        assert both.add(f).remove(f).remove(f) == Context.of(other)
+    doubled = Context.of(a, a, b, b)
+    assert both.union(both) == doubled
+    assert Context.of(a, b, a, b).union(Context.of(b)) == doubled.add(b)   # by bisection
+
+
+def test_the_deep_comparison_orders_as_the_key_sort():
+    # at depth 500 C still compares the keys, so the two orders can be compared
+    rng = random.Random(SEED + 11)
+    deep = [_spine(500, end) for end in (p, q, TOP, And(p, q))]
+    shallow = [parse_formula(t) for t in ("p", "q", "F", "T", "p /\\ q", "q \\/ F", "p -> q",
+                                          "r -< T", "(p -> q) /\\ r")]
+    pool = deep + shallow + [Imp(p, f) for f in deep] + [And(f, p) for f in deep[:2]]
+    for _ in range(30):
+        fs = [rng.choice(pool) for _ in range(rng.randrange(1, 9))]
+        assert sorted(fs, key=kernel._DEEP) == sorted(fs, key=kernel._KEY)
+    for f in pool:
+        for g in pool:
+            order = kernel._compare(f.key, g.key)
+            assert (order < 0) == (f.key < g.key) and (order == 0) == (f is g)
 
 
 def test_a_context_finds_the_object_it_holds_without_comparing():
@@ -542,28 +583,31 @@ def test_tall_towers_agree_with_the_recursive_walk(bad_at):
 # --- backward expansions -------------------------------------------------------------
 
 def test_top_closes():
-    out = backward_expansions(parse_sequent("; |-+ T"))
-    assert any(e.rule is R.TopRPlus and e.premises == () for e in out)
+    s = parse_sequent("; |-+ T")
+    out = backward_expansions(s)
+    assert any(e[0] is R.TopRPlus and premises(s, *e) == () for e in out)
 
 
 def test_disjunction_choices():
-    out = backward_expansions(parse_sequent("p ; |-+ p \\/ q"))
-    got = {(e.rule, e.premises) for e in out}
+    s = parse_sequent("p ; |-+ p \\/ q")
+    got = {(e[0], premises(s, *e)) for e in backward_expansions(s)}
     assert (R.OrRPlus1, (parse_sequent("p ; |-+ p"),)) in got
     assert (R.OrRPlus2, (parse_sequent("p ; |-+ q"),)) in got
 
 
 def test_imp_lc_backward():
-    out = backward_expansions(parse_sequent("; p -> q |-- r"))
-    assert any(e.rule is R.ImpLc and e.premises == (parse_sequent("p ; q |-- r"),)
+    s = parse_sequent("; p -> q |-- r")
+    out = backward_expansions(s)
+    assert any(e[0] is R.ImpLc and premises(s, *e) == (parse_sequent("p ; q |-- r"),)
                for e in out)
 
 
 @given(sequents)
 @settings(max_examples=150)
 def test_expansions_pass_the_checker(s):
-    for e in backward_expansions(s):
-        assert check_rule_instance(s, e.rule, e.premises, e.annotation) is None
+    for rule, principal in backward_expansions(s):
+        annotation = None if principal is None else Annotation(principal=principal)
+        assert check_rule_instance(s, rule, premises(s, rule, principal), annotation) is None
 
 
 def test_a_node_keeps_the_principal_its_check_matched():

@@ -5,10 +5,10 @@ import sys
 import pytest
 from hypothesis import given, settings
 
-from bint import corpus, search
+from bint import corpus, kernel, search, transform
 from bint.decide import derivable
 from bint.kernel import (
-    MINUS, PLUS, Expansion, RuleId as R, Sequent, Side, check_derivation, dual_derivation,
+    MINUS, PLUS, RuleId as R, Sequent, Side, check_derivation, dual_derivation,
     dual_formula, dual_sequent, node, parse_sequent,
 )
 from bint.search import Proved, Refuted, prove
@@ -40,7 +40,7 @@ def test_implication_reflexivity():
 def test_search_checks_every_node_it_builds(monkeypatch):
     # an expansion table that wrongly offers an axiom must not yield a Proved
     goal = parse_sequent("; |-+ p -> p")
-    wrong = Expansion(R.RfPlus, None, ())
+    wrong = (R.RfPlus, None)
     monkeypatch.setattr(search, "backward_expansions",
                         lambda s: [wrong] if s == goal else [])
     with pytest.raises(InternalCheckError):
@@ -99,6 +99,31 @@ def test_horn_chains_are_built_without_backtracking(monkeypatch):
             assert constructors[-1].backtracks == 0
             assert out.derivation.height == length
             assert check_derivation(out.derivation).valid
+
+
+def test_prove_makes_one_annotation_per_annotated_node(monkeypatch):
+    # a backward expansion is its rule and principal: only ``kernel.node``
+    # makes an annotation, one for each node built on a principal
+    made, annotated = [], []
+
+    class Counted(kernel.Annotation):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            made.append(1)
+            return super().__new__(cls, *args, **kwargs)
+
+    def counted_node(*args, **kwargs):
+        d = kernel.node(*args, **kwargs)
+        if d.annotation is not None:
+            annotated.append(d)
+        return d
+
+    monkeypatch.setattr(kernel, "Annotation", Counted)
+    monkeypatch.setattr(transform, "node", counted_node)
+    out = prove(horn_chain(16, True))
+    assert isinstance(out, Proved) and out.derivation.height == 16
+    assert annotated and len(made) == len(annotated)
 
 
 #: SHA-256 over the proof of every pinned query (``conftest.prove_pin``) and
