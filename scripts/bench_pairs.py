@@ -11,6 +11,15 @@ first alternates from pair to pair, so slow drift of the machine's load falls
 on both sides alike.  Each run's last line is its JSON result, and each pair
 prints both sides' ``ops_per_s`` and ``op_tail_ms``.
 
+Each checkout gets a bytecode cache of its own in a temporary directory
+(``PYTHONPYCACHEPREFIX``), filled before the pairs by one untimed run of one
+pass (seed 0), so that no timed run compiles a module: a missing or stale
+``__pycache__``, which an environment with ``PYTHONDONTWRITEBYTECODE`` set
+never mends, would otherwise make every fresh interpreter of one side
+recompile what it imports, and ``setup_s`` would differ by the compile time
+alone.  The timed runs write no bytecode.  The cache state used is printed
+first.
+
 Printed per end-to-end metric of ``BENCHMARK.json``: the median of each side,
 the change of the median, the parent's interquartile spread, whether the
 change of the median exceeds that spread, and in how many pairs the change
@@ -22,23 +31,36 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
-def run(root: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
+def run(root: Path, command: list[str], workload: str, seed: int, seconds: float,
+        env: dict[str, str]) -> dict:
     """The JSON result of one benchmark run in the checkout at ``root``."""
     args = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(args, cwd=root, capture_output=True, text=True)
+    done = subprocess.run(args, cwd=root, capture_output=True, text=True, env=env)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         sys.exit(f"bench_pairs: {' '.join(args)} in {root} failed:\n{done.stderr}")
     return json.loads(lines[-1])
+
+
+def cached(root: Path, cache: Path, command: list[str], workload: str) -> dict[str, str]:
+    """The environment of the timed runs in the checkout at ``root``: its
+    bytecode cache is ``cache``, filled here by one untimed run of one pass,
+    and the runs write no more bytecode."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(cache)
+    run(root, command, workload, 0, 0, env)
+    return {**env, "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def spread(values: list[float]) -> float:
@@ -47,6 +69,27 @@ def spread(values: list[float]) -> float:
         return 0.0
     q1, _, q3 = statistics.quantiles(values, n=4)
     return q3 - q1
+
+
+def pairs(roots: tuple[Path, Path], envs: list[dict[str, str]], command: list[str], args,
+          seconds: float) -> tuple[list[dict], list[dict]]:
+    """Each side's results of ``args.pairs`` alternating pairs of runs."""
+    results: tuple[list[dict], list[dict]] = ([], [])
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        order = (0, 1) if i % 2 == 0 else (1, 0)    # the parent leads on even pairs
+        for side in order:
+            results[side].append(run(roots[side], command, args.workload, seed, seconds,
+                                     envs[side]))
+        parent, change = (r[-1] for r in results)
+        print(f"pair {i + 1} seed={seed} first={'parent' if order[0] == 0 else 'change'}: "
+              f"ops_per_s {parent['metrics']['ops_per_s']['value']:.1f} -> "
+              f"{change['metrics']['ops_per_s']['value']:.1f}, op_tail_ms "
+              f"{parent['metrics']['op_tail_ms']['value']:.3f} -> "
+              f"{change['metrics']['op_tail_ms']['value']:.3f}, correct "
+              f"{parent['correct']}/{change['correct']}, failed "
+              f"{parent['failed']}/{change['failed']}", flush=True)
+    return results
 
 
 def main(argv=None) -> int:
@@ -64,21 +107,12 @@ def main(argv=None) -> int:
         ap.error(f"unknown workload {args.workload!r}")
     seconds = bench["run_seconds"]
     roots = (args.parent.resolve(), args.change.resolve())
-    results: tuple[list[dict], list[dict]] = ([], [])
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        order = (0, 1) if i % 2 == 0 else (1, 0)    # the parent leads on even pairs
-        for side in order:
-            results[side].append(run(roots[side], bench["command"], args.workload, seed,
-                                     seconds))
-        parent, change = (r[-1] for r in results)
-        print(f"pair {i + 1} seed={seed} first={'parent' if order[0] == 0 else 'change'}: "
-              f"ops_per_s {parent['metrics']['ops_per_s']['value']:.1f} -> "
-              f"{change['metrics']['ops_per_s']['value']:.1f}, op_tail_ms "
-              f"{parent['metrics']['op_tail_ms']['value']:.3f} -> "
-              f"{change['metrics']['op_tail_ms']['value']:.3f}, correct "
-              f"{parent['correct']}/{change['correct']}, failed "
-              f"{parent['failed']}/{change['failed']}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        envs = [cached(root, Path(tmp) / side, bench["command"], args.workload)
+                for root, side in zip(roots, ("parent", "change"))]
+        print(f"bytecode: each checkout's own cache under {tmp}, filled by one untimed "
+              f"one-pass run; timed runs write none", flush=True)
+        results = pairs(roots, envs, bench["command"], args, seconds)
 
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.first_seed}-"
           f"{args.first_seed + args.pairs - 1}, {seconds:g} s a run; "

@@ -637,7 +637,8 @@ def _premise_lines(at: Side | Polarity, t: Template, i: int, fail: str) -> list[
     at, f, t)``: its polarity, its succedent, then each context.  A context the
     template leaves alone is compared by identity first; an edited one by its
     length, then by one edit of the conclusion's (drop the principal, insert
-    each operand where it sorts)."""
+    each operand where it sorts).  A bisection whose keys are too deep for C
+    to compare falls back to ``_DEEP``, as ``Context.add`` and ``remove`` do."""
     p, ops = f"p{i}", ("f.left", "f.right")
     c = "s.succedent" if t.succedent is None else ops[t.succedent]
     pol = "s.polarity" if t.polarity is None else t.polarity.name
@@ -652,11 +653,13 @@ def _premise_lines(at: Side | Polarity, t: Template, i: int, fail: str) -> list[
         size = f"len(x) + {grow}" if grow else "len(x)"
         out += [f"x = s.{ctx}", f"if len({got}) != {size}: {fail}"]
         if drop:
-            out += ["i = bisect_left(x, f.key, key=_KEY)",
+            out += ["try: i = bisect_left(x, f.key, key=_KEY)",
+                    "except RecursionError: i = bisect_left(x, _DEEP(f), key=_DEEP)",
                     f"if i == len(x) or x[i] is not f: {fail}",
                     "x = x[:i] + x[i + 1:]"]
         for a in adds:
-            out += [f"i = bisect_right(x, {ops[a]}.key, key=_KEY)",
+            out += [f"try: i = bisect_right(x, {ops[a]}.key, key=_KEY)",
+                    f"except RecursionError: i = bisect_right(x, _DEEP({ops[a]}), key=_DEEP)",
                     f"x = x[:i] + ({ops[a]},) + x[i:]"]
         out.append(f"if {got} != x: {fail}")
     return out
@@ -688,6 +691,7 @@ def _rule_source(rule: RuleId, schema: Schema) -> str:
 #: per logical rule, the source text of its ``valid_<rule>``
 _SOURCE = {r: _rule_source(r, s) for r, s in SCHEMA.items()}
 _GENERATED = {"bisect_left": bisect_left, "bisect_right": bisect_right, "_KEY": _KEY,
+              "_DEEP": _DEEP,
               "PLUS": PLUS, "MINUS": MINUS, "And": And, "Or": Or, "Imp": Imp, "Coimp": Coimp}
 
 

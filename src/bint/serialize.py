@@ -1,20 +1,41 @@
 """Structured-data derivation files.
 
-A derivation is a JSON object with fields ``rule``, ``conclusion`` (sequent
-text), optional ``annotation``, and ``premises`` (nested list).  Dumping is
-canonical (sorted keys, two-space indent, ASCII escapes, trailing newline), so
-files round-trip bit-exact through load/dump.  The text is exactly what
-Python's ``json`` module writes with ``indent=2, sort_keys=True``; the writer
-here emits it directly.  Every node repeats its whole conclusion, so one
-document holds the same formulas many times, and documents over the same
-atoms hold the same formulas again.  Each distinct formula text is therefore
-parsed once per process, up to the bound of ``parse_formula``'s cache (the
-one ``kernel.parse_sequent`` reads sequent text through), and once per
-document beyond it, and equal formulas are one object either way (formulas
-are hash-consed); each formula object is printed once per process, since it
-keeps its text (``syntax.format_formula``).  Each distinct text of a
-conclusion's Gamma or Delta is read, and each distinct context written, once
-per document.
+A derivation is written in one of two JSON layouts, both canonical, so files
+round-trip bit-exact through load/dump:
+
+- A tree, for a derivation of height below ``FLAT_HEIGHT``: a JSON object
+  with fields ``rule``, ``conclusion`` (sequent text), optional
+  ``annotation``, and ``premises`` (nested list).  The text is exactly what
+  Python's ``json`` module writes with ``indent=2, sort_keys=True``; the
+  writer here emits it directly.
+- Flat, from ``FLAT_HEIGHT`` up: ``{"format": "flat", "nodes": [...], "root":
+  k}``.  Each distinct node object is one line of ``nodes``, in
+  ``kernel.fold`` post-order, with the tree layout's fields except that
+  ``premises`` lists the indices of earlier lines; each line is the text
+  ``json.dumps(fields, sort_keys=True)`` gives.
+
+The tree layout repeats a shared subproof under each node that uses it, and
+indents each line two spaces per level, so its text is quadratic in the
+height; and it nests 2h + 1 JSON levels for height h, each of which ``json``
+counts against the recursion limit, as do the writer's and reader's two
+frames per level.  Below 256 levels a tree document stays readable and
+writable from a caller up to about 480 frames deep at the default limit of
+1,000.  The flat layout is linear in the number of distinct nodes, nests a
+few levels at any height, and is written and read by loops; reading it builds
+each line once, so sharing survives.  Every reader takes either layout,
+choosing by the top-level key ``format``, and each derivation of a list picks
+its own.
+
+Every node repeats its whole conclusion, so one document holds the same
+formulas many times, and documents over the same atoms hold the same formulas
+again.  Each distinct formula text is therefore parsed once per process, up to
+the bound of ``parse_formula``'s cache (the one ``kernel.parse_sequent`` reads
+sequent text through), and once per document beyond it, and equal formulas
+are one object either way (formulas are hash-consed); each formula object is
+printed once per process, since it keeps its text
+(``syntax.format_formula``).  Each distinct text of a conclusion's Gamma or
+Delta is read, and each distinct context written, once per document; a flat
+document's lines read each distinct conclusion text once.
 """
 
 from __future__ import annotations
@@ -36,9 +57,31 @@ class DerivationFormatError(ValueError):
     pass
 
 
+#: a derivation this high or higher is written flat, any lower one as a tree
+FLAT_HEIGHT = 256
+
 _SPLIT_KEYS = ("gamma", "delta", "gamma_prime", "delta_prime")
 #: each rule's name as a JSON string, escaped once
 _RULE_TEXT = {r: _escape(r.value) for r in RuleId}
+
+
+def _text(f: Formula) -> str:
+    return f._text or format_formula(f)
+
+
+def _inline(a: Annotation) -> str:
+    """The ``"annotation": ..., `` field of a flat layout's line, or "" for
+    an annotation that names nothing."""
+    fields = []
+    sp = a.context_split
+    if sp is not None:
+        fields.append('"context_split": {' + ", ".join(
+            f'"{key}": [{", ".join([_escape(_text(f)) for f in getattr(sp, key)])}]'
+            for key in sorted(_SPLIT_KEYS)) + "}")
+    for key, f in (("cut_formula", a.cut_formula), ("principal", a.principal)):
+        if f is not None:
+            fields.append(f'"{key}": {_escape(_text(f))}')
+    return f'"annotation": {{{", ".join(fields)}}}, ' if fields else ""
 
 
 class _Writer:
@@ -47,8 +90,9 @@ class _Writer:
     texts once (``contexts``).  The text is the one Python's JSON
     encoder gives with a two-space indent and sorted keys: the keys in that
     order, strings escaped by the encoder's own C function, and each depth's
-    indentation built once.  It nests two calls per derivation level, node
-    and premise list, as the loader does."""
+    indentation built once.  The tree layout nests two calls per derivation
+    level, node and premise list, as the loader does; the flat layout is one
+    loop."""
 
     def __init__(self):
         self.contexts: dict[Context, str] = _Memo(Context.__str__)
@@ -58,6 +102,43 @@ class _Writer:
     def text(self) -> str:
         self.out.append("\n")
         return "".join(self.out)
+
+    def document(self, d: Derivation, depth: int) -> None:
+        (self.flat if d.height >= FLAT_HEIGHT else self.node)(d, depth)
+
+    def documents(self, ds: list[Derivation], depth: int) -> None:
+        """A list of derivations, each in its own layout."""
+        out = self.out
+        if not ds:
+            out.append("[]")
+            return
+        nl = self.indents[depth + 1]
+        sep = "["
+        for d in ds:
+            out += (sep, nl)
+            self.document(d, depth + 1)
+            sep = ","
+        out += (self.indents[depth], "]")
+
+    def flat(self, d: Derivation, depth: int) -> None:
+        """``d`` in the flat layout, its lines numbered in ``kernel.fold``
+        post-order, so the root is the last.  Each line is the text
+        ``json.dumps`` gives the node's fields with sorted keys."""
+        lines: list[str] = []
+        context = self.contexts.__getitem__
+
+        def number(x: Derivation, premises: tuple[int, ...]) -> int:
+            a = x.annotation
+            lines.append(f'{{{"" if a is None else _inline(a)}"conclusion": '
+                         f'{_escape(format_sequent(x.conclusion, context))}, "premises": '
+                         f'[{", ".join(map(str, premises))}], "rule": {_RULE_TEXT[x.rule]}}}')
+            return len(lines) - 1
+
+        root = kernel.fold(d, number)
+        nl, indents = self.indents[depth + 1], self.indents
+        self.out += ("{", nl, '"format": "flat",', nl, '"nodes": [', indents[depth + 2],
+                     ("," + indents[depth + 2]).join(lines), nl, "],", nl, f'"root": {root}',
+                     indents[depth], "}")
 
     def node(self, d: Derivation, depth: int) -> None:
         out, indents = self.out, self.indents
@@ -104,7 +185,7 @@ class _Writer:
             sep = ","
         for key, f in (("cut_formula", a.cut_formula), ("principal", a.principal)):
             if f is not None:
-                out += (sep, nl, f'"{key}": ', _escape(f._text or format_formula(f)))
+                out += (sep, nl, f'"{key}": ', _escape(_text(f)))
                 sep = ","
         out += (indents[depth], "}")
 
@@ -116,7 +197,7 @@ class _Writer:
         nl = self.indents[depth + 1]
         sep = "["
         for f in fs:
-            out += (sep, nl, _escape(f._text or format_formula(f)))
+            out += (sep, nl, _escape(_text(f)))
             sep = ","
         out += (self.indents[depth], "]")
 
@@ -152,7 +233,9 @@ class _Reader:
     def _annotated(self, ann: dict[str, Any], key: str) -> Optional[Formula]:
         return self.formula(_expect(ann[key], str, key)) if key in ann else None
 
-    def derivation(self, data: Any) -> Derivation:
+    def head(self, data: Any) -> tuple[RuleId, str, list]:
+        """The rule, the conclusion's text and the premise list of node
+        ``data``."""
         # a node's types are checked inline; ``_expect`` only words an error
         if not isinstance(data, dict):
             _expect(data, dict, "a derivation")
@@ -165,27 +248,61 @@ class _Reader:
         text, premises = data["conclusion"], data.get("premises", [])
         if not isinstance(text, str):
             _expect(text, str, "conclusion")
-        # through ``kernel``, so a traced run opens no span per conclusion
-        conclusion = kernel.parse_sequent(text, self.formula, self.contexts.__getitem__)
         if not isinstance(premises, list):
             _expect(premises, list, "premises")
-        premises = tuple([self.derivation(p) for p in premises])
-        ann_data = data.get("annotation")
-        annotation = None
-        if ann_data is not None and _expect(ann_data, dict, "annotation"):
-            split = None
-            if "context_split" in ann_data:
-                spd = _expect(ann_data["context_split"], dict, "context_split")
-                missing = [k for k in _SPLIT_KEYS if k not in spd]
-                if missing:
-                    raise DerivationFormatError(f"context_split lacks {', '.join(missing)}")
-                split = ContextSplit(**{k: self._context(spd[k], k) for k in _SPLIT_KEYS})
-            annotation = Annotation(
-                principal=self._annotated(ann_data, "principal"),
-                cut_formula=self._annotated(ann_data, "cut_formula"),
-                context_split=split,
-            )
-        return Derivation(conclusion, rule, premises, annotation)
+        return rule, text, premises
+
+    def annotation(self, ann_data: Any) -> Optional[Annotation]:
+        if ann_data is None or not _expect(ann_data, dict, "annotation"):
+            return None
+        split = None
+        if "context_split" in ann_data:
+            spd = _expect(ann_data["context_split"], dict, "context_split")
+            missing = [k for k in _SPLIT_KEYS if k not in spd]
+            if missing:
+                raise DerivationFormatError(f"context_split lacks {', '.join(missing)}")
+            split = ContextSplit(**{k: self._context(spd[k], k) for k in _SPLIT_KEYS})
+        return Annotation(
+            principal=self._annotated(ann_data, "principal"),
+            cut_formula=self._annotated(ann_data, "cut_formula"),
+            context_split=split,
+        )
+
+    def document(self, data: Any) -> Derivation:
+        """The derivation of a document in either layout."""
+        if data.__class__ is dict and "format" in data:
+            if data["format"] != "flat":
+                raise DerivationFormatError(f"unknown format {data['format']!r}")
+            return self.flat(data)
+        return self.derivation(data)
+
+    def derivation(self, data: Any) -> Derivation:
+        """A tree: the node ``data`` over its nested premises."""
+        rule, text, premises = self.head(data)
+        # through ``kernel``, so a traced run opens no span per conclusion
+        conclusion = kernel.parse_sequent(text, self.formula, self.contexts.__getitem__)
+        return Derivation(conclusion, rule, tuple([self.derivation(p) for p in premises]),
+                          self.annotation(data["annotation"]) if "annotation" in data else None)
+
+    def flat(self, data: dict) -> Derivation:
+        """The flat layout, in one loop: each line is built once, over the
+        nodes built for the earlier lines its premises name.  Each distinct
+        conclusion text is read once: lines repeat their conclusions."""
+        built: list[Derivation] = []
+        sequents = _Memo(lambda text: kernel.parse_sequent(text, self.formula,
+                                                           self.contexts.__getitem__))
+        for line in _expect(data.get("nodes"), list, "nodes"):
+            rule, text, premises = self.head(line)
+            for k in premises:
+                if k.__class__ is not int or not 0 <= k < len(built):
+                    raise DerivationFormatError(
+                        f"node {len(built)}: premise {k!r} is not the index of an earlier node")
+            built.append(Derivation(sequents[text], rule, tuple([built[k] for k in premises]),
+                                    self.annotation(line.get("annotation"))))
+        root = data.get("root")
+        if root.__class__ is not int or not 0 <= root < len(built):
+            raise DerivationFormatError(f"root {root!r} is not the index of a node")
+        return built[root]
 
 
 def _dumps(write, item) -> str:
@@ -205,7 +322,7 @@ def _dumps(write, item) -> str:
 
 
 def dumps_derivation(d: Derivation) -> str:
-    return _dumps(_Writer.node, d)
+    return _dumps(_Writer.document, d)
 
 
 def _parse_json(text: str) -> Any:
@@ -216,7 +333,7 @@ def _parse_json(text: str) -> Any:
 
 
 def loads_derivation(text: str) -> Derivation:
-    return _Reader().derivation(_parse_json(text))
+    return _Reader().document(_parse_json(text))
 
 
 def _read_text(path) -> str:
@@ -248,13 +365,13 @@ def _derivations_from_text(text: str) -> list[Derivation]:
     data = _parse_json(text)
     reader = _Reader()
     if isinstance(data, list):
-        return [reader.derivation(item) for item in data]
+        return [reader.document(item) for item in data]
     if isinstance(data, dict):
-        return [reader.derivation(data)]
+        return [reader.document(data)]
     raise DerivationFormatError("expected a JSON object or list")
 
 
 def dumps_derivations(ds: list[Derivation]) -> str:
     if len(ds) == 1:
         return dumps_derivation(ds[0])
-    return _dumps(_Writer.premises, ds)
+    return _dumps(_Writer.documents, ds)

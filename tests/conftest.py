@@ -20,8 +20,8 @@ from bint.corpus import DATA_DIR
 from bint.decide import derivable
 from bint.syntax import BOT, TOP, And, Atom, Coimp, Imp, Or
 from bint.kernel import (
-    MINUS, PLUS, RIGHT_RULES, SCHEMA, ZERO_PREMISE, Annotation, Context, Derivation, RuleId as R,
-    Sequent, Side, _zero_premise_failure, dual_derivation, dual_sequent, node, parse_sequent,
+    MINUS, PLUS, RIGHT_RULES, SCHEMA, ZERO_PREMISE, Annotation, Context, ContextSplit, Derivation,
+    RuleId as R, Sequent, Side, _zero_premise_failure, dual_derivation, dual_sequent, node, parse_sequent,
     premise_of,
 )
 from bint.search import Proved, prove
@@ -347,6 +347,15 @@ def random_cut_pair(rng: random.Random, variant: R):
                            left.conclusion.polarity, left.conclusion.succedent)
             left = node(R.CoimpLa, conc, [left], principal=Coimp(a, b))
     return left, right, dfm
+
+
+def cut_node(left: Derivation, right: Derivation, dfm, variant: R) -> Derivation:
+    """The cut of ``variant`` on ``dfm`` over a pair from ``random_cut_pair``."""
+    l, r = left.conclusion, right.conclusion
+    gp, dp = (r.gamma.remove(dfm), r.delta) if variant is R.CutA else (r.gamma, r.delta.remove(dfm))
+    split = ContextSplit(l.gamma, l.delta, gp, dp)
+    return node(variant, Sequent(l.gamma.union(gp), l.delta.union(dp), r.polarity, r.succedent),
+                [left, right], annotation=Annotation(cut_formula=dfm, context_split=split))
 
 
 def chain_proof(gamma: Context, chain: list) -> object:

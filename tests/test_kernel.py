@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from bint.syntax import BOT, TOP, And, Atom, Formula, FormulaSyntaxError, Imp, parse_formula
 from bint.kernel import (
-    CLOSERS, MINUS, Annotation, Context, ContextSplit, Derivation, RuleId as R, Sequent,
+    CLOSERS, MINUS, PLUS, Annotation, Context, ContextSplit, Derivation, RuleId as R, Sequent,
     Side, Violation, backward_expansions, check_derivation, check_rule_instance, closing_rules,
     dual_context, dual_derivation, dual_formula, dual_sequent, format_sequent,
     node, parse_sequent, premises, _zero_premise_failure,
@@ -24,7 +24,9 @@ from bint import corpus, kernel, syntax
 from bint.search import Refuted, prove
 from bint.serialize import dumps_derivation, load_derivation, loads_derivation
 from bint.transform import TransformError, derive_identity, weaken
-from conftest import SEED, contexts, formulas, polarities, random_sequent, sequents, tower
+from conftest import (
+    SEED, contexts, cut_node, formulas, polarities, random_sequent, sequents, tower, valid_premise,
+)
 
 p, q = Atom("p"), Atom("q")
 
@@ -150,6 +152,22 @@ def test_contexts_of_deep_common_spine_formulas_at_the_default_limit():
     doubled = Context.of(a, a, b, b)
     assert both.union(both) == doubled
     assert Context.of(a, b, a, b).union(Context.of(b)) == doubled.add(b)   # by bisection
+
+
+def test_a_node_over_deep_common_spine_formulas_checks_at_the_default_limit():
+    # the generated check bisects the conclusion's context for the principal
+    # and the operand it adds, as ``Context.remove`` and ``add`` do
+    assert sys.getrecursionlimit() == 1000
+    r = Atom("r")
+    a, b = _spine(3_000, p), _spine(3_000, q)
+    s = Sequent(Context.of(a, b, p, r), Context(), PLUS, r)
+    ps = [valid_premise(x) for x in premises(s, R.ImpLa, a)]
+    d = node(R.ImpLa, s, ps, principal=a)
+    assert d.valid and d.principal is a
+    assert check_rule_instance(s, R.ImpLa, [x.conclusion for x in ps], d.annotation) is None
+    wrong = [valid_premise(ps[0].conclusion), valid_premise(ps[1].conclusion._replace(
+        gamma=ps[1].conclusion.gamma.remove(a.right).add(b.right)))]
+    assert not node(R.ImpLa, s, wrong, principal=a).valid
 
 
 def test_the_deep_comparison_orders_as_the_key_sort():
@@ -720,17 +738,9 @@ def reference_dual(d: Derivation) -> Derivation:
     return Derivation(dual_sequent(d.conclusion), kernel.DUAL_RULE[d.rule], premises, ann)
 
 
-def _cut(left: Derivation, right: Derivation, dfm, variant: R) -> Derivation:
-    l, r = left.conclusion, right.conclusion
-    gp, dp = (r.gamma.remove(dfm), r.delta) if variant is R.CutA else (r.gamma, r.delta.remove(dfm))
-    split = ContextSplit(l.gamma, l.delta, gp, dp)
-    return node(variant, Sequent(l.gamma.union(gp), l.delta.union(dp), r.polarity, r.succedent),
-                [left, right], annotation=Annotation(cut_formula=dfm, context_split=split))
-
-
 def test_dual_derivation_matches_the_reference(derivation_corpus, cut_pairs):
     golden = [load_derivation(path) for path in sorted(corpus.DATA_DIR.glob("*.deriv"))]
-    cuts = [_cut(*pair, variant) for variant, pairs in cut_pairs.items() for pair in pairs[:50]]
+    cuts = [cut_node(*pair, variant) for variant, pairs in cut_pairs.items() for pair in pairs[:50]]
     assert all(check_derivation(d).valid for d in cuts)
     for d in derivation_corpus + golden + cuts:
         dd = dual_derivation(d)

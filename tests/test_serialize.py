@@ -1,12 +1,13 @@
-"""The derivation writer against the JSON module it replaced, the loader's
-and the writer's memos of contexts, the loader's shared cache of formulas,
-and dumps that overflow the stack."""
+"""The derivation writer against the JSON module it replaced, the flat
+layout, the loader's and the writer's memos of contexts, the loader's shared
+cache of formulas, and dumps that overflow the stack."""
 
 from __future__ import annotations
 
 import gc
 import json
 import random
+import re
 import sys
 import threading
 import traceback
@@ -14,28 +15,32 @@ from typing import Any
 
 import pytest
 
-from bint import corpus, serialize
+from bint import cli, corpus, serialize
 from bint.kernel import (
     PLUS, Annotation, Context, ContextSplit, Derivation, RuleId as R, Sequent, dual_derivation,
     format_sequent, node, parse_sequent,
 )
 from random_derivations import random_derivation
 from bint.serialize import (
-    DerivationFormatError, dumps_derivation, dumps_derivations, load_derivations,
-    loads_derivation,
+    FLAT_HEIGHT, DerivationFormatError, dumps_derivation, dumps_derivations, load_derivation,
+    load_derivations, loads_derivation,
 )
 from bint.syntax import FormulaSyntaxError, format_formula, parse_formula
 
-from conftest import SEED, random_formula, tower
+from conftest import SEED, cut_node, random_formula, tower
 
 
 # --- the reference: the writer as it was, through json.dumps ----------------------------
 
 def _reference_data(d: Derivation) -> dict[str, Any]:
+    return _reference_fields(d, [_reference_data(p) for p in d.premises])
+
+
+def _reference_fields(d: Derivation, premises: list) -> dict[str, Any]:
     out: dict[str, Any] = {
         "rule": d.rule.value,
         "conclusion": format_sequent(d.conclusion),
-        "premises": [_reference_data(p) for p in d.premises],
+        "premises": premises,
     }
     if d.annotation is not None:
         ann: dict[str, Any] = {}
@@ -124,6 +129,150 @@ def test_every_corpus_file_writes_as_before():
         data = _reference_data(ds[0]) if len(ds) == 1 else [_reference_data(d) for d in ds]
         assert _reference(data) == text, path.name
         assert dumps_derivations(ds) == text, path.name
+
+
+# --- the flat layout ---------------------------------------------------------------------
+
+def _flat(d: Derivation) -> str:
+    return serialize._dumps(serialize._Writer.flat, d)
+
+
+def _tree(d: Derivation) -> str:
+    return serialize._dumps(serialize._Writer.node, d)
+
+
+def _flat_reference(d: Derivation) -> str:
+    """Each distinct node object once, numbered after its premises, left to
+    right; each line is its fields as ``json.dumps`` writes them."""
+    index: dict[int, int] = {}
+    lines: list[str] = []
+
+    def number(x: Derivation) -> int:
+        if id(x) not in index:
+            premises = [number(p) for p in x.premises]
+            lines.append(json.dumps(_reference_fields(x, premises), sort_keys=True))
+            index[id(x)] = len(lines) - 1
+        return index[id(x)]
+
+    root = number(d)
+    nodes = ",\n".join("    " + line for line in lines)
+    return f'{{\n  "format": "flat",\n  "nodes": [\n{nodes}\n  ],\n  "root": {root}\n}}\n'
+
+
+def _flat_round_trip(d: Derivation) -> None:
+    text = _flat(d)
+    assert text == _flat_reference(d)
+    back = loads_derivation(text)
+    assert back == d and _flat(back) == text
+    assert _tree(back) == _tree(d)     # tree -> flat -> tree
+
+
+def test_every_corpus_file_round_trips_through_the_flat_layout():
+    files = sorted(corpus.DATA_DIR.glob("*.deriv"))
+    assert files
+    for path in files:
+        ds = load_derivations(path)
+        for d in ds:
+            _flat_round_trip(d)
+        # tree -> flat -> tree, from the file's own text
+        text = path.read_text(encoding="utf-8")
+        assert dumps_derivations([loads_derivation(_flat(d)) for d in ds]) == text, path.name
+
+
+def test_random_derivations_and_cuts_round_trip_through_the_flat_layout(cut_pairs):
+    ds = [random_derivation(SEED * 1000 + i, 10) for i in range(1_000)]
+    cuts = [cut_node(*pair, variant) for variant, pairs in cut_pairs.items() for pair in pairs]
+    assert all(d.valid for d in cuts)
+    assert sum(d.annotation.context_split != (Context(),) * 4 for d in cuts) > 100
+    # a cut whose premises are themselves cuts, the left one shared
+    nested = [node(R.CutA, d.conclusion, [d, d],
+                   annotation=d.annotation) for d in cuts[:50]]
+    for d in ds + cuts + nested:
+        _flat_round_trip(d)
+
+
+def test_a_shared_node_is_one_line_and_loads_as_one_object():
+    leaf = node(R.RfPlus, parse_sequent("p ; |-+ p"))
+    d = node(R.AndRPlus, parse_sequent("p ; |-+ p /\\ p"), [leaf, leaf])
+    text = _flat(d)
+    assert text.count('"rule": "RfPlus"') == 1 and '"premises": [0, 0]' in text
+    back = loads_derivation(text)
+    assert back.premises[0] is back.premises[1] and back == d
+
+
+def test_a_derivation_is_written_flat_from_its_height_of_256():
+    assert FLAT_HEIGHT == 256
+    below, at = tower(FLAT_HEIGHT - 1), tower(FLAT_HEIGHT)
+    assert dumps_derivation(below) == _tree(below) == _reference(_reference_data(below))
+    assert dumps_derivation(at) == _flat(at)
+    # each derivation of a list picks its own layout
+    small = random_derivation(SEED, 6)
+    ds = [at, small, below, tower(3 * FLAT_HEIGHT)]
+    text = dumps_derivations(ds)
+    assert json.loads(text) == [json.loads(dumps_derivation(d)) for d in ds]
+    back = serialize._derivations_from_text(text)
+    assert back == ds and dumps_derivations(back) == text
+
+
+def test_a_10_000_high_tower_round_trips_at_the_default_limit(monkeypatch, tmp_path):
+    assert sys.getrecursionlimit() == 1000
+    d = tower(10_000)
+    text = dumps_derivation(d)
+    assert len(text) < 1_300_000 and text.count("\n") == 10_002 + 6
+    built = []
+
+    def counted(*args):
+        built.append(Derivation(*args))
+        return built[-1]
+
+    monkeypatch.setattr(serialize, "Derivation", counted)
+    back = loads_derivation(text)
+    assert len(built) == len({id(x) for x in built}) == 10_002
+    monkeypatch.undo()
+    assert back.valid and back.height == 10_000 and back == d
+    assert dumps_derivation(back) == text
+    path = tmp_path / "tower.deriv"
+    path.write_text(text, encoding="utf-8")
+    assert load_derivation(path) == d
+
+
+_LEAF = {"conclusion": "p ; |-+ p", "premises": [], "rule": "RfPlus"}
+_AND = {"conclusion": "p ; |-+ p /\\ p", "rule": "AndRPlus"}
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"nodes": [{**_AND, "premises": [1, 1]}, _LEAF], "root": 0}, "premise 1 is not"),
+    ({"nodes": [_LEAF, {**_AND, "premises": [0, 2]}], "root": 1}, "premise 2 is not"),
+    ({"nodes": [_LEAF, {**_AND, "premises": [0, -1]}], "root": 1}, "premise -1 is not"),
+    ({"nodes": [_LEAF, {**_AND, "premises": [0, "0"]}], "root": 1}, "premise '0' is not"),
+    ({"nodes": [_LEAF, {**_AND, "premises": [0, 0.0]}], "root": 1}, "premise 0.0 is not"),
+    ({"nodes": [_LEAF, {**_AND, "premises": [0, False]}], "root": 1}, "premise False is not"),
+    ({"nodes": [_LEAF, {**_AND, "premises": 0}], "root": 1}, "premises must be a JSON list"),
+    ({"nodes": [_LEAF], "root": 1}, "root 1 is not"),
+    ({"nodes": [_LEAF], "root": -1}, "root -1 is not"),
+    ({"nodes": [_LEAF], "root": "0"}, "root '0' is not"),
+    ({"nodes": [_LEAF], "root": True}, "root True is not"),
+    ({"nodes": [_LEAF]}, "root None is not"),
+    ({"nodes": [], "root": 0}, "root 0 is not"),
+    ({"root": 0}, "nodes must be a JSON list"),
+    ({"nodes": [{**_LEAF, "rule": "Leaf"}], "root": 0}, "bad or missing rule id"),
+    ({"nodes": [{"premises": [], "rule": "RfPlus"}], "root": 0}, "missing conclusion"),
+    ({"nodes": [3], "root": 0}, "a derivation must be a JSON object"),
+])
+def test_a_malformed_flat_document_is_a_format_error(capsys, tmp_path, document, message):
+    text = json.dumps({"format": "flat", **document})
+    with pytest.raises(DerivationFormatError, match="^(node \\d: )?" + re.escape(message)):
+        loads_derivation(text)
+    path = tmp_path / "bad.deriv"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_an_unknown_format_is_a_format_error():
+    with pytest.raises(DerivationFormatError, match="^unknown format 'dag'$"):
+        loads_derivation(json.dumps({"format": "dag", "nodes": [_LEAF], "root": 0}))
 
 
 # --- the loader's and the writer's memos of contexts ---------------------------------------
@@ -284,18 +433,43 @@ def _keep_errors(d: Derivation) -> list[BaseException]:
     return errors
 
 
+def _frames() -> int:
+    """The frames on the stack of the caller."""
+    f, n = sys._getframe(1), 0
+    while f is not None:
+        f, n = f.f_back, n + 1
+    return n
+
+
+def _nested(depth: int, f):
+    """``f()``, called from ``depth`` frames deep."""
+    return f() if _frames() >= depth else _nested(depth, f)
+
+
 def test_a_failed_dump_keeps_no_frame_or_writer_alive():
-    d = tower(2000)
+    # the tallest tree, from a caller 700 frames deep: the tree writer's two
+    # frames per level overflow the default limit
+    assert sys.getrecursionlimit() == 1000
+    d = tower(FLAT_HEIGHT - 1)
     gc.collect()
     gc.disable()
     try:
-        errors = _keep_errors(d)
+        errors = _nested(700, lambda: _keep_errors(d))
         assert [type(e) for e in errors] == [RecursionError]
         assert len(traceback.extract_tb(errors[0].__traceback__)) < 10
         del errors
         assert not [o for o in gc.get_objects() if isinstance(o, serialize._Writer)]
     finally:
         gc.enable()
+    assert loads_derivation(dumps_derivation(d)) == d
+
+
+def test_the_tallest_tree_round_trips_from_a_caller_450_frames_deep():
+    assert sys.getrecursionlimit() == 1000
+    d = tower(FLAT_HEIGHT - 1)
+    text = _nested(450, lambda: dumps_derivation(d))
+    assert text == _tree(d)
+    assert _nested(450, lambda: loads_derivation(text)) == d
 
 
 def test_a_480_high_tower_round_trips_at_the_default_limit():
