@@ -25,6 +25,12 @@ the change of the median, the parent's interquartile spread, whether the
 change of the median exceeds that spread, and in how many pairs the change
 was better, in the metric's own ``better`` direction.  The benchmark file is
 read from the checkout this script belongs to; nothing is written.
+
+Fewer pairs than the default of 10 do not resolve a change of a few percent,
+so 10 is the least to cite.  On ``cut-chain`` an A/A run (the same code in
+two copies) of 4 pairs read ``op_p50_ms`` +3.7 % with the change better in
+0 of 4, and a 5-pair run of two checkouts read ``ops_per_s`` -9.2 % where 10
+pairs of the same two read -0.8 %.
 """
 
 from __future__ import annotations

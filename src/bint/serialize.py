@@ -14,14 +14,15 @@ round-trip bit-exact through load/dump:
   ``premises`` lists the indices of earlier lines; each line is the text
   ``json.dumps(fields, sort_keys=True)`` gives.
 
+Both layouts are written by loops, at any height and from any caller depth.
 The tree layout repeats a shared subproof under each node that uses it, and
 indents each line two spaces per level, so its text is quadratic in the
-height; and it nests 2h + 1 JSON levels for height h, each of which ``json``
-counts against the recursion limit, as do the writer's and reader's two
-frames per level.  Below 256 levels a tree document stays readable and
-writable from a caller up to about 480 frames deep at the default limit of
-1,000.  The flat layout is linear in the number of distinct nodes, nests a
-few levels at any height, and is written and read by loops; reading it builds
+height; and only reading it is bound by the stack: it nests 2h + 1 JSON
+levels for height h, each of which ``json`` counts against the recursion
+limit, as do the reader's two frames per level.  Below 256 levels a tree
+document stays readable from a caller up to about 480 frames deep at the
+default limit of 1,000.  The flat layout is linear in the number of distinct
+nodes, nests a few levels at any height, and is read by a loop that builds
 each line once, so sharing survives.  Every reader takes either layout,
 choosing by the top-level key ``format``, and each derivation of a list picks
 its own.
@@ -64,142 +65,113 @@ _SPLIT_KEYS = ("gamma", "delta", "gamma_prime", "delta_prime")
 #: each rule's name as a JSON string, escaped once
 _RULE_TEXT = {r: _escape(r.value) for r in RuleId}
 
+#: a layout: the depth of a container -> the texts after it opens, between
+#: its items and before it closes; ``json.dumps(indent=2)``'s, and its default
+#: one-line text's, which ignores the depth
+_INDENTED = _Memo(lambda depth: ("\n" + "  " * (depth + 1), ",\n" + "  " * (depth + 1),
+                                 "\n" + "  " * depth))
+_ONE_LINE = _Memo(lambda depth: ("", ", ", ""))
+
 
 def _text(f: Formula) -> str:
     return f._text or format_formula(f)
 
 
-def _inline(a: Annotation) -> str:
-    """The ``"annotation": ..., `` field of a flat layout's line, or "" for
-    an annotation that names nothing."""
-    fields = []
-    sp = a.context_split
-    if sp is not None:
-        fields.append('"context_split": {' + ", ".join(
-            f'"{key}": [{", ".join([_escape(_text(f)) for f in getattr(sp, key)])}]'
-            for key in sorted(_SPLIT_KEYS)) + "}")
-    for key, f in (("cut_formula", a.cut_formula), ("principal", a.principal)):
-        if f is not None:
-            fields.append(f'"{key}": {_escape(_text(f))}')
-    return f'"annotation": {{{", ".join(fields)}}}, ' if fields else ""
+def _container(brackets: str, items: list[str], layout, depth: int) -> str:
+    """The JSON list (``brackets`` is ``"[]"``) or object (``"{}"``) of the
+    texts ``items``, at ``depth`` of ``layout``."""
+    if not items:
+        return brackets
+    start, sep, end = layout[depth]
+    return f"{brackets[0]}{start}{sep.join(items)}{end}{brackets[1]}"
 
 
 class _Writer:
     """Writes one document, reading each formula's kept text and printing
     only a formula that has none yet, and joining each distinct context's
-    texts once (``contexts``).  The text is the one Python's JSON
-    encoder gives with a two-space indent and sorted keys: the keys in that
-    order, strings escaped by the encoder's own C function, and each depth's
-    indentation built once.  The tree layout nests two calls per derivation
-    level, node and premise list, as the loader does; the flat layout is one
-    loop."""
+    texts once (``contexts``).  The text is the one Python's JSON encoder
+    gives with sorted keys: strings escaped by the encoder's own C function,
+    and a node's fields written by ``fields`` in either layout.  Both layouts
+    are written by loops, at any height and from any caller depth."""
 
     def __init__(self):
         self.contexts: dict[Context, str] = _Memo(Context.__str__)
         self.out: list[str] = []
-        self.indents: dict[int, str] = _Memo(lambda depth: "\n" + "  " * depth)
 
     def text(self) -> str:
         self.out.append("\n")
         return "".join(self.out)
 
     def document(self, d: Derivation, depth: int) -> None:
-        (self.flat if d.height >= FLAT_HEIGHT else self.node)(d, depth)
+        (self.flat if d.height >= FLAT_HEIGHT else self.tree)(d, depth)
 
     def documents(self, ds: list[Derivation], depth: int) -> None:
         """A list of derivations, each in its own layout."""
         out = self.out
-        if not ds:
-            out.append("[]")
-            return
-        nl = self.indents[depth + 1]
-        sep = "["
-        for d in ds:
-            out += (sep, nl)
+        start, sep, end = _INDENTED[depth]
+        out.append("[")
+        for i, d in enumerate(ds):
+            out.append(sep if i else start)
             self.document(d, depth + 1)
-            sep = ","
-        out += (self.indents[depth], "]")
+        out.append(f"{end}]" if ds else "]")
+
+    def fields(self, x: Derivation, depth: int, layout) -> tuple[str, str]:
+        """The text of node ``x``'s object at ``depth`` of ``layout`` before
+        and after the value of its ``premises``."""
+        start, sep, end = layout[depth]
+        annotation, a = "", x.annotation
+        if a is not None:
+            items = []
+            sp = a.context_split
+            if sp is not None:
+                items.append('"context_split": ' + _container("{}", [
+                    f'"{key}": ' + _container("[]", [_escape(_text(f)) for f in getattr(sp, key)],
+                                              layout, depth + 3)
+                    for key in sorted(_SPLIT_KEYS)], layout, depth + 2))
+            for key, f in (("cut_formula", a.cut_formula), ("principal", a.principal)):
+                if f is not None:
+                    items.append(f'"{key}": {_escape(_text(f))}')
+            if items:
+                annotation = f'"annotation": {_container("{}", items, layout, depth + 1)}{sep}'
+        conclusion = _escape(format_sequent(x.conclusion, self.contexts.__getitem__))
+        return (f'{{{start}{annotation}"conclusion": {conclusion}{sep}"premises": ',
+                f'{sep}"rule": {_RULE_TEXT[x.rule]}{end}}}')
+
+    def tree(self, d: Derivation, depth: int) -> None:
+        """``d`` in the tree layout, in one loop over a stack of texts and of
+        ``(node, depth)`` items, each node's premises at two depths below it."""
+        out, stack = self.out, [(d, depth)]
+        while stack:
+            x = stack.pop()
+            if x.__class__ is str:
+                out.append(x)
+                continue
+            x, depth = x
+            head, tail = self.fields(x, depth, _INDENTED)
+            if not x.premises:
+                out += (head, "[]", tail)
+                continue
+            start, sep, end = _INDENTED[depth + 1]
+            out += (head, "[", start)
+            stack.append(f"{end}]{tail}")      # after the premises, which pop in order
+            for i, p in enumerate(reversed(x.premises)):
+                stack += (sep, (p, depth + 2)) if i else ((p, depth + 2),)
 
     def flat(self, d: Derivation, depth: int) -> None:
         """``d`` in the flat layout, its lines numbered in ``kernel.fold``
         post-order, so the root is the last.  Each line is the text
         ``json.dumps`` gives the node's fields with sorted keys."""
         lines: list[str] = []
-        context = self.contexts.__getitem__
 
         def number(x: Derivation, premises: tuple[int, ...]) -> int:
-            a = x.annotation
-            lines.append(f'{{{"" if a is None else _inline(a)}"conclusion": '
-                         f'{_escape(format_sequent(x.conclusion, context))}, "premises": '
-                         f'[{", ".join(map(str, premises))}], "rule": {_RULE_TEXT[x.rule]}}}')
+            head, tail = self.fields(x, 0, _ONE_LINE)
+            lines.append(f'{head}[{", ".join(map(str, premises))}]{tail}')
             return len(lines) - 1
 
         root = kernel.fold(d, number)
-        nl, indents = self.indents[depth + 1], self.indents
-        self.out += ("{", nl, '"format": "flat",', nl, '"nodes": [', indents[depth + 2],
-                     ("," + indents[depth + 2]).join(lines), nl, "],", nl, f'"root": {root}',
-                     indents[depth], "}")
-
-    def node(self, d: Derivation, depth: int) -> None:
-        out, indents = self.out, self.indents
-        nl = indents[depth + 1]
-        out.append("{")
-        a = d.annotation
-        if a is not None and (a.principal is not None or a.cut_formula is not None
-                              or a.context_split is not None):
-            out += (nl, '"annotation": ')
-            self.annotation(a, depth + 1)
-            out.append(",")
-        conclusion = format_sequent(d.conclusion, self.contexts.__getitem__)
-        out += (nl, '"conclusion": ', _escape(conclusion), ",", nl, '"premises": ')
-        self.premises(d.premises, depth + 1)
-        out += (",", nl, '"rule": ', _RULE_TEXT[d.rule], indents[depth], "}")
-
-    def premises(self, ds, depth: int) -> None:
-        out = self.out
-        if not ds:
-            out.append("[]")
-            return
-        nl = self.indents[depth + 1]
-        sep = "["
-        for d in ds:
-            out += (sep, nl)
-            self.node(d, depth + 1)
-            sep = ","
-        out += (self.indents[depth], "]")
-
-    def annotation(self, a: Annotation, depth: int) -> None:
-        out, indents = self.out, self.indents
-        nl = indents[depth + 1]
-        sep = "{"
-        sp = a.context_split
-        if sp is not None:
-            inner = indents[depth + 2]
-            out += (sep, nl, '"context_split": ')
-            sep = "{"
-            for key in sorted(_SPLIT_KEYS):
-                out += (sep, inner, f'"{key}": ')
-                self.formulas(getattr(sp, key), depth + 2)
-                sep = ","
-            out += (nl, "}")
-            sep = ","
-        for key, f in (("cut_formula", a.cut_formula), ("principal", a.principal)):
-            if f is not None:
-                out += (sep, nl, f'"{key}": ', _escape(_text(f)))
-                sep = ","
-        out += (indents[depth], "}")
-
-    def formulas(self, fs: tuple[Formula, ...], depth: int) -> None:
-        out = self.out
-        if not fs:
-            out.append("[]")
-            return
-        nl = self.indents[depth + 1]
-        sep = "["
-        for f in fs:
-            out += (sep, nl, _escape(_text(f)))
-            sep = ","
-        out += (self.indents[depth], "]")
+        nodes = _container("[]", lines, _INDENTED, depth + 1)
+        self.out.append(_container("{}", ['"format": "flat"', f'"nodes": {nodes}',
+                                          f'"root": {root}'], _INDENTED, depth))
 
 
 _JSON_TYPE_NAMES = {dict: "object", list: "list", str: "string"}
@@ -306,19 +278,10 @@ class _Reader:
 
 
 def _dumps(write, item) -> str:
-    """The text ``write(writer, item, 0)`` gives a fresh writer.  Overflowing
-    the stack raises a new ``RecursionError`` from here, outside the
-    ``except`` and with the writer gone: the caught error's traceback holds
-    every writer frame, and with them the partial text, for as long as
-    anything keeps the error."""
+    """The text ``write(writer, item, 0)`` gives a fresh writer."""
     writer = _Writer()
-    try:
-        write(writer, item, 0)
-        return writer.text()
-    except RecursionError:
-        pass
-    del writer
-    raise RecursionError("derivation nested too deeply to write")
+    write(writer, item, 0)
+    return writer.text()
 
 
 def dumps_derivation(d: Derivation) -> str:
