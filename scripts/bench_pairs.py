@@ -18,7 +18,17 @@ pass (seed 0), so that no timed run compiles a module: a missing or stale
 never mends, would otherwise make every fresh interpreter of one side
 recompile what it imports, and ``setup_s`` would differ by the compile time
 alone.  The timed runs write no bytecode.  The cache state used is printed
-first.
+first.  Ad-hoc runs against a ``cp -r`` copy of a checkout mismeasure for
+that reason: a copy whose ``.pyc`` files were stale recompiled at every
+start, and read about 1 MB more ``peak_rss_mb`` and a longer ``setup_s``
+than a checkout with valid bytecode.
+
+``setup_s`` stays noisy even so.  On ``replay``, one 10-pair set of a change
+with nothing on the setup path read 0.122 -> 0.143 s (better in 2 of 10,
+parent IQR 0.012) and a second set of the same two checkouts 0.123 -> 0.125
+s, while the setup probe (``perfbench/run.py --setup-probe``) timed directly
+in 12 alternating fresh interpreters a side read 0.417 s on both sides.  One
+set can come near the 25 % bound by chance; a second set tells.
 
 Printed per end-to-end metric of ``BENCHMARK.json``: the median of each side,
 the change of the median, the parent's interquartile spread, whether the

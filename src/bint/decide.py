@@ -21,22 +21,36 @@ valid: the verification/falsification embedding of 2Int (Wansing, J. Logic
 Comput. 2016).  The image is decided by G4ip (Dyckhoff, JSL 57(3), 1992),
 which terminates with no loop check and no depth bound.
 
-One ``_G4ip``, its images and its memo serve a whole ``bint.search`` query.
+The images are kept per thread: a formula is translated once per thread, as
+it is printed once per process and dualized once.  A ``_G4ip`` binds its
+thread's image tables when it is built, and starts new ones when they hold
+more than ``_MAX_NODES`` image nodes, so they stay bounded and no query's ids
+change under it.  The verdict memo and the saturated antecedents belong to
+one ``_G4ip``, which serves a whole ``bint.search`` query; ``derivable(s)``
+alone builds one for ``s``.  No query is answered from another's memo.
 This module reads neither the rule table's backward expansion nor the
 checker, so its verdicts are independent of the search they gate.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable
 
 from .kernel import PLUS, Sequent
 from .syntax import And, Atom, Bottom, Coimp, Formula, Imp, Or, Top
 
 # the connectives of the intuitionistic image; a formula of the image is an
-# integer id, numbered per ``_G4ip``, and ``_BOT``/``_TOP`` are also the ids of
-# the two constants
+# integer id in its thread's image tables, and ``_BOT``/``_TOP`` are also the
+# ids of the two constants
 _BOT, _TOP, _ATOM, _AND, _OR, _IMP = range(6)
+
+#: the most image nodes a thread's tables may hold when a ``_G4ip`` binds
+#: them; past it the ``_G4ip`` starts new ones
+_MAX_NODES = 2048
+#: each thread's image tables: ``make`` reads a length and then appends, so
+#: two threads must not share them
+_local = threading.local()
 
 #: (connective, verified?) -> the image's connective, then its left and its
 #: right operand, each as (operand of the connective, verified?) with 0 the
@@ -58,9 +72,20 @@ def derivable(s: Sequent) -> bool:
     return _G4ip().derivable(s)
 
 
+def _tables() -> tuple:
+    """This thread's image tables ``(kind, left, right, ids, images)``, new
+    ones when they hold more than ``_MAX_NODES`` nodes."""
+    tables = getattr(_local, "tables", None)
+    if tables is None or len(tables[0]) > _MAX_NODES:
+        tables = _local.tables = ([_BOT, _TOP], [None, None], [None, None], {}, {})
+    return tables
+
+
 class _G4ip:
-    """The formulas of images, interned as integer ids, and the G4ip search
-    over them with its memo.  Both live for one ``prove`` query.
+    """The formulas of images, interned as integer ids in its thread's
+    tables, and the G4ip search over them with its memo and the saturated
+    image of each antecedent it was asked about.  Those two live for one
+    ``prove`` query.
 
     An antecedent is a frozenset of ids: contraction is admissible, so
     multiplicities do not matter.  It is kept *saturated*: closed under the
@@ -69,17 +94,19 @@ class _G4ip:
     is ``T``, ``F``, a conjunction, a disjunction or an atom it holds."""
 
     def __init__(self):
-        self.kind = [_BOT, _TOP]
-        self.left: list = [None, None]
-        self.right: list = [None, None]
-        self.ids: dict[tuple, int] = {}
-        self.images: dict[tuple[Formula, bool], int] = {}
+        self.kind, self.left, self.right, self.ids, self.images = _tables()
         self.memo: dict[tuple[frozenset, int], bool] = {}
+        self.saturated: dict[tuple, frozenset | None] = {}
 
     def derivable(self, s: Sequent) -> bool:
-        antecedent = [self.signed(f, True) for f in s.gamma.distinct()]
-        antecedent += [self.signed(f, False) for f in s.delta.distinct()]
-        return self.derives(frozenset(), antecedent, self.signed(s.succedent, s.polarity is PLUS))
+        key = (s.gamma, s.delta)
+        if key in self.saturated:
+            gamma = self.saturated[key]
+        else:
+            antecedent = [self.signed(f, True) for f in s.gamma.distinct()]
+            antecedent += [self.signed(f, False) for f in s.delta.distinct()]
+            gamma = self.saturated[key] = self._saturate(frozenset(), antecedent)
+        return gamma is None or self._sequent(gamma, self.signed(s.succedent, s.polarity is PLUS))
 
     def make(self, kind: int, left, right) -> int:
         key = (kind, left, right)

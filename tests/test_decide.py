@@ -1,9 +1,12 @@
 """The decision procedure of `bint.decide` against the calculus it decides:
 its translation rule by rule, the rules read backward, an exhaustive
-loop-checked search, duality and the golden corpus; and `prove`, which asks
-it before constructing a proof."""
+loop-checked search, duality and the golden corpus; `prove`, which asks it
+before constructing a proof; and the images it keeps per thread, with the
+memo and the saturated antecedents it keeps per query."""
 
 import random
+import sys
+import threading
 import timeit
 
 import pytest
@@ -16,8 +19,10 @@ from bint.kernel import (
 )
 from bint.syntax import BOT, TOP, Atom
 from bint.search import Proved, Refuted, prove
+from bint.serialize import dumps_derivation
 from bint.transform import InternalCheckError
 from conftest import REPRODUCER, SEED, horn_chain, premises_for, random_sequent
+from scripts import families
 
 def sample(n: int, salt: str) -> list:
     rng = random.Random(f"{SEED}/{salt}")
@@ -227,3 +232,116 @@ def test_prove_raises_when_the_search_exhausts_an_accepted_sequent(monkeypatch):
     monkeypatch.setattr(decide._G4ip, "derivable", lambda self, s: True)
     with pytest.raises(InternalCheckError):
         prove(parse_sequent("F -> F ; |-+ F"))
+
+
+# --- the images kept per thread, the memo and the saturations per query ------------
+
+def _in_new_threads(*fns) -> list:
+    """The result of each ``fn()``, all run at once, each in a thread of its
+    own, which starts with no image tables."""
+    results, errors = [None] * len(fns), []
+
+    def run(i, fn):
+        try:
+            results[i] = fn()
+        except BaseException as e:      # raised again in the test's thread
+            errors.append(e)
+
+    threads = [threading.Thread(target=run, args=x, daemon=True) for x in enumerate(fns)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _answers(queries: list) -> list:
+    """Per query, the text of its proof, or None when it is refuted."""
+    return [dumps_derivation(out.derivation) if isinstance(out := prove(s), Proved) else None
+            for s in queries]
+
+
+def test_two_threads_proving_at_once_get_the_answers_of_one():
+    queries = sample(200, "threads")
+    [alone] = _in_new_threads(lambda: _answers(queries))
+    assert 0 < alone.count(None) < len(queries)
+    start = threading.Barrier(2)
+
+    def together(step: int) -> tuple:
+        # one thread in order and one in reverse, so that the two meet
+        # different formulas at the same time
+        start.wait(timeout=60)
+        return _answers(queries[::step])[::step], decide._local.tables
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # hand the interpreter from thread to thread often
+    try:
+        (first, tables), (second, other) = _in_new_threads(lambda: together(1),
+                                                           lambda: together(-1))
+    finally:
+        sys.setswitchinterval(interval)
+    assert first == second == alone
+    assert tables is not other
+
+
+def test_a_threads_image_tables_stay_within_the_bound_and_one_querys_growth():
+    def grow() -> int:
+        renewals, kind = 0, decide._G4ip().kind
+        for s in sample(2000, "bound"):
+            before = len(kind)
+            prove(s)
+            bound = decide._local.tables[0]
+            if bound is kind:
+                assert before <= decide._MAX_NODES
+                growth = len(kind) - before
+            else:               # the query's _G4ip started new tables
+                assert before > decide._MAX_NODES
+                renewals += 1
+                kind, growth = bound, len(bound) - 2
+            assert len(kind) <= decide._MAX_NODES + growth
+        return renewals
+
+    [renewals] = _in_new_threads(grow)
+    assert renewals > 0
+
+
+def test_proving_a_sequent_again_interns_no_image_node():
+    def sizes() -> tuple:
+        prove(REPRODUCER)
+        kind = decide._local.tables[0]
+        first = len(kind)
+        prove(REPRODUCER)
+        return first, len(kind), decide._local.tables[0] is kind
+
+    [(first, again, same)] = _in_new_threads(sizes)
+    assert first > 2 and (again, same) == (first, True)
+
+
+def test_a_query_saturates_each_antecedent_once(monkeypatch):
+    made, asked, from_empty = [], [], 0
+    init, ask, saturate = decide._G4ip.__init__, decide._G4ip.derivable, decide._G4ip._saturate
+
+    def counted_init(self):
+        made.append(self)
+        init(self)
+
+    def counted_ask(self, s):
+        asked.append((s.gamma, s.delta))
+        return ask(self, s)
+
+    def counted_saturate(self, gamma, new):
+        nonlocal from_empty
+        from_empty += not gamma
+        return saturate(self, gamma, new)
+
+    monkeypatch.setattr(decide._G4ip, "__init__", counted_init)
+    monkeypatch.setattr(decide._G4ip, "derivable", counted_ask)
+    monkeypatch.setattr(decide._G4ip, "_saturate", counted_saturate)
+    assert isinstance(prove(parse_sequent(families.pigeonhole(3, 4))), Proved)
+    assert len(made) == 1 and len(asked) == 1226
+    assert len(made[0].saturated) == len(set(asked)) == 82
+    # one more: the goal's implication right rule starts from the empty antecedent
+    assert from_empty == 83
