@@ -41,6 +41,12 @@ so 10 is the least to cite.  On ``cut-chain`` an A/A run (the same code in
 two copies) of 4 pairs read ``op_p50_ms`` +3.7 % with the change better in
 0 of 4, and a 5-pair run of two checkouts read ``ops_per_s`` -9.2 % where 10
 pairs of the same two read -0.8 %.
+
+Nor does one set of 10 reliably show a change of 6-9 %.  Three 10-pair sets
+of the same two checkouts on ``prove`` read ``op_p50_ms`` -7.0 % (better in
+9 of 10), -3.8 % (8 of 10, within the parent's spread) and -8.9 % (10 of
+10), so a claim that needs 9 wins of 10 fails about one set in three at that
+size of gain.
 """
 
 from __future__ import annotations

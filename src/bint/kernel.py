@@ -1,8 +1,8 @@
 """Sequents over multiset contexts, the 24-rule table plus the two cut rules,
 the derivation checker, backward rule enumeration, the duality mapping, and
 ``fold``, the stack-free walk that duality, weakening, inversion, contraction
-and coverage share.  Its ``stop`` hook gives a node an image without visiting
-its premises, which is how inversion and contraction end at a principal node.
+and coverage share.  Its ``walk`` hook names the premises it visits from a
+node: inversion visits none above a principal node, contraction its kept one.
 Each formula keeps its dual, made once on its own stack, and the dual keeps it.
 
 Every ``Derivation`` is checked once, when it is built, by the one call that
@@ -534,29 +534,25 @@ _T = TypeVar("_T")
 
 
 def fold(d: Derivation, make: Callable[[Derivation, tuple], _T],
-         stop: Optional[Callable[[Derivation], Optional[_T]]] = None) -> _T:
-    """``make(x, images of x's premises)`` for the root ``d``, on its own stack.
-    Each distinct node object is made once, after its premises, in order, so
-    a premise object shared by several nodes has one image.
-
-    ``stop(x)``, when given, is asked first, once per distinct node: an image
-    it returns (not None) stands for ``x``, and the premises of ``x`` are not
-    visited."""
+         walk: Optional[Callable[[Derivation], tuple]] = None) -> _T:
+    """``make(x, images)`` for the root ``d``, on its own stack, where
+    ``images`` are those of the premises ``walk(x)`` names (all of them by
+    default; ``walk`` is asked once per distinct node).  Each distinct node
+    object is made once, after those premises, in order, so a premise object
+    shared by several nodes has one image."""
     done: dict[int, _T] = {}     # id of a node -> its image
     image_of = done.__getitem__
     stack: list = [d]
     while stack:
         x = stack.pop()
         if x is None:           # the premises of the node below are made
-            x = stack.pop()
-            done[id(x)] = make(x, tuple(map(image_of, map(id, x.premises))))
+            above, x = stack.pop(), stack.pop()
+            done[id(x)] = make(x, tuple(map(image_of, map(id, above))))
         elif id(x) not in done:  # a shared premise is pushed again once made
-            image = None if stop is None else stop(x)
-            if image is not None:
-                done[id(x)] = image
-            elif x.premises:
-                stack += (x, None, *x.premises[::-1])
-            else:               # a leaf is made at once
+            above = x.premises if walk is None else walk(x)
+            if above:
+                stack += (x, above, None, *above[::-1])
+            else:               # a leaf, or a node the walk ends at, is made at once
                 done[id(x)] = make(x, ())
     return done[id(d)]
 

@@ -16,15 +16,16 @@ checker-valid, cut-free derivation with the advertised endsequent:
   through it.
 
 Every node is checked once, when it is built (``Derivation.valid``), so an
-entry point reads its input's validity and cut count without a walk, and
-a case split reads a node's principal (``Derivation.principal``).  The
+entry point reads its input's validity and cut count without a walk, and a
+case split reads a node's principal (``Derivation.principal``).  The
 weakenings, inversion and contraction are each one stack-free ``kernel.fold``
-that gives every node a new conclusion; inversion and contraction stop the
-walk at a node that decomposes their formula, where contraction calls itself
-on the premises.  The weakenings and contraction edit each distinct context
-once per call (the contractions nested in one call share its memos), and cut
-elimination computes each step's contexts once per distinct premise contexts,
-cut formula and variant; these memos live for the call and are keyed by value
+that gives every node a new conclusion.  At a node that decomposes their
+formula, the fold's ``walk`` visits no premise for inversion and only the kept
+one for contraction, which inverts and contracts the others by calls of its
+own.  The weakenings and contraction edit each distinct context once per call
+(the contractions nested in one call share its memos), and cut elimination
+computes each step's contexts once per distinct premise contexts, cut formula
+and variant; these memos live for the call and are keyed by value
 (``kernel._Memo``), so equal contexts are one object in the output.  Identity
 expansion reads the rule table: a formula of weight <= 1 gets the first
 backward expansion of its bare sequent whose premises close at once, each
@@ -148,14 +149,11 @@ def _identity_step(g: Context, d: Context, c: Formula, pol: Polarity) -> Derivat
 
 # --- weakening -------------------------------------------------------------------
 
-def _map_conclusions(d: Derivation, conclusion: Callable[[Sequent], Sequent],
-                     stop: Optional[Callable[[Derivation], Optional[Derivation]]] = None
-                     ) -> Derivation:
+def _map_conclusions(d: Derivation, conclusion: Callable[[Sequent], Sequent]) -> Derivation:
     """``d`` with each conclusion ``s`` replaced by ``conclusion(s)``: the same
-    rules, annotations and shape, and a shared subproof stays shared.  Where
-    ``stop(x)`` gives a derivation, it stands for ``x`` and its premises."""
+    rules, annotations and shape, and a shared subproof stays shared."""
     return fold(d, lambda x, premises: _node(x.rule, conclusion(x.conclusion), premises,
-                                             annotation=x.annotation), stop)
+                                             annotation=x.annotation))
 
 
 def _edit(s: Sequent, gamma: Optional[_Memo], delta: Optional[_Memo]) -> Sequent:
@@ -165,13 +163,11 @@ def _edit(s: Sequent, gamma: Optional[_Memo], delta: Optional[_Memo]) -> Sequent
                    s.delta if delta is None else delta[s.delta], s.polarity, s.succedent)
 
 
-def _map_contexts(d: Derivation, gamma: Optional[_Memo], delta: Optional[_Memo],
-                  stop: Optional[Callable[[Derivation], Optional[Derivation]]] = None
-                  ) -> Derivation:
+def _map_contexts(d: Derivation, gamma: Optional[_Memo], delta: Optional[_Memo]) -> Derivation:
     """``_map_conclusions`` by ``_edit``.  The memos live for one call, so each
     distinct context is edited once, and equal contexts of ``d`` stay one
     object in the output."""
-    return _map_conclusions(d, lambda s: _edit(s, gamma, delta), stop)
+    return _map_conclusions(d, lambda s: _edit(s, gamma, delta))
 
 
 def _on(side: Side, edit: Callable[[Context], Context]) -> tuple:
@@ -250,9 +246,16 @@ def _inverse(d: Derivation, side: Side, target: Formula, i: int) -> Derivation:
     """``d`` with each conclusion made by premise ``i`` of the left rule that
     decomposes ``target`` on ``side``; a node that decomposes it gives its own
     premise ``i``, and the walk does not go above it."""
-    t = SCHEMA[LEFT_RULE_BY_SHAPE[side][type(target)]].premises[i]
-    return _map_conclusions(d, lambda s: premise_of(s, side, target, t),
-                            lambda x: x.premises[i] if _principal_here(x, side, target) else None)
+    rule = LEFT_RULE_BY_SHAPE[side][type(target)]
+    t = SCHEMA[rule].premises[i]
+
+    def make(x: Derivation, premises: tuple) -> Derivation:
+        if x.rule is rule and x.principal is target:
+            return x.premises[i]
+        return _node(x.rule, premise_of(x.conclusion, side, target, t), premises,
+                     annotation=x.annotation)
+
+    return fold(d, make, lambda x: () if x.rule is rule and x.principal is target else x.premises)
 
 
 def _principal_here(d: Derivation, side: Side, target: Formula) -> bool:
@@ -276,61 +279,44 @@ def contract(d: Derivation, dup: Formula, side: Side) -> Derivation:
 
 
 def _contract(d: Derivation, dup: Formula, side: Side, memos: _Memo) -> Derivation:
-    """``contract`` with no checks.  ``memos`` gives the ``_on`` memos that
-    drop one formula from one side, per (side, formula), and the contractions
-    nested in this one share it, so equal contexts stay one object."""
-    drop = memos[side, dup]
-
-    def stop(x: Derivation) -> Optional[Derivation]:
-        if _principal_here(x, side, dup):
-            return _contract_principal(x, dup, side, drop, stop, memos)
-        return None
-
-    return _map_contexts(d, *drop, stop)
-
-
-def _drop_one(s: Sequent, f: Formula, side: Side) -> Sequent:
-    if side is Side.A:
-        return Sequent(s.gamma.remove(f), s.delta, s.polarity, s.succedent)
-    return Sequent(s.gamma, s.delta.remove(f), s.polarity, s.succedent)
-
-
-def _contract_principal(d: Derivation, dup: Formula, side: Side, drop: tuple,
-                        stop: Callable[[Derivation], Optional[Derivation]],
-                        memos: _Memo) -> Derivation:
-    """The root decomposes one copy of ``dup`` while another copy is parked in
-    the context.  A premise that keeps the principal holds both copies and is
-    contracted on ``dup``; in every other premise the parked copy is inverted
-    away and the doubled operands are contracted.  Then the rule is reapplied.
-    A run of such nodes, each the kept premise of the one below, is rebuilt in
-    one loop from the top down, so a tower of them does not nest.  The run's
-    conclusions and its kept premise are contracted with the calling
-    contraction's memos ``drop`` and its ``stop``, and a premise the run
-    shares is inverted and contracted once."""
-    operands = (dup.left, dup.right)  # type: ignore[attr-defined]
-    templates = SCHEMA[d.rule].premises
-    kept = next((j for j, t in enumerate(templates) if t.keeps), None)
-    run = [d]
-    while kept is not None and _principal_here(run[-1].premises[kept], side, dup):
-        run.append(run[-1].premises[kept])
-    image = None if kept is None else _map_contexts(run[-1].premises[kept], *drop, stop)
+    """``contract`` with no checks, in one fold.  At a node that decomposes one
+    copy of ``dup`` while another is parked in the context, the fold visits
+    only the premise that keeps the principal, so a run of such nodes sits on
+    its stack; in each other premise the parked copy is inverted away and the
+    doubled operands are contracted, once per premise object and index, and
+    the rule is reapplied.  ``memos`` gives the ``_on`` memos that drop one
+    formula from one side, per (side, formula); the contractions nested in
+    this one share it, so equal contexts stay one object."""
+    drop, rule = memos[side, dup], LEFT_RULE_BY_SHAPE[side].get(type(dup))
     done: dict[tuple[int, int], Derivation] = {}    # (id of a premise, its index) -> image
-    for x in reversed(run):
-        premises = []
-        for j, (p, t) in enumerate(zip(x.premises, templates)):
-            if t.keeps:
-                premises.append(image)
-                continue
-            if (id(p), j) not in done:      # a premise shared along the run
+
+    def walk(x: Derivation) -> tuple:
+        if x.rule is not rule or x.principal is not dup:
+            return x.premises
+        return x.premises[:1] if SCHEMA[rule].premises[0].keeps else ()  # ImpLa, CoimpLc
+
+    def make(x: Derivation, images: tuple) -> Derivation:
+        if x.rule is not rule or x.principal is not dup:
+            return _node(x.rule, _edit(x.conclusion, *drop), images, annotation=x.annotation)
+        operands, premises = (dup.left, dup.right), []  # type: ignore[attr-defined]
+        for j, (p, t) in enumerate(zip(x.premises, SCHEMA[rule].premises)):
+            if not t.keeps and (id(p), j) not in done:
                 q = _inverse(p, side, dup, j)
                 for i in t.gamma:
                     q = _contract(q, operands[i], Side.A, memos)
                 for i in t.delta:
                     q = _contract(q, operands[i], Side.C, memos)
                 done[id(p), j] = q
-            premises.append(done[id(p), j])
-        image = _node(x.rule, _edit(x.conclusion, *drop), premises, principal=dup)
-    return image
+            premises.append(images[0] if t.keeps else done[id(p), j])
+        return _node(x.rule, _edit(x.conclusion, *drop), premises, principal=dup)
+
+    return fold(d, make, walk)
+
+
+def _drop_one(s: Sequent, f: Formula, side: Side) -> Sequent:
+    if side is Side.A:
+        return Sequent(s.gamma.remove(f), s.delta, s.polarity, s.succedent)
+    return Sequent(s.gamma, s.delta.remove(f), s.polarity, s.succedent)
 
 
 # --- cut elimination --------------------------------------------------------------

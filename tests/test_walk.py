@@ -227,6 +227,19 @@ def test_fold_makes_each_distinct_node_once():
     pq = node(R.AndRPlus, parse_sequent("p, q ; |-+ p /\\ q"), [rp, rq])
     assert fold(pq, make) == 3
     assert [x for x, _ in made] == [rp, rq, pq]     # premises first, in order
+    made.clear()
+    # a premise the walk leaves out is not made, and its node gets the images
+    # of the premises the walk names only
+    assert fold(pq, make, lambda x: x.premises[:1]) == 2
+    assert made == [(rp, ()), (pq, (1,))]
+    made.clear()
+    # a premise left out under one node and visited under another is made once
+    top = node(R.AndRPlus, parse_sequent("p, q ; |-+ (p /\\ q) /\\ p"), [pq, rp])
+    assert fold(top, make, lambda x: (pq,) if x is top else x.premises) == 4
+    assert made == [(rp, ()), (rq, ()), (pq, (1, 2)), (top, (3,))]
+    made.clear()
+    # a node whose walk names no premise is made at once, with no images
+    assert fold(pq, make, lambda x: ()) == 1 and made == [(pq, ())]
 
 
 def test_fold_visits_a_towers_shared_closer_once():
@@ -352,8 +365,8 @@ def _implication_tower(height: int) -> Derivation:
 
 
 def test_contraction_rebuilds_a_run_of_principal_nodes_in_one_loop():
-    # the doubled formula is principal at every level of the tower, so one
-    # call of ``_contract_principal`` rebuilds the whole run
+    # the doubled formula is principal at every level of the tower, so the
+    # whole run sits on the stack of ``_contract``'s one fold
     pq, once = Imp(p, q), parse_sequent("p -> q, p ; |-+ p")
     for height in range(2, 6):
         d = _implication_tower(height)
@@ -364,6 +377,26 @@ def test_contraction_rebuilds_a_run_of_principal_nodes_in_one_loop():
     for _ in range(3_000):
         c, closed = c.premises
         assert c.conclusion == once and closed.conclusion == parse_sequent("q, p ; |-+ p")
+
+
+def test_contraction_inverts_a_premise_shared_by_two_principal_nodes_once(monkeypatch):
+    # two distinct ImpLa nodes on p -> q share both premise objects; the
+    # premise that does not keep the principal is inverted once per call, and
+    # its image is one object in both outputs
+    pq = Imp(p, q)
+    kept = node(R.RfPlus, parse_sequent("p -> q, p -> q, p ; |-+ p"))
+    other = node(R.RfPlus, parse_sequent("p -> q, q, p ; |-+ q"))
+    a, b = (node(R.ImpLa, parse_sequent("p -> q, p -> q, p ; |-+ q"), (kept, other),
+                 principal=pq) for _ in range(2))
+    d = node(R.AndRPlus, parse_sequent("p -> q, p -> q, p ; |-+ q /\\ q"), (a, b))
+    assert a is not b and d.valid
+    calls = []
+    inverse = transform._inverse
+    monkeypatch.setattr(transform, "_inverse", lambda *args: calls.append(args) or inverse(*args))
+    c = contract(d, pq, Side.A)
+    assert len(calls) == 1
+    assert c.valid and c.conclusion == parse_sequent("p -> q, p ; |-+ q /\\ q")
+    assert c.premises[0].premises[1] is c.premises[1].premises[1]
 
 
 def test_repr_of_a_tower_at_the_default_recursion_limit():
@@ -520,9 +553,11 @@ def map_contract(d, dup, side):
         raise TransformError(
             f"contract: fewer than two occurrences of {format_formula(dup)} "
             f"on side {side.value}")
-    return _map_conclusions(d, lambda s: _drop_one(s, dup, side),
-                            lambda x: (map_contract_principal(x, dup, side)
-                                       if _principal_here(x, side, dup) else None))
+    return fold(d, lambda x, premises: (map_contract_principal(x, dup, side)
+                                        if _principal_here(x, side, dup) else
+                                        _node(x.rule, _drop_one(x.conclusion, dup, side),
+                                              premises, annotation=x.annotation)),
+                lambda x: () if _principal_here(x, side, dup) else x.premises)
 
 
 def map_contract_principal(d, dup, side):
@@ -711,7 +746,7 @@ RECURSIVE = {
     "decide._decide", "decide._sequent", "decide.derives", "decide.signed",
     "search._apply", "search.build",
     "serialize.derivation",
-    "transform._contract_principal", "transform._identity_step",
+    "transform._identity_step",
     "transform._permute_left", "transform._permute_right", "transform._principal",
     "transform._contract", "transform.derive_identity", "transform.run",
 }
