@@ -9,7 +9,8 @@ checkout, as ``--workload W --seed i --seconds S --trace 0`` with ``S`` the
 benchmark's ``run_seconds``, one run after the other.  Which checkout runs
 first alternates from pair to pair, so slow drift of the machine's load falls
 on both sides alike.  Each run's last line is its JSON result, and each pair
-prints both sides' ``ops_per_s`` and ``op_tail_ms``.
+prints both sides' ``ops_per_s``, ``op_tail_ms`` and ``peak_rss_mb``, so that
+a claim on speed or on memory can be read pair by pair.
 
 Each checkout gets a bytecode cache of its own in a temporary directory
 (``PYTHONPYCACHEPREFIX``), filled before the pairs by one untimed run of one
@@ -104,12 +105,12 @@ def pairs(roots: tuple[Path, Path], envs: list[dict[str, str]], command: list[st
             results[side].append(run(roots[side], command, args.workload, seed, seconds,
                                      envs[side]))
         parent, change = (r[-1] for r in results)
+        shown = ", ".join(f"{name} {parent['metrics'][name]['value']:.{digits}f} -> "
+                          f"{change['metrics'][name]['value']:.{digits}f}"
+                          for name, digits in (("ops_per_s", 1), ("op_tail_ms", 3),
+                                               ("peak_rss_mb", 2)))
         print(f"pair {i + 1} seed={seed} first={'parent' if order[0] == 0 else 'change'}: "
-              f"ops_per_s {parent['metrics']['ops_per_s']['value']:.1f} -> "
-              f"{change['metrics']['ops_per_s']['value']:.1f}, op_tail_ms "
-              f"{parent['metrics']['op_tail_ms']['value']:.3f} -> "
-              f"{change['metrics']['op_tail_ms']['value']:.3f}, correct "
-              f"{parent['correct']}/{change['correct']}, failed "
+              f"{shown}, correct {parent['correct']}/{change['correct']}, failed "
               f"{parent['failed']}/{change['failed']}", flush=True)
     return results
 

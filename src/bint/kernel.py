@@ -517,9 +517,49 @@ class Derivation(_Record):
         return (f"Derivation({self.rule.value}, {format_sequent(self.conclusion)!r}, "
                 f"height={self.height})")
 
+    # A copy or a pickle rebuilds each distinct node once, through the
+    # constructor, on ``fold``'s stack, so it works at any height, re-checks
+    # each node and keeps the sharing.  Conclusions and annotations are
+    # immutable, so a deep copy shares them with the source.
+
+    def __copy__(self) -> Derivation:
+        return Derivation(self.conclusion, self.rule, self.premises, self.annotation)
+
+    def __deepcopy__(self, memo: dict) -> Derivation:
+        # a node this deep copy has already made (in ``memo``) is reused
+        def make(x: Derivation, premises: tuple) -> Derivation:
+            y = memo.get(id(x))
+            if y is None:
+                y = memo[id(x)] = Derivation(x.conclusion, x.rule, premises, x.annotation)
+            return y
+
+        return fold(self, make, lambda x: () if id(x) in memo else x.premises)
+
+    def __reduce_ex__(self, protocol):
+        # flat: one row per distinct node, in ``fold`` post-order, its premises
+        # the indices of earlier rows
+        rows: list[tuple] = []
+
+        def row(x: Derivation, premises: tuple[int, ...]) -> int:
+            rows.append((x.conclusion, x.rule, premises, x.annotation))
+            return len(rows) - 1
+
+        fold(self, row)
+        return _from_rows, (rows,)
+
 
 (_set_conclusion, _set_rule, _set_premises, _set_annotation, _set_height, _set_cut_count,
  _set_valid, _set_principal) = _setters(Derivation)
+
+
+def _from_rows(rows: list[tuple]) -> Derivation:
+    """The root, the last row, of the rows ``Derivation.__reduce_ex__``
+    writes, each built once over the nodes of the rows it names."""
+    built: list[Derivation] = []
+    for conclusion, rule, premises, annotation in rows:
+        built.append(Derivation(conclusion, rule, tuple([built[k] for k in premises]),
+                                annotation))
+    return built[-1]
 
 
 def node(rule: RuleId, conclusion: Sequent, premises: Iterable[Derivation] = (),

@@ -19,13 +19,18 @@ The tree layout repeats a shared subproof under each node that uses it, and
 indents each line two spaces per level, so its text is quadratic in the
 height; and only reading it is bound by the stack: it nests 2h + 1 JSON
 levels for height h, each of which ``json`` counts against the recursion
-limit, as do the reader's two frames per level.  Below 256 levels a tree
-document stays readable from a caller up to about 480 frames deep at the
-default limit of 1,000.  The flat layout is linear in the number of distinct
+limit, as do the reader's two frames per level.  ``FLAT_HEIGHT`` is 64, the
+least power of two above every tree whose bytes are pinned: the golden
+corpus, the tall-chain elimination outputs (at most 51 high) and the
+benchmark's replayed derivations (at most 14).  So a tree is at most 63 high,
+about 125 KB for a 63-high tower against 1.9 MB at 255, and it reads from a
+caller about 860 frames deep at the default limit of 1,000 (Python 3.11;
+about 480 at 255 high).  The flat layout is linear in the number of distinct
 nodes, nests a few levels at any height, and is read by a loop that builds
 each line once, so sharing survives.  Every reader takes either layout,
 choosing by the top-level key ``format``, and each derivation of a list picks
-its own.
+its own; so a tree 64 to 255 high, which earlier versions wrote, still loads,
+and dumps flat.
 
 Every node repeats its whole conclusion, so one document holds the same
 formulas many times, and documents over the same atoms hold the same formulas
@@ -59,7 +64,7 @@ class DerivationFormatError(ValueError):
 
 
 #: a derivation this high or higher is written flat, any lower one as a tree
-FLAT_HEIGHT = 256
+FLAT_HEIGHT = 64
 
 _SPLIT_KEYS = ("gamma", "delta", "gamma_prime", "delta_prime")
 #: each rule's name as a JSON string, escaped once
@@ -67,7 +72,8 @@ _RULE_TEXT = {r: _escape(r.value) for r in RuleId}
 
 #: a layout: the depth of a container -> the texts after it opens, between
 #: its items and before it closes; ``json.dumps(indent=2)``'s, and its default
-#: one-line text's, which ignores the depth
+#: one-line text's, which ignores the depth.  The memos live for the process;
+#: a tree's nodes lie at most 2 * FLAT_HEIGHT depths down, so they stay small
 _INDENTED = _Memo(lambda depth: ("\n" + "  " * (depth + 1), ",\n" + "  " * (depth + 1),
                                  "\n" + "  " * depth))
 _ONE_LINE = _Memo(lambda depth: ("", ", ", ""))

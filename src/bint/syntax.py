@@ -106,6 +106,9 @@ class Formula(_Record):
     def __repr__(self) -> str:
         return f"<{format_formula(self)}>"
 
+    def __deepcopy__(self, memo: dict) -> "Formula":
+        return self         # hash-consed: an equal formula is this object
+
 
 class Bottom(Formula):
     __slots__ = ()

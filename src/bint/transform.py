@@ -245,12 +245,13 @@ def invert(d: Derivation, side: Side, target: Formula) -> tuple[Derivation, ...]
 def _inverse(d: Derivation, side: Side, target: Formula, i: int) -> Derivation:
     """``d`` with each conclusion made by premise ``i`` of the left rule that
     decomposes ``target`` on ``side``; a node that decomposes it gives its own
-    premise ``i``, and the walk does not go above it."""
+    premise ``i``, and the walk does not go above it, so ``make`` knows such a
+    node by its premises left out."""
     rule = LEFT_RULE_BY_SHAPE[side][type(target)]
     t = SCHEMA[rule].premises[i]
 
     def make(x: Derivation, premises: tuple) -> Derivation:
-        if x.rule is rule and x.principal is target:
+        if len(premises) < len(x.premises):
             return x.premises[i]
         return _node(x.rule, premise_of(x.conclusion, side, target, t), premises,
                      annotation=x.annotation)
@@ -284,30 +285,40 @@ def _contract(d: Derivation, dup: Formula, side: Side, memos: _Memo) -> Derivati
     only the premise that keeps the principal, so a run of such nodes sits on
     its stack; in each other premise the parked copy is inverted away and the
     doubled operands are contracted, once per premise object and index, and
-    the rule is reapplied.  ``memos`` gives the ``_on`` memos that drop one
-    formula from one side, per (side, formula); the contractions nested in
-    this one share it, so equal contexts stay one object."""
+    the rule is reapplied.  ``walk`` alone tests a node for that: ``make``
+    knows such a node by the premises the walk left out.  The rule's premise
+    templates are read once per call.  ``memos`` gives the ``_on`` memos that
+    drop one formula from one side, per (side, formula); the contractions
+    nested in this one share it, so equal contexts stay one object."""
     drop, rule = memos[side, dup], LEFT_RULE_BY_SHAPE[side].get(type(dup))
+    if rule is None:            # an atom or a constant: no node decomposes it
+        return _map_contexts(d, *drop)
+    templates = SCHEMA[rule].premises
+    kept = 1 if templates[0].keeps else 0        # ImpLa, CoimpLc keep their first
+    operands = (dup.left, dup.right)  # type: ignore[attr-defined]
+    inverted = [(j, t.gamma, t.delta) for j, t in enumerate(templates) if not t.keeps]
     done: dict[tuple[int, int], Derivation] = {}    # (id of a premise, its index) -> image
 
     def walk(x: Derivation) -> tuple:
         if x.rule is not rule or x.principal is not dup:
             return x.premises
-        return x.premises[:1] if SCHEMA[rule].premises[0].keeps else ()  # ImpLa, CoimpLc
+        return x.premises[:kept]
 
     def make(x: Derivation, images: tuple) -> Derivation:
-        if x.rule is not rule or x.principal is not dup:
+        if len(images) == len(x.premises):     # the walk visited them all
             return _node(x.rule, _edit(x.conclusion, *drop), images, annotation=x.annotation)
-        operands, premises = (dup.left, dup.right), []  # type: ignore[attr-defined]
-        for j, (p, t) in enumerate(zip(x.premises, SCHEMA[rule].premises)):
-            if not t.keeps and (id(p), j) not in done:
+        premises = list(images)                 # the kept premise's image, if any
+        for j, gamma, delta in inverted:
+            p = x.premises[j]
+            q = done.get((id(p), j))
+            if q is None:
                 q = _inverse(p, side, dup, j)
-                for i in t.gamma:
+                for i in gamma:
                     q = _contract(q, operands[i], Side.A, memos)
-                for i in t.delta:
+                for i in delta:
                     q = _contract(q, operands[i], Side.C, memos)
                 done[id(p), j] = q
-            premises.append(images[0] if t.keeps else done[id(p), j])
+            premises.append(q)
         return _node(x.rule, _edit(x.conclusion, *drop), premises, principal=dup)
 
     return fold(d, make, walk)

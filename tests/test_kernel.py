@@ -334,6 +334,29 @@ def test_copies_and_pickles_rebuild_each_node(monkeypatch):
                 delattr(c, name)
 
 
+def test_a_3000_high_tower_copies_and_pickles_at_the_default_limit(monkeypatch):
+    assert sys.getrecursionlimit() == 1000
+    d = tower(3_000)        # 3,000 ImpLa nodes, a leaf and one shared closer
+    built = []
+    init = Derivation.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Derivation, "__init__", counted)
+    for copier, n in ((copy.copy, 1), (copy.deepcopy, 3_002),
+                      (lambda x: pickle.loads(pickle.dumps(x)), 3_002)):
+        built.clear()
+        c = copier(d)
+        assert len(built) == n and c == d and c.valid and c.height == 3_000
+        assert c.premises[1] is c.premises[0].premises[1]
+    # one deep copy of several roots keeps the nodes they share shared
+    built.clear()
+    top, below = copy.deepcopy([d, d.premises[0]])
+    assert top.premises[0] is below and len(built) == 3_002
+
+
 # --- sequent text ----------------------------------------------------------------
 
 def test_sequent_round_trip():

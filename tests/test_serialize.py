@@ -199,8 +199,8 @@ def test_a_shared_node_is_one_line_and_loads_as_one_object():
     assert back.premises[0] is back.premises[1] and back == d
 
 
-def test_a_derivation_is_written_flat_from_its_height_of_256():
-    assert FLAT_HEIGHT == 256
+def test_a_derivation_is_written_flat_from_its_height_of_64():
+    assert FLAT_HEIGHT == 64
     below, at = tower(FLAT_HEIGHT - 1), tower(FLAT_HEIGHT)
     assert dumps_derivation(below) == _tree(below) == _reference(_reference_data(below))
     assert dumps_derivation(at) == _flat(at)
@@ -211,6 +211,16 @@ def test_a_derivation_is_written_flat_from_its_height_of_256():
     assert json.loads(text) == [json.loads(dumps_derivation(d)) for d in ds]
     back = serialize._derivations_from_text(text)
     assert back == ds and dumps_derivations(back) == text
+
+
+def test_the_shortest_replayed_tower_is_written_flat_and_round_trips():
+    # the benchmark's ``replay`` towers start at 150 high, whose tree is 662 KB
+    d = tower(150)
+    text = dumps_derivation(d)
+    assert text == _flat(d) and len(text) < 20_000
+    back = loads_derivation(text)
+    assert back == d and back.valid and back.height == 150
+    assert dumps_derivation(back) == text
 
 
 def test_a_10_000_high_tower_round_trips_at_the_default_limit(monkeypatch, tmp_path):
@@ -442,12 +452,14 @@ def test_the_tallest_tree_dumps_from_a_caller_900_frames_deep():
     assert not [o for o in gc.get_objects() if isinstance(o, serialize._Writer)]
 
 
-def test_the_tallest_tree_round_trips_from_a_caller_450_frames_deep():
+def test_the_tallest_tree_round_trips_from_a_caller_850_frames_deep():
+    # a tree nests 2h + 1 JSON levels and two reader frames a level: at 63
+    # high it reads from about 860 frames deep on Python 3.11
     assert sys.getrecursionlimit() == 1000
     d = tower(FLAT_HEIGHT - 1)
-    text = _nested(450, lambda: dumps_derivation(d))
+    text = _nested(850, lambda: dumps_derivation(d))
     assert text == _tree(d)
-    assert _nested(450, lambda: loads_derivation(text)) == d
+    assert _nested(850, lambda: loads_derivation(text)) == d
 
 
 def test_a_480_high_tower_round_trips_at_the_default_limit():
