@@ -537,28 +537,48 @@ class Derivation(_Record):
 
     def __reduce_ex__(self, protocol):
         # flat: one row per distinct node, in ``fold`` post-order, its premises
-        # the indices of earlier rows
+        # the indices of earlier rows.  Each formula is the index of its row in
+        # one table of formulas (``syntax.indexer``), and each distinct context
+        # the tuple of its formulas' indices, so a derivation over deep
+        # formulas pickles in time linear in its distinct subformulas
         rows: list[tuple] = []
+        formulas: list = []
+        index = syntax.indexer(formulas)
+        context = _Memo(lambda c: tuple(map(index, c)))
 
         def row(x: Derivation, premises: tuple[int, ...]) -> int:
-            rows.append((x.conclusion, x.rule, premises, x.annotation))
+            (g, d, polarity, succedent), a = x.conclusion, x.annotation
+            if a is not None:
+                sp = a.context_split
+                a = (None if a.principal is None else index(a.principal),
+                     None if a.cut_formula is None else index(a.cut_formula),
+                     None if sp is None else tuple(map(context.__getitem__, sp)))
+            rows.append((context[g], context[d], polarity, index(succedent), x.rule, premises,
+                         a))
             return len(rows) - 1
 
         fold(self, row)
-        return _from_rows, (rows,)
+        return _from_rows, (formulas, rows)
 
 
 (_set_conclusion, _set_rule, _set_premises, _set_annotation, _set_height, _set_cut_count,
  _set_valid, _set_principal) = _setters(Derivation)
 
 
-def _from_rows(rows: list[tuple]) -> Derivation:
+def _from_rows(formula_rows: list, rows: list[tuple]) -> Derivation:
     """The root, the last row, of the rows ``Derivation.__reduce_ex__``
     writes, each built once over the nodes of the rows it names."""
+    formula = syntax.built(formula_rows).__getitem__
+    context = _Memo(lambda t: Context(map(formula, t)))
     built: list[Derivation] = []
-    for conclusion, rule, premises, annotation in rows:
-        built.append(Derivation(conclusion, rule, tuple([built[k] for k in premises]),
-                                annotation))
+    for g, d, polarity, succedent, rule, premises, a in rows:
+        if a is not None:
+            principal, cut_formula, sp = a
+            a = Annotation(None if principal is None else formula(principal),
+                           None if cut_formula is None else formula(cut_formula),
+                           None if sp is None else ContextSplit(*map(context.__getitem__, sp)))
+        built.append(Derivation(Sequent(context[g], context[d], polarity, formula(succedent)),
+                                rule, tuple([built[k] for k in premises]), a))
     return built[-1]
 
 

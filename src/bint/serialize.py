@@ -34,14 +34,18 @@ and dumps flat.
 
 Every node repeats its whole conclusion, so one document holds the same
 formulas many times, and documents over the same atoms hold the same formulas
-again.  Each distinct formula text is therefore parsed once per process, up to
-the bound of ``parse_formula``'s cache (the one ``kernel.parse_sequent`` reads
-sequent text through), and once per document beyond it, and equal formulas
+again; and a left rule's premise adds its principal's operands, which are
+subformulas of a text read below it.  Each distinct formula text is looked up
+once per document in ``parse_formula``'s cache (the one ``kernel.parse_sequent``
+reads sequent text through), and a text the cache has dropped is found
+without a scan while a live formula keeps it: a parse gives each formula it
+reads its text, its subformulas' included (``syntax._TEXTS``).  So a formula
+text is scanned once per process while its formula lives, and equal formulas
 are one object either way (formulas are hash-consed); each formula object is
-printed once per process, since it keeps its text
-(``syntax.format_formula``).  Each distinct text of a conclusion's Gamma or
-Delta is read, and each distinct context written, once per document; a flat
-document's lines read each distinct conclusion text once.
+printed at most once per process, since it keeps its text.  Each distinct
+text of a conclusion's Gamma or Delta is read, and each distinct context
+written, once per document; a flat document's lines read each distinct
+conclusion text once.
 """
 
 from __future__ import annotations
@@ -67,29 +71,45 @@ class DerivationFormatError(ValueError):
 FLAT_HEIGHT = 64
 
 _SPLIT_KEYS = ("gamma", "delta", "gamma_prime", "delta_prime")
+_SORTED_SPLIT_KEYS = sorted(_SPLIT_KEYS)
 #: each rule's name as a JSON string, escaped once
 _RULE_TEXT = {r: _escape(r.value) for r in RuleId}
 
-#: a layout: the depth of a container -> the texts after it opens, between
-#: its items and before it closes; ``json.dumps(indent=2)``'s, and its default
-#: one-line text's, which ignores the depth.  The memos live for the process;
-#: a tree's nodes lie at most 2 * FLAT_HEIGHT depths down, so they stay small
+#: the depth of a container -> the texts after it opens, between its items
+#: and before it closes, as ``json.dumps(indent=2)`` writes them.  The memo
+#: lives for the process; a tree's nodes lie at most 2 * FLAT_HEIGHT depths
+#: down, so it stays small
 _INDENTED = _Memo(lambda depth: ("\n" + "  " * (depth + 1), ",\n" + "  " * (depth + 1),
                                  "\n" + "  " * depth))
-_ONE_LINE = _Memo(lambda depth: ("", ", ", ""))
 
 
 def _text(f: Formula) -> str:
     return f._text or format_formula(f)
 
 
-def _container(brackets: str, items: list[str], layout, depth: int) -> str:
-    """The JSON list (``brackets`` is ``"[]"``) or object (``"{}"``) of the
-    texts ``items``, at ``depth`` of ``layout``."""
+def _container(brackets: str, items: list[str], depth: int) -> str:
+    """The indented JSON list (``brackets`` is ``"[]"``) or object (``"{}"``)
+    of the texts ``items``, at ``depth``."""
     if not items:
         return brackets
-    start, sep, end = layout[depth]
+    start, sep, end = _INDENTED[depth]
     return f"{brackets[0]}{start}{sep.join(items)}{end}{brackets[1]}"
+
+
+def _one_line(a: Annotation) -> str:
+    """The one-line text of annotation ``a``'s field, and the separator after
+    it, or "" when ``a`` has no item."""
+    items = []
+    sp = a.context_split
+    if sp is not None:
+        lists = ", ".join([f'"{key}": [{", ".join([_escape(_text(f)) for f in getattr(sp, key)])}]'
+                           for key in _SORTED_SPLIT_KEYS])
+        items.append(f'"context_split": {{{lists}}}')
+    if a.cut_formula is not None:
+        items.append(f'"cut_formula": {_escape(_text(a.cut_formula))}')
+    if a.principal is not None:
+        items.append(f'"principal": {_escape(_text(a.principal))}')
+    return f'"annotation": {{{", ".join(items)}}}, ' if items else ""
 
 
 class _Writer:
@@ -97,8 +117,9 @@ class _Writer:
     only a formula that has none yet, and joining each distinct context's
     texts once (``contexts``).  The text is the one Python's JSON encoder
     gives with sorted keys: strings escaped by the encoder's own C function,
-    and a node's fields written by ``fields`` in either layout.  Both layouts
-    are written by loops, at any height and from any caller depth."""
+    a tree's node objects written by ``fields`` and a flat document's lines
+    each by one f-string.  Both layouts are written by loops, at any height
+    and from any caller depth."""
 
     def __init__(self):
         self.contexts: dict[Context, str] = _Memo(Context.__str__)
@@ -121,10 +142,10 @@ class _Writer:
             self.document(d, depth + 1)
         out.append(f"{end}]" if ds else "]")
 
-    def fields(self, x: Derivation, depth: int, layout) -> tuple[str, str]:
-        """The text of node ``x``'s object at ``depth`` of ``layout`` before
-        and after the value of its ``premises``."""
-        start, sep, end = layout[depth]
+    def fields(self, x: Derivation, depth: int) -> tuple[str, str]:
+        """The indented text of node ``x``'s object at ``depth`` before and
+        after the value of its ``premises``."""
+        start, sep, end = _INDENTED[depth]
         annotation, a = "", x.annotation
         if a is not None:
             items = []
@@ -132,13 +153,13 @@ class _Writer:
             if sp is not None:
                 items.append('"context_split": ' + _container("{}", [
                     f'"{key}": ' + _container("[]", [_escape(_text(f)) for f in getattr(sp, key)],
-                                              layout, depth + 3)
-                    for key in sorted(_SPLIT_KEYS)], layout, depth + 2))
+                                              depth + 3)
+                    for key in _SORTED_SPLIT_KEYS], depth + 2))
             for key, f in (("cut_formula", a.cut_formula), ("principal", a.principal)):
                 if f is not None:
                     items.append(f'"{key}": {_escape(_text(f))}')
             if items:
-                annotation = f'"annotation": {_container("{}", items, layout, depth + 1)}{sep}'
+                annotation = f'"annotation": {_container("{}", items, depth + 1)}{sep}'
         conclusion = _escape(format_sequent(x.conclusion, self.contexts.__getitem__))
         return (f'{{{start}{annotation}"conclusion": {conclusion}{sep}"premises": ',
                 f'{sep}"rule": {_RULE_TEXT[x.rule]}{end}}}')
@@ -153,7 +174,7 @@ class _Writer:
                 out.append(x)
                 continue
             x, depth = x
-            head, tail = self.fields(x, depth, _INDENTED)
+            head, tail = self.fields(x, depth)
             if not x.premises:
                 out += (head, "[]", tail)
                 continue
@@ -168,16 +189,19 @@ class _Writer:
         post-order, so the root is the last.  Each line is the text
         ``json.dumps`` gives the node's fields with sorted keys."""
         lines: list[str] = []
+        context = self.contexts.__getitem__
 
         def number(x: Derivation, premises: tuple[int, ...]) -> int:
-            head, tail = self.fields(x, 0, _ONE_LINE)
-            lines.append(f'{head}[{", ".join(map(str, premises))}]{tail}')
+            a = x.annotation
+            lines.append(f'{{{"" if a is None else _one_line(a)}"conclusion": '
+                         f'{_escape(format_sequent(x.conclusion, context))}, "premises": '
+                         f'[{", ".join(map(str, premises))}], "rule": {_RULE_TEXT[x.rule]}}}')
             return len(lines) - 1
 
         root = kernel.fold(d, number)
-        nodes = _container("[]", lines, _INDENTED, depth + 1)
+        nodes = _container("[]", lines, depth + 1)
         self.out.append(_container("{}", ['"format": "flat"', f'"nodes": {nodes}',
-                                          f'"root": {root}'], _INDENTED, depth))
+                                          f'"root": {root}'], depth))
 
 
 _JSON_TYPE_NAMES = {dict: "object", list: "list", str: "string"}

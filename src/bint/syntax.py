@@ -12,9 +12,25 @@ identity.  Atoms are kept for the life of the process; a binary formula is
 held by a weak table, so one that nothing else holds is freed.
 
 A formula keeps its own text once it has one: atoms and constants from their
-creation, a binary formula from its first ``format_formula``.  So each
-formula object is printed once per process, however many documents, contexts
-or messages show it.
+creation, a binary formula from the first parse that builds or finds it while
+both its operands keep theirs, if the text is at most ``TEXT_BOUND``
+characters long, or else from its first ``format_formula``.  A parse writes
+that text from the operands' texts by the printer's own rule (``_SHAPE``), so
+it is the canonical one, whatever spacing and parentheses were read.  So each
+formula object is printed at most once per process, however many documents,
+contexts or messages show it, and the subformulas of a text read once keep
+their texts, since a derivation repeats them in the sequents above it.
+
+Every binary formula that keeps a text is entered under it in ``_TEXTS``,
+beside the table of formulas, and ``parse_formula`` looks a text up there
+before it scans: a canonical text is read once per process while its formula
+lives.  The index holds the weak reference the table of formulas already
+holds, so it keeps no formula alive, and its dead entries are swept as the
+table's are.  The bound keeps a deep formula's parse linear: the formulas
+above the first one whose text would pass it keep no text, so a 10**4-deep
+chain does not keep the quadratic text of every subformula.  An atom's name
+is a word the parser reads as an atom, so every kept text parses back to its
+formula.
 
 One lexer (``scan``) and one reader (``read_formula``) serve the text of a
 formula here and of a sequent in ``bint.kernel``: the reader stops at the
@@ -27,6 +43,7 @@ from __future__ import annotations
 import re
 import threading
 import weakref
+from typing import Callable
 
 
 class FormulaSyntaxError(ValueError):
@@ -92,8 +109,9 @@ class Formula(_Record):
     """A formula tree, hash-consed: one live object per formula, so ``==`` and
     ``hash`` are identity, O(1) at any depth.  ``key``, a total structural
     order that keeps contexts sorted, is written when it is built; ``_text``
-    and ``_dual`` once ``format_formula`` and ``kernel.dual_formula`` make the
-    formula's text and dual (None before).  Neither is printed or pickled."""
+    once a parse or ``format_formula`` makes the formula's text, and ``_dual``
+    once ``kernel.dual_formula`` makes its dual (None before).  Neither is
+    printed or pickled."""
 
     __slots__ = ("key", "_text", "_dual")
     _tag = -1   # the first component of ``key``: the connective
@@ -106,8 +124,11 @@ class Formula(_Record):
     def __repr__(self) -> str:
         return f"<{format_formula(self)}>"
 
-    def __deepcopy__(self, memo: dict) -> "Formula":
+    def __copy__(self) -> "Formula":
         return self         # hash-consed: an equal formula is this object
+
+    def __deepcopy__(self, memo: dict) -> "Formula":
+        return self
 
 
 class Bottom(Formula):
@@ -124,10 +145,13 @@ class Top(Formula):
 
 #: name -> the atom of that name, kept for the life of the process
 _ATOMS: dict[str, "Atom"] = {}
+_NAME = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 
 class Atom(Formula):
-    """An atom: one per name, its own dual."""
+    """An atom: one per name, its own dual.  Its name is a word that the
+    parser reads as an atom: a letter, then letters, digits and underscores,
+    other than the constants ``F`` and ``T``."""
 
     __slots__ = __match_args__ = ("name",)
     _tag = 2
@@ -135,6 +159,8 @@ class Atom(Formula):
     def __new__(cls, name: str):
         atom = _ATOMS.get(name)
         if atom is None:
+            if not _NAME.fullmatch(name) or name in _CONSTANT:
+                raise ValueError(f"not an atom's name: {name!r}")
             atom = object.__new__(cls)
             _set(atom, "name", name)
             _set(atom, "key", (cls._tag, name))
@@ -148,7 +174,21 @@ class Atom(Formula):
 #: live formula of those parts, which holds them, so the ids are theirs; a dead
 #: reference is a miss, and the dead entries are dropped as the table doubles
 _BINARIES: dict[tuple, weakref.ref] = {}
-_sweep_at, _lock = 1024, threading.RLock()   # reentrant: the collector may run code in it
+#: the text a binary formula keeps -> the reference ``_BINARIES`` holds for it;
+#: written, and its dead entries dropped as it doubles, under ``_lock`` too
+_TEXTS: dict[str, weakref.ref] = {}
+#: the longest text a parse writes for a formula; a longer one is printed
+TEXT_BOUND = 256
+_binaries_at = _texts_at = 1024     # the sizes at which to sweep each table
+_lock = threading.RLock()           # reentrant: the collector may run code in it
+
+
+def _swept(table: dict) -> int:
+    """Drops ``table``'s dead references, under ``_lock``, and returns the size
+    at which to sweep it again: twice the live entries, and at least 1,024."""
+    for k in [k for k, r in table.items() if r() is None]:
+        del table[k]
+    return max(1024, 2 * len(table))
 
 
 class _Binary(Formula):
@@ -156,7 +196,7 @@ class _Binary(Formula):
     __match_args__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
-        global _sweep_at
+        global _binaries_at
         key = (cls._tag, id(left), id(right))
         ref = _BINARIES.get(key)
         f = ref and ref()
@@ -172,14 +212,72 @@ class _Binary(Formula):
                     _set_text(f, None)
                     _set_dual(f, None)
                     _BINARIES[key] = weakref.ref(f)
-                    if len(_BINARIES) >= _sweep_at:
-                        for k in [k for k, r in _BINARIES.items() if r() is None]:
-                            del _BINARIES[k]
-                        _sweep_at = max(1024, 2 * len(_BINARIES))
+                    if len(_BINARIES) >= _binaries_at:
+                        _binaries_at = _swept(_BINARIES)
         return f
+
+    def __reduce_ex__(self, protocol):
+        # flat rows, written by ``indexer``, so a formula of any depth pickles
+        rows: list = []
+        indexer(rows)(self)
+        return _from_rows, (rows,)
 
 
 _set_key, _set_text, _set_dual, _set_left, _set_right = _setters(_Binary)
+
+
+def indexer(rows: list) -> Callable[[Formula], int]:
+    """``index(f)``, the index of ``f``'s row in ``rows``: each call first
+    appends a row for each subformula of ``f`` that has none yet, in
+    post-order, on its own stack.  A leaf's row is the leaf; a binary
+    formula's is its class and the indices of its operands' rows.  So the
+    formulas of many calls share one table, each subformula once."""
+    done: dict[int, int] = {}       # id of a formula -> the index of its row
+
+    def index(f: Formula) -> int:
+        stack = [f]
+        while stack:
+            x = stack[-1]
+            if id(x) in done:
+                stack.pop()
+            elif x.__class__ not in _SHAPE:
+                done[id(x)] = len(rows)
+                rows.append(stack.pop())
+            elif id(x.left) in done and id(x.right) in done:
+                done[id(x)] = len(rows)
+                rows.append((x.__class__, done[id(x.left)], done[id(x.right)]))
+                stack.pop()
+            else:
+                stack += (x.right, x.left)
+        return done[id(f)]
+
+    return index
+
+
+def built(rows: list) -> list[Formula]:
+    """The formula of each of the rows ``indexer`` writes, each built once
+    over the formulas of the rows it names."""
+    out: list[Formula] = []
+    for row in rows:
+        out.append(row[0](out[row[1]], out[row[2]]) if row.__class__ is tuple else row)
+    return out
+
+
+def _from_rows(rows: list) -> Formula:
+    return built(rows)[-1]
+
+
+def _keep(f: Formula, text: str) -> str:
+    """The text ``f`` keeps: ``text``, entered in ``_TEXTS``, unless another
+    thread gave ``f`` its text first."""
+    global _texts_at
+    with _lock:
+        if f._text is None:
+            _set_text(f, text)
+            _TEXTS[text] = weakref.ref(f)   # no callback: the reference ``_BINARIES`` holds
+            if len(_TEXTS) >= _texts_at:
+                _texts_at = _swept(_TEXTS)
+    return f._text
 
 
 class And(_Binary):
@@ -273,8 +371,13 @@ def scan(text: str) -> list[str]:
 def parse_formula(text: str) -> Formula:
     """Parse a formula; raises FormulaSyntaxError with a position on bad input.
 
-    One scan splits the text into lexemes, and ``read_formula`` reads them.
+    A text that a live formula keeps is that formula (``_TEXTS``).  Any other
+    is split into lexemes by one scan, and ``read_formula`` reads them.
     Positions are found again only for an error."""
+    ref = _TEXTS.get(text)
+    f = ref and ref()
+    if f is not None:
+        return f
     found = scan(text)
     f, i = read_formula(text, found, 0)
     if found[i]:
@@ -286,7 +389,9 @@ def read_formula(text: str, found: list[str], i: int) -> tuple[Formula, int]:
     """The formula whose lexemes ``found`` (``scan(text)``) begin at index
     ``i``, and the index of the first lexeme outside every parenthesis that
     is not a connective.  One loop reads them with its own stacks, so
-    parentheses nest as deep as memory allows."""
+    parentheses nest as deep as memory allows.  Each binary formula it builds
+    or finds with no text, while both its operands keep theirs, gets its text
+    if that is at most ``TEXT_BOUND`` long."""
     operands: list[Formula] = []
     pending: list = []          # connectives not yet applied; None opens a parenthesis
     outer: list = []            # per open parenthesis, the enclosing level's arrow state
@@ -314,7 +419,10 @@ def read_formula(text: str, found: list[str], i: int) -> tuple[Formula, int]:
             # every connective associates to the right: apply the tighter ones
             while pending and pending[-1] is not None and pending[-1][0] > binding:
                 right = operands.pop()
-                operands[-1] = pending.pop()[1](operands[-1], right)
+                left = operands[-1]
+                f = operands[-1] = pending.pop()[1](left, right)
+                if f._text is None and left._text is not None and right._text is not None:
+                    _name(f, left._text, right._text)
             if infix is not None:
                 break
             if mixed >= 0:
@@ -352,13 +460,28 @@ def _shape(cls: type) -> tuple:
 _SHAPE = {c: _shape(c) for c in BINARY}
 
 
+def _name(f: _Binary, left: str, right: str) -> None:
+    """Gives ``f`` the text its operands' texts ``left`` and ``right`` make,
+    if it is at most ``TEXT_BOUND`` long."""
+    if len(left) + len(right) < TEXT_BOUND:
+        op, wrap_left, wrap_right = _SHAPE[f.__class__]
+        if f.left.__class__ in wrap_left:
+            left = f"({left})"
+        if f.right.__class__ in wrap_right:
+            right = f"({right})"
+        text = f"{left}{op}{right}"
+        if len(text) <= TEXT_BOUND:
+            _keep(f, text)
+
+
 def format_formula(f: Formula) -> str:
     """Minimal-parenthesization text that reparses to a structurally equal tree.
 
-    The text is kept on ``f``, so each formula object is printed once.  The
-    walk has its own stack, so a formula of any depth prints.  An operand
-    that has its text already is not walked, and only ``f`` keeps the text
-    made here, so a deep formula does not keep the text of every subformula."""
+    The text is kept on ``f``, and entered in ``_TEXTS``, so each formula
+    object is printed once.  The walk has its own stack, so a formula of any
+    depth prints.  An operand that has its text already is not walked, and
+    only ``f`` keeps the text made here, so a deep formula does not keep the
+    text of every subformula."""
     text = f._text
     if text is not None:
         return text
@@ -375,6 +498,4 @@ def format_formula(f: Formula) -> str:
             stack += (")", x.right, "(") if x.right.__class__ in wrap_right else (x.right,)
             stack.append(op)
             stack += (")", x.left, "(") if x.left.__class__ in wrap_left else (x.left,)
-    text = "".join(out)
-    _set_text(f, text)
-    return text
+    return _keep(f, "".join(out))

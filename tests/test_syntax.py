@@ -14,16 +14,17 @@ from pathlib import Path
 from typing import Callable
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from bint import kernel, serialize, syntax
 from bint.syntax import (
-    _CONSTANT, _INFIX, _LETTERS, _LEXEME, _PREC, BOT, TOP, And, Atom, Bottom, Coimp, Formula,
-    FormulaSyntaxError, Imp, Or, Top, format_formula, lexemes, parse_formula, weight,
+    _CONSTANT, _INFIX, _LETTERS, _LEXEME, _PREC, BINARY, BOT, TEXT_BOUND, TOP, And, Atom,
+    Bottom, Coimp, Formula, FormulaSyntaxError, Imp, Or, Top, format_formula, lexemes,
+    parse_formula, weight,
 )
 from bint.kernel import (
-    MINUS, PLUS, Context, Sequent, dual_formula, format_sequent, parse_context_pair,
-    parse_sequent,
+    EMPTY, MINUS, PLUS, Context, RuleId, Sequent, dual_formula, format_sequent, node,
+    parse_context_pair, parse_sequent,
 )
 from conftest import SEED, formulas, random_formula, random_sequent
 
@@ -503,6 +504,10 @@ def test_constants_are_reserved_words():
     # case-sensitive: lowercase are ordinary atoms, as are longer names
     assert parse_formula("f") == Atom("f")
     assert parse_formula("Tx") == Atom("Tx")
+    # an atom's name is one the parser reads as that atom, so its texts parse back
+    for name in ("F", "T", "", "p q", "1p", "p->q", "é"):
+        with pytest.raises(ValueError, match="not an atom's name"):
+            Atom(name)
 
 
 @pytest.mark.parametrize("text, position", [
@@ -550,12 +555,12 @@ def test_an_interned_atom_survives_copies_and_pickles():
 
 
 def test_a_kept_text_is_not_compared_hashed_printed_or_pickled():
-    # atoms no other test names, so the formula is new and has no text yet
-    f = parse_formula("kept_p -> kept_q /\\ kept_r")
-    assert f._text is None and f._dual is None
+    # atoms no other test names, so the formula is new: the parse wrote its text
+    f = parse_formula("kept_p -> ( kept_q /\\ kept_r )")
+    text = f._text
+    assert text == "kept_p -> kept_q /\\ kept_r" and f._dual is None
     h = hash(f)
-    text = format_formula(f)
-    assert f._text is text and hash(f) == h and parse_formula(text) is f
+    assert format_formula(f) is text and hash(f) == h and parse_formula(text) is f
     assert f.__reduce__() == (Imp, (f.left, f.right))
     assert text.encode() not in pickle.dumps(f)
     assert repr(f) == "<kept_p -> kept_q /\\ kept_r>"
@@ -595,7 +600,8 @@ def test_a_formula_nothing_holds_is_freed():
     del f, dual
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
-    assert parse_formula("freed_p -> freed_q \\/ freed_r")._text is None    # built anew
+    again = parse_formula("freed_p -> freed_q \\/ freed_r")
+    assert weakref.ref(again) is not refs[0]        # built anew
 
 
 #: in a fresh interpreter, builds and drops 10**5 distinct formulas, ten
@@ -657,6 +663,170 @@ def test_threads_that_race_build_one_object_per_formula():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and not barrier.broken
     assert split == []
+
+
+# --- kept texts and their index -------------------------------------------------------
+
+_OPS = {And: "/\\", Or: "\\/", Imp: "->", Coimp: "-<"}
+
+
+def reference_format(f: Formula) -> str:
+    """The canonical text of ``f``, by recursion: a left operand whose
+    connective binds no tighter, and a right one whose connective binds
+    less tightly or is the other arrow, in parentheses."""
+    if not isinstance(f, BINARY):
+        return {BOT: "F", TOP: "T"}.get(f) or f.name
+    prec, left, right = _PREC[type(f)], reference_format(f.left), reference_format(f.right)
+    if isinstance(f.left, BINARY) and _PREC[type(f.left)] <= prec:
+        left = f"({left})"
+    if isinstance(f.right, BINARY) and (_PREC[type(f.right)] < prec or
+                                        _PREC[type(f.right)] == prec and type(f.right) is not type(f)):
+        right = f"({right})"
+    return f"{left} {_OPS[type(f)]} {right}"
+
+
+def loose_text(f: Formula, rng: random.Random) -> str:
+    """A text of ``f`` with random spacing, and parentheses around some
+    operands that need none."""
+    if not isinstance(f, BINARY):
+        return rng.choice(_SPACE) + reference_format(f) + rng.choice(_SPACE)
+    prec, left, right = _PREC[type(f)], loose_text(f.left, rng), loose_text(f.right, rng)
+    if isinstance(f.left, BINARY) and _PREC[type(f.left)] <= prec or rng.random() < 0.3:
+        left = f"({left})"
+    if isinstance(f.right, BINARY) and (_PREC[type(f.right)] < prec or
+                                        _PREC[type(f.right)] == prec and type(f.right) is not type(f)
+                                        ) or rng.random() < 0.3:
+        right = f"({right})"
+    return rng.choice(_SPACE) + left + rng.choice(_SPACE) + _OPS[type(f)] + right + rng.choice(_SPACE)
+
+
+def subformulas(f: Formula) -> list[Formula]:
+    out, stack = [], [f]
+    while stack:
+        x = stack.pop()
+        out.append(x)
+        if isinstance(x, BINARY):
+            stack += (x.left, x.right)
+    return out
+
+
+@given(formulas(max_leaves=12), st.randoms(use_true_random=False))
+def test_a_parse_keeps_the_printers_text_of_every_formula_it_reads(f, rng):
+    text = loose_text(f, rng)
+    assert parse_formula(text) is f, text
+    for x in subformulas(f):
+        # built before the parse, each had no text unless printed or read before
+        assert x._text == reference_format(x) and parse_formula(x._text) is x
+
+
+def test_a_kept_text_is_read_without_a_scan(monkeypatch):
+    reads = []
+    read = syntax.read_formula
+
+    def counted(text, found, i):
+        reads.append(text)
+        return read(text, found, i)
+
+    monkeypatch.setattr(syntax, "read_formula", counted)
+    f = parse_formula("(look_p /\\ look_q) -> (look_r)")
+    assert reads == ["(look_p /\\ look_q) -> (look_r)"]
+    assert parse_formula("look_p /\\ look_q -> look_r") is f
+    assert parse_formula("look_p /\\ look_q") is f.left
+    assert len(reads) == 1
+    assert parse_formula(" look_p /\\ look_q -> look_r") is f       # not canonical: scanned
+    assert len(reads) == 2
+
+
+def test_the_index_keeps_no_formula_alive():
+    text = "gone_p -> gone_q \\/ gone_r"
+    f = parse_formula(text)
+    ref = syntax._TEXTS[text]
+    assert ref is weakref.ref(f) and ref() is f and syntax._TEXTS["gone_q \\/ gone_r"]() is f.right
+    del f
+    gc.collect()
+    assert ref() is None and syntax._TEXTS[text] is ref
+    # new texts, each its own formula, dropped at once, until a sweep drops the dead entry
+    for i in range(syntax._texts_at + 1):
+        parse_formula(" /\\ ".join("gone_" + b for b in bin(i)))
+        if text not in syntax._TEXTS:
+            break
+    assert text not in syntax._TEXTS and parse_formula(text)._text == text
+
+
+def test_a_deep_chain_keeps_texts_only_up_to_the_bound():
+    assert sys.getrecursionlimit() == 1000
+    f = parse_formula(" -> ".join(["chain"] * 10_001))
+    spine, x = [], f
+    while isinstance(x, Imp):
+        spine.append(x)
+        x = x.right
+    assert len(spine) == 10_000
+    kept = [x._text for x in spine if x._text is not None]
+    # the text of k arrows is 9k + 5 long: the lowest n keep theirs
+    n = (TEXT_BOUND - 5) // 9
+    assert [len(t) for t in kept] == [9 * k + 5 for k in range(n, 0, -1)]
+    assert sum(map(len, kept)) == 3_537         # 27 texts, at the bound of 256
+    assert kept[-1] == "chain -> chain" and spine[-n - 1]._text is None
+    text = format_formula(f)
+    assert len(text) == 9 * 10_000 + 5 and parse_formula(text) is f
+
+
+def test_threads_that_parse_the_same_texts_get_one_formula_and_one_text():
+    texts = [f"th{i} -> (th{i + 1} /\\ th{i + 2}) \\/ (th{i} -< th{i + 3})" for i in range(500)]
+    rounds = 4
+    barrier = threading.Barrier(2, timeout=60)
+    got, errors, split = [None, None], [], []
+
+    def parse(k):
+        try:
+            for _ in range(rounds):
+                barrier.wait()
+                got[k] = [parse_formula(t) for t in texts]
+                barrier.wait()
+                if k == 0:
+                    split.extend(t for t, a, b in zip(texts, *got)
+                                 if a is not b or a._text != reference_format(a)
+                                 or a.right._text is not b.right._text)
+                barrier.wait()
+                got[k] = None       # the next round builds them anew over dead entries
+        except Exception as e:      # a sweep that raised, say
+            errors.append(e)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and split == [] and not barrier.broken
+
+
+def test_a_3000_arrow_chain_and_a_derivation_over_it_copy_and_pickle():
+    assert sys.getrecursionlimit() == 1000
+    p = Atom("p")
+    spine = [p]
+    for _ in range(3_000):
+        spine.append(Imp(p, spine[-1]))
+    f = spine[-1]
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g is f
+    # ImpLa on each link ``p, X ; |-+ p``: every node holds another subformula
+    d = node(RuleId.RfPlus, Sequent(Context.of(p, p), EMPTY, PLUS, p))
+    for x in spine[1:]:
+        s = Sequent(Context.of(p, x), EMPTY, PLUS, p)
+        d = node(RuleId.ImpLa, s, (node(RuleId.RfPlus, s), d), principal=x)
+    assert d.valid and d.height == 3_000
+    data = pickle.dumps(d)
+    assert len(data) < 100 * 3_000       # each formula once, not each subformula per node
+    for c in (copy.deepcopy(d), pickle.loads(data)):
+        assert c == d and c.valid and c.height == 3_000
+        assert c.conclusion.gamma[1] is f and c.annotation.principal is f
 
 
 def test_weight_base_cases():
